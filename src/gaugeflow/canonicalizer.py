@@ -202,7 +202,8 @@ def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spe
         perm_result = canonicalize_perm(m)
     else:
         if ordering == "multihop":
-            order, keys = order_multihop(m), _multihop_keys(m)
+            keys = _multihop_keys(m)
+            order = _order_by_multihop_keys(m, keys)
         else:
             order, keys = order_atomic(m), _atomic_keys(m)
         n = m.n_atoms
@@ -265,12 +266,15 @@ def _multihop_keys(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
     return np.array(weights, dtype=np.float64)
 
 
-def order_multihop(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
-    """Ascending order by the packed hop-count weight; ties by atomic number then index."""
+def _order_by_multihop_keys(m: MoleculeState, weights: np.ndarray) -> np.ndarray:
     n = m.n_atoms
-    weights = _multihop_keys(m, n_hops)
     keyed = sorted(range(n), key=lambda v: (weights[v], int(m.atom_types[v]), v))
     return np.array(keyed, dtype=np.int64)
+
+
+def order_multihop(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
+    """Ascending order by the packed hop-count weight; ties by atomic number then index."""
+    return _order_by_multihop_keys(m, _multihop_keys(m, n_hops))
 
 
 def _atomic_keys(m: MoleculeState) -> np.ndarray:

@@ -277,7 +277,8 @@ def cmd_sample(args) -> int:
         with open(outdir / "metrics.json", "w") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {len(mols)} molecules; canonicalizer calls during "
-              f"sampling: {info['canonicalize_calls']}")
+              f"sampling: {info['canonicalize_calls']}, degenerate steps: "
+              f"{info['degenerate_steps']}, clipped coordinates: {info['clipped_coords']}")
     _write_manifest(outdir, "sample", args, seed=args.seed,
                     config=dataclasses.asdict(cfg))
     return EXIT_OK

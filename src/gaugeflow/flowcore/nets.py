@@ -2,12 +2,23 @@
 CanonLite, a three-stream message-passing net over canonicalized molecules.
 
 CanonLite keeps separate node (H), coordinate-set (CS) and rank (R) streams.
-Every layer builds pairwise messages from projected node and rank features,
-coordinate-set Gram entries and edge features, aggregates them by mean (no
-attention), and applies residual updates to all streams. Heads: coordinate
-velocity (mix of coordinate sets), atom/charge logits, bond logits for all N^2
-ordered pairs (diagonal masked downstream), and a rank head min-max normalized
-to [0, 1].
+Every layer builds a message for each ordered pair (i, j) with a two-layer MLP
+over [p_i, p_j, q_i, q_j, <cs_i, cs_j>, e_ij] (p, q: projected node and rank
+features; Gram entries per coordinate set; edge features), aggregates it by
+mean over j (no attention), and applies residual updates to all streams.
+
+The message MLP is evaluated in factorized form, as in the EGNN edge function
+(Satorras et al. 2021): the first layer's p and q row blocks act on the N node
+rows and are broadcast-added over pairs, so only the Gram and edge columns are
+multiplied on N^2 pair rows. The node and rank outputs are used only through
+their mean over j, so the hidden layer is averaged first and their output
+columns are applied on N rows; pair rows carry only the coordinate and edge
+outputs. Parameters keep the shapes of the plain MLP over the concatenated
+input, and both forms agree up to rounding.
+
+Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
+logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
+min-max normalized to [0, 1].
 """
 
 from __future__ import annotations
@@ -160,6 +171,12 @@ class Predictions:
     rank_raw: Tensor        # (N,) head output before normalization
 
 
+def _linear_cols(lin: Linear, x: Tensor, start: int, size: int) -> Tensor:
+    """Output columns start:start+size of lin(x), without computing the others."""
+    return tape.add(tape.matmul(x, tape.slice_cols(lin.weight, start, size)),
+                    tape.slice_cols(lin.bias, start, size))
+
+
 def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((len(idx), n))
     out[np.arange(len(idx)), idx] = 1.0
@@ -218,22 +235,31 @@ class CanonLiteNet(Module):
         cs = tape.stack_scale(Tensor(z_t.coords), self.cs_weights)
         e = self.edge_in(Tensor(_one_hot(z_t.bond_idx.ravel(), c.n_bond_classes)))
 
+        dp = c.d_proj
         for layer in self.layers:
+            lin_in, lin_out = layer.msg_mlp.layers
+            w_in = lin_in.weight
             p = layer.node_proj(h)
             q = layer.rank_proj(r)
-            msg_in = tape.concat([
-                tape.repeat_rows(p, n), tape.tile_rows(p, n),
-                tape.repeat_rows(q, n), tape.tile_rows(q, n),
-                tape.pairwise_dot(cs), e,
-            ], axis=1)
-            msg = layer.msg_mlp(msg_in)
-            m_node = tape.slice_cols(msg, 0, c.d_model)
-            m_coord = tape.slice_cols(msg, c.d_model, c.n_coord_sets)
-            m_rank = tape.slice_cols(msg, c.d_model + c.n_coord_sets, c.d_rank)
-            m_edge = tape.slice_cols(msg, c.d_model + c.n_coord_sets + c.d_rank, c.d_edge)
-            h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, n)))
+            # first message layer by input row block [p_i, p_j, q_i, q_j, dots, e]
+            from_i = tape.add(tape.add(tape.matmul(p, tape.slice_rows(w_in, 0, dp)),
+                                       tape.matmul(q, tape.slice_rows(w_in, 2 * dp, dp))),
+                              lin_in.bias)
+            from_j = tape.add(tape.matmul(p, tape.slice_rows(w_in, dp, dp)),
+                              tape.matmul(q, tape.slice_rows(w_in, 3 * dp, dp)))
+            pair_in = tape.concat([tape.pairwise_dot(cs), e], axis=1)
+            from_pair = tape.matmul(pair_in, tape.slice_rows(w_in, 4 * dp, pair_in.shape[1]))
+            hidden = tape.silu(tape.add(tape.pair_sum(from_i, from_j), from_pair))
+            # second layer: node and rank messages are only used as means over j
+            pooled = lin_out(tape.block_mean_rows(hidden, n))
+            m_node = tape.slice_cols(pooled, 0, c.d_model)
+            m_rank = tape.slice_cols(pooled, c.d_model + c.n_coord_sets, c.d_rank)
+            m_coord = _linear_cols(lin_out, hidden, c.d_model, c.n_coord_sets)
+            m_edge = _linear_cols(lin_out, hidden, c.d_model + c.n_coord_sets + c.d_rank,
+                                  c.d_edge)
+            h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, tape.coord_mix(cs, m_coord))
-            r = tape.add(r, layer.rank_update(tape.block_mean_rows(m_rank, n)))
+            r = tape.add(r, layer.rank_update(m_rank))
             e = tape.add(e, layer.edge_update(m_edge))
 
         velocity = tape.stack_mix(cs, self.head_vel)

@@ -180,10 +180,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x) -> np.ndarray:
-    # exp argument kept nonpositive so large |x| cannot overflow
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing
+    out = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -242,6 +243,14 @@ def concat(tensors, axis: int = -1) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+
+
+def slice_rows(a: Tensor, start: int, size: int) -> Tensor:
+    def bw(g):
+        full = np.zeros_like(a.data)
+        full[start:start + size] = g
+        _accum(a, full)
+    return _make(a.data[start:start + size], (a,), bw)
 
 
 def slice_cols(a: Tensor, start: int, size: int) -> Tensor:
@@ -314,6 +323,17 @@ def tile_rows(a: Tensor, times: int) -> Tensor:
     def bw(g):
         _accum(a, g.reshape(times, n, -1).sum(axis=0))
     return _make(np.tile(a.data, (times, 1)), (a,), bw)
+
+
+def pair_sum(a: Tensor, b: Tensor) -> Tensor:
+    """a, b (N, c) -> (N^2, c) with out[i*N+j] = a[i] + b[j]."""
+    n, c = a.data.shape
+
+    def bw(g):
+        g3 = g.reshape(n, n, c)
+        _accum(a, g3.sum(axis=1))
+        _accum(b, g3.sum(axis=0))
+    return _make((a.data[:, None, :] + b.data[None, :, :]).reshape(n * n, c), (a, b), bw)
 
 
 def block_mean_rows(a: Tensor, block: int) -> Tensor:

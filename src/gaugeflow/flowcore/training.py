@@ -494,11 +494,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _draw_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random((probs.shape[0], 1))
-    return (probs.cumsum(axis=1) > u).argmax(axis=1)
-
-
 def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
                                rng, n_gen=4, k_steps=5) -> float:
     """Pooled-atom energy distance between short-rollout samples and held-out data.
@@ -526,16 +521,16 @@ def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
             mask = rng.random(n) < p
             if mask.any():
                 probs = _softmax_rows(preds.atom_logits.data[mask])
-                type_idx[mask] = _draw_rows(probs, rng)
+                type_idx[mask] = priors_mod.draw_categorical(probs, rng)
             mask = rng.random(n) < p
             if mask.any():
                 probs = _softmax_rows(preds.charge_logits.data[mask])
-                charge_idx[mask] = _draw_rows(probs, rng)
+                charge_idx[mask] = priors_mod.draw_categorical(probs, rng)
             if n > 1:
                 mask = rng.random(len(flat_iu)) < p
                 if mask.any():
                     probs = _softmax_rows(preds.bond_logits.data[flat_iu[mask]])
-                    drawn = _draw_rows(probs, rng)
+                    drawn = priors_mod.draw_categorical(probs, rng)
                     bond_idx[iu[0][mask], iu[1][mask]] = drawn
                     bond_idx[iu[1][mask], iu[0][mask]] = drawn
             latent = LatentMolecule(coords, type_idx, charge_idx, bond_idx)

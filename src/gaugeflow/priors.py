@@ -128,29 +128,56 @@ def fit_positional(observations, n_bins: int, n_classes: int,
     return PositionalCategoricalPrior(probs, base, beta)
 
 
-def eval_positional(prior: PositionalCategoricalPrior, rank: float) -> np.ndarray:
-    """Class distribution at a rank: linear blend of the straddling bins,
-    then beta-mixed with the base distribution."""
-    if not (0.0 <= rank <= 1.0):
-        raise ValueError(f"rank {rank} outside [0, 1]")
-    k = prior.n_bins
-    pos = rank * k
-    k0 = min(int(pos), k - 1)
-    k1 = min(k0 + 1, k - 1)
-    delta = pos - k0
-    if k1 == k0:
-        delta = 0.0
+def _bin_blend(ranks: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per rank: the two straddling bins k0 <= k1 and the weight of k1, as a column."""
+    pos = ranks * n_bins
+    k0 = np.minimum(pos.astype(np.int64), n_bins - 1)
+    k1 = np.minimum(k0 + 1, n_bins - 1)
+    delta = np.where(k1 == k0, 0.0, pos - k0)
+    return k0, k1, delta[:, None]
+
+
+def _check_ranks(ranks: np.ndarray) -> None:
+    bad = ~((ranks >= 0.0) & (ranks <= 1.0))
+    if bad.any():
+        raise ValueError(f"rank {ranks[bad][0]} outside [0, 1]")
+
+
+def _positional_rows(prior: PositionalCategoricalPrior, ranks: np.ndarray) -> np.ndarray:
+    k0, k1, delta = _bin_blend(ranks, prior.n_bins)
     p_r = (1.0 - delta) * prior.bin_probs[k0] + delta * prior.bin_probs[k1]
     return prior.beta * prior.base + (1.0 - prior.beta) * p_r
 
 
+def eval_positional(prior: PositionalCategoricalPrior, rank: float) -> np.ndarray:
+    """Class distribution at a rank: linear blend of the straddling bins,
+    then beta-mixed with the base distribution."""
+    ranks = np.array([rank], dtype=np.float64)
+    _check_ranks(ranks)
+    return _positional_rows(prior, ranks)[0]
+
+
+def draw_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One class index per row of an (n, C) probability matrix.
+
+    One uniform u per row is located on the row's cumulative sum normalized by
+    its last entry, the draw Generator.choice(C, p=row) makes. The normalized
+    sum ends at exactly 1 > u, so the index is at most C - 1 even where the
+    float cumulative sum falls short of 1, and a class of zero probability is
+    never drawn.
+    """
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(probs.shape[0])
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 def sample_positional(prior: PositionalCategoricalPrior, ranks: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    out = np.zeros(len(ranks), dtype=np.int64)
-    for i, r in enumerate(ranks):
-        p = eval_positional(prior, float(r))
-        out[i] = rng.choice(prior.n_classes, p=p)
-    return out
+    """One class per rank; same draws as rng.choice(C, p=eval_positional(r)) in turn."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    _check_ranks(ranks)
+    return draw_categorical(_positional_rows(prior, ranks), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +222,26 @@ def fit_rank_gaussian(ranks: np.ndarray, values: np.ndarray, n_bins: int) -> Ran
     return RankBinnedGaussianPrior(means, stds)
 
 
-def eval_rank_gaussian(prior: RankBinnedGaussianPrior, rank: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, std) at a rank via the same two-bin linear blend."""
-    k = prior.n_bins
-    pos = float(rank) * k
-    k0 = min(int(pos), k - 1)
-    k1 = min(k0 + 1, k - 1)
-    delta = pos - k0 if k1 != k0 else 0.0
+def _rank_gaussian_rows(prior: RankBinnedGaussianPrior,
+                        ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    _check_ranks(ranks)
+    k0, k1, delta = _bin_blend(ranks, prior.n_bins)
     mean = (1.0 - delta) * prior.bin_means[k0] + delta * prior.bin_means[k1]
     std = (1.0 - delta) * prior.bin_stds[k0] + delta * prior.bin_stds[k1]
     return mean, std
 
 
+def eval_rank_gaussian(prior: RankBinnedGaussianPrior, rank: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std) at a rank via the same two-bin linear blend."""
+    mean, std = _rank_gaussian_rows(prior, np.array([rank], dtype=np.float64))
+    return mean[0], std[0]
+
+
 def sample_rank_gaussian(prior: RankBinnedGaussianPrior, ranks: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
-    out = np.zeros((len(ranks), prior.bin_means.shape[1]))
-    for i, r in enumerate(ranks):
-        mean, std = eval_rank_gaussian(prior, float(r))
-        out[i] = mean + std * rng.standard_normal(prior.bin_means.shape[1])
-    return out
+    """One coordinate row per rank; same draws as one standard_normal(d) per rank in turn."""
+    mean, std = _rank_gaussian_rows(prior, np.asarray(ranks, dtype=np.float64))
+    return mean + std * rng.standard_normal(mean.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,14 @@ import numpy as np
 
 from . import priors as priors_mod
 from . import symgroup
-from .canonicalizer import canonicalize
+from .canonicalizer import CanonicalizationError, canonicalize
 from .flowcore import training
 from .flowcore.nets import CanonLiteNet, LatentMolecule
 from .flowcore.training import FlowModel, decode_molecule, encode_molecule, sample_molecular_noise
 from .molecule import MoleculeState
 
 RANK_SPAN_TOL = 1e-6
+COORD_CLIP = 1e3                # Euler steps clip coordinates to +-COORD_CLIP
 
 REGIMES = ("a", "b")
 HAAR_GROUPS = ("none", "perm", "perm_so3")
@@ -69,13 +70,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a probability matrix."""
-    cum = np.cumsum(probs, axis=1)
-    u = rng.random((probs.shape[0], 1))
-    return (u > cum).sum(axis=1).astype(np.int64)
 
 
 _HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_raw")
@@ -120,24 +114,24 @@ def euler_step(net: CanonLiteNet, latent: LatentMolecule, t_from: float, t_to: f
     out = _forward(net, latent, t_from, ranks, cfg_scale)
     coords = latent.coords + (t_to - t_from) * out["velocity"]
     # an untrained or over-guided field can blow up the rollout; keep it finite
-    coords = np.clip(coords, -1e3, 1e3)
+    coords = np.clip(coords, -COORD_CLIP, COORD_CLIP)
 
     p = (t_from - t_to) / t_from
     type_idx = latent.type_idx.copy()
     mask = rng.random(n) < p
     if mask.any():
-        type_idx[mask] = _sample_rows(_softmax(out["atom_logits"][mask]), rng)
+        type_idx[mask] = priors_mod.draw_categorical(_softmax(out["atom_logits"][mask]), rng)
     charge_idx = latent.charge_idx.copy()
     mask = rng.random(n) < p
     if mask.any():
-        charge_idx[mask] = _sample_rows(_softmax(out["charge_logits"][mask]), rng)
+        charge_idx[mask] = priors_mod.draw_categorical(_softmax(out["charge_logits"][mask]), rng)
 
     iu = np.triu_indices(n, k=1)
     flat = iu[0] * n + iu[1]
     upper = latent.bond_idx[iu].copy()
     mask = rng.random(len(flat)) < p
     if mask.any():
-        upper[mask] = _sample_rows(_softmax(out["bond_logits"][flat][mask]), rng)
+        upper[mask] = priors_mod.draw_categorical(_softmax(out["bond_logits"][flat][mask]), rng)
     bond_idx = np.zeros((n, n), dtype=np.int64)
     bond_idx[iu] = upper
     bond_idx = bond_idx + bond_idx.T
@@ -167,8 +161,14 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
 
     n_atoms: an int (all samples share a size) or a sequence of per-sample
     sizes. priors overrides the checkpoint's fitted priors. Returns
-    (molecules, info); info counts canonicalizer invocations during
-    integration, which regime "a" keeps at zero.
+    (molecules, info). info counts:
+      canonicalize_calls  canonicalizer invocations during integration
+                          (zero in regime "a");
+      degenerate_steps    regime-b steps whose state could not be
+                          canonicalized (e.g. all atoms coincide); the step
+                          keeps its state and ranks;
+      clipped_coords      coordinate entries at the +-COORD_CLIP bound after
+                          an Euler step, summed over steps and samples.
     """
     if model.kind != "canonlite":
         raise ValueError("molecular sampling needs a canonlite model")
@@ -187,7 +187,7 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
     n_bond = net.cfg.n_bond_classes
 
     mols = []
-    canonicalize_calls = 0
+    canonicalize_calls = degenerate_steps = clipped_coords = 0
     for size in sizes:
         size = int(size)
         latent = sample_molecular_noise(size, priors, n_bond, rng)
@@ -197,15 +197,20 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
             t_to = (k - 1) / cfg.steps
             latent, rank_raw = euler_step(net, latent, t_from, t_to, ranks,
                                           cfg.cfg_scale, rng)
+            clipped_coords += int((np.abs(latent.coords) == COORD_CLIP).sum())
             if cfg.regime == "b":
                 if cfg.canonicalize_mode:
-                    latent, ranks, _ = pcs_step(latent, vocab)
                     canonicalize_calls += 1
+                    try:
+                        latent, ranks, _ = pcs_step(latent, vocab)
+                    except CanonicalizationError:
+                        degenerate_steps += 1
                 else:
                     ranks = rank_estimate(rank_raw)
         mols.append(decode_molecule(latent, vocab))
     mols = haar_randomize(mols, cfg.group, rng)
-    info = {"canonicalize_calls": canonicalize_calls, "regime": cfg.regime,
+    info = {"canonicalize_calls": canonicalize_calls, "degenerate_steps": degenerate_steps,
+            "clipped_coords": clipped_coords, "regime": cfg.regime,
             "steps": cfg.steps, "haar_group": cfg.group}
     return mols, info
 

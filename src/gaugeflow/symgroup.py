@@ -121,16 +121,6 @@ def haar_sample(n_atoms: int, rng: np.random.Generator) -> GroupElement:
 
 
 @dataclass
-class PointCloudState:
-    """Bare d-dimensional point state used by the finite-group checks."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-
-
-@dataclass
 class FiniteGroupSpec:
     """A finite group of orthogonal d x d matrices, listed explicitly."""
 

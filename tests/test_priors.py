@@ -121,6 +121,81 @@ def test_sample_positional_hits_table(seed):
     assert (hi == 1).mean() > 0.8
 
 
+def _blend(table, rank):
+    """The straddling-bin blend of one rank, written per atom."""
+    k = table.shape[0]
+    pos = rank * k
+    k0 = min(int(pos), k - 1)
+    k1 = min(k0 + 1, k - 1)
+    delta = pos - k0 if k1 != k0 else 0.0
+    return (1.0 - delta) * table[k0] + delta * table[k1]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=9))
+def test_sample_positional_matches_per_atom_choice(seed, n, n_bins):
+    # one rng.choice per atom, as the draw was first written: same classes, same stream
+    table_rng = np.random.default_rng([seed, 1])
+    n_classes = int(table_rng.integers(1, 7))
+    probs = table_rng.dirichlet(np.full(n_classes, 0.3), size=n_bins)
+    prior = priors.PositionalCategoricalPrior(probs, np.full(n_classes, 1.0 / n_classes), 0.1)
+    ranks = np.sort(table_rng.random(n))
+    if n:
+        ranks[[0, -1]] = 0.0, 1.0       # the clamped ends of the bin range
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = priors.sample_positional(prior, ranks, rng)
+    want = [ref_rng.choice(n_classes, p=prior.beta * prior.base
+                           + (1.0 - prior.beta) * _blend(probs, r)) for r in ranks]
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=9))
+def test_sample_rank_gaussian_matches_per_atom_draws(seed, n, n_bins):
+    table_rng = np.random.default_rng([seed, 2])
+    prior = priors.RankBinnedGaussianPrior(table_rng.standard_normal((n_bins, 3)),
+                                           table_rng.random((n_bins, 3)) + 0.1)
+    ranks = np.arange(n) / max(n, 1)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = priors.sample_rank_gaussian(prior, ranks, rng)
+    want = np.array([_blend(prior.bin_means, r) + _blend(prior.bin_stds, r)
+                     * ref_rng.standard_normal(3) for r in ranks]).reshape(n, 3)
+    assert np.array_equal(got, want)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_rank_priors_reject_out_of_range_ranks(bad):
+    ranks = np.array([0.0, bad, 0.5])
+    positional = priors.fit_positional([(0.2, 0), (0.8, 1)], 3, 2)
+    with pytest.raises(ValueError):
+        priors.sample_positional(positional, ranks, np.random.default_rng(0))
+    gaussian = priors.fit_rank_gaussian(np.linspace(0, 1, 8), np.ones((8, 3)), 2)
+    with pytest.raises(ValueError):
+        priors.sample_rank_gaussian(gaussian, ranks, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        priors.eval_rank_gaussian(gaussian, bad)
+
+
+class _EdgeRng:
+    """Every uniform draw is the largest double below 1."""
+
+    def random(self, size=None):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_draw_categorical_stays_in_range_at_the_top_edge():
+    # the float cumsum of seven 1/7 entries ends below 1, so u = nextafter(1, 0)
+    # lies past it; the draw must still be the last class, never class 7 or 0
+    probs = np.full((3, 7), 1.0 / 7.0)
+    assert np.cumsum(probs[0])[-1] < np.nextafter(1.0, 0.0)
+    assert priors.draw_categorical(probs, _EdgeRng()).tolist() == [6, 6, 6]
+    # a trailing class of zero probability is never drawn
+    probs = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    assert priors.draw_categorical(probs, _EdgeRng()).tolist() == [1, 0]
+
+
 # ---------------------------------------------------------------------------
 # rank-binned Gaussian
 

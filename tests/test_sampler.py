@@ -60,6 +60,66 @@ def test_regime_b_canonicalize_mode_counts_calls(mol_model):
     assert info["canonicalize_calls"] == 0
 
 
+def test_regime_b_keeps_a_collapsed_state(mol_model):
+    # a zero velocity field on a zero-width coordinate prior puts every atom at
+    # the origin, where canonicalization is undefined: each step keeps its
+    # state and ranks, is counted, and sampling completes
+    import copy
+
+    model = copy.deepcopy(mol_model)
+    model.net.head_vel.data[:] = 0.0
+    coord = model.priors["coord"]
+    flat = priors_mod.RankBinnedGaussianPrior(np.zeros_like(coord.bin_means),
+                                              np.zeros_like(coord.bin_stds))
+    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
+    mols, info = sampler.sample(model, 5, 2, cfg, priors=dict(model.priors, coord=flat))
+    assert info["canonicalize_calls"] == 2 * 3
+    assert info["degenerate_steps"] == 2 * 3
+    assert info["clipped_coords"] == 0
+    assert len(mols) == 2 and all(m.n_atoms == 5 for m in mols)
+    assert all(np.all(m.coords == 0.0) for m in mols)
+
+
+def test_clipped_coordinates_are_counted(mol_model):
+    import copy
+
+    model = copy.deepcopy(mol_model)
+    model.net.head_vel.data *= 1e9
+    cfg = SampleConfig(steps=1, seed=6)
+    mols, info = sampler.sample(model, 6, 3, cfg)
+    at_bound = sum(int((np.abs(m.coords) == sampler.COORD_CLIP).sum()) for m in mols)
+    assert info["clipped_coords"] == at_bound > 0
+    assert info["degenerate_steps"] == 0
+
+
+class _EdgeRng:
+    """A Generator whose uniform draws are all the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        return np.full(() if size is None else size, np.nextafter(1.0, 0.0))
+
+
+def test_euler_step_draws_stay_in_range_at_the_top_edge(mol_model):
+    # the last step resamples every categorical entry; with u = nextafter(1, 0)
+    # each draw must be the last class, even for rows whose float cumsum ends
+    # below 1 (27% of random 5-class softmax rows)
+    net = mol_model.net
+    latent = sample_molecular_noise(7, mol_model.priors, net.cfg.n_bond_classes,
+                                    np.random.default_rng(33))
+    stepped, _ = sampler.euler_step(net, latent, 1.0, 0.0, np.arange(7) / 7, 1.0,
+                                    _EdgeRng(34))
+    assert np.all(stepped.type_idx == net.cfg.n_atom_classes - 1)
+    assert np.all(stepped.charge_idx == net.cfg.n_charge_classes - 1)
+    iu = np.triu_indices(7, k=1)
+    assert np.all(stepped.bond_idx[iu] == net.cfg.n_bond_classes - 1)
+
+
 def test_sampling_deterministic_under_seed(mol_model):
     cfg = SampleConfig(steps=4, seed=9)
     a, _ = sampler.sample(mol_model, 5, 3, cfg)

@@ -95,6 +95,21 @@ def test_pair_message_primitives():
     check(fwd, params)
 
 
+def test_pair_sum_broadcasts_over_pairs():
+    n = 3
+    a, b = p((n, 2), 18), p((n, 2), 19)
+    out = tape.pair_sum(a, b)
+    assert np.allclose(out.data, tape.repeat_rows(a, n).data + tape.tile_rows(b, n).data)
+    w = Tensor(np.random.default_rng(20).standard_normal((n * n, 2)))
+    check(lambda: tape.tsum(tape.mul(tape.square(tape.pair_sum(a, b)), w)), {"a": a, "b": b})
+
+
+def test_slice_rows():
+    a = p((5, 3), 21)
+    assert np.array_equal(tape.slice_rows(a, 1, 3).data, a.data[1:4])
+    check(lambda: tape.tsum(tape.square(tape.slice_rows(a, 1, 3))), {"a": a})
+
+
 def test_transpose_pairs_involution():
     n = 3
     a = p((n * n, 2), 12)
