@@ -49,7 +49,8 @@ def _outdir(args) -> Path:
     return path
 
 
-def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None = None) -> None:
+def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None = None,
+                    counters: dict | None = None) -> None:
     skip = {"func", "outdir"}
     arg_doc = {}
     for key, value in vars(args).items():
@@ -71,6 +72,8 @@ def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None 
     }
     if config is not None:
         doc["config"] = config
+    if counters is not None:
+        doc["counters"] = counters
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
@@ -177,30 +180,33 @@ def cmd_canonicalize(args) -> int:
 
 
 def _load_training_data(data_arg: str, seed: int):
+    """Returns (data, counters); counters are filled for molecule directories."""
     if data_arg in ("c4", "c4-canonical"):
         rng = np.random.default_rng([seed, 9])
         blobs = toydata.c4_blobs(2000, rng)
         if data_arg == "c4-canonical":
             blobs = toydata.sector_canonicalize(blobs)[0]
-        return blobs
+        return blobs, None
     path = Path(data_arg)
     if path.suffix == ".npz":
         with np.load(path) as doc:
             if "data" not in doc:
                 raise UsageError("npz input must contain a 'data' array")
-            return np.asarray(doc["data"], dtype=np.float64)
+            return np.asarray(doc["data"], dtype=np.float64), None
     if path.is_dir():
         files = sorted(list(path.glob("*.sdf")) + list(path.glob("*.xyz")))
         if not files:
             raise UsageError(f"no .sdf or .xyz files under {path}")
-        mols = [_read_molecule(f) for f in files]
-        return [canonicalize(m, group="perm_so3").representative for m in mols]
+        results = [canonicalize(_read_molecule(f), group="perm_so3") for f in files]
+        degenerate = sum(int(r.degenerate) for r in results)
+        print(f"canonicalized {len(results)} training molecules; "
+              f"degenerate inputs: {degenerate}")
+        return [r.representative for r in results], {"degenerate_inputs": degenerate}
     raise UsageError("data must be c4, c4-canonical, an .npz file, "
                      "or a directory of molecules")
 
 
 def cmd_train(args) -> int:
-    outdir = _outdir(args)
     cfg = _load_train_config(args.config) if args.config else TrainConfig()
     if args.epochs is not None:
         cfg.epochs = args.epochs
@@ -213,8 +219,12 @@ def cmd_train(args) -> int:
         else:
             cfg.ot_mode = args.ot
             cfg.ot_anneal = False
-    data = _load_training_data(args.data, cfg.seed)
-    model, trace = training.train(data, cfg)
+    data, counters = _load_training_data(args.data, cfg.seed)
+    try:
+        model, trace = training.train(data, cfg)
+    except training.ConfigError as exc:
+        raise UsageError(str(exc)) from exc
+    outdir = _outdir(args)
     model.save(outdir / "checkpoint.json")
     if trace:
         trace_to_csv(trace, outdir / "trace.csv")
@@ -227,7 +237,8 @@ def cmd_train(args) -> int:
     else:
         print(f"trained {model.kind} model for 0 epochs; checkpoint holds "
               "the initialization")
-    _write_manifest(outdir, "train", args, seed=cfg.seed, config=cfg.to_dict())
+    _write_manifest(outdir, "train", args, seed=cfg.seed, config=cfg.to_dict(),
+                    counters=counters)
     return EXIT_OK
 
 
@@ -278,7 +289,8 @@ def cmd_sample(args) -> int:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         print(f"wrote {len(mols)} molecules; canonicalizer calls during "
               f"sampling: {info['canonicalize_calls']}, degenerate steps: "
-              f"{info['degenerate_steps']}, clipped coordinates: {info['clipped_coords']}")
+              f"{info['degenerate_steps']}, degenerate orderings: "
+              f"{info['degenerate_orderings']}, clipped coordinates: {info['clipped_coords']}")
     _write_manifest(outdir, "sample", args, seed=args.seed,
                     config=dataclasses.asdict(cfg))
     return EXIT_OK

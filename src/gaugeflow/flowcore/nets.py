@@ -18,7 +18,15 @@ input, and both forms agree up to rounding.
 
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
-min-max normalized to [0, 1].
+min-max normalized to [0, 1] within each molecule.
+
+A forward runs one graph for a whole MoleculeBatch: the atom rows of all
+molecules are concatenated, and so are their pair rows, each molecule's n_b^2
+ordered pairs in i-major order (tape.PairLayout). Matmuls see the packed rows;
+only the pairwise primitives and the rank normalization know where molecules
+end, so messages never cross molecules and each molecule's heads equal those
+of its own forward up to rounding. Time, ranks and the PE drop are per
+molecule. A single LatentMolecule is a batch of one.
 """
 
 from __future__ import annotations
@@ -162,13 +170,54 @@ class LatentMolecule:
 
 
 @dataclass
+class MoleculeBatch:
+    """Molecules packed into one graph; rows follow `layout` (a tape.PairLayout)."""
+
+    coords: np.ndarray       # (sum N, 3)
+    type_idx: np.ndarray     # (sum N,)
+    charge_idx: np.ndarray   # (sum N,)
+    bond_idx: np.ndarray     # (sum N^2,) each molecule's i-major pairs, symmetric
+    layout: tape.PairLayout
+
+    @property
+    def n_atoms(self) -> int:
+        """Total atoms over the batch."""
+        return self.coords.shape[0]
+
+    @classmethod
+    def pack(cls, latents) -> "MoleculeBatch":
+        latents = list(latents)
+        return cls(np.concatenate([m.coords for m in latents]),
+                   np.concatenate([m.type_idx for m in latents]),
+                   np.concatenate([m.charge_idx for m in latents]),
+                   np.concatenate([m.bond_idx.ravel() for m in latents]),
+                   tape.PairLayout([m.n_atoms for m in latents]))
+
+    def unpack(self) -> list[LatentMolecule]:
+        lay = self.layout
+        out = []
+        for n, node, pair in zip(lay.sizes, lay.node_start, lay.block_start[lay.node_start]):
+            rows = slice(node, node + n)
+            out.append(LatentMolecule(self.coords[rows], self.type_idx[rows],
+                                      self.charge_idx[rows],
+                                      self.bond_idx[pair:pair + n * n].reshape(n, n)))
+        return out
+
+
+def as_batch(z_t) -> MoleculeBatch:
+    return z_t if isinstance(z_t, MoleculeBatch) else MoleculeBatch.pack([z_t])
+
+
+@dataclass
 class Predictions:
-    velocity: Tensor        # (N, 3)
-    atom_logits: Tensor     # (N, Ca)
-    charge_logits: Tensor   # (N, Cc)
-    bond_logits: Tensor     # (N^2, Cb), i-major pairs, symmetrized
-    rank_pred: Tensor       # (N,) min-max normalized
-    rank_raw: Tensor        # (N,) head output before normalization
+    """Heads in the input's row layout: (N, .) and (N^2, .) for one molecule."""
+
+    velocity: Tensor        # (nodes, 3)
+    atom_logits: Tensor     # (nodes, Ca)
+    charge_logits: Tensor   # (nodes, Cc)
+    bond_logits: Tensor     # (pairs, Cb), i-major pairs, symmetrized
+    rank_pred: Tensor       # (nodes,) min-max normalized per molecule
+    rank_raw: Tensor        # (nodes,) head output before normalization
 
 
 def _linear_cols(lin: Linear, x: Tensor, start: int, size: int) -> Tensor:
@@ -216,24 +265,37 @@ class CanonLiteNet(Module):
         self.head_bond = Linear(c.d_edge, c.n_bond_classes, rng)
         self.head_rank = Linear(c.d_model, 1, rng)
 
-    def __call__(self, z_t: LatentMolecule, t: float, ranks: np.ndarray,
-                 pe_dropped: bool = False) -> Predictions:
+    def __call__(self, z_t, t, ranks: np.ndarray, pe_dropped=False) -> Predictions:
+        """Heads for a LatentMolecule or a MoleculeBatch.
+
+        t and pe_dropped are scalars or one value per molecule; ranks has one
+        entry per atom row and is ignored for molecules whose PE is dropped.
+        """
         c = self.cfg
-        n = z_t.n_atoms
-        if pe_dropped:
-            pe = tape.tile_rows(self.fake_pe, n)
+        batch = as_batch(z_t)
+        lay = batch.layout
+        n_mols = len(lay.sizes)
+        pe_data = canonical_pe(np.asarray(ranks, dtype=np.float64), c.d_pe, c.pe_scale)
+        drop = np.repeat(np.broadcast_to(np.asarray(pe_dropped, dtype=bool), (n_mols,)),
+                         lay.sizes)
+        if drop.any():
+            pe_data[drop] = 0.0
+            pe = tape.add(Tensor(pe_data),
+                          tape.matmul(Tensor(drop[:, None].astype(np.float64)), self.fake_pe))
         else:
-            pe = Tensor(canonical_pe(np.asarray(ranks, dtype=np.float64), c.d_pe, c.pe_scale))
+            pe = Tensor(pe_data)
+        t_rows = np.repeat(np.broadcast_to(np.asarray(t, dtype=np.float64), (n_mols,)),
+                           lay.sizes)
 
         node_feats = Tensor(np.concatenate([
-            _one_hot(z_t.type_idx, c.n_atom_classes),
-            _one_hot(z_t.charge_idx, c.n_charge_classes),
-            np.full((n, 1), float(t)),
+            _one_hot(batch.type_idx, c.n_atom_classes),
+            _one_hot(batch.charge_idx, c.n_charge_classes),
+            t_rows[:, None],
         ], axis=1))
         h = self.input_mlp(tape.concat([node_feats, pe], axis=1))
         r = self.rank_mlp(pe)
-        cs = tape.stack_scale(Tensor(z_t.coords), self.cs_weights)
-        e = self.edge_in(Tensor(_one_hot(z_t.bond_idx.ravel(), c.n_bond_classes)))
+        cs = tape.stack_scale(Tensor(batch.coords), self.cs_weights)
+        e = self.edge_in(Tensor(_one_hot(batch.bond_idx, c.n_bond_classes)))
 
         dp = c.d_proj
         for layer in self.layers:
@@ -247,29 +309,30 @@ class CanonLiteNet(Module):
                               lin_in.bias)
             from_j = tape.add(tape.matmul(p, tape.slice_rows(w_in, dp, dp)),
                               tape.matmul(q, tape.slice_rows(w_in, 3 * dp, dp)))
-            pair_in = tape.concat([tape.pairwise_dot(cs), e], axis=1)
+            pair_in = tape.concat([tape.pairwise_dot(cs, lay), e], axis=1)
             from_pair = tape.matmul(pair_in, tape.slice_rows(w_in, 4 * dp, pair_in.shape[1]))
-            hidden = tape.silu(tape.add(tape.pair_sum(from_i, from_j), from_pair))
+            hidden = tape.silu(tape.add(tape.pair_sum(from_i, from_j, lay), from_pair))
             # second layer: node and rank messages are only used as means over j
-            pooled = lin_out(tape.block_mean_rows(hidden, n))
+            pooled = lin_out(tape.block_mean_rows(hidden, lay))
             m_node = tape.slice_cols(pooled, 0, c.d_model)
             m_rank = tape.slice_cols(pooled, c.d_model + c.n_coord_sets, c.d_rank)
             m_coord = _linear_cols(lin_out, hidden, c.d_model, c.n_coord_sets)
             m_edge = _linear_cols(lin_out, hidden, c.d_model + c.n_coord_sets + c.d_rank,
                                   c.d_edge)
             h = tape.add(h, layer.node_update(m_node))
-            cs = tape.add(cs, tape.coord_mix(cs, m_coord))
+            cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
             r = tape.add(r, layer.rank_update(m_rank))
             e = tape.add(e, layer.edge_update(m_edge))
 
         velocity = tape.stack_mix(cs, self.head_vel)
-        e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, n)), Tensor(0.5))
+        e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, lay)), Tensor(0.5))
         bond_logits = self.head_bond(e_sym)
-        rank_raw = tape.reshape(self.head_rank(h), (n,))
-        lo = tape.reduce_min(rank_raw)
-        hi = tape.reduce_max(rank_raw)
+        rank_raw = tape.reshape(self.head_rank(h), (batch.n_atoms,))
+        lo = tape.reduce_min(rank_raw, lay.node_start)
+        hi = tape.reduce_max(rank_raw, lay.node_start)
         span = tape.maximum_const(tape.sub(hi, lo), 1e-6)
-        rank_pred = tape.div(tape.sub(rank_raw, lo), span)
+        rank_pred = tape.div(tape.sub(rank_raw, tape.repeat_rows(lo, lay.sizes)),
+                             tape.repeat_rows(span, lay.sizes))
         return Predictions(
             velocity=velocity,
             atom_logits=self.head_atom(h),

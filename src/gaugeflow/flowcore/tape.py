@@ -2,15 +2,27 @@
 
 A Tensor records its parents and a backward closure; backward() walks the
 graph in reverse topological order and accumulates gradients on every tensor
-that requires them. Ops cover what the networks here need: broadcasting
+that requires them. Inside `with no_grad():` ops record nothing, so inference
+keeps no graph alive. Ops cover what the networks here need: broadcasting
 arithmetic, 2-D matmul, reductions, activations, softmax cross-entropy, and a
 few pairwise-message primitives whose adjoints are cheaper written by hand
 than composed from smaller pieces.
+
+The pairwise primitives work on a packed batch described by a PairLayout:
+the atom ("node") rows of all molecules are concatenated, and so are their
+ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order. One
+molecule is the layout with one segment. Sums over a node's pairs, in the
+ops and in their adjoints, are products with sparse 0/1 block-sum matrices
+the layout builds once (contiguous i-major blocks for the sum over j, the
+precomputed pair transposition for the sum over i).
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+from scipy import sparse
 
 
 class Tensor:
@@ -66,9 +78,23 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block record no parents or backward closures."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -181,7 +207,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def _stable_sigmoid(x) -> np.ndarray:
     # sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing
-    out = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    out = np.multiply(x, 0.5, dtype=np.float64)
+    np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
     return out
@@ -200,7 +227,13 @@ def silu(a: Tensor) -> Tensor:
     out_data = a.data * sig
 
     def bw(g):
-        _accum(a, g * sig * (1.0 + a.data * (1.0 - sig)))
+        # g * sig * (1 + a * (1 - sig)), evaluated in two buffers
+        slope = np.subtract(1.0, sig)
+        slope *= a.data
+        slope += 1.0
+        out = g * sig
+        out *= slope
+        _accum(a, out)
     return _make(out_data, (a,), bw)
 
 
@@ -283,37 +316,99 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
 
 
-def reduce_min(a: Tensor) -> Tensor:
-    idx = int(np.argmin(a.data))
+def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
+    flat = a.data.reshape(-1)
+    bounds = np.zeros(1, dtype=np.int64) if starts is None else np.asarray(starts)
+    value = ufunc.reduceat(flat, bounds)
+    lengths = np.diff(np.append(bounds, flat.size))
+    # first position holding its segment's extreme, as np.argmin/np.argmax pick
+    # (a NaN is the extreme of its segment)
+    hit = (flat == np.repeat(value, lengths)) | np.isnan(flat)
+    idx = np.minimum.reduceat(np.where(hit, np.arange(flat.size), flat.size), bounds)
 
     def bw(g):
-        full = np.zeros_like(a.data)
-        full.flat[idx] = g
-        _accum(a, full)
-    return _make(a.data.min(), (a,), bw)
+        full = np.zeros(flat.size)
+        full[idx] = np.reshape(g, -1)
+        _accum(a, full.reshape(a.data.shape))
+    return _make(value.reshape(() if starts is None else value.shape), (a,), bw)
 
 
-def reduce_max(a: Tensor) -> Tensor:
-    idx = int(np.argmax(a.data))
+def reduce_min(a: Tensor, starts=None) -> Tensor:
+    """Min over all entries (a scalar), or over each segment flat[starts[s]:starts[s+1]]
+    of the flattened entries (shape (S,)); the gradient goes to the first minimum."""
+    return _reduce_extreme(a, starts, np.minimum)
 
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full.flat[idx] = g
-        _accum(a, full)
-    return _make(a.data.max(), (a,), bw)
+
+def reduce_max(a: Tensor, starts=None) -> Tensor:
+    """Max counterpart of reduce_min."""
+    return _reduce_extreme(a, starts, np.maximum)
 
 
 # ---------------------------------------------------------------------------
-# pairwise-message primitives (N nodes to N^2 ordered pairs, i-major rows)
+# pairwise-message primitives (node rows to ordered-pair rows of a packed batch)
 
 
-def repeat_rows(a: Tensor, times: int) -> Tensor:
-    """Row block i repeated `times` consecutive times: pair row (i, j) sees a[i]."""
-    n = a.data.shape[0]
+def _block_sums(counts) -> sparse.csr_matrix:
+    """0/1 matrix whose row r sums the next counts[r] rows of its operand."""
+    counts = np.asarray(counts, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sparse.csr_matrix((np.ones(indptr[-1]), np.arange(indptr[-1]), indptr),
+                             shape=(len(counts), int(indptr[-1])))
+
+
+class PairLayout:
+    """Row layout of B molecules of sizes n_b packed into one graph.
+
+    Node rows: the n_b atoms of each molecule in turn (sum n_b rows). Pair
+    rows: the n_b^2 ordered pairs (i, j) of each molecule in turn, i-major, so
+    node row r owns the n_b consecutive pair rows starting at block_start[r].
+    pair_i / pair_j give the node rows of a pair row's i and j, and
+    `transpose` maps row (i, j) to row (j, i). The sparse 0/1 operators
+    sum_j and sum_i (nodes x pairs) add up each node's pair rows (i, .) and
+    (., j); pair_gather (pairs x 2 nodes) maps stacked [a; b] to a[i] + b[j].
+    """
+
+    def __init__(self, sizes):
+        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+        if sizes.size == 0 or np.any(sizes < 1):
+            raise ValueError("a pair layout needs one or more molecules of >= 1 atom")
+        self.sizes = sizes
+        self.node_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.row_size = np.repeat(sizes, sizes)                 # n_b of each node row
+        self.block_start = np.concatenate([[0], np.cumsum(self.row_size)[:-1]])
+        n_nodes, n_pairs = len(self.row_size), int(self.row_size.sum())
+        first_atom = np.repeat(np.repeat(self.node_start, sizes), self.row_size)
+        self.pair_i = np.repeat(np.arange(n_nodes), self.row_size)
+        self.pair_j = first_atom + np.arange(n_pairs) - self.block_start[self.pair_i]
+        self.transpose = self.block_start[self.pair_j] + self.pair_i - first_atom
+        self.sum_j = _block_sums(self.row_size)
+        # row j of sum_i holds rows (i, j) for i in turn: the transposed block of j
+        self.sum_i = sparse.csr_matrix((self.sum_j.data, self.transpose, self.sum_j.indptr),
+                                       shape=self.sum_j.shape)
+        self.pair_gather = sparse.csr_matrix(
+            (np.ones(2 * n_pairs), np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
+             np.arange(0, 2 * n_pairs + 1, 2)), shape=(n_pairs, 2 * n_nodes))
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pair_i)
+
+
+def _layout(layout, n: int) -> PairLayout:
+    """A PairLayout as given, or the one-molecule layout of n atoms."""
+    return layout if isinstance(layout, PairLayout) else PairLayout([n])
+
+
+def repeat_rows(a: Tensor, times) -> Tensor:
+    """Row r repeated times[r] consecutive times (an int repeats every row equally):
+    with times = n, pair row (i, j) of one molecule sees a[i]."""
+    counts = np.broadcast_to(np.asarray(times, dtype=np.int64), a.data.shape[:1])
+    if np.any(counts < 1):
+        raise ValueError("repeat counts must be >= 1")
 
     def bw(g):
-        _accum(a, g.reshape(n, times, -1).sum(axis=1))
-    return _make(np.repeat(a.data, times, axis=0), (a,), bw)
+        _accum(a, _block_sums(counts) @ g)
+    return _make(np.repeat(a.data, counts, axis=0), (a,), bw)
 
 
 def tile_rows(a: Tensor, times: int) -> Tensor:
@@ -325,69 +420,83 @@ def tile_rows(a: Tensor, times: int) -> Tensor:
     return _make(np.tile(a.data, (times, 1)), (a,), bw)
 
 
-def pair_sum(a: Tensor, b: Tensor) -> Tensor:
-    """a, b (N, c) -> (N^2, c) with out[i*N+j] = a[i] + b[j]."""
-    n, c = a.data.shape
+def pair_sum(a: Tensor, b: Tensor, layout: PairLayout | None = None) -> Tensor:
+    """a, b (nodes, c) -> (pairs, c) with out[(i, j)] = a[i] + b[j]."""
+    lay = _layout(layout, a.data.shape[0])
 
     def bw(g):
-        g3 = g.reshape(n, n, c)
-        _accum(a, g3.sum(axis=1))
-        _accum(b, g3.sum(axis=0))
-    return _make((a.data[:, None, :] + b.data[None, :, :]).reshape(n * n, c), (a, b), bw)
+        _accum(a, lay.sum_j @ g)
+        _accum(b, lay.sum_i @ g)
+    return _make(lay.pair_gather @ np.concatenate([a.data, b.data]), (a, b), bw)
 
 
-def block_mean_rows(a: Tensor, block: int) -> Tensor:
-    """(n*block, c) -> (n, c), mean within each consecutive block (aggregate over j)."""
-    n = a.data.shape[0] // block
-    c = a.data.shape[1]
+def block_mean_rows(a: Tensor, block) -> Tensor:
+    """Mean within consecutive row blocks: (pairs, c) -> (nodes, c) over each
+    node's pair block (aggregate over j) for a PairLayout, or blocks of `block`
+    rows for an int."""
+    if isinstance(block, PairLayout):
+        sums, counts = block.sum_j, block.row_size
+    else:
+        counts = np.full(a.data.shape[0] // block, block)
+        sums = _block_sums(counts)
+    scale = 1.0 / counts[:, None]
 
     def bw(g):
-        _accum(a, np.repeat(g / block, block, axis=0))
-    return _make(a.data.reshape(n, block, c).mean(axis=1), (a,), bw)
+        _accum(a, np.repeat(g * scale, counts, axis=0))
+    return _make((sums @ a.data) * scale, (a,), bw)
 
 
-def transpose_pairs(a: Tensor, n: int) -> Tensor:
-    """Swap pair roles: row (i, j) -> row (j, i). Involution."""
-    perm = np.arange(n * n).reshape(n, n).T.ravel()
+def transpose_pairs(a: Tensor, layout) -> Tensor:
+    """Swap pair roles: row (i, j) -> row (j, i). Involution. `layout` is a
+    PairLayout or the atom count of one molecule."""
+    perm = _layout(layout, layout).transpose
 
     def bw(g):
         _accum(a, g[perm])
     return _make(a.data[perm], (a,), bw)
 
 
-def pairwise_dot(cs: Tensor) -> Tensor:
-    """cs (K, N, D) -> (N^2, K) with out[i*N+j, k] = <cs[k,i], cs[k,j]>."""
-    k, n, _ = cs.data.shape
-    out_data = np.einsum("knd,kmd->nmk", cs.data, cs.data).reshape(n * n, k)
+def _node_major(x: np.ndarray) -> np.ndarray:
+    """(K, nodes, D) coordinate sets as (nodes, K, D)."""
+    return x.transpose(1, 0, 2)
+
+
+def pairwise_dot(cs: Tensor, layout: PairLayout | None = None) -> Tensor:
+    """cs (K, nodes, D) -> (pairs, K) with out[(i, j), k] = <cs[k,i], cs[k,j]>."""
+    lay = _layout(layout, cs.data.shape[1])
+    x = _node_major(cs.data)
 
     def bw(g):
-        g3 = g.reshape(n, n, k)
-        d1 = np.einsum("nmk,kmd->knd", g3, cs.data)
-        d2 = np.einsum("mnk,kmd->knd", g3, cs.data)
-        _accum(cs, d1 + d2)
-    return _make(out_data, (cs,), bw)
+        # cs[k, i] meets cs[k, j] in rows (i, j) and (j, i)
+        both = (g + g[lay.transpose])[:, :, None] * x[lay.pair_j]
+        d_x = lay.sum_j @ both.reshape(lay.n_pairs, -1)
+        _accum(cs, _node_major(d_x.reshape(x.shape)))
+    return _make(np.einsum("pkd,pkd->pk", x[lay.pair_i], x[lay.pair_j]), (cs,), bw)
 
 
-def coord_mix(cs: Tensor, w: Tensor) -> Tensor:
+def coord_mix(cs: Tensor, w: Tensor, layout: PairLayout | None = None) -> Tensor:
     """Weighted relative coordinate aggregation.
 
-    cs (K, N, D), w (N^2, K) -> delta (K, N, D) with
-    delta[k,i] = (1/N) * sum_j w[(i,j),k] * (cs[k,j] - cs[k,i]).
+    cs (K, nodes, D), w (pairs, K) -> delta (K, nodes, D) with
+    delta[k,i] = (1/n_b) * sum_j w[(i,j),k] * (cs[k,j] - cs[k,i]).
     """
-    k, n, d = cs.data.shape
-    w3 = w.data.reshape(n, n, k)
-    rowsum = w3.sum(axis=1)                                    # (N, K)
-    term1 = np.einsum("ijk,kjd->kid", w3, cs.data)
-    out_data = (term1 - rowsum.T[:, :, None] * cs.data) / n
+    lay = _layout(layout, cs.data.shape[1])
+    x = _node_major(cs.data)
+    scale = 1.0 / lay.row_size[:, None, None]
+    wk = w.data[:, :, None]                                    # (pairs, K, 1)
+    term1 = (lay.sum_j @ (wk * x[lay.pair_j]).reshape(lay.n_pairs, -1)).reshape(x.shape)
+    rowsum = (lay.sum_j @ w.data)[:, :, None]                  # (nodes, K, 1)
 
     def bw(g):
-        d_cs = np.einsum("kid,ijk->kjd", g, w3) / n
-        d_cs -= g * rowsum.T[:, :, None] / n
-        diff = cs.data[:, None, :, :] - cs.data[:, :, None, :]  # (K, i, j, D)
-        d_w = np.einsum("kid,kijd->ijk", g, diff) / n
-        _accum(cs, d_cs)
-        _accum(w, d_w.reshape(n * n, k))
-    return _make(out_data, (cs, w), bw)
+        gs = _node_major(g) * scale                            # (nodes, K, D)
+        gs_i = gs[lay.pair_i]
+        # x[j] enters row i's sum with weight w[(i, j)]: sum over i of rows (i, j)
+        d_x = (lay.sum_i @ (wk * gs_i).reshape(lay.n_pairs, -1)).reshape(x.shape)
+        d_x -= gs * rowsum
+        d_w = np.einsum("pkd,pkd->pk", gs_i, x[lay.pair_j] - x[lay.pair_i])
+        _accum(cs, _node_major(d_x))
+        _accum(w, d_w)
+    return _make(_node_major((term1 - rowsum * x) * scale), (cs, w), bw)
 
 
 def stack_scale(x: Tensor, w: Tensor) -> Tensor:
@@ -437,10 +546,15 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
     return _make(np.float64(loss), (logits,), bw)
 
 
-def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean over rows of the squared-norm residual."""
+def mse(pred: Tensor, target: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Mean over rows of the squared-norm residual; optional per-row weights,
+    renormalized to sum to 1."""
     diff = sub(pred, Tensor(target))
-    return tmean(tsum(square(diff), axis=1))
+    per_row = tsum(square(diff), axis=1)
+    if weights is None:
+        return tmean(per_row)
+    weights = np.asarray(weights, dtype=np.float64)
+    return tsum(mul(per_row, Tensor(weights / weights.sum())))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,20 @@ from .. import coupling as coupling_mod
 from .. import priors as priors_mod
 from ..molecule import MoleculeState
 from . import tape
-from .nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, VectorFieldMLP
+from .nets import (CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch,
+                   VectorFieldMLP, as_batch)
 from .tape import Tensor
 
 CHECKPOINT_VERSION = 1
+COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
 
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries the offending epoch and loss parts."""
+
+
+class ConfigError(ValueError):
+    """A TrainConfig key is set away from its default for data that never reads it."""
 
 
 @dataclass
@@ -458,24 +464,65 @@ def molecular_path(latent0: LatentMolecule, latent1: LatentMolecule, t: float,
     return LatentMolecule(coords_t, type_t, charge_t, bonds_t)
 
 
-def molecular_fm_loss(net: CanonLiteNet, latent0: LatentMolecule, latent1: LatentMolecule,
-                      t: float, cfg: TrainConfig, rng: np.random.Generator):
-    """Single-molecule flow-matching loss; returns (total Tensor, parts dict)."""
-    n = latent0.n_atoms
-    ranks = np.arange(n) / n
-    z_t = molecular_path(latent0, latent1, t, cfg, rng)
-    noisy_ranks = rank_noise(ranks, t, cfg.rank_noise, rng)
-    pe_dropped = bool(rng.random() < cfg.p_drop)
-    preds = net(z_t, t, noisy_ranks, pe_dropped=pe_dropped)
+def index_ranks(sizes) -> np.ndarray:
+    """Ranks i/n_b of every atom row of molecules of the given sizes, packed."""
+    return np.concatenate([np.arange(n) / n for n in sizes])
 
-    target_velocity = latent1.coords - latent0.coords
-    l_coord = tape.mse(preds.velocity, target_velocity)
-    l_type = tape.softmax_cross_entropy(preds.atom_logits, latent0.type_idx)
-    l_charge = tape.softmax_cross_entropy(preds.charge_logits, latent0.charge_idx)
-    offdiag = 1.0 - np.eye(n)
-    l_bond = tape.softmax_cross_entropy(
-        preds.bond_logits, latent0.bond_idx.ravel(), weights=offdiag.ravel())
-    l_rank = tape.tmean(tape.square(tape.sub(preds.rank_pred, Tensor(ranks))))
+
+@dataclass
+class FlowExample:
+    """One molecule's training draws around its data state latent0."""
+
+    latent0: LatentMolecule
+    latent1: LatentMolecule     # noise endpoint
+    t: float
+    z_t: LatentMolecule         # path state at t
+    ranks: np.ndarray           # noised index ranks fed to the net
+    pe_dropped: bool
+
+
+def draw_example(latent0: LatentMolecule, priors: dict, n_bond_classes: int,
+                 cfg: TrainConfig, rng: np.random.Generator) -> FlowExample:
+    """Draw in stream order: noise endpoint, time, path state, rank noise, PE drop."""
+    n = latent0.n_atoms
+    latent1 = sample_molecular_noise(n, priors, n_bond_classes, rng)
+    t = float(sample_times(1, cfg.time_dist, rng)[0])
+    z_t = molecular_path(latent0, latent1, t, cfg, rng)
+    noisy_ranks = rank_noise(np.arange(n) / n, t, cfg.rank_noise, rng)
+    pe_dropped = bool(rng.random() < cfg.p_drop)
+    return FlowExample(latent0, latent1, t, z_t, noisy_ranks, pe_dropped)
+
+
+def molecular_fm_loss(net: CanonLiteNet, examples: list[FlowExample], cfg: TrainConfig):
+    """Flow-matching loss of a batch from one packed forward; returns (total
+    Tensor, parts dict).
+
+    Each term is the mean over molecules of the molecule's own mean (row
+    weights 1 / (B n_b), off-diagonal pair weights 1 / (B n_b (n_b - 1))), so
+    the total and the parts equal the mean of single-molecule losses. A
+    one-atom molecule has no bond to predict and adds zero bond loss.
+    """
+    n_mols = len(examples)
+    state = MoleculeBatch.pack(ex.z_t for ex in examples)
+    data = MoleculeBatch.pack(ex.latent0 for ex in examples)
+    lay = state.layout
+    preds = net(state, [ex.t for ex in examples], np.concatenate([ex.ranks for ex in examples]),
+                pe_dropped=[ex.pe_dropped for ex in examples])
+
+    row_w = 1.0 / (n_mols * lay.row_size)
+    target_velocity = np.concatenate([ex.latent1.coords for ex in examples]) - data.coords
+    l_coord = tape.mse(preds.velocity, target_velocity, weights=row_w)
+    l_type = tape.softmax_cross_entropy(preds.atom_logits, data.type_idx, weights=row_w)
+    l_charge = tape.softmax_cross_entropy(preds.charge_logits, data.charge_idx, weights=row_w)
+    n_bonded = int((lay.sizes > 1).sum())
+    if n_bonded:
+        pair_w = (lay.pair_i != lay.pair_j) * (row_w / np.maximum(lay.row_size - 1, 1))[lay.pair_i]
+        l_bond = tape.mul(Tensor(n_bonded / n_mols), tape.softmax_cross_entropy(
+            preds.bond_logits, data.bond_idx, weights=pair_w))
+    else:
+        l_bond = Tensor(0.0)
+    rank_err = tape.square(tape.sub(preds.rank_pred, Tensor(index_ranks(lay.sizes))))
+    l_rank = tape.tsum(tape.mul(rank_err, Tensor(row_w)))
     total = l_coord
     for lam, term in ((cfg.lambda_type, l_type), (cfg.lambda_bond, l_bond),
                       (cfg.lambda_charge, l_charge), (cfg.lambda_rank, l_rank)):
@@ -488,54 +535,108 @@ def molecular_fm_loss(net: CanonLiteNet, latent0: LatentMolecule, latent1: Laten
     return total, parts
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+# ---------------------------------------------------------------------------
+# Molecular Euler rollout, shared by the sampler and the training preview
+
+
+_HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_raw")
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def guided_forward(net: CanonLiteNet, state, t: float, ranks: np.ndarray,
+                   w: float) -> dict[str, np.ndarray]:
+    """Guided heads v_u + w (v_c - v_u) as arrays, with no tape recorded.
+
+    The unconditional copy drops the PE; w = 1 runs the conditional copy only,
+    w = 0 the unconditional one only, and any other w runs both copies as one
+    packed forward. rank_raw comes from the conditional copy when one runs.
+    """
+    batch = as_batch(state)
+    with tape.no_grad():
+        if w == 1.0 or w == 0.0:
+            preds = net(batch, t, ranks, pe_dropped=(w == 0.0))
+            return {k: getattr(preds, k).data for k in _HEADS}
+        n_mols = len(batch.layout.sizes)
+        both = MoleculeBatch(
+            *(np.concatenate([x, x]) for x in (batch.coords, batch.type_idx,
+                                              batch.charge_idx, batch.bond_idx)),
+            tape.PairLayout(np.tile(batch.layout.sizes, 2)))
+        preds = net(both, np.tile(np.broadcast_to(t, (n_mols,)), 2), np.tile(ranks, 2),
+                    pe_dropped=np.repeat([False, True], n_mols))
+    out = {}
+    for k in _HEADS[:-1]:
+        cond, unc = np.split(getattr(preds, k).data, 2)
+        out[k] = unc + w * (cond - unc)
+    out["rank_raw"] = np.split(preds.rank_raw.data, 2)[0]
+    return out
+
+
+def euler_step(net: CanonLiteNet, state, t_from: float, t_to: float, ranks: np.ndarray,
+               cfg_scale: float, rng: np.random.Generator):
+    """One molecular Euler step of a LatentMolecule or a MoleculeBatch.
+
+    Returns the new state (of the input's kind) and the raw rank scores.
+    Coordinates follow the guided velocity, clipped to +-COORD_CLIP; each
+    categorical entry is redrawn from its predicted class distribution with
+    probability (t_from - t_to) / t_from. Draws come in the order: atom-type
+    mask and classes, charge mask and classes, then bond mask and classes over
+    each molecule's upper-triangle pairs, all molecules at once.
+    """
+    if not 0.0 <= t_to < t_from <= 1.0:
+        raise ValueError("expected 0 <= t_to < t_from <= 1")
+    batch = as_batch(state)
+    lay = batch.layout
+    out = guided_forward(net, batch, t_from, ranks, cfg_scale)
+    coords = batch.coords + (t_to - t_from) * out["velocity"]
+    # an untrained or over-guided field can blow up the rollout; keep it finite
+    coords = np.clip(coords, -COORD_CLIP, COORD_CLIP)
+
+    p = (t_from - t_to) / t_from
+    type_idx = batch.type_idx.copy()
+    mask = rng.random(batch.n_atoms) < p
+    if mask.any():
+        type_idx[mask] = priors_mod.draw_categorical(_softmax(out["atom_logits"][mask]), rng)
+    charge_idx = batch.charge_idx.copy()
+    mask = rng.random(batch.n_atoms) < p
+    if mask.any():
+        charge_idx[mask] = priors_mod.draw_categorical(_softmax(out["charge_logits"][mask]), rng)
+
+    upper = np.flatnonzero(lay.pair_i < lay.pair_j)
+    values = batch.bond_idx[upper]
+    mask = rng.random(len(upper)) < p
+    if mask.any():
+        values[mask] = priors_mod.draw_categorical(
+            _softmax(out["bond_logits"][upper[mask]]), rng)
+    bond_idx = np.zeros_like(batch.bond_idx)
+    bond_idx[upper] = values
+    bond_idx[lay.transpose[upper]] = values
+
+    stepped = MoleculeBatch(coords, type_idx, charge_idx, bond_idx, lay)
+    if isinstance(state, LatentMolecule):
+        return stepped.unpack()[0], out["rank_raw"]
+    return stepped, out["rank_raw"]
 
 
 def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
                                rng, n_gen=4, k_steps=5) -> float:
     """Pooled-atom energy distance between short-rollout samples and held-out data.
 
-    A trace diagnostic only: conditional forwards, index ranks, Euler in t.
+    A trace diagnostic only: conditional forwards, index ranks, Euler in t,
+    all n_gen molecules stepped together.
     """
     target = np.concatenate([e.coords for e in encoded_val], axis=0)[:512]
-    pools = []
-    for j in range(n_gen):
-        n = encoded_val[j % len(encoded_val)].n_atoms
-        latent = sample_molecular_noise(n, priors, n_bond_classes, rng)
-        ranks = np.arange(n) / n
-        iu = np.triu_indices(n, k=1)
-        flat_iu = iu[0] * n + iu[1]
-        for k in range(k_steps, 0, -1):
-            t_from, t_to = k / k_steps, (k - 1) / k_steps
-            preds = net(latent, t_from, ranks, pe_dropped=False)
-            coords = latent.coords + (t_to - t_from) * preds.velocity.data
-            # an untrained field can blow up the preview rollout; keep it finite
-            coords = np.clip(coords, -1e3, 1e3)
-            p = (t_from - t_to) / t_from
-            type_idx = latent.type_idx.copy()
-            charge_idx = latent.charge_idx.copy()
-            bond_idx = latent.bond_idx.copy()
-            mask = rng.random(n) < p
-            if mask.any():
-                probs = _softmax_rows(preds.atom_logits.data[mask])
-                type_idx[mask] = priors_mod.draw_categorical(probs, rng)
-            mask = rng.random(n) < p
-            if mask.any():
-                probs = _softmax_rows(preds.charge_logits.data[mask])
-                charge_idx[mask] = priors_mod.draw_categorical(probs, rng)
-            if n > 1:
-                mask = rng.random(len(flat_iu)) < p
-                if mask.any():
-                    probs = _softmax_rows(preds.bond_logits.data[flat_iu[mask]])
-                    drawn = priors_mod.draw_categorical(probs, rng)
-                    bond_idx[iu[0][mask], iu[1][mask]] = drawn
-                    bond_idx[iu[1][mask], iu[0][mask]] = drawn
-            latent = LatentMolecule(coords, type_idx, charge_idx, bond_idx)
-        pools.append(latent.coords)
-    return energy_distance(np.concatenate(pools, axis=0), target)
+    sizes = [encoded_val[j % len(encoded_val)].n_atoms for j in range(n_gen)]
+    state = MoleculeBatch.pack(sample_molecular_noise(n, priors, n_bond_classes, rng)
+                               for n in sizes)
+    ranks = index_ranks(sizes)
+    for k in range(k_steps, 0, -1):
+        state, _ = euler_step(net, state, k / k_steps, (k - 1) / k_steps, ranks, 1.0, rng)
+    return energy_distance(state.coords, target)
 
 
 def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, val_data):
@@ -565,26 +666,18 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
     trace = []
     step_total = 0
     batch = max(1, min(cfg.batch_size, len(encoded)))
+    n_bond = net_config.n_bond_classes
     for epoch in range(cfg.epochs):
         losses, part_sums = [], {}
         for step in range(cfg.steps_per_epoch):
             idx = rng.integers(0, len(encoded), batch)
             tape.zero_grads(params)
-            batch_total = None
-            batch_parts = {}
-            for i in idx:
-                latent0 = encoded[i]
-                latent1 = sample_molecular_noise(
-                    latent0.n_atoms, priors, net_config.n_bond_classes, rng)
-                t = float(sample_times(1, cfg.time_dist, rng)[0])
-                total, parts = molecular_fm_loss(net, latent0, latent1, t, cfg, rng)
-                scaled = tape.mul(Tensor(1.0 / batch), total)
-                batch_total = scaled if batch_total is None else tape.add(batch_total, scaled)
-                for k, v in parts.items():
-                    batch_parts[k] = batch_parts.get(k, 0.0) + v / batch
+            examples = [draw_example(encoded[i], priors, n_bond, cfg, rng) for i in idx]
+            batch_total, batch_parts = molecular_fm_loss(net, examples, cfg)
             loss_val = batch_total.item()
             _check_finite(loss_val, batch_parts, epoch, step)
             tape.backward(batch_total)
+            del batch_total     # release the recorded graph before the next forward
             opt.step()
             ema.update(params)
             losses.append(loss_val)
@@ -593,18 +686,14 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
             step_total += 1
 
         val_rng = np.random.default_rng([cfg.seed, 2, epoch])
-        val_losses = []
-        for latent0 in encoded_val:
-            latent1 = sample_molecular_noise(
-                latent0.n_atoms, priors, net_config.n_bond_classes, val_rng)
-            t = float(sample_times(1, cfg.time_dist, val_rng)[0])
-            total, _ = molecular_fm_loss(net, latent0, latent1, t, cfg, val_rng)
-            val_losses.append(total.item())
+        val_examples = [draw_example(latent0, priors, n_bond, cfg, val_rng)
+                        for latent0 in encoded_val]
+        with tape.no_grad():
+            val_loss = molecular_fm_loss(net, val_examples, cfg)[0].item()
         ed_rng = np.random.default_rng([cfg.seed, 3, epoch])
-        val_ed = _molecular_energy_distance(
-            net, encoded_val, priors, net_config.n_bond_classes, ed_rng)
+        val_ed = _molecular_energy_distance(net, encoded_val, priors, n_bond, ed_rng)
         row = {"epoch": epoch, "loss": float(np.mean(losses)),
-               "val_loss": float(np.mean(val_losses)),
+               "val_loss": val_loss,
                "val_energy_distance": float(val_ed)}
         for k, v in part_sums.items():
             row[k] = v / cfg.steps_per_epoch
@@ -617,15 +706,34 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
     return model, trace
 
 
+# TrainConfig keys that only one kind of data reads
+_VECTOR_ONLY = ("ot_mode", "ot_anneal")
+_MOLECULE_ONLY = ("prior_mode", "lambda_type", "lambda_bond", "lambda_charge",
+                  "lambda_rank", "p_drop", "rank_noise", "n_rank_bins")
+
+
+def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
+    default = TrainConfig()
+    for key in keys:
+        value = getattr(cfg, key)
+        if value != getattr(default, key):
+            raise ConfigError(f"config key {key!r} = {value!r} does not apply to "
+                              f"{kind} data (default {getattr(default, key)!r})")
+
+
 def train(data, cfg: TrainConfig, prior=None, net_config=None, val_data=None):
     """Train a flow model on canonical states.
 
     data: (n, d) array of slice vectors, or a list of canonicalized
     MoleculeState. Returns (FlowModel, trace); trace rows are per-epoch dicts.
-    Identical seeds give identical traces and checkpoints.
+    Identical seeds give identical traces and checkpoints. A config key the
+    data kind does not read, set away from its default, raises ConfigError
+    before any work is done.
     """
     if isinstance(data, np.ndarray):
+        _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
         return _train_vectors(data, cfg, prior, val_data)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
+        _reject_unused_keys(cfg, _VECTOR_ONLY, "molecule")
         return _train_molecules(list(data), cfg, net_config, val_data)
     raise TypeError("data must be an (n, d) array or a list of MoleculeState")

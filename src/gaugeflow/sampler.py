@@ -28,12 +28,12 @@ from . import priors as priors_mod
 from . import symgroup
 from .canonicalizer import CanonicalizationError, canonicalize
 from .flowcore import training
-from .flowcore.nets import CanonLiteNet, LatentMolecule
-from .flowcore.training import FlowModel, decode_molecule, encode_molecule, sample_molecular_noise
+from .flowcore.nets import LatentMolecule, MoleculeBatch
+from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecule, encode_molecule,
+                                euler_step, index_ranks, sample_molecular_noise)
 from .molecule import MoleculeState
 
 RANK_SPAN_TOL = 1e-6
-COORD_CLIP = 1e3                # Euler steps clip coordinates to +-COORD_CLIP
 
 REGIMES = ("a", "b")
 HAAR_GROUPS = ("none", "perm", "perm_so3")
@@ -66,34 +66,6 @@ class SampleConfig:
         return asdict(self)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-_HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_raw")
-
-
-def _forward(net: CanonLiteNet, latent: LatentMolecule, t: float, ranks: np.ndarray,
-             w: float) -> dict[str, np.ndarray]:
-    """Guided forward pass; w=1 is conditional only, w=0 rank-dropped only."""
-    if w == 1.0:
-        preds = net(latent, t, ranks)
-        return {k: getattr(preds, k).data for k in _HEADS}
-    if w == 0.0:
-        preds = net(latent, t, ranks, pe_dropped=True)
-        return {k: getattr(preds, k).data for k in _HEADS}
-    cond = net(latent, t, ranks)
-    unc = net(latent, t, ranks, pe_dropped=True)
-    out = {}
-    for k in ("velocity", "atom_logits", "charge_logits", "bond_logits"):
-        c, u = getattr(cond, k).data, getattr(unc, k).data
-        out[k] = u + w * (c - u)
-    out["rank_raw"] = cond.rank_raw.data
-    return out
-
-
 def rank_estimate(rank_raw: np.ndarray) -> np.ndarray:
     """Min-max normalize the rank head; index ranks when the span collapses."""
     rank_raw = np.asarray(rank_raw, dtype=np.float64)
@@ -102,41 +74,6 @@ def rank_estimate(rank_raw: np.ndarray) -> np.ndarray:
     if span < RANK_SPAN_TOL:
         return np.arange(n) / n
     return (rank_raw - rank_raw.min()) / span
-
-
-def euler_step(net: CanonLiteNet, latent: LatentMolecule, t_from: float, t_to: float,
-               ranks: np.ndarray, cfg_scale: float,
-               rng: np.random.Generator) -> tuple[LatentMolecule, np.ndarray]:
-    """One molecular Euler step; returns the new state and the raw rank scores."""
-    if not 0.0 <= t_to < t_from <= 1.0:
-        raise ValueError("expected 0 <= t_to < t_from <= 1")
-    n = latent.n_atoms
-    out = _forward(net, latent, t_from, ranks, cfg_scale)
-    coords = latent.coords + (t_to - t_from) * out["velocity"]
-    # an untrained or over-guided field can blow up the rollout; keep it finite
-    coords = np.clip(coords, -COORD_CLIP, COORD_CLIP)
-
-    p = (t_from - t_to) / t_from
-    type_idx = latent.type_idx.copy()
-    mask = rng.random(n) < p
-    if mask.any():
-        type_idx[mask] = priors_mod.draw_categorical(_softmax(out["atom_logits"][mask]), rng)
-    charge_idx = latent.charge_idx.copy()
-    mask = rng.random(n) < p
-    if mask.any():
-        charge_idx[mask] = priors_mod.draw_categorical(_softmax(out["charge_logits"][mask]), rng)
-
-    iu = np.triu_indices(n, k=1)
-    flat = iu[0] * n + iu[1]
-    upper = latent.bond_idx[iu].copy()
-    mask = rng.random(len(flat)) < p
-    if mask.any():
-        upper[mask] = priors_mod.draw_categorical(_softmax(out["bond_logits"][flat][mask]), rng)
-    bond_idx = np.zeros((n, n), dtype=np.int64)
-    bond_idx[iu] = upper
-    bond_idx = bond_idx + bond_idx.T
-
-    return LatentMolecule(coords, type_idx, charge_idx, bond_idx), out["rank_raw"]
 
 
 def pcs_step(latent: LatentMolecule, vocab: dict) -> tuple[LatentMolecule, np.ndarray, bool]:
@@ -159,16 +96,20 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
            priors: dict | None = None) -> tuple[list[MoleculeState], dict]:
     """Draw molecules from a trained canonical model.
 
-    n_atoms: an int (all samples share a size) or a sequence of per-sample
-    sizes. priors overrides the checkpoint's fitted priors. Returns
-    (molecules, info). info counts:
-      canonicalize_calls  canonicalizer invocations during integration
-                          (zero in regime "a");
-      degenerate_steps    regime-b steps whose state could not be
-                          canonicalized (e.g. all atoms coincide); the step
-                          keeps its state and ranks;
-      clipped_coords      coordinate entries at the +-COORD_CLIP bound after
-                          an Euler step, summed over steps and samples.
+    All samples are integrated together: each Euler step is one packed
+    forward over the request (training.euler_step). n_atoms: an int (all
+    samples share a size) or a sequence of per-sample sizes. priors overrides
+    the checkpoint's fitted priors. Returns (molecules, info). info counts:
+      canonicalize_calls    canonicalizer invocations during integration
+                            (zero in regime "a");
+      degenerate_steps      regime-b steps whose state could not be
+                            canonicalized (e.g. all atoms coincide); the step
+                            keeps its state and ranks;
+      degenerate_orderings  regime-b steps whose canonicalization succeeded
+                            but flagged its ordering degenerate (near-tied
+                            keys); its ranks are used all the same;
+      clipped_coords        coordinate entries at the +-COORD_CLIP bound after
+                            an Euler step, summed over steps and samples.
     """
     if model.kind != "canonlite":
         raise ValueError("molecular sampling needs a canonlite model")
@@ -186,33 +127,44 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
     net = model.net
     n_bond = net.cfg.n_bond_classes
 
+    counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps",
+                            "degenerate_orderings", "clipped_coords"), 0)
     mols = []
-    canonicalize_calls = degenerate_steps = clipped_coords = 0
-    for size in sizes:
-        size = int(size)
-        latent = sample_molecular_noise(size, priors, n_bond, rng)
-        ranks = np.arange(size) / size
+    if n_samples:
+        state = MoleculeBatch.pack(sample_molecular_noise(int(n), priors, n_bond, rng)
+                                   for n in sizes)
+        ranks = index_ranks(sizes)
         for k in range(cfg.steps, 0, -1):
-            t_from = k / cfg.steps
-            t_to = (k - 1) / cfg.steps
-            latent, rank_raw = euler_step(net, latent, t_from, t_to, ranks,
-                                          cfg.cfg_scale, rng)
-            clipped_coords += int((np.abs(latent.coords) == COORD_CLIP).sum())
-            if cfg.regime == "b":
-                if cfg.canonicalize_mode:
-                    canonicalize_calls += 1
-                    try:
-                        latent, ranks, _ = pcs_step(latent, vocab)
-                    except CanonicalizationError:
-                        degenerate_steps += 1
-                else:
-                    ranks = rank_estimate(rank_raw)
-        mols.append(decode_molecule(latent, vocab))
+            state, rank_raw = euler_step(net, state, k / cfg.steps, (k - 1) / cfg.steps,
+                                         ranks, cfg.cfg_scale, rng)
+            counts["clipped_coords"] += int((np.abs(state.coords) == COORD_CLIP).sum())
+            if cfg.regime != "b":
+                continue
+            if cfg.canonicalize_mode:
+                state, ranks = _recanonicalize(state, ranks, vocab, counts)
+            else:
+                ranks = np.concatenate([rank_estimate(r) for r in
+                                        np.split(rank_raw, state.layout.node_start[1:])])
+        mols = [decode_molecule(latent, vocab) for latent in state.unpack()]
     mols = haar_randomize(mols, cfg.group, rng)
-    info = {"canonicalize_calls": canonicalize_calls, "degenerate_steps": degenerate_steps,
-            "clipped_coords": clipped_coords, "regime": cfg.regime,
-            "steps": cfg.steps, "haar_group": cfg.group}
+    info = dict(counts, regime=cfg.regime, steps=cfg.steps, haar_group=cfg.group)
     return mols, info
+
+
+def _recanonicalize(state: MoleculeBatch, ranks: np.ndarray, vocab: dict,
+                    counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
+    """Regime-b canonicalization of each molecule in turn, counted in `counts`."""
+    latents = state.unpack()
+    rank_list = np.split(ranks, state.layout.node_start[1:])
+    for b, latent in enumerate(latents):
+        counts["canonicalize_calls"] += 1
+        try:
+            latents[b], rank_list[b], degenerate = pcs_step(latent, vocab)
+        except CanonicalizationError:
+            counts["degenerate_steps"] += 1
+            continue
+        counts["degenerate_orderings"] += int(degenerate)
+    return MoleculeBatch.pack(latents), np.concatenate(rank_list)
 
 
 def sample_vectors(model: FlowModel, n_samples: int, cfg: SampleConfig,

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import nondegenerate_molecule, random_molecule
 from gaugeflow import molecule, symgroup
+from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.cli import main
 
 
@@ -182,6 +183,47 @@ def test_molecular_sample_outputs(trained_mol, tmp_path):
 def test_molecular_sample_needs_n_atoms(trained_mol, tmp_path):
     assert run("sample", "--model", trained_mol / "checkpoint.json",
                "--n", 1, "-o", tmp_path) == 2
+
+
+def test_train_counts_degenerate_inputs(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(31)
+    mols = [random_molecule(rng, 5) for _ in range(3)]
+    line = np.zeros((4, 3))
+    line[:, 0] = [0.0, 1.2, 2.4, 3.6]              # collinear: orientation undefined
+    mols.append(molecule.MoleculeState(line, np.array([6, 6, 6, 8]),
+                                       np.zeros(4, dtype=np.int64),
+                                       np.zeros((4, 4), dtype=np.int64)))
+    for i, m in enumerate(mols):
+        write_xyz(data / f"m{i}.xyz", m)
+    want = sum(int(canonicalize(m, group="perm_so3").degenerate) for m in mols)
+    assert want >= 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps_per_epoch": 1, "batch_size": 2, "epochs": 1}))
+    out = tmp_path / "run"
+    assert run("train", "--data", data, "--config", cfg, "-o", out) == 0
+    assert f"degenerate inputs: {want}" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["counters"] == {"degenerate_inputs": want}
+
+
+def test_train_rejects_keys_the_data_ignores(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(37)
+    for i in range(3):
+        write_xyz(data / f"m{i}.xyz", random_molecule(rng, 5))
+    out = tmp_path / "mol_run"
+    assert run("train", "--data", data, "--ot", "exact", "-o", out) == 2
+    assert "ot_mode" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "p_drop": 0.3}))
+    out = tmp_path / "vec_run"
+    assert run("train", "--data", "c4", "--config", cfg, "-o", out) == 2
+    assert "p_drop" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_theory_signflip(tmp_path, capsys):

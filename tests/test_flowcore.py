@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_molecule
-from gaugeflow.flowcore import toydata, training
+from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import (
@@ -313,6 +313,73 @@ def test_molecular_training_and_checkpoint(tmp_path):
     for k, p in model.parameters().items():
         assert np.array_equal(loaded.parameters()[k].data, p.data)
     assert set(loaded.priors) == {"coord", "atom", "charge"}
+
+
+def _examples(mols, cfg, sizes_seed=40):
+    vocab = training.build_vocab(mols)
+    priors = training.fit_molecular_priors(mols, vocab, cfg)
+    rng = np.random.default_rng(sizes_seed)
+    return [training.draw_example(training.encode_molecule(m, vocab), priors, 5, cfg, rng)
+            for m in mols], vocab
+
+
+def _loss_and_grads(net, examples, cfg):
+    params = net.parameters()
+    tape.zero_grads(params)
+    total, parts = training.molecular_fm_loss(net, examples, cfg)
+    tape.backward(total)
+    return total.item(), parts, {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                                 for k, p in params.items()}
+
+
+def test_packed_training_step_equals_mean_of_single_steps():
+    rng = np.random.default_rng(41)
+    mols = [random_molecule(rng, n, charged=True) for n in (1, 3, 6, 9)]
+    cfg = tiny_cfg(p_drop=0.5)
+    examples, vocab = _examples(mols, cfg)
+    net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
+                                       n_charge_classes=len(vocab["charge_classes"])),
+                       rng=np.random.default_rng(42))
+    loss, parts, grads = _loss_and_grads(net, examples, cfg)
+    singles = [_loss_and_grads(net, [ex], cfg) for ex in examples]
+    assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-10 * max(1.0, abs(loss))
+    for k, v in parts.items():
+        assert abs(v - np.mean([s[1][k] for s in singles])) <= 1e-10 * max(1.0, abs(v))
+    assert singles[0][1]["loss_bond"] == 0.0          # one atom, no bond to predict
+    for k, g in grads.items():
+        want = np.mean([s[2][k] for s in singles], axis=0)
+        assert np.abs(g - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), k
+
+
+def test_single_atom_molecules_train():
+    rng = np.random.default_rng(43)
+    one_atom = [random_molecule(rng, 1) for _ in range(3)]
+    cfg = tiny_cfg(epochs=1, steps_per_epoch=2, batch_size=2)
+    examples, vocab = _examples(one_atom, cfg)
+    net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
+                                       n_charge_classes=len(vocab["charge_classes"])))
+    total, parts = training.molecular_fm_loss(net, examples, cfg)
+    assert parts["loss_bond"] == 0.0 and np.isfinite(total.item())
+    # a mixed set whose batches draw the one-atom molecules
+    mols = one_atom + [random_molecule(rng, 4) for _ in range(3)]
+    model, trace = train(mols, tiny_cfg(epochs=2, steps_per_epoch=3, batch_size=4))
+    assert all(np.isfinite(v) for row in trace for v in row.values())
+
+
+@pytest.mark.parametrize("key, value", [("ot_mode", "exact"), ("ot_anneal", True)])
+def test_molecule_training_rejects_vector_only_keys(key, value):
+    with pytest.raises(training.ConfigError, match=key):
+        train(mol_set(), tiny_cfg(**{key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prior_mode", "isotropic"), ("lambda_type", 0.5), ("lambda_bond", 2.0),
+    ("lambda_charge", 0.0), ("lambda_rank", 1.0), ("p_drop", 0.0),
+    ("rank_noise", 0.1), ("n_rank_bins", 4)])
+def test_vector_training_rejects_molecule_only_keys(key, value):
+    data = np.random.default_rng(44).standard_normal((64, 2))
+    with pytest.raises(ValueError, match=key):
+        train(data, tiny_cfg(**{key: value}))
 
 
 # ---------------------------------------------------------------------------

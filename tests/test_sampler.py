@@ -7,7 +7,9 @@ from scipy.stats import ks_2samp
 from conftest import random_molecule
 from gaugeflow import priors as priors_mod
 from gaugeflow import sampler, symgroup
-from gaugeflow.flowcore.training import TrainConfig, sample_molecular_noise, train
+from gaugeflow.flowcore.training import (TrainConfig, guided_forward, sample_molecular_noise,
+                                         train)
+from gaugeflow.flowcore.nets import MoleculeBatch
 from gaugeflow.sampler import SampleConfig
 
 
@@ -152,15 +154,54 @@ def test_guidance_endpoints_and_mixing(mol_model):
     ranks = np.arange(5) / 5
     cond = net(latent, 0.5, ranks)
     unc = net(latent, 0.5, ranks, pe_dropped=True)
-    w1 = sampler._forward(net, latent, 0.5, ranks, 1.0)
-    w0 = sampler._forward(net, latent, 0.5, ranks, 0.0)
+    w1 = guided_forward(net, latent, 0.5, ranks, 1.0)
+    w0 = guided_forward(net, latent, 0.5, ranks, 0.0)
     assert np.array_equal(w1["velocity"], cond.velocity.data)
     assert np.array_equal(w0["velocity"], unc.velocity.data)
-    wm = sampler._forward(net, latent, 0.5, ranks, 0.3)
+    wm = guided_forward(net, latent, 0.5, ranks, 0.3)
     expect = unc.velocity.data + 0.3 * (cond.velocity.data - unc.velocity.data)
     assert np.allclose(wm["velocity"], expect)
     assert np.allclose(wm["atom_logits"],
                        unc.atom_logits.data + 0.3 * (cond.atom_logits.data - unc.atom_logits.data))
+
+
+@pytest.mark.parametrize("w", [1.0, 0.0, 2.0])
+def test_packed_guided_heads_equal_single_forwards(mol_model, w):
+    # one packed forward (two copies when guidance mixes) against B separate
+    # conditional and PE-dropped forwards
+    net = mol_model.net
+    rng = np.random.default_rng(35)
+    sizes = [1, 4, 6]
+    latents = [sample_molecular_noise(n, mol_model.priors, net.cfg.n_bond_classes, rng)
+               for n in sizes]
+    ranks = [rng.permutation(n) / n for n in sizes]
+    packed = guided_forward(net, MoleculeBatch.pack(latents), 0.7, np.concatenate(ranks), w)
+    for k, got in packed.items():
+        want = []
+        for latent, r in zip(latents, ranks):
+            cond = getattr(net(latent, 0.7, r), k).data
+            unc = getattr(net(latent, 0.7, r, pe_dropped=True), k).data
+            if k == "rank_raw":      # the conditional copy's, when one runs
+                want.append(unc if w == 0.0 else cond)
+            else:
+                want.append(unc + w * (cond - unc))
+        want = np.concatenate(want)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), k
+
+
+def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
+    real = sampler.pcs_step
+
+    def flagged(latent, vocab):
+        state, ranks, _ = real(latent, vocab)
+        return state, ranks, True
+    monkeypatch.setattr(sampler, "pcs_step", flagged)
+    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
+    _, info = sampler.sample(mol_model, 5, 4, cfg)
+    assert info["canonicalize_calls"] == 3 * 4
+    assert info["degenerate_orderings"] + info["degenerate_steps"] == 3 * 4
+    assert info["degenerate_steps"] == 0
 
 
 def test_rank_estimate_normalization():
@@ -175,7 +216,7 @@ def test_euler_step_coords_and_structure(mol_model):
     rng = np.random.default_rng(31)
     latent = sample_molecular_noise(6, mol_model.priors, net.cfg.n_bond_classes, rng)
     ranks = np.arange(6) / 6
-    out = sampler._forward(net, latent, 1.0, ranks, 1.0)
+    out = guided_forward(net, latent, 1.0, ranks, 1.0)
     stepped, _ = sampler.euler_step(net, latent, 1.0, 0.5, ranks, 1.0,
                                     np.random.default_rng(32))
     assert np.allclose(stepped.coords,

@@ -164,3 +164,89 @@ def test_operator_sugar():
     assert np.allclose(out.data, expect)
     m = p((2, 4), 17)
     assert np.allclose((a @ m).data, a.data @ m.data)
+
+
+def test_pair_layout_rows():
+    lay = tape.PairLayout([2, 1, 3])
+    assert (len(lay.row_size), lay.n_pairs) == (6, 14)
+    pairs = [(i, j) for start, n in ((0, 2), (2, 1), (3, 3))
+             for i in range(start, start + n) for j in range(start, start + n)]
+    assert list(zip(lay.pair_i, lay.pair_j)) == pairs
+    assert [pairs[r] for r in lay.transpose] == [(j, i) for i, j in pairs]
+    assert lay.block_start.tolist() == [0, 2, 4, 5, 8, 11]
+    with pytest.raises(ValueError):
+        tape.PairLayout([2, 0])
+
+
+def test_segmented_pair_primitives_match_per_molecule_ops():
+    # every packed op equals the one-molecule op on each segment, and its
+    # adjoint passes central differences
+    sizes = [1, 3, 2]
+    lay = tape.PairLayout(sizes)
+    n_nodes = sum(sizes)
+    k, d, c = 2, 3, 2
+    x = p((n_nodes, d), 30)
+    w = p((k,), 31)
+    a, b = p((n_nodes, c), 32), p((n_nodes, c), 33)
+    pw = p((lay.n_pairs, k), 34)
+    cs = tape.stack_scale(x, w)
+    nodes = np.split(np.arange(n_nodes), np.cumsum(sizes)[:-1])
+    pairs = np.split(np.arange(lay.n_pairs), np.cumsum(np.square(sizes))[:-1])
+    dots = tape.pairwise_dot(cs, lay).data
+    mixed = tape.coord_mix(cs, pw, lay).data
+    summed = tape.pair_sum(a, b, lay).data
+    swapped = tape.transpose_pairs(pw, lay).data
+    pooled = tape.block_mean_rows(pw, lay).data
+    for n, rows, prs in zip(sizes, nodes, pairs):
+        cs_b = Tensor(cs.data[:, rows])
+        assert np.allclose(dots[prs], tape.pairwise_dot(cs_b).data)
+        assert np.allclose(mixed[:, rows], tape.coord_mix(cs_b, Tensor(pw.data[prs])).data)
+        assert np.allclose(summed[prs], tape.pair_sum(Tensor(a.data[rows]),
+                                                      Tensor(b.data[rows])).data)
+        assert np.allclose(swapped[prs], tape.transpose_pairs(Tensor(pw.data[prs]), n).data)
+        assert np.allclose(pooled[rows], tape.block_mean_rows(Tensor(pw.data[prs]), n).data)
+
+    weights = Tensor(np.random.default_rng(35).standard_normal((lay.n_pairs, k)))
+
+    def fwd():
+        cs = tape.stack_scale(x, w)
+        dots = tape.add(tape.pairwise_dot(cs, lay), pw)
+        mixed = tape.coord_mix(cs, tape.transpose_pairs(dots, lay), lay)
+        out = tape.tsum(tape.square(mixed))
+        msg = tape.mul(tape.square(tape.pair_sum(a, b, lay)), weights)
+        return tape.add(out, tape.tsum(tape.square(tape.block_mean_rows(msg, lay))))
+    check(fwd, {"x": x, "w": w, "a": a, "b": b, "pw": pw})
+
+
+def test_segmented_min_max_and_repeat():
+    a = p((7,), 36)
+    starts = np.array([0, 1, 4])
+    lo = tape.reduce_min(a, starts)
+    hi = tape.reduce_max(a, starts)
+    pieces = np.split(a.data, starts[1:])
+    assert np.array_equal(lo.data, [s.min() for s in pieces])
+    assert np.array_equal(hi.data, [s.max() for s in pieces])
+    sizes = np.diff(np.append(starts, 7))
+    assert np.array_equal(tape.repeat_rows(lo, sizes).data, np.repeat(lo.data, sizes))
+    ties = Tensor(np.array([2.0, 1.0, 1.0, 3.0]), requires_grad=True)
+    tape.backward(tape.tsum(tape.reduce_min(ties, np.array([0, 2]))))
+    assert ties.grad.tolist() == [0.0, 1.0, 1.0, 0.0]     # first minimum of each segment
+    weights = Tensor(np.random.default_rng(37).standard_normal(7))
+
+    def fwd():
+        span = tape.sub(tape.repeat_rows(tape.reduce_max(a, starts), sizes),
+                        tape.repeat_rows(tape.reduce_min(a, starts), sizes))
+        return tape.tsum(tape.mul(tape.square(span), weights))
+    check(fwd, {"a": a})
+
+
+def test_no_grad_records_no_graph():
+    a = p((3, 2), 38)
+    with tape.no_grad():
+        out = tape.tsum(tape.square(a))
+    assert not out.requires_grad and out._parents == () and out._backward_fn is None
+    assert tape.tsum(tape.square(a)).requires_grad
+    with pytest.raises(RuntimeError):
+        with tape.no_grad():
+            raise RuntimeError("the flag is restored on the way out")
+    assert tape.square(a).requires_grad
