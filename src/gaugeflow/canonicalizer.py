@@ -201,11 +201,8 @@ def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spe
     if ordering == "spectral":
         perm_result = canonicalize_perm(m)
     else:
-        if ordering == "multihop":
-            keys = _multihop_keys(m)
-            order = _order_by_multihop_keys(m, keys)
-        else:
-            order, keys = order_atomic(m), _atomic_keys(m)
+        keys = _multihop_keys(m) if ordering == "multihop" else _atomic_keys(m)
+        order = _key_order(m, keys)
         n = m.n_atoms
         rep = symgroup.center(symgroup.act(GroupElement(order, np.eye(3), np.zeros(3)), m))
         sorted_keys = keys[order]
@@ -232,49 +229,35 @@ def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spe
 
 
 def _hop_counts(bonds: np.ndarray, max_hops: int) -> np.ndarray:
-    """counts[v, k-1] = number of vertices exactly k bond-hops from v."""
-    n = bonds.shape[0]
-    adj = bonds > 0
-    counts = np.zeros((n, max_hops), dtype=np.int64)
-    for v in range(n):
-        dist = np.full(n, -1)
-        dist[v] = 0
-        frontier = [v]
-        hop = 0
-        while frontier and hop < max_hops:
-            hop += 1
-            nxt = []
-            for u in frontier:
-                for w in np.nonzero(adj[u])[0]:
-                    if dist[w] < 0:
-                        dist[w] = hop
-                        nxt.append(int(w))
-            counts[v, hop - 1] = len(nxt)
-            frontier = nxt
-    return counts
+    """counts[v, k-1] = number of vertices exactly k bond-hops from v.
+
+    reach_k = reach_{k-1} | (reach_{k-1} @ A > 0) holds the vertices within k
+    hops; the count at exactly k is the growth of its row sums.
+    """
+    adj = (bonds > 0).astype(np.float64)
+    reach = np.eye(adj.shape[0], dtype=bool)
+    within = [reach.sum(axis=1)]
+    for _ in range(max_hops):
+        reach = reach | (reach @ adj > 0)
+        within.append(reach.sum(axis=1))
+    return np.diff(np.stack(within, axis=1), axis=1)
 
 
 def _multihop_keys(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
     """Packed hop-count weight w_K(v) = sum_{k=1..K} d_k(v) * N^(K-k)."""
-    n = m.n_atoms
-    counts = _hop_counts(m.bonds, n_hops)
-    base = max(n, 2)
-    weights = [
-        sum(int(counts[v, k]) * base ** (n_hops - 1 - k) for k in range(n_hops))
-        for v in range(n)
-    ]
-    return np.array(weights, dtype=np.float64)
+    base = max(m.n_atoms, 2)
+    place = base ** np.arange(n_hops - 1, -1, -1, dtype=np.int64)
+    return (_hop_counts(m.bonds, n_hops) @ place).astype(np.float64)
 
 
-def _order_by_multihop_keys(m: MoleculeState, weights: np.ndarray) -> np.ndarray:
-    n = m.n_atoms
-    keyed = sorted(range(n), key=lambda v: (weights[v], int(m.atom_types[v]), v))
-    return np.array(keyed, dtype=np.int64)
+def _key_order(m: MoleculeState, keys: np.ndarray) -> np.ndarray:
+    """Ascending keys; ties by atomic number, then index (lexsort is stable)."""
+    return np.lexsort((m.atom_types, keys))
 
 
 def order_multihop(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
     """Ascending order by the packed hop-count weight; ties by atomic number then index."""
-    return _order_by_multihop_keys(m, _multihop_keys(m, n_hops))
+    return _key_order(m, _multihop_keys(m, n_hops))
 
 
 def _atomic_keys(m: MoleculeState) -> np.ndarray:
@@ -284,9 +267,4 @@ def _atomic_keys(m: MoleculeState) -> np.ndarray:
 
 def order_atomic(m: MoleculeState) -> np.ndarray:
     """Descending atomic number with hydrogens last; ties by original index."""
-    n = m.n_atoms
-    keyed = sorted(
-        range(n),
-        key=lambda v: (int(m.atom_types[v]) == 1, -int(m.atom_types[v]), v),
-    )
-    return np.array(keyed, dtype=np.int64)
+    return _key_order(m, _atomic_keys(m))

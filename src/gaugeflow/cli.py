@@ -243,12 +243,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    outdir = _outdir(args)
+    if args.n_atoms is not None and args.n_atoms < 1:
+        raise UsageError(f"--n-atoms must be at least 1, got {args.n_atoms}")
     try:
         model = training.FlowModel.load(args.model)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot load checkpoint {args.model}: {exc}", file=sys.stderr)
         return EXIT_IO
+    if model.kind == "canonlite":
+        table = molecule.ValenceTable()
+        missing = [molecule.NUMBER_TO_SYMBOL.get(z, f"Z={z}")
+                   for z in model.meta["vocab"]["atom_classes"] if z not in table.allowed]
+        if missing:
+            raise molecule.UnsupportedElementError(
+                f"checkpoint vocab holds element(s) {', '.join(missing)} that the "
+                "valence table cannot score; no samples written")
+    outdir = _outdir(args)
     model.load_ema()
     cfg = sampler.SampleConfig(
         steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
@@ -275,7 +285,6 @@ def cmd_sample(args) -> int:
         if args.n_atoms is None:
             raise UsageError("--n-atoms is required for molecular checkpoints")
         mols, info = sampler.sample(model, args.n_atoms, args.n, cfg)
-        table = molecule.ValenceTable()
         write_one = molecule.write_sdf if args.format == "sdf" else molecule.write_xyz
         for i, m in enumerate(mols):
             (outdir / f"sample_{i:05d}.{args.format}").write_text(write_one(m))

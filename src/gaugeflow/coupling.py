@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.special import logsumexp
 
-from .symgroup import FiniteGroupSpec, finite_act, haar_rotation
+from .symgroup import FiniteGroupSpec, haar_rotation
 
 MAX_EXACT = 4096
 
@@ -23,14 +24,15 @@ class CouplingPlan:
 
     def noise_permutation(self) -> np.ndarray:
         """noise row paired with data row i, as an index array."""
-        out = np.zeros(len(self.pairs), dtype=np.int64)
-        for i, j in self.pairs:
-            out[i] = j
+        rows, cols = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2).T
+        out = np.zeros(len(rows), dtype=np.int64)
+        out[rows] = cols
         return out
 
 
 def _pair_cost(data: np.ndarray, noise: np.ndarray, pairs) -> float:
-    return float(sum(((data[i] - noise[j]) ** 2).sum() for i, j in pairs))
+    rows, cols = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return float(((data[rows] - noise[cols]) ** 2).sum())
 
 
 def product_pair(n: int, data: np.ndarray | None = None, noise: np.ndarray | None = None) -> CouplingPlan:
@@ -59,8 +61,8 @@ def _sinkhorn_assign(cost: np.ndarray, n_iters: int = 200) -> list:
     log_marg = -np.log(n)
     for _ in range(n_iters):
         # log-domain scaling keeps small regularizers from underflowing
-        log_u = log_marg - _logsumexp_rows(logk + log_v[None, :])
-        log_v = log_marg - _logsumexp_rows((logk + log_u[:, None]).T)
+        log_u = log_marg - logsumexp(logk + log_v[None, :], axis=1)
+        log_v = log_marg - logsumexp(logk + log_u[:, None], axis=0)
     plan = np.exp(logk + log_u[:, None] + log_v[None, :])
 
     order = np.argsort(-plan.max(axis=1))   # most confident rows first
@@ -72,11 +74,6 @@ def _sinkhorn_assign(cost: np.ndarray, n_iters: int = 200) -> list:
         assignment[i] = j
         taken[j] = True
     return [(i, int(assignment[i])) for i in range(n)]
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
 
 
 def ot_pair(data: np.ndarray, noise: np.ndarray, mode: str = "exact") -> CouplingPlan:
@@ -150,38 +147,24 @@ class RotationLift:
         self.dim = dim
 
 
-def _batch_elements(group, n: int, rng: np.random.Generator):
-    """(matrices (n, d, d), indices or None) of i.i.d. uniform group elements."""
-    if isinstance(group, FiniteGroupSpec):
-        idx = rng.integers(0, group.order, size=n)
-        return group.elements[idx], idx
-    if isinstance(group, RotationLift):
-        mats = np.stack([haar_rotation(group.dim, rng) for _ in range(n)])
-        return mats, None
-    raise TypeError(f"unsupported group {type(group).__name__}")
-
-
 def group_aligned_lift(slice_pairs, group, rng: np.random.Generator,
                        return_elements: bool = False):
     """Apply one shared random group element to each slice pair.
 
-    slice_pairs: iterable of (z0, z1) vectors, or a (z0_batch, z1_batch) tuple
-    of (n, d) arrays. Returns pairs in the same form; with return_elements the
-    sampled matrices (and indices for finite groups) come along.
+    slice_pairs: a (z0_batch, z1_batch) tuple of (n, d) arrays. Returns the
+    lifted (z0_batch, z1_batch); with return_elements the sampled matrices
+    (and indices for finite groups, else None) come along.
     """
-    if isinstance(slice_pairs, tuple) and len(slice_pairs) == 2 and np.asarray(slice_pairs[0]).ndim == 2:
-        z0 = np.asarray(slice_pairs[0], dtype=np.float64)
-        z1 = np.asarray(slice_pairs[1], dtype=np.float64)
-        mats, idx = _batch_elements(group, z0.shape[0], rng)
-        lifted0 = np.einsum("nij,nj->ni", mats, z0)
-        lifted1 = np.einsum("nij,nj->ni", mats, z1)
-        if return_elements:
-            return (lifted0, lifted1), mats, idx
-        return (lifted0, lifted1)
-
-    pairs = [(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)) for a, b in slice_pairs]
-    mats, idx = _batch_elements(group, len(pairs), rng)
-    lifted = [(g @ a, g @ b) for g, (a, b) in zip(mats, pairs)]
+    z0, z1 = (np.asarray(z, dtype=np.float64) for z in slice_pairs)
+    if isinstance(group, FiniteGroupSpec):
+        idx, lifted0, lifted1 = group.randomize(rng, z0, z1)
+        mats = group.elements[idx]
+    elif isinstance(group, RotationLift):
+        idx = None
+        mats = np.stack([haar_rotation(group.dim, rng) for _ in range(len(z0))])
+        lifted0, lifted1 = (np.einsum("nij,nj->ni", mats, z) for z in (z0, z1))
+    else:
+        raise TypeError(f"unsupported group {type(group).__name__}")
     if return_elements:
-        return lifted, mats, idx
-    return lifted
+        return (lifted0, lifted1), mats, idx
+    return lifted0, lifted1

@@ -51,18 +51,24 @@ def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
     centered = samples - mean
     cov = centered.T @ centered / samples.shape[0]
     vals, vecs = np.linalg.eigh(cov)
-    vals = np.maximum(vals, EIG_FLOOR)
-    cov = (vecs * vals) @ vecs.T
-    sqrt = (vecs * np.sqrt(vals)) @ vecs.T
-    return GaussianPrior(mean, cov, sqrt, isotropic=False)
+    cov = (vecs * np.maximum(vals, EIG_FLOOR)) @ vecs.T
+    return GaussianPrior(mean, cov, sqrt_psd(cov), isotropic=False)
 
 
-def sample_gaussian(prior: GaussianPrior, n: int, rng: np.random.Generator) -> np.ndarray:
+def sqrt_psd(cov: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix; negative eigenvalues count as 0."""
+    vals, vecs = np.linalg.eigh(cov)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+
+
+def sample_gaussian(prior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws mean + eps @ sqrt; prior is anything with .mean, .sqrt and .dim."""
     eps = rng.standard_normal((n, prior.dim))
     return prior.mean + eps @ prior.sqrt      # sqrt is symmetric
 
 
-def gaussian_logpdf(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
+def gaussian_logpdf(prior, x: np.ndarray) -> np.ndarray:
+    """Log density at the rows of x; prior is anything with .mean, .cov and .dim."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = prior.dim
     diff = x - prior.mean

@@ -118,6 +118,8 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
     sizes = np.full(n_samples, n_atoms) if np.isscalar(n_atoms) else np.asarray(n_atoms)
     if len(sizes) != n_samples:
         raise ValueError("n_atoms sequence length must equal n_samples")
+    if (sizes < 1).any():
+        raise ValueError(f"molecule sizes must be >= 1, got {sizes[sizes < 1][0]}")
     if priors is None:
         priors = model.priors
     if cfg.prior == "isotropic":
@@ -203,7 +205,4 @@ def haar_randomize(mols: list[MoleculeState], group: str,
 def finite_group_randomize(z: np.ndarray, spec: symgroup.FiniteGroupSpec,
                            rng: np.random.Generator) -> np.ndarray:
     """Apply an independent uniform group element to each row."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    idx = rng.integers(0, spec.order, size=z.shape[0])
-    mats = spec.elements[idx]
-    return np.einsum("nij,nj->ni", mats, z)
+    return spec.randomize(rng, np.atleast_2d(np.asarray(z, dtype=np.float64)))[1]

@@ -131,17 +131,23 @@ class FiniteGroupSpec:
         self.elements = np.asarray(self.elements, dtype=np.float64)
         if self.elements.ndim != 3 or self.elements.shape[1] != self.elements.shape[2]:
             raise ValueError("elements must be (M, d, d)")
-        m, d, _ = self.elements.shape
-        for i, g in enumerate(self.elements):
-            if not np.allclose(g @ g.T, np.eye(d), atol=1e-8):
-                raise ValueError(f"element {i} is not orthogonal")
-        if not any(np.allclose(g, np.eye(d), atol=1e-8) for g in self.elements):
+        eye = np.eye(self.dim)
+        orthogonal = self._matches(self.elements @ self.elements.transpose(0, 2, 1), eye)
+        if not orthogonal.all():
+            raise ValueError(f"element {int(np.argmin(orthogonal))} is not orthogonal")
+        if not self._matches(self.elements, eye).any():
             raise ValueError("group must contain the identity")
-        for gi in self.elements:
-            for gj in self.elements:
-                prod = gi @ gj
-                if not any(np.allclose(prod, gk, atol=1e-8) for gk in self.elements):
-                    raise ValueError("group is not closed under composition")
+        # one left factor at a time: all M^3 comparisons at once would take
+        # M^3 d^2 floats, about 350 MB for S_5
+        for g in self.elements:
+            products = (g @ self.elements)[:, None]            # (M, 1, d, d)
+            if not self._matches(products, self.elements).any(axis=1).all():
+                raise ValueError("group is not closed under composition")
+
+    @staticmethod
+    def _matches(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """np.allclose(a, b, atol=1e-8) over the trailing (d, d) axes, broadcast."""
+        return np.isclose(a, b, atol=1e-8).all(axis=(-2, -1))
 
     @property
     def order(self) -> int:
@@ -152,11 +158,20 @@ class FiniteGroupSpec:
         return self.elements.shape[1]
 
     def inverse_index(self, index: int) -> int:
-        inv = self.elements[index].T
-        for k, g in enumerate(self.elements):
-            if np.allclose(g, inv, atol=1e-8):
-                return k
-        raise ValueError("inverse not found; group is not closed")
+        found = np.flatnonzero(self._matches(self.elements, self.elements[index].T))
+        if not found.size:
+            raise ValueError("inverse not found; group is not closed")
+        return int(found[0])
+
+    def randomize(self, rng: np.random.Generator, *batches: np.ndarray) -> tuple:
+        """Apply one uniform random element per row, the same one in every batch.
+
+        Each batch is (n, d). Returns (element indices, acted batches...);
+        draws rng.integers(0, order, n) once.
+        """
+        idx = rng.integers(0, self.order, len(batches[0]))
+        mats = self.elements[idx]
+        return (idx, *(np.einsum("nij,nj->ni", mats, b) for b in batches))
 
 
 def finite_act(spec: FiniteGroupSpec, index: int, v: np.ndarray) -> np.ndarray:

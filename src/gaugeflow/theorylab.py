@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
 from . import coupling as coupling_mod
-from . import symgroup
+from . import priors, symgroup
 from .symgroup import FiniteGroupSpec
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -60,6 +60,13 @@ class SliceGaussian:
     def dim(self) -> int:
         return len(self.mean)
 
+    @property
+    def sqrt(self) -> np.ndarray:
+        return priors.sqrt_psd(self.cov)
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return priors.sample_gaussian(self, n, rng)
+
 
 @dataclass
 class SlicePoint:
@@ -73,6 +80,18 @@ class SlicePoint:
     @property
     def dim(self) -> int:
         return len(self.point)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.point
+
+    @property
+    def cov(self) -> np.ndarray:
+        return np.zeros((self.dim, self.dim))
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n copies of the point; draws nothing from rng."""
+        return np.tile(self.point, (n, 1))
 
 
 @dataclass
@@ -140,45 +159,34 @@ def random_gaussian_system(rng: np.random.Generator) -> MixtureSystem:
 # Closed forms
 
 
-def _q0_moments(system: MixtureSystem) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(system.q0, SlicePoint):
-        d = system.q0.dim
-        return system.q0.point, np.zeros((d, d))
-    return system.q0.mean, system.q0.cov
-
-
 def slice_time_marginal(system: MixtureSystem) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of Zt = (1 - t) Z0 + t Z1 on the slice."""
-    m0, c0 = _q0_moments(system)
     t = system.t
-    mean = (1.0 - t) * m0 + t * system.q1.mean
-    cov = (1.0 - t) ** 2 * c0 + t ** 2 * system.q1.cov
+    mean = (1.0 - t) * system.q0.mean + t * system.q1.mean
+    cov = (1.0 - t) ** 2 * system.q0.cov + t ** 2 * system.q1.cov
     return mean, cov
 
 
 def _path_cross_cov(system: MixtureSystem) -> np.ndarray:
     """Cov(Z1 - Z0, Zt) = t S1 - (1 - t) S0 under the product coupling."""
-    _, c0 = _q0_moments(system)
-    return system.t * system.q1.cov - (1.0 - system.t) * c0
+    return system.t * system.q1.cov - (1.0 - system.t) * system.q0.cov
 
 
 def slice_conditional_mean(system: MixtureSystem, z_slice: np.ndarray) -> np.ndarray:
     """E[Z1 - Z0 | Zt = z] on the slice, affine in z."""
     z_slice = np.atleast_2d(np.asarray(z_slice, dtype=np.float64))
-    m0, _ = _q0_moments(system)
     mu_t, s_t = slice_time_marginal(system)
     c = _path_cross_cov(system)
     gain = np.linalg.solve(s_t, c.T).T          # C S^{-1}
-    mu_delta = system.q1.mean - m0
+    mu_delta = system.q1.mean - system.q0.mean
     return mu_delta + (z_slice - mu_t) @ gain.T
 
 
 def slice_conditional_variance(system: MixtureSystem) -> float:
     """Total conditional variance tr Var(Z1 - Z0 | Zt); constant over the slice."""
-    _, c0 = _q0_moments(system)
     mu_t, s_t = slice_time_marginal(system)
     c = _path_cross_cov(system)
-    total = c0 + system.q1.cov - c @ np.linalg.solve(s_t, c.T)
+    total = system.q0.cov + system.q1.cov - c @ np.linalg.solve(s_t, c.T)
     return float(np.trace(total))
 
 
@@ -195,35 +203,27 @@ def gaussian_condvar(cov0, cov1, t: float) -> float:
     return float(np.trace(inner)) / t ** 2
 
 
-def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = len(mean)
-    chol = np.linalg.cholesky(cov)
-    sol = np.linalg.solve(chol, (x - mean).T)
-    quad = (sol ** 2).sum(axis=0)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (quad + logdet + d * np.log(2.0 * np.pi))
-
-
 def _rotated_copies(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """g^-1 z for every group element; shape (M, n, d)."""
     return np.einsum("mji,nj->mni", system.group.elements, z)
 
 
+def _member_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
+    """log qt(g^-1 z) for every group element; shape (M, n)."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    zg = _rotated_copies(system, z)
+    qt = SliceGaussian(*slice_time_marginal(system))
+    return priors.gaussian_logpdf(qt, zg.reshape(-1, system.dim)).reshape(zg.shape[:2])
+
+
 def mixture_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """Log density of the ambient time marginal (1/M) sum_g qt(g^-1 z)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    mu_t, s_t = slice_time_marginal(system)
-    zg = _rotated_copies(system, z)
-    logq = np.stack([_mvn_logpdf(zg[m], mu_t, s_t) for m in range(system.group.order)])
-    return logsumexp(logq, axis=0) - np.log(system.group.order)
+    return logsumexp(_member_logpdf(system, z), axis=0) - np.log(system.group.order)
 
 
 def posterior_responsibilities(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """P(G = g | ambient point z); shape (n, M)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    mu_t, s_t = slice_time_marginal(system)
-    zg = _rotated_copies(system, z)
-    logq = np.stack([_mvn_logpdf(zg[m], mu_t, s_t) for m in range(system.group.order)])
+    logq = _member_logpdf(system, z)
     return np.exp(logq - logsumexp(logq, axis=0)).T
 
 
@@ -316,29 +316,17 @@ def collision_bound(system: MixtureSystem, n_mc: int,
 # Simulation
 
 
-def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov)
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 def simulate(system: MixtureSystem, n: int, rng: np.random.Generator) -> dict:
     """Draw the full generative batch under the product coupling.
 
     Returns z0/z1/z_slice/u on the slice, uniform element indices g_idx, and
     the ambient pair z = G z_slice, velocity = G u.
     """
-    d = system.dim
-    if isinstance(system.q0, SlicePoint):
-        z0 = np.tile(system.q0.point, (n, 1))
-    else:
-        z0 = system.q0.mean + rng.standard_normal((n, d)) @ _sqrt_psd(system.q0.cov)
-    z1 = system.q1.mean + rng.standard_normal((n, d)) @ _sqrt_psd(system.q1.cov)
+    z0 = system.q0.draw(n, rng)
+    z1 = system.q1.draw(n, rng)
     z_slice = (1.0 - system.t) * z0 + system.t * z1
     u = z1 - z0
-    g_idx = rng.integers(0, system.group.order, n)
-    mats = system.group.elements[g_idx]
-    z = np.einsum("nij,nj->ni", mats, z_slice)
-    velocity = np.einsum("nij,nj->ni", mats, u)
+    g_idx, z, velocity = system.group.randomize(rng, z_slice, u)
     return {"g_idx": g_idx, "z0": z0, "z1": z1, "z_slice": z_slice, "u": u,
             "z": z, "velocity": velocity}
 
@@ -356,6 +344,9 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     nearest neighbours and the residual variance (dof-corrected, summed over
     output coordinates) is recorded; the estimate is the mean and the stderr
     a bootstrap over query points. Exactly unbiased when E[y|x] is affine.
+    All neighbourhoods are fit at once: with the inputs and outputs centred
+    per neighbourhood, the intercept is the output mean and the slopes solve
+    the (d, d) normal equations.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -374,15 +365,14 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     n_query = min(n_query, n)
     q_idx = rng.choice(n, size=n_query, replace=False)
     _, nbr = tree.query(x[q_idx], k=k, workers=-1)
-    per_query = np.empty(n_query)
-    ones = np.ones((k, 1))
-    for i in range(n_query):
-        xb = x[nbr[i]]
-        yb = y[nbr[i]]
-        design = np.concatenate([ones, xb - xb.mean(axis=0)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, yb, rcond=None)
-        resid = yb - design @ coef
-        per_query[i] = (resid ** 2).sum() / dof
+    xb = x[nbr]                                     # (q, k, d)
+    yb = y[nbr]                                     # (q, k, p)
+    del nbr
+    xb -= xb.mean(axis=1, keepdims=True)
+    yb -= yb.mean(axis=1, keepdims=True)
+    xt = xb.transpose(0, 2, 1)
+    yb -= xb @ np.linalg.solve(xt @ xb, xt @ yb)    # residuals
+    per_query = np.einsum("qkj,qkj->q", yb, yb) / dof
     estimate = float(per_query.mean())
     boot_idx = rng.integers(0, n_query, size=(n_boot, n_query))
     stderr = float(per_query[boot_idx].mean(axis=1).std(ddof=1))
@@ -460,16 +450,11 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
     isotropic noise the z1 coordinates are also KS-tested against N(0, 1).
     """
     d = q0.dim
-    if isinstance(q0, SlicePoint):
-        z0_slice = np.tile(q0.point, (n_mc, 1))
-    else:
-        z0_slice = q0.mean + rng.standard_normal((n_mc, d)) @ _sqrt_psd(q0.cov)
     normal_reference = noise is None
     if noise is None:
-        z1_slice = rng.standard_normal((n_mc, d))
-    else:
-        z1_slice = noise.mean + rng.standard_normal((n_mc, d)) @ _sqrt_psd(noise.cov)
-    z0, z1 = coupling_mod.group_aligned_lift((z0_slice, z1_slice), group, rng)
+        noise = SliceGaussian(np.zeros(d), np.eye(d))
+    z0, z1 = coupling_mod.group_aligned_lift((q0.draw(n_mc, rng), noise.draw(n_mc, rng)),
+                                             group, rng)
     n = n_mc
     threshold = threshold_scale / np.sqrt(n)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nondegenerate_molecule, random_molecule
-from gaugeflow import symgroup
+from gaugeflow import canonicalizer, symgroup
 from gaugeflow.canonicalizer import (
     CanonicalizationError,
     canonicalize,
@@ -90,6 +90,57 @@ def test_multihop_ordering_is_graph_invariant(seed, n):
     # hop-count profiles ignore geometry entirely; the sorted key sequence is
     # a permutation invariant even when individual ties land differently
     assert sorted(a.tolist()) == sorted(b.tolist())
+
+
+def _bfs_hop_counts(bonds, max_hops):
+    """Reference: one breadth-first search per atom."""
+    n = bonds.shape[0]
+    adj = bonds > 0
+    counts = np.zeros((n, max_hops), dtype=np.int64)
+    for v in range(n):
+        dist = np.full(n, -1)
+        dist[v] = 0
+        frontier = [v]
+        hop = 0
+        while frontier and hop < max_hops:
+            hop += 1
+            nxt = []
+            for u in frontier:
+                for w in np.nonzero(adj[u])[0]:
+                    if dist[w] < 0:
+                        dist[w] = hop
+                        nxt.append(int(w))
+            counts[v, hop - 1] = len(nxt)
+            frontier = nxt
+    return counts
+
+
+def _graph_molecule(rng, n, density):
+    """Random symmetric bond graph at the given edge density; bond-free at 0."""
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    bonds = np.where(upper, rng.integers(1, 5, (n, n)), 0)
+    types = rng.choice([1, 6, 7, 8], n)
+    return MoleculeState(rng.standard_normal((n, 3)), types, np.zeros(n, dtype=np.int64),
+                         bonds + bonds.T)
+
+
+def test_multihop_and_atomic_orders_match_reference_loops():
+    rng = np.random.default_rng(21)
+    for n in range(1, 65):
+        for density in (0.0, 1.5 / max(n, 1), 0.3):   # bond-free, mostly disconnected, dense
+            m = _graph_molecule(rng, n, density)
+            counts = _bfs_hop_counts(m.bonds, 3)
+            assert np.array_equal(canonicalizer._hop_counts(m.bonds, 3), counts)
+            base = max(n, 2)
+            keys = [sum(int(counts[v, k]) * base ** (2 - k) for k in range(3)) for v in range(n)]
+            assert np.array_equal(canonicalizer._multihop_keys(m), np.array(keys, dtype=np.float64))
+            types = m.atom_types.tolist()
+            multihop = sorted(range(n), key=lambda v: (keys[v], types[v], v))
+            atomic = sorted(range(n), key=lambda v: (types[v] == 1, -types[v], v))
+            assert order_multihop(m).tolist() == multihop
+            assert order_atomic(m).tolist() == atomic
+            rep = canonicalize(m, group="perm", ordering="multihop").representative
+            assert np.array_equal(rep.atom_types, m.atom_types[multihop])
 
 
 def test_atomic_ordering_puts_hydrogens_last():

@@ -185,6 +185,28 @@ def test_molecular_sample_needs_n_atoms(trained_mol, tmp_path):
                "--n", 1, "-o", tmp_path) == 2
 
 
+@pytest.mark.parametrize("n_atoms", [0, -3])
+def test_molecular_sample_rejects_sizes_below_one(trained_mol, tmp_path, capsys, n_atoms):
+    out = tmp_path / "gen"
+    assert run("sample", "--model", trained_mol / "checkpoint.json",
+               "--n", 2, "--n-atoms", n_atoms, "-o", out) == 2
+    assert "--n-atoms" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsys):
+    doc = json.loads((trained_mol / "checkpoint.json").read_text())
+    atoms = doc["meta"]["vocab"]["atom_classes"]
+    atoms[:2] = [11, 14]                  # Na and Si parse but have no valence entry
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "gen"
+    assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "-o", out) == 3
+    err = capsys.readouterr().err
+    assert "Na" in err and "Si" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_train_counts_degenerate_inputs(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

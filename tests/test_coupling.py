@@ -121,16 +121,16 @@ def test_lift_shares_one_element_per_pair(seed):
 
 def test_lift_rotation_marker():
     rng = np.random.default_rng(11)
-    pairs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(5)]
-    lifted, mats, idx = coupling.group_aligned_lift(
-        pairs, coupling.RotationLift(3), rng, return_elements=True)
+    z0, z1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    (l0, l1), mats, idx = coupling.group_aligned_lift(
+        (z0, z1), coupling.RotationLift(3), rng, return_elements=True)
     assert idx is None
-    for (a, b), g, (la, lb) in zip(pairs, mats, lifted):
+    for a, b, g, la, lb in zip(z0, z1, mats, l0, l1):
         assert np.allclose(g @ g.T, np.eye(3), atol=1e-12)
         assert np.allclose(la, g @ a)
         assert np.allclose(lb, g @ b)
     with pytest.raises(TypeError):
-        coupling.group_aligned_lift(pairs, object(), rng)
+        coupling.group_aligned_lift((z0, z1), object(), rng)
 
 
 def test_lift_marginal_is_group_mixture():

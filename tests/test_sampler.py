@@ -138,6 +138,9 @@ def test_per_sample_sizes(mol_model):
     assert [m.n_atoms for m in mols] == [4, 6, 8]
     with pytest.raises(ValueError):
         sampler.sample(mol_model, [4, 6], 3, cfg)
+    for sizes in (0, [4, 0, 6]):
+        with pytest.raises(ValueError, match="got 0"):
+            sampler.sample(mol_model, sizes, 3, cfg)
 
 
 def test_model_kind_guards(mol_model, vec_model):

@@ -1,5 +1,7 @@
 """Group algebra and action laws."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,38 @@ def test_finite_group_closure_enforced():
         FiniteGroupSpec(np.stack([np.eye(2), quarter]))
     with pytest.raises(ValueError):
         FiniteGroupSpec(np.array([[[2.0]]]))
+
+
+def test_finite_group_closure_accepts_groups_and_rejects_perturbed_sets():
+    for spec in (sign_flip_group(), c4_group(), cyclic_rotation_group(6),
+                 permutation_matrix_group(3), permutation_matrix_group(4)):
+        assert FiniteGroupSpec(spec.elements).order == spec.order
+    # still orthogonal, but 1e-4 off the group, so the products leave the set
+    c, s = np.cos(1e-4), np.sin(1e-4)
+    tilt = np.eye(4)
+    tilt[:2, :2] = [[c, -s], [s, c]]
+    for elements in (c4_group().elements, permutation_matrix_group(4).elements):
+        bent = elements.copy()
+        d = bent.shape[1]
+        bent[1] = bent[1] @ tilt[:d, :d]
+        with pytest.raises(ValueError, match="not closed"):
+            FiniteGroupSpec(bent)
+
+
+def test_s5_closure_check_is_fast():
+    start = time.perf_counter()
+    assert permutation_matrix_group(5).order == 120
+    assert time.perf_counter() - start < 2.0
+
+
+def test_finite_group_randomize_applies_drawn_elements():
+    spec = c4_group()
+    z0, z1 = np.random.default_rng(4).standard_normal((2, 50, 2))
+    idx, a, b = spec.randomize(np.random.default_rng(5), z0, z1)
+    assert np.array_equal(idx, np.random.default_rng(5).integers(0, 4, 50))
+    for i in range(50):
+        assert np.allclose(a[i], finite_act(spec, idx[i], z0[i]))
+        assert np.allclose(b[i], finite_act(spec, idx[i], z1[i]))
 
 
 def test_finite_act_batch_matches_single():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from gaugeflow import theorylab as lab
 from gaugeflow import symgroup
@@ -154,6 +155,30 @@ def test_knn_estimator_on_linear_oracle():
     assert per_query.shape == (2000,)
     with pytest.raises(ValueError):
         lab.knn_local_linear_variance(np.zeros((8, 5)), np.zeros(8), rng, k=4)
+
+
+def _lstsq_local_linear_variance(x, y, rng, n_query, k):
+    """Reference: one least-squares fit per query point."""
+    n = x.shape[0]
+    q_idx = rng.choice(n, size=n_query, replace=False)
+    _, nbr = cKDTree(x).query(x[q_idx], k=k)
+    out = np.empty(n_query)
+    for i in range(n_query):
+        xb, yb = x[nbr[i]], y[nbr[i]]
+        design = np.concatenate([np.ones((k, 1)), xb - xb.mean(axis=0)], axis=1)
+        coef, *_ = np.linalg.lstsq(design, yb, rcond=None)
+        out[i] = ((yb - design @ coef) ** 2).sum() / (k - x.shape[1] - 1)
+    return out
+
+
+@pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
+def test_knn_batched_fit_matches_lstsq_loop(make):
+    sim = lab.simulate(make(), 20_000, np.random.default_rng(15))
+    for x, y in ((sim["z"], sim["velocity"]), (sim["z_slice"], sim["u"])):
+        _, _, per_query = lab.knn_local_linear_variance(
+            x, y, np.random.default_rng(16), n_query=300)
+        ref = _lstsq_local_linear_variance(x, y, np.random.default_rng(16), 300, 142)
+        assert np.allclose(per_query, ref, rtol=0.0, atol=1e-12)
 
 
 def test_variance_decomposition_signflip():
