@@ -1,5 +1,4 @@
-"""Pairing of data and noise batches: independent product coupling, exact and
-entropic optimal transport on squared Euclidean cost, rigid alignment, and the
+"""Pairing of data and noise batches: exact and entropic optimal transport on squared Euclidean cost, rigid alignment, and the
 group-aligned lift that shares one symmetry element per pair.
 """
 
@@ -19,7 +18,7 @@ MAX_EXACT = 4096
 @dataclass
 class CouplingPlan:
     pairs: list          # list of (data index, noise index)
-    mode: str            # "product" | "exact" | "sinkhorn"
+    mode: str            # "exact" | "sinkhorn"
     cost: float          # total squared Euclidean cost of the pairing
 
     def noise_permutation(self) -> np.ndarray:
@@ -33,16 +32,6 @@ class CouplingPlan:
 def _pair_cost(data: np.ndarray, noise: np.ndarray, pairs) -> float:
     rows, cols = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     return float(((data[rows] - noise[cols]) ** 2).sum())
-
-
-def product_pair(n: int, data: np.ndarray | None = None, noise: np.ndarray | None = None) -> CouplingPlan:
-    """Identity pairing (independent coupling). Cost is filled in when the
-    batches are supplied, else 0."""
-    pairs = [(i, i) for i in range(n)]
-    cost = 0.0
-    if data is not None and noise is not None:
-        cost = _pair_cost(np.asarray(data), np.asarray(noise), pairs)
-    return CouplingPlan(pairs, "product", cost)
 
 
 def _cost_matrix(data: np.ndarray, noise: np.ndarray) -> np.ndarray:

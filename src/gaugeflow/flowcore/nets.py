@@ -16,6 +16,12 @@ columns are applied on N rows; pair rows carry only the coordinate and edge
 outputs. Parameters keep the shapes of the plain MLP over the concatenated
 input, and both forms agree up to rounding.
 
+Per layer the pair rows see few passes: the hidden array is built as
+from_i[i] + from_j[j] + from_pair[(i, j)] in one buffer with SiLU applied in
+place (tape.pair_silu), and the coordinate and edge outputs are one fused
+matmul-plus-bias (tape.linear) on a column gather of the second layer's
+weight and bias. Every Linear is that fused op.
+
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
 min-max normalized to [0, 1] within each molecule.
@@ -86,7 +92,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return tape.add(tape.matmul(x, self.weight), self.bias)
+        return tape.linear(x, self.weight, self.bias)
 
 
 class MLP(Module):
@@ -220,12 +226,6 @@ class Predictions:
     rank_raw: Tensor        # (nodes,) head output before normalization
 
 
-def _linear_cols(lin: Linear, x: Tensor, start: int, size: int) -> Tensor:
-    """Output columns start:start+size of lin(x), without computing the others."""
-    return tape.add(tape.matmul(x, tape.slice_cols(lin.weight, start, size)),
-                    tape.slice_cols(lin.bias, start, size))
-
-
 def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((len(idx), n))
     out[np.arange(len(idx)), idx] = 1.0
@@ -298,27 +298,30 @@ class CanonLiteNet(Module):
         e = self.edge_in(Tensor(_one_hot(batch.bond_idx, c.n_bond_classes)))
 
         dp = c.d_proj
+        # second message layer's output blocks are [node, coord, rank, edge]
+        coord_at, rank_at = c.d_model, c.d_model + c.n_coord_sets
+        pair_cols = np.r_[coord_at:rank_at, rank_at + c.d_rank:rank_at + c.d_rank + c.d_edge]
         for layer in self.layers:
             lin_in, lin_out = layer.msg_mlp.layers
             w_in = lin_in.weight
             p = layer.node_proj(h)
             q = layer.rank_proj(r)
             # first message layer by input row block [p_i, p_j, q_i, q_j, dots, e]
-            from_i = tape.add(tape.add(tape.matmul(p, tape.slice_rows(w_in, 0, dp)),
-                                       tape.matmul(q, tape.slice_rows(w_in, 2 * dp, dp))),
-                              lin_in.bias)
+            from_i = tape.add(tape.linear(p, tape.slice_rows(w_in, 0, dp), lin_in.bias),
+                              tape.matmul(q, tape.slice_rows(w_in, 2 * dp, dp)))
             from_j = tape.add(tape.matmul(p, tape.slice_rows(w_in, dp, dp)),
                               tape.matmul(q, tape.slice_rows(w_in, 3 * dp, dp)))
             pair_in = tape.concat([tape.pairwise_dot(cs, lay), e], axis=1)
             from_pair = tape.matmul(pair_in, tape.slice_rows(w_in, 4 * dp, pair_in.shape[1]))
-            hidden = tape.silu(tape.add(tape.pair_sum(from_i, from_j, lay), from_pair))
+            hidden = tape.pair_silu(from_i, from_j, from_pair, lay)
             # second layer: node and rank messages are only used as means over j
             pooled = lin_out(tape.block_mean_rows(hidden, lay))
             m_node = tape.slice_cols(pooled, 0, c.d_model)
-            m_rank = tape.slice_cols(pooled, c.d_model + c.n_coord_sets, c.d_rank)
-            m_coord = _linear_cols(lin_out, hidden, c.d_model, c.n_coord_sets)
-            m_edge = _linear_cols(lin_out, hidden, c.d_model + c.n_coord_sets + c.d_rank,
-                                  c.d_edge)
+            m_rank = tape.slice_cols(pooled, rank_at, c.d_rank)
+            m_pair = tape.linear(hidden, tape.take_cols(lin_out.weight, pair_cols),
+                                 tape.take_cols(lin_out.bias, pair_cols))
+            m_coord = tape.slice_cols(m_pair, 0, c.n_coord_sets)
+            m_edge = tape.slice_cols(m_pair, c.n_coord_sets, c.d_edge)
             h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
             r = tape.add(r, layer.rank_update(m_rank))

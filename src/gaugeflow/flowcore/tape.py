@@ -4,9 +4,11 @@ A Tensor records its parents and a backward closure; backward() walks the
 graph in reverse topological order and accumulates gradients on every tensor
 that requires them. Inside `with no_grad():` ops record nothing, so inference
 keeps no graph alive. Ops cover what the networks here need: broadcasting
-arithmetic, 2-D matmul, reductions, activations, softmax cross-entropy, and a
-few pairwise-message primitives whose adjoints are cheaper written by hand
-than composed from smaller pieces.
+arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`, reductions,
+activations, softmax cross-entropy, and a few pairwise-message primitives
+whose adjoints are cheaper written by hand than composed from smaller pieces.
+The adjoints of matmul and linear skip g @ W.T when the left operand needs no
+gradient (constant features, one-hot edges).
 
 The pairwise primitives work on a packed batch described by a PairLayout:
 the atom ("node") rows of all molecules are concatenated, and so are their
@@ -14,7 +16,11 @@ ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order. One
 molecule is the layout with one segment. Sums over a node's pairs, in the
 ops and in their adjoints, are products with sparse 0/1 block-sum matrices
 the layout builds once (contiguous i-major blocks for the sum over j, the
-precomputed pair transposition for the sum over i).
+precomputed pair transposition for the sum over i). pair_silu builds a
+message layer's pre-activation a[i] + b[j] + c[(i, j)] in one buffer and
+applies SiLU to it in place, keeping the SiLU slope only while the tape
+records. pairwise_dot and coord_mix read one contiguous node-major copy of
+the coordinate sets, repeating its rows for the i side of each pair.
 """
 
 from __future__ import annotations
@@ -92,9 +98,14 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _recording(parents) -> bool:
+    """Whether an op on these parents records a backward closure."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -222,18 +233,26 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
+def _silu_into(x: np.ndarray, out: np.ndarray, record: bool):
+    """Write silu(x) = x * sigmoid(x) to out (which may be x itself); return the
+    slope d silu / dx = sig * (1 + x * (1 - sig)) when record is set, else None."""
+    sig = _stable_sigmoid(x)
+    slope = None
+    if record:
+        slope = np.subtract(1.0, sig)
+        slope *= x
+        slope += 1.0
+        slope *= sig
+    np.multiply(x, sig, out=out)
+    return slope
+
+
 def silu(a: Tensor) -> Tensor:
-    sig = _stable_sigmoid(a.data)
-    out_data = a.data * sig
+    out_data = np.empty_like(a.data)
+    slope = _silu_into(a.data, out_data, _recording((a,)))
 
     def bw(g):
-        # g * sig * (1 + a * (1 - sig)), evaluated in two buffers
-        slope = np.subtract(1.0, sig)
-        slope *= a.data
-        slope += 1.0
-        out = g * sig
-        out *= slope
-        _accum(a, out)
+        _accum(a, g * slope)
     return _make(out_data, (a,), bw)
 
 
@@ -254,9 +273,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul is 2-D only")
 
     def bw(g):
-        _accum(a, g @ b.data.T)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
     return _make(a.data @ b.data, (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (rows, n_in) @ w (n_in, n_out) + b (n_out,) as one op: the bias is added
+    in place into the matmul output."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear is 2-D only")
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
+    return _make(out, (x, w, b), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -287,11 +323,16 @@ def slice_rows(a: Tensor, start: int, size: int) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, size: int) -> Tensor:
+    return take_cols(a, slice(start, start + size))
+
+
+def take_cols(a: Tensor, cols) -> Tensor:
+    """Last-axis entries `cols` (a slice, or an index array without repeats)."""
     def bw(g):
         full = np.zeros_like(a.data)
-        full[..., start:start + size] = g
+        full[..., cols] = g
         _accum(a, full)
-    return _make(a.data[..., start:start + size], (a,), bw)
+    return _make(a.data[..., cols], (a,), bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -456,22 +497,40 @@ def transpose_pairs(a: Tensor, layout) -> Tensor:
     return _make(a.data[perm], (a,), bw)
 
 
+def pair_silu(a: Tensor, b: Tensor, c: Tensor, layout: PairLayout | None = None) -> Tensor:
+    """a, b (nodes, h), c (pairs, h) -> (pairs, h) with
+    out[(i, j)] = silu(a[i] + b[j] + c[(i, j)]), built and activated in one buffer.
+    The SiLU slope is kept only while the tape records."""
+    lay = _layout(layout, a.data.shape[0])
+    pre = lay.pair_gather @ np.concatenate([a.data, b.data])
+    pre += c.data
+    slope = _silu_into(pre, pre, _recording((a, b, c)))
+
+    def bw(g):
+        d_pre = g * slope
+        _accum(a, lay.sum_j @ d_pre)
+        _accum(b, lay.sum_i @ d_pre)
+        _accum(c, d_pre)
+    return _make(pre, (a, b, c), bw)
+
+
 def _node_major(x: np.ndarray) -> np.ndarray:
-    """(K, nodes, D) coordinate sets as (nodes, K, D)."""
-    return x.transpose(1, 0, 2)
+    """(K, nodes, D) coordinate sets as one contiguous (nodes, K, D) array, and back."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
 def pairwise_dot(cs: Tensor, layout: PairLayout | None = None) -> Tensor:
     """cs (K, nodes, D) -> (pairs, K) with out[(i, j), k] = <cs[k,i], cs[k,j]>."""
     lay = _layout(layout, cs.data.shape[1])
     x = _node_major(cs.data)
+    dots = np.einsum("pkd,pkd->pk", np.repeat(x, lay.row_size, axis=0), x[lay.pair_j])
 
     def bw(g):
         # cs[k, i] meets cs[k, j] in rows (i, j) and (j, i)
         both = (g + g[lay.transpose])[:, :, None] * x[lay.pair_j]
         d_x = lay.sum_j @ both.reshape(lay.n_pairs, -1)
         _accum(cs, _node_major(d_x.reshape(x.shape)))
-    return _make(np.einsum("pkd,pkd->pk", x[lay.pair_i], x[lay.pair_j]), (cs,), bw)
+    return _make(dots, (cs,), bw)
 
 
 def coord_mix(cs: Tensor, w: Tensor, layout: PairLayout | None = None) -> Tensor:
@@ -489,11 +548,12 @@ def coord_mix(cs: Tensor, w: Tensor, layout: PairLayout | None = None) -> Tensor
 
     def bw(g):
         gs = _node_major(g) * scale                            # (nodes, K, D)
-        gs_i = gs[lay.pair_i]
+        gs_i = np.repeat(gs, lay.row_size, axis=0)
         # x[j] enters row i's sum with weight w[(i, j)]: sum over i of rows (i, j)
         d_x = (lay.sum_i @ (wk * gs_i).reshape(lay.n_pairs, -1)).reshape(x.shape)
         d_x -= gs * rowsum
-        d_w = np.einsum("pkd,pkd->pk", gs_i, x[lay.pair_j] - x[lay.pair_i])
+        d_w = np.einsum("pkd,pkd->pk", gs_i,
+                        x[lay.pair_j] - np.repeat(x, lay.row_size, axis=0))
         _accum(cs, _node_major(d_x))
         _accum(w, d_w)
     return _make(_node_major((term1 - rowsum * x) * scale), (cs, w), bw)

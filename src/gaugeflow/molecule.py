@@ -31,7 +31,13 @@ class ParseError(ValueError):
 
 
 class UnsupportedElementError(KeyError):
-    """Element missing from the active valence table."""
+    """Element missing from the active valence table.
+
+    A KeyError, so lookups that catch KeyError still catch it; str() is the
+    message as written (KeyError's own str() is the repr of its argument)."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
 @dataclass

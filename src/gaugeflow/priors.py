@@ -8,7 +8,6 @@ evaluation interpolates linearly between adjacent bins.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,12 +236,6 @@ def _rank_gaussian_rows(prior: RankBinnedGaussianPrior,
     return mean, std
 
 
-def eval_rank_gaussian(prior: RankBinnedGaussianPrior, rank: float) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, std) at a rank via the same two-bin linear blend."""
-    mean, std = _rank_gaussian_rows(prior, np.array([rank], dtype=np.float64))
-    return mean[0], std[0]
-
-
 def sample_rank_gaussian(prior: RankBinnedGaussianPrior, ranks: np.ndarray,
                          rng: np.random.Generator) -> np.ndarray:
     """One coordinate row per rank; same draws as one standard_normal(d) per rank in turn."""
@@ -296,13 +289,3 @@ def prior_from_dict(doc: dict):
             np.array(doc["bin_means"]), np.array(doc["bin_stds"]), float(doc.get("beta", 0.0)),
         )
     raise ValueError(f"unknown prior kind {kind!r}")
-
-
-def save_prior(prior, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(prior_to_dict(prior), fh, sort_keys=True)
-
-
-def load_prior(path):
-    with open(path) as fh:
-        return prior_from_dict(json.load(fh))

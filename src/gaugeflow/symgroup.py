@@ -157,12 +157,6 @@ class FiniteGroupSpec:
     def dim(self) -> int:
         return self.elements.shape[1]
 
-    def inverse_index(self, index: int) -> int:
-        found = np.flatnonzero(self._matches(self.elements, self.elements[index].T))
-        if not found.size:
-            raise ValueError("inverse not found; group is not closed")
-        return int(found[0])
-
     def randomize(self, rng: np.random.Generator, *batches: np.ndarray) -> tuple:
         """Apply one uniform random element per row, the same one in every batch.
 

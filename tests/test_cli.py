@@ -204,6 +204,9 @@ def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsy
     assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "-o", out) == 3
     err = capsys.readouterr().err
     assert "Na" in err and "Si" in err
+    # the message prints as written, not as a quoted KeyError repr
+    assert err.startswith("error: checkpoint vocab holds element(s) Na, Si that ")
+    assert "'" not in err and '"' not in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -167,5 +167,7 @@ def test_compute_metrics_fields():
 def test_valence_table_unlisted_charge_is_empty():
     table = ValenceTable()
     assert table.allowed_valences(6, 5) == frozenset()
-    with pytest.raises(UnsupportedElementError):
+    with pytest.raises(UnsupportedElementError) as info:
         table.allowed_valences(2, 0)  # helium not tabulated
+    assert str(info.value) == "element Z=2 not in valence table"
+    assert isinstance(info.value, KeyError)

@@ -188,14 +188,6 @@ def test_finite_act_batch_matches_single():
             assert np.allclose(out[i], finite_act(spec, k, batch[i]))
 
 
-def test_inverse_index_roundtrip():
-    for spec in (sign_flip_group(), c4_group(), permutation_matrix_group(3)):
-        v = np.random.default_rng(7).standard_normal(spec.dim)
-        for k in range(spec.order):
-            kinv = spec.inverse_index(k)
-            assert np.allclose(finite_act(spec, kinv, finite_act(spec, k, v)), v)
-
-
 def test_haar_sample_zero_translation():
     g = haar_sample(9, np.random.default_rng(8))
     assert np.array_equal(g.trans, np.zeros(3))

@@ -250,3 +250,64 @@ def test_no_grad_records_no_graph():
         with tape.no_grad():
             raise RuntimeError("the flag is restored on the way out")
     assert tape.square(a).requires_grad
+
+
+def test_linear_matches_matmul_plus_bias():
+    x, w, b = p((5, 3), 40), p((3, 4), 41), p((4,), 42)
+    out = tape.linear(x, w, b)
+    assert np.array_equal(out.data, tape.add(tape.matmul(x, w), b).data)
+    check(lambda: tape.tsum(tape.square(tape.linear(x, w, b))), {"x": x, "w": w, "b": b})
+    # a constant input gets no adjoint; the weight and bias still do
+    const = Tensor(x.data.copy())
+    check(lambda: tape.tsum(tape.square(tape.linear(const, w, b))), {"w": w, "b": b})
+    tape.zero_grads({"w": w, "b": b})
+    tape.backward(tape.tsum(tape.square(tape.linear(const, w, b))))
+    assert const.grad is None and w.grad is not None and b.grad is not None
+    tape.backward(tape.tsum(tape.matmul(const, w)))
+    assert const.grad is None
+
+
+def test_take_cols_gathers_and_scatters():
+    a, v = p((4, 6), 43), p((6,), 44)
+    cols = np.array([1, 2, 4, 5])
+    assert np.array_equal(tape.take_cols(a, cols).data, a.data[:, cols])
+    assert np.array_equal(tape.take_cols(v, cols).data, v.data[cols])
+    check(lambda: tape.tsum(tape.square(tape.take_cols(a, cols))), {"a": a})
+    check(lambda: tape.tsum(tape.square(tape.take_cols(v, cols))), {"v": v})
+
+
+def test_pair_silu_matches_unfused_ops():
+    lay = tape.PairLayout([2, 1, 4, 3])
+    n_nodes, h = int(lay.sizes.sum()), 5
+    a, b = p((n_nodes, h), 45, scale=2.0), p((n_nodes, h), 46, scale=2.0)
+    c = p((lay.n_pairs, h), 47, scale=2.0)
+    weights = Tensor(np.random.default_rng(48).standard_normal((lay.n_pairs, h)))
+    params = {"a": a, "b": b, "c": c}
+
+    def loss(fused):
+        out = (tape.pair_silu(a, b, c, lay) if fused
+               else tape.silu(tape.add(tape.pair_sum(a, b, lay), c)))
+        return out, tape.tsum(tape.mul(tape.square(out), weights))
+
+    grads = {}
+    for fused in (True, False):
+        tape.zero_grads(params)
+        out, total = loss(fused)
+        tape.backward(total)
+        grads[fused] = (out.data.copy(), {k: t.grad.copy() for k, t in params.items()})
+    (got, got_g), (want, want_g) = grads[True], grads[False]
+    assert np.abs(got - want).max() <= 1e-10
+    for k in params:
+        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-10 * max(1.0, np.abs(want_g[k]).max())
+    check(lambda: loss(True)[1], params)
+
+
+def test_pair_silu_under_no_grad_records_nothing():
+    lay = tape.PairLayout([3, 2])
+    a, b, c = p((5, 4), 49), p((5, 4), 50), p((lay.n_pairs, 4), 51)
+    recorded = tape.pair_silu(a, b, c, lay)
+    with tape.no_grad():
+        free = tape.pair_silu(a, b, c, lay)
+    assert recorded._backward_fn is not None
+    assert not free.requires_grad and free._parents == () and free._backward_fn is None
+    assert np.array_equal(free.data, recorded.data)
