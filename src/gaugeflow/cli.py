@@ -81,11 +81,10 @@ def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None 
 def _load_train_config(path) -> TrainConfig:
     with open(path) as fh:
         doc = json.load(fh)
-    allowed = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    return TrainConfig(**doc)
+    try:
+        return TrainConfig.from_dict(doc)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _read_molecule(path: Path) -> molecule.MoleculeState:

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .symgroup import FiniteGroupSpec, haar_rotation
+from .symgroup import FiniteGroupSpec, haar_rotations
 
 MAX_EXACT = 4096
 
@@ -113,16 +113,11 @@ def kabsch_align(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np
     return r, source @ r.T
 
 
-@dataclass
-class AnnealSchedule:
-    max_epochs: int
-
-
-def ot_probability(epoch: int, schedule: AnnealSchedule) -> float:
+def ot_probability(epoch: int, max_epochs: int) -> float:
     """Linear anneal from 1 to 0: max(0, 1 - epoch / max_epochs)."""
-    if schedule.max_epochs <= 0:
+    if max_epochs <= 0:
         raise ValueError("max_epochs must be positive")
-    return max(0.0, 1.0 - epoch / schedule.max_epochs)
+    return max(0.0, 1.0 - epoch / max_epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ def group_aligned_lift(slice_pairs, group, rng: np.random.Generator,
         mats = group.elements[idx]
     elif isinstance(group, RotationLift):
         idx = None
-        mats = np.stack([haar_rotation(group.dim, rng) for _ in range(len(z0))])
+        mats = haar_rotations(group.dim, len(z0), rng)
         lifted0, lifted1 = (np.einsum("nij,nj->ni", mats, z) for z in (z0, z1))
     else:
         raise TypeError(f"unsupported group {type(group).__name__}")

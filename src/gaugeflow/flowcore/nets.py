@@ -26,18 +26,19 @@ Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
 min-max normalized to [0, 1] within each molecule.
 
-A forward runs one graph for a whole MoleculeBatch: the atom rows of all
-molecules are concatenated, and so are their pair rows, each molecule's n_b^2
-ordered pairs in i-major order (tape.PairLayout). Matmuls see the packed rows;
-only the pairwise primitives and the rank normalization know where molecules
-end, so messages never cross molecules and each molecule's heads equal those
-of its own forward up to rounding. Time, ranks and the PE drop are per
-molecule. A single LatentMolecule is a batch of one.
+The net takes a MoleculeBatch only and runs one graph for it: the atom rows
+of all molecules are concatenated, and so are their pair rows, each
+molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout). Matmuls
+see the packed rows; only the pairwise primitives and the rank normalization
+know where molecules end, so messages never cross molecules and each
+molecule's heads equal those of its own forward up to rounding. Time, ranks
+and the PE drop are per molecule. One LatentMolecule runs as
+MoleculeBatch.pack([latent]).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,13 +211,9 @@ class MoleculeBatch:
         return out
 
 
-def as_batch(z_t) -> MoleculeBatch:
-    return z_t if isinstance(z_t, MoleculeBatch) else MoleculeBatch.pack([z_t])
-
-
 @dataclass
 class Predictions:
-    """Heads in the input's row layout: (N, .) and (N^2, .) for one molecule."""
+    """Heads in the batch's row layout: node rows and i-major pair rows."""
 
     velocity: Tensor        # (nodes, 3)
     atom_logits: Tensor     # (nodes, Ca)
@@ -265,14 +262,14 @@ class CanonLiteNet(Module):
         self.head_bond = Linear(c.d_edge, c.n_bond_classes, rng)
         self.head_rank = Linear(c.d_model, 1, rng)
 
-    def __call__(self, z_t, t, ranks: np.ndarray, pe_dropped=False) -> Predictions:
-        """Heads for a LatentMolecule or a MoleculeBatch.
+    def __call__(self, batch: MoleculeBatch, t, ranks: np.ndarray,
+                 pe_dropped=False) -> Predictions:
+        """Heads for a MoleculeBatch.
 
         t and pe_dropped are scalars or one value per molecule; ranks has one
         entry per atom row and is ignored for molecules whose PE is dropped.
         """
         c = self.cfg
-        batch = as_batch(z_t)
         lay = batch.layout
         n_mols = len(lay.sizes)
         pe_data = canonical_pe(np.asarray(ranks, dtype=np.float64), c.d_pe, c.pe_scale)
@@ -316,12 +313,12 @@ class CanonLiteNet(Module):
             hidden = tape.pair_silu(from_i, from_j, from_pair, lay)
             # second layer: node and rank messages are only used as means over j
             pooled = lin_out(tape.block_mean_rows(hidden, lay))
-            m_node = tape.slice_cols(pooled, 0, c.d_model)
-            m_rank = tape.slice_cols(pooled, rank_at, c.d_rank)
+            m_node = tape.take_cols(pooled, slice(0, c.d_model))
+            m_rank = tape.take_cols(pooled, slice(rank_at, rank_at + c.d_rank))
             m_pair = tape.linear(hidden, tape.take_cols(lin_out.weight, pair_cols),
                                  tape.take_cols(lin_out.bias, pair_cols))
-            m_coord = tape.slice_cols(m_pair, 0, c.n_coord_sets)
-            m_edge = tape.slice_cols(m_pair, c.n_coord_sets, c.d_edge)
+            m_coord = tape.take_cols(m_pair, slice(0, c.n_coord_sets))
+            m_edge = tape.take_cols(m_pair, slice(c.n_coord_sets, None))
             h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
             r = tape.add(r, layer.rank_update(m_rank))

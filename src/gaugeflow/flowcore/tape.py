@@ -3,17 +3,17 @@
 A Tensor records its parents and a backward closure; backward() walks the
 graph in reverse topological order and accumulates gradients on every tensor
 that requires them. Inside `with no_grad():` ops record nothing, so inference
-keeps no graph alive. Ops cover what the networks here need: broadcasting
-arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`, reductions,
-activations, softmax cross-entropy, and a few pairwise-message primitives
-whose adjoints are cheaper written by hand than composed from smaller pieces.
-The adjoints of matmul and linear skip g @ W.T when the left operand needs no
-gradient (constant features, one-hot edges).
+keeps no graph alive. The ops are the ones the networks here call:
+broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
+reductions, SiLU, softmax cross-entropy, and a few pairwise-message
+primitives whose adjoints are cheaper written by hand than composed from
+smaller pieces. The adjoints of matmul and linear skip g @ W.T when the left
+operand needs no gradient (constant features, one-hot edges).
 
-The pairwise primitives work on a packed batch described by a PairLayout:
-the atom ("node") rows of all molecules are concatenated, and so are their
-ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order. One
-molecule is the layout with one segment. Sums over a node's pairs, in the
+The pairwise primitives take a packed batch and its PairLayout, and nothing
+else: the atom ("node") rows of all molecules are concatenated, and so are
+their ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order.
+One molecule of n atoms is PairLayout([n]). Sums over a node's pairs, in the
 ops and in their adjoints, are products with sparse 0/1 block-sum matrices
 the layout builds once (contiguous i-major blocks for the sum over j, the
 precomputed pair transposition for the sum over i). pair_silu builds a
@@ -48,40 +48,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 _grad_enabled = True
@@ -190,30 +158,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data / b.data, (a, b), bw)
 
 
-def pow_const(a: Tensor, p: float) -> Tensor:
-    def bw(g):
-        _accum(a, g * p * a.data ** (p - 1))
-    return _make(a.data ** p, (a,), bw)
-
-
 def square(a: Tensor) -> Tensor:
-    return pow_const(a, 2.0)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
     def bw(g):
-        _accum(a, g * out_data)
-    return _make(out_data, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - out_data ** 2))
-    return _make(out_data, (a,), bw)
+        _accum(a, g * 2.0 * a.data)
+    return _make(np.square(a.data), (a,), bw)
 
 
 def _stable_sigmoid(x) -> np.ndarray:
@@ -223,14 +171,6 @@ def _stable_sigmoid(x) -> np.ndarray:
     out *= 0.5
     out += 0.5
     return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = _stable_sigmoid(a.data)
-
-    def bw(g):
-        _accum(a, g * out_data * (1.0 - out_data))
-    return _make(out_data, (a,), bw)
 
 
 def _silu_into(x: np.ndarray, out: np.ndarray, record: bool):
@@ -322,10 +262,6 @@ def slice_rows(a: Tensor, start: int, size: int) -> Tensor:
     return _make(a.data[start:start + size], (a,), bw)
 
 
-def slice_cols(a: Tensor, start: int, size: int) -> Tensor:
-    return take_cols(a, slice(start, start + size))
-
-
 def take_cols(a: Tensor, cols) -> Tensor:
     """Last-axis entries `cols` (a slice, or an index array without repeats)."""
     def bw(g):
@@ -359,7 +295,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
     flat = a.data.reshape(-1)
-    bounds = np.zeros(1, dtype=np.int64) if starts is None else np.asarray(starts)
+    bounds = np.asarray(starts)
     value = ufunc.reduceat(flat, bounds)
     lengths = np.diff(np.append(bounds, flat.size))
     # first position holding its segment's extreme, as np.argmin/np.argmax pick
@@ -371,16 +307,16 @@ def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
         full = np.zeros(flat.size)
         full[idx] = np.reshape(g, -1)
         _accum(a, full.reshape(a.data.shape))
-    return _make(value.reshape(() if starts is None else value.shape), (a,), bw)
+    return _make(value, (a,), bw)
 
 
-def reduce_min(a: Tensor, starts=None) -> Tensor:
-    """Min over all entries (a scalar), or over each segment flat[starts[s]:starts[s+1]]
-    of the flattened entries (shape (S,)); the gradient goes to the first minimum."""
+def reduce_min(a: Tensor, starts) -> Tensor:
+    """Min over each segment flat[starts[s]:starts[s+1]] of the flattened
+    entries (shape (S,)); the gradient goes to the first minimum."""
     return _reduce_extreme(a, starts, np.minimum)
 
 
-def reduce_max(a: Tensor, starts=None) -> Tensor:
+def reduce_max(a: Tensor, starts) -> Tensor:
     """Max counterpart of reduce_min."""
     return _reduce_extreme(a, starts, np.maximum)
 
@@ -435,11 +371,6 @@ class PairLayout:
         return len(self.pair_i)
 
 
-def _layout(layout, n: int) -> PairLayout:
-    """A PairLayout as given, or the one-molecule layout of n atoms."""
-    return layout if isinstance(layout, PairLayout) else PairLayout([n])
-
-
 def repeat_rows(a: Tensor, times) -> Tensor:
     """Row r repeated times[r] consecutive times (an int repeats every row equally):
     with times = n, pair row (i, j) of one molecule sees a[i]."""
@@ -461,47 +392,37 @@ def tile_rows(a: Tensor, times: int) -> Tensor:
     return _make(np.tile(a.data, (times, 1)), (a,), bw)
 
 
-def pair_sum(a: Tensor, b: Tensor, layout: PairLayout | None = None) -> Tensor:
+def pair_sum(a: Tensor, b: Tensor, lay: PairLayout) -> Tensor:
     """a, b (nodes, c) -> (pairs, c) with out[(i, j)] = a[i] + b[j]."""
-    lay = _layout(layout, a.data.shape[0])
-
     def bw(g):
         _accum(a, lay.sum_j @ g)
         _accum(b, lay.sum_i @ g)
     return _make(lay.pair_gather @ np.concatenate([a.data, b.data]), (a, b), bw)
 
 
-def block_mean_rows(a: Tensor, block) -> Tensor:
-    """Mean within consecutive row blocks: (pairs, c) -> (nodes, c) over each
-    node's pair block (aggregate over j) for a PairLayout, or blocks of `block`
-    rows for an int."""
-    if isinstance(block, PairLayout):
-        sums, counts = block.sum_j, block.row_size
-    else:
-        counts = np.full(a.data.shape[0] // block, block)
-        sums = _block_sums(counts)
+def block_mean_rows(a: Tensor, lay: PairLayout) -> Tensor:
+    """(pairs, c) -> (nodes, c): the mean over each node's pair block (over j)."""
+    counts = lay.row_size
     scale = 1.0 / counts[:, None]
 
     def bw(g):
         _accum(a, np.repeat(g * scale, counts, axis=0))
-    return _make((sums @ a.data) * scale, (a,), bw)
+    return _make((lay.sum_j @ a.data) * scale, (a,), bw)
 
 
-def transpose_pairs(a: Tensor, layout) -> Tensor:
-    """Swap pair roles: row (i, j) -> row (j, i). Involution. `layout` is a
-    PairLayout or the atom count of one molecule."""
-    perm = _layout(layout, layout).transpose
+def transpose_pairs(a: Tensor, lay: PairLayout) -> Tensor:
+    """Swap pair roles: row (i, j) -> row (j, i). Involution."""
+    perm = lay.transpose
 
     def bw(g):
         _accum(a, g[perm])
     return _make(a.data[perm], (a,), bw)
 
 
-def pair_silu(a: Tensor, b: Tensor, c: Tensor, layout: PairLayout | None = None) -> Tensor:
+def pair_silu(a: Tensor, b: Tensor, c: Tensor, lay: PairLayout) -> Tensor:
     """a, b (nodes, h), c (pairs, h) -> (pairs, h) with
     out[(i, j)] = silu(a[i] + b[j] + c[(i, j)]), built and activated in one buffer.
     The SiLU slope is kept only while the tape records."""
-    lay = _layout(layout, a.data.shape[0])
     pre = lay.pair_gather @ np.concatenate([a.data, b.data])
     pre += c.data
     slope = _silu_into(pre, pre, _recording((a, b, c)))
@@ -519,9 +440,8 @@ def _node_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
-def pairwise_dot(cs: Tensor, layout: PairLayout | None = None) -> Tensor:
+def pairwise_dot(cs: Tensor, lay: PairLayout) -> Tensor:
     """cs (K, nodes, D) -> (pairs, K) with out[(i, j), k] = <cs[k,i], cs[k,j]>."""
-    lay = _layout(layout, cs.data.shape[1])
     x = _node_major(cs.data)
     dots = np.einsum("pkd,pkd->pk", np.repeat(x, lay.row_size, axis=0), x[lay.pair_j])
 
@@ -533,13 +453,12 @@ def pairwise_dot(cs: Tensor, layout: PairLayout | None = None) -> Tensor:
     return _make(dots, (cs,), bw)
 
 
-def coord_mix(cs: Tensor, w: Tensor, layout: PairLayout | None = None) -> Tensor:
+def coord_mix(cs: Tensor, w: Tensor, lay: PairLayout) -> Tensor:
     """Weighted relative coordinate aggregation.
 
     cs (K, nodes, D), w (pairs, K) -> delta (K, nodes, D) with
     delta[k,i] = (1/n_b) * sum_j w[(i,j),k] * (cs[k,j] - cs[k,i]).
     """
-    lay = _layout(layout, cs.data.shape[1])
     x = _node_major(cs.data)
     scale = 1.0 / lay.row_size[:, None, None]
     wk = w.data[:, :, None]                                    # (pairs, K, 1)

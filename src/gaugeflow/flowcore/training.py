@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .. import coupling as coupling_mod
 from .. import priors as priors_mod
 from ..molecule import MoleculeState
 from . import tape
-from .nets import (CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch,
-                   VectorFieldMLP, as_batch)
+from .nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch, VectorFieldMLP
 from .tape import Tensor
 
 CHECKPOINT_VERSION = 1
@@ -64,6 +63,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
+        """The config a dict holds; a key TrainConfig does not have is a ValueError."""
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**doc)
 
 
@@ -191,11 +194,6 @@ def integrate_vector_field(net: VectorFieldMLP, z_start: np.ndarray, n_steps: in
 # Model container
 
 
-def _params_to_doc(params: dict[str, Tensor]) -> dict:
-    return {k: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for k, p in params.items()}
-
-
 def _arrays_to_doc(arrays: dict[str, np.ndarray]) -> dict:
     return {k: {"shape": list(a.shape), "data": a.ravel().tolist()}
             for k, a in arrays.items()}
@@ -235,7 +233,7 @@ class FlowModel:
             "kind": self.kind,
             "net_config": net_cfg,
             "train_config": self.train_config.to_dict(),
-            "params": _params_to_doc(self.net.parameters()),
+            "params": _arrays_to_doc({k: p.data for k, p in self.net.parameters().items()}),
             "ema": _arrays_to_doc(self.ema),
             "priors": {k: priors_mod.prior_to_dict(v) for k, v in self.priors.items()},
             "meta": self.meta,
@@ -246,22 +244,33 @@ class FlowModel:
 
     @classmethod
     def load(cls, path) -> "FlowModel":
+        """Read a checkpoint. A file whose configs, parameter or EMA names, or
+        stored shapes do not fit the architecture it names is a ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version!r}")
         kind = doc["kind"]
-        if kind == "vector_field":
-            net = VectorFieldMLP(**doc["net_config"])
-        elif kind == "canonlite":
-            net = CanonLiteNet(CanonLiteConfig(**doc["net_config"]))
-        else:
+        if kind not in ("vector_field", "canonlite"):
             raise ValueError(f"unknown model kind {kind!r}")
+        try:
+            net = (VectorFieldMLP(**doc["net_config"]) if kind == "vector_field"
+                   else CanonLiteNet(CanonLiteConfig(**doc["net_config"])))
+        except TypeError as exc:        # a net_config key the architecture lacks, or misses
+            raise ValueError(f"checkpoint net_config does not fit {kind}: {exc}") from None
         params = net.parameters()
         stored = _doc_to_arrays(doc["params"])
-        if set(stored) != set(params):
-            raise ValueError("checkpoint parameters do not match the architecture")
+        ema = _doc_to_arrays(doc["ema"])
+        for what, arrays in (("parameters", stored), ("EMA", ema)):
+            odd = sorted(set(arrays) ^ set(params))
+            if odd:
+                raise ValueError(f"checkpoint {what} do not match the architecture: "
+                                 f"{', '.join(odd)}")
+            for k, arr in arrays.items():
+                if arr.shape != params[k].data.shape:
+                    raise ValueError(f"checkpoint {what} {k} has shape {arr.shape}, "
+                                     f"the architecture needs {params[k].data.shape}")
         for k, arr in stored.items():
             params[k].data = arr
         return cls(
@@ -269,7 +278,7 @@ class FlowModel:
             net=net,
             train_config=TrainConfig.from_dict(doc["train_config"]),
             priors={k: priors_mod.prior_from_dict(v) for k, v in doc["priors"].items()},
-            ema=_doc_to_arrays(doc["ema"]),
+            ema=ema,
             meta=doc.get("meta", {}),
             step=int(doc.get("step", 0)),
         )
@@ -286,14 +295,14 @@ def trace_to_csv(trace: list[dict], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Training: toy vector data
+# The training loop
 
 
 def _ot_prob(cfg: TrainConfig, epoch: int) -> float:
     if cfg.ot_mode == "none":
         return 0.0
     if cfg.ot_anneal:
-        return coupling_mod.ot_probability(epoch, coupling_mod.AnnealSchedule(cfg.epochs))
+        return coupling_mod.ot_probability(epoch, cfg.epochs)
     return 1.0
 
 
@@ -303,6 +312,42 @@ def _check_finite(value: float, parts: dict, epoch: int, step: int) -> None:
             f"non-finite loss at epoch {epoch} step {step}: "
             + ", ".join(f"{k}={v:.4g}" for k, v in parts.items())
         )
+
+
+def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict]]:
+    """Adam with warmup and an EMA shadow over cfg.epochs x cfg.steps_per_epoch steps.
+
+    step_loss(epoch) draws one batch and returns (loss Tensor, parts),
+    parts being named float loss terms averaged into the trace. After each
+    epoch epoch_stats(epoch) returns the validation columns; it runs under
+    no_grad. Returns (EMA state, trace), one trace row per epoch: epoch, loss,
+    the validation columns, then the parts.
+    """
+    params = net.parameters()
+    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+               warmup_steps=cfg.warmup_steps)
+    ema = EMA(params, cfg.ema_decay)
+    trace = []
+    for epoch in range(cfg.epochs):
+        losses, part_sums = [], {}
+        for step in range(cfg.steps_per_epoch):
+            tape.zero_grads(params)
+            loss, parts = step_loss(epoch)
+            loss_val = loss.item()
+            _check_finite(loss_val, {"loss": loss_val, **parts}, epoch, step)
+            tape.backward(loss)
+            del loss            # release the recorded graph before the next forward
+            opt.step()
+            ema.update(params)
+            losses.append(loss_val)
+            for k, v in parts.items():
+                part_sums[k] = part_sums.get(k, 0.0) + v
+        with tape.no_grad():
+            row = {"epoch": epoch, "loss": float(np.mean(losses)), **epoch_stats(epoch)}
+        for k, v in part_sums.items():
+            row[k] = v / cfg.steps_per_epoch
+        trace.append(row)
+    return ema.state(), trace
 
 
 def _train_vectors(data: np.ndarray, cfg: TrainConfig, prior, val_data):
@@ -315,12 +360,7 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig, prior, val_data):
         n_val = max(16, n // 10)
         val_data = data[-n_val:]
         data = data[:-n_val] if n - n_val >= 2 else data
-
     net = VectorFieldMLP(dim, rng=np.random.default_rng([cfg.seed, 1]))
-    params = net.parameters()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               warmup_steps=cfg.warmup_steps)
-    ema = EMA(params, cfg.ema_decay)
 
     # frozen validation path set: reused every epoch so rows are comparable
     val_rng = np.random.default_rng([cfg.seed, 2])
@@ -328,45 +368,29 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig, prior, val_data):
     v_t = sample_times(len(val_data), cfg.time_dist, val_rng)
     v_path = interpolate(val_data, v_noise, v_t, cfg.coord_noise, val_rng)
 
-    trace = []
-    step_total = 0
-    for epoch in range(cfg.epochs):
+    def step_loss(epoch):
         p_ot = _ot_prob(cfg, epoch)
-        losses = []
-        for step in range(cfg.steps_per_epoch):
-            idx = rng.integers(0, data.shape[0], cfg.batch_size)
-            z0 = data[idx]
-            z1 = priors_mod.sample_gaussian(prior, cfg.batch_size, rng)
-            if p_ot > 0 and rng.random() < p_ot:
-                plan = coupling_mod.ot_pair(z0, z1, "exact" if cfg.ot_mode != "sinkhorn" else "sinkhorn")
-                z1 = z1[plan.noise_permutation()]
-            t = sample_times(cfg.batch_size, cfg.time_dist, rng)
-            path = interpolate(z0, z1, t, cfg.coord_noise, rng)
-            tape.zero_grads(params)
-            pred = net(path.z_t, path.t)
-            loss = tape.mse(pred, path.target_velocity)
-            loss_val = loss.item()
-            _check_finite(loss_val, {"loss": loss_val}, epoch, step)
-            tape.backward(loss)
-            opt.step()
-            ema.update(params)
-            losses.append(loss_val)
-            step_total += 1
+        idx = rng.integers(0, data.shape[0], cfg.batch_size)
+        z0 = data[idx]
+        z1 = priors_mod.sample_gaussian(prior, cfg.batch_size, rng)
+        if p_ot > 0 and rng.random() < p_ot:
+            plan = coupling_mod.ot_pair(z0, z1, "exact" if cfg.ot_mode != "sinkhorn" else "sinkhorn")
+            z1 = z1[plan.noise_permutation()]
+        t = sample_times(cfg.batch_size, cfg.time_dist, rng)
+        path = interpolate(z0, z1, t, cfg.coord_noise, rng)
+        return tape.mse(net(path.z_t, path.t), path.target_velocity), {}
 
-        val_loss = tape.mse(net(v_path.z_t, v_path.t), v_path.target_velocity).item()
+    def epoch_stats(epoch):
         ed_rng = np.random.default_rng([cfg.seed, 3, epoch])
         z_start = priors_mod.sample_gaussian(prior, min(256, 2 * len(val_data)), ed_rng)
         gen = integrate_vector_field(net, z_start, 10)
-        trace.append({
-            "epoch": epoch,
-            "loss": float(np.mean(losses)),
-            "val_loss": val_loss,
-            "val_energy_distance": energy_distance(gen, val_data),
-        })
+        return {"val_loss": tape.mse(net(v_path.z_t, v_path.t), v_path.target_velocity).item(),
+                "val_energy_distance": energy_distance(gen, val_data)}
 
+    ema, trace = _fit(net, cfg, step_loss, epoch_stats)
     model = FlowModel(
-        kind="vector_field", net=net, train_config=cfg,
-        priors={"noise": prior}, ema=ema.state(), meta={"dim": dim}, step=step_total,
+        kind="vector_field", net=net, train_config=cfg, priors={"noise": prior},
+        ema=ema, meta={"dim": dim}, step=cfg.epochs * cfg.steps_per_epoch,
     )
     return model, trace
 
@@ -548,7 +572,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def guided_forward(net: CanonLiteNet, state, t: float, ranks: np.ndarray,
+def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.ndarray,
                    w: float) -> dict[str, np.ndarray]:
     """Guided heads v_u + w (v_c - v_u) as arrays, with no tape recorded.
 
@@ -556,7 +580,6 @@ def guided_forward(net: CanonLiteNet, state, t: float, ranks: np.ndarray,
     w = 0 the unconditional one only, and any other w runs both copies as one
     packed forward. rank_raw comes from the conditional copy when one runs.
     """
-    batch = as_batch(state)
     with tape.no_grad():
         if w == 1.0 or w == 0.0:
             preds = net(batch, t, ranks, pe_dropped=(w == 0.0))
@@ -576,11 +599,11 @@ def guided_forward(net: CanonLiteNet, state, t: float, ranks: np.ndarray,
     return out
 
 
-def euler_step(net: CanonLiteNet, state, t_from: float, t_to: float, ranks: np.ndarray,
-               cfg_scale: float, rng: np.random.Generator):
-    """One molecular Euler step of a LatentMolecule or a MoleculeBatch.
+def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: float,
+               ranks: np.ndarray, cfg_scale: float, rng: np.random.Generator):
+    """One molecular Euler step of a MoleculeBatch.
 
-    Returns the new state (of the input's kind) and the raw rank scores.
+    Returns the new MoleculeBatch and the raw rank scores.
     Coordinates follow the guided velocity, clipped to +-COORD_CLIP; each
     categorical entry is redrawn from its predicted class distribution with
     probability (t_from - t_to) / t_from. Draws come in the order: atom-type
@@ -589,7 +612,6 @@ def euler_step(net: CanonLiteNet, state, t_from: float, t_to: float, ranks: np.n
     """
     if not 0.0 <= t_to < t_from <= 1.0:
         raise ValueError("expected 0 <= t_to < t_from <= 1")
-    batch = as_batch(state)
     lay = batch.layout
     out = guided_forward(net, batch, t_from, ranks, cfg_scale)
     coords = batch.coords + (t_to - t_from) * out["velocity"]
@@ -616,10 +638,7 @@ def euler_step(net: CanonLiteNet, state, t_from: float, t_to: float, ranks: np.n
     bond_idx[upper] = values
     bond_idx[lay.transpose[upper]] = values
 
-    stepped = MoleculeBatch(coords, type_idx, charge_idx, bond_idx, lay)
-    if isinstance(state, LatentMolecule):
-        return stepped.unpack()[0], out["rank_raw"]
-    return stepped, out["rank_raw"]
+    return MoleculeBatch(coords, type_idx, charge_idx, bond_idx, lay), out["rank_raw"]
 
 
 def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
@@ -658,50 +677,27 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
             n_charge_classes=len(vocab["charge_classes"]),
         )
     net = CanonLiteNet(net_config, rng=np.random.default_rng([cfg.seed, 1]))
-    params = net.parameters()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               warmup_steps=cfg.warmup_steps)
-    ema = EMA(params, cfg.ema_decay)
-
-    trace = []
-    step_total = 0
     batch = max(1, min(cfg.batch_size, len(encoded)))
     n_bond = net_config.n_bond_classes
-    for epoch in range(cfg.epochs):
-        losses, part_sums = [], {}
-        for step in range(cfg.steps_per_epoch):
-            idx = rng.integers(0, len(encoded), batch)
-            tape.zero_grads(params)
-            examples = [draw_example(encoded[i], priors, n_bond, cfg, rng) for i in idx]
-            batch_total, batch_parts = molecular_fm_loss(net, examples, cfg)
-            loss_val = batch_total.item()
-            _check_finite(loss_val, batch_parts, epoch, step)
-            tape.backward(batch_total)
-            del batch_total     # release the recorded graph before the next forward
-            opt.step()
-            ema.update(params)
-            losses.append(loss_val)
-            for k, v in batch_parts.items():
-                part_sums[k] = part_sums.get(k, 0.0) + v
-            step_total += 1
 
+    def step_loss(epoch):
+        idx = rng.integers(0, len(encoded), batch)
+        examples = [draw_example(encoded[i], priors, n_bond, cfg, rng) for i in idx]
+        return molecular_fm_loss(net, examples, cfg)
+
+    def epoch_stats(epoch):
         val_rng = np.random.default_rng([cfg.seed, 2, epoch])
         val_examples = [draw_example(latent0, priors, n_bond, cfg, val_rng)
                         for latent0 in encoded_val]
-        with tape.no_grad():
-            val_loss = molecular_fm_loss(net, val_examples, cfg)[0].item()
+        val_loss = molecular_fm_loss(net, val_examples, cfg)[0].item()
         ed_rng = np.random.default_rng([cfg.seed, 3, epoch])
         val_ed = _molecular_energy_distance(net, encoded_val, priors, n_bond, ed_rng)
-        row = {"epoch": epoch, "loss": float(np.mean(losses)),
-               "val_loss": val_loss,
-               "val_energy_distance": float(val_ed)}
-        for k, v in part_sums.items():
-            row[k] = v / cfg.steps_per_epoch
-        trace.append(row)
+        return {"val_loss": val_loss, "val_energy_distance": float(val_ed)}
 
+    ema, trace = _fit(net, cfg, step_loss, epoch_stats)
     model = FlowModel(
         kind="canonlite", net=net, train_config=cfg, priors=priors,
-        ema=ema.state(), meta={"vocab": vocab}, step=step_total,
+        ema=ema, meta={"vocab": vocab}, step=cfg.epochs * cfg.steps_per_epoch,
     )
     return model, trace
 

@@ -86,29 +86,37 @@ def center(z: MoleculeState) -> MoleculeState:
 
 
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q / np.linalg.norm(q)
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    """Rotation matrix of a quaternion (w, x, y, z); (..., 4) -> (..., 3, 3)."""
+    q = np.asarray(q, dtype=np.float64)
+    # each norm is one dot product, as np.linalg.norm takes it for a single q
+    w, x, y, z = np.moveaxis(q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0], -1, 0)
+    return np.stack([
+        np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+        np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+        np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+    ], -2)
+
+
+def haar_rotations(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent uniform rotations (n, d, d): an angle for SO(2), a unit
+    quaternion for SO(3), QR otherwise. All draws come in one call, in the
+    stream order of n single draws."""
+    if d == 2:
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    if d == 3:
+        return rotation_from_quaternion(rng.standard_normal((n, 4)))
+    # Mezzadri construction: QR of a Gaussian matrix with sign-fixed R diagonal
+    q, r = np.linalg.qr(rng.standard_normal((n, d, d)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    return q
 
 
 def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation: angle for SO(2), unit quaternion for SO(3), QR otherwise."""
-    if d == 2:
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.array([[c, -s], [s, c]])
-    if d == 3:
-        return rotation_from_quaternion(rng.standard_normal(4))
-    # Mezzadri construction: QR of a Gaussian matrix with sign-fixed R diagonal
-    a = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    """One uniform random rotation of R^d."""
+    return haar_rotations(d, 1, rng)[0]
 
 
 def haar_sample(n_atoms: int, rng: np.random.Generator) -> GroupElement:

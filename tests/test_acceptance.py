@@ -17,7 +17,7 @@ from gaugeflow import symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.coupling import kabsch_align, ot_pair
 from gaugeflow.flowcore import tape, toydata
-from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, LatentMolecule
+from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import TrainConfig, energy_distance, train
 from gaugeflow.sampler import (SampleConfig, finite_group_randomize,
@@ -184,10 +184,12 @@ def test_kabsch_recovers_planted_rotation():
 def _full_head_loss(net, z_t, ranks, target_coords, target_types):
     # touches every head and both positional-encoding branches so each
     # parameter carries gradient signal
+    batch = MoleculeBatch.pack([z_t])
+
     def fn():
         total = None
         for dropped in (False, True):
-            preds = net(z_t, 0.4, ranks, pe_dropped=dropped)
+            preds = net(batch, 0.4, ranks, pe_dropped=dropped)
             part = tape.mse(preds.velocity, target_coords)
             part = tape.add(part, tape.softmax_cross_entropy(
                 preds.atom_logits, target_types))

@@ -94,13 +94,12 @@ def test_kabsch_reflection_blocked():
 
 
 def test_ot_probability_schedule():
-    sched = coupling.AnnealSchedule(max_epochs=10)
-    assert coupling.ot_probability(0, sched) == 1.0
-    assert coupling.ot_probability(5, sched) == 0.5
-    assert coupling.ot_probability(10, sched) == 0.0
-    assert coupling.ot_probability(25, sched) == 0.0
+    assert coupling.ot_probability(0, 10) == 1.0
+    assert coupling.ot_probability(5, 10) == 0.5
+    assert coupling.ot_probability(10, 10) == 0.0
+    assert coupling.ot_probability(25, 10) == 0.0
     with pytest.raises(ValueError):
-        coupling.ot_probability(0, coupling.AnnealSchedule(max_epochs=0))
+        coupling.ot_probability(0, 0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -16,6 +16,7 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     """CanonLite with the message MLP applied to all N^2 concatenated pair rows."""
     c = net.cfg
     n = z_t.n_atoms
+    lay = tape.PairLayout([n])
     if pe_dropped:
         pe = tape.tile_rows(net.fake_pe, n)
     else:
@@ -35,19 +36,20 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         msg = layer.msg_mlp(tape.concat([
             tape.repeat_rows(p, n), tape.tile_rows(p, n),
             tape.repeat_rows(q, n), tape.tile_rows(q, n),
-            tape.pairwise_dot(cs), e,
+            tape.pairwise_dot(cs, lay), e,
         ], axis=1))
-        m_node = tape.slice_cols(msg, 0, c.d_model)
-        m_coord = tape.slice_cols(msg, c.d_model, c.n_coord_sets)
-        m_rank = tape.slice_cols(msg, c.d_model + c.n_coord_sets, c.d_rank)
-        m_edge = tape.slice_cols(msg, c.d_model + c.n_coord_sets + c.d_rank, c.d_edge)
-        h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, n)))
-        cs = tape.add(cs, tape.coord_mix(cs, m_coord))
-        r = tape.add(r, layer.rank_update(tape.block_mean_rows(m_rank, n)))
+        rank_at = c.d_model + c.n_coord_sets
+        m_node = tape.take_cols(msg, slice(0, c.d_model))
+        m_coord = tape.take_cols(msg, slice(c.d_model, rank_at))
+        m_rank = tape.take_cols(msg, slice(rank_at, rank_at + c.d_rank))
+        m_edge = tape.take_cols(msg, slice(rank_at + c.d_rank, rank_at + c.d_rank + c.d_edge))
+        h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, lay)))
+        cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
+        r = tape.add(r, layer.rank_update(tape.block_mean_rows(m_rank, lay)))
         e = tape.add(e, layer.edge_update(m_edge))
-    e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, n)), Tensor(0.5))
+    e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, lay)), Tensor(0.5))
     rank_raw = tape.reshape(net.head_rank(h), (n,))
-    lo, hi = tape.reduce_min(rank_raw), tape.reduce_max(rank_raw)
+    lo, hi = tape.reduce_min(rank_raw, [0]), tape.reduce_max(rank_raw, [0])
     span = tape.maximum_const(tape.sub(hi, lo), 1e-6)
     return Predictions(
         velocity=tape.stack_mix(cs, net.head_vel),
@@ -97,11 +99,12 @@ def test_factorized_messages_match_concat_form(n, pe_dropped):
     rng = np.random.default_rng([n, int(pe_dropped), 31])
     net = CanonLiteNet(cfg, rng)
     z_t = random_latent(rng, n, cfg)
+    batch = MoleculeBatch.pack([z_t])
     ranks = rng.permutation(n) / n
-    preds = net(z_t, 0.3, ranks, pe_dropped=pe_dropped)
+    preds = net(batch, 0.3, ranks, pe_dropped=pe_dropped)
     weights = {k: rng.standard_normal(getattr(preds, k).shape) for k in HEADS}
     heads, grads = heads_and_grads(
-        lambda: net(z_t, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
+        lambda: net(batch, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
     ref_heads, ref_grads = heads_and_grads(
         lambda: concat_forward(net, z_t, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
     for k in HEADS:

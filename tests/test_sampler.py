@@ -112,10 +112,12 @@ def test_euler_step_draws_stay_in_range_at_the_top_edge(mol_model):
     # each draw must be the last class, even for rows whose float cumsum ends
     # below 1 (27% of random 5-class softmax rows)
     net = mol_model.net
-    latent = sample_molecular_noise(7, mol_model.priors, net.cfg.n_bond_classes,
-                                    np.random.default_rng(33))
+    latent = MoleculeBatch.pack([sample_molecular_noise(7, mol_model.priors,
+                                                        net.cfg.n_bond_classes,
+                                                        np.random.default_rng(33))])
     stepped, _ = sampler.euler_step(net, latent, 1.0, 0.0, np.arange(7) / 7, 1.0,
                                     _EdgeRng(34))
+    stepped = stepped.unpack()[0]
     assert np.all(stepped.type_idx == net.cfg.n_atom_classes - 1)
     assert np.all(stepped.charge_idx == net.cfg.n_charge_classes - 1)
     iu = np.triu_indices(7, k=1)
@@ -153,7 +155,8 @@ def test_model_kind_guards(mol_model, vec_model):
 def test_guidance_endpoints_and_mixing(mol_model):
     net = mol_model.net
     rng = np.random.default_rng(30)
-    latent = sample_molecular_noise(5, mol_model.priors, net.cfg.n_bond_classes, rng)
+    latent = MoleculeBatch.pack([sample_molecular_noise(5, mol_model.priors,
+                                                        net.cfg.n_bond_classes, rng)])
     ranks = np.arange(5) / 5
     cond = net(latent, 0.5, ranks)
     unc = net(latent, 0.5, ranks, pe_dropped=True)
@@ -182,8 +185,9 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
     for k, got in packed.items():
         want = []
         for latent, r in zip(latents, ranks):
-            cond = getattr(net(latent, 0.7, r), k).data
-            unc = getattr(net(latent, 0.7, r, pe_dropped=True), k).data
+            one = MoleculeBatch.pack([latent])
+            cond = getattr(net(one, 0.7, r), k).data
+            unc = getattr(net(one, 0.7, r, pe_dropped=True), k).data
             if k == "rank_raw":      # the conditional copy's, when one runs
                 want.append(unc if w == 0.0 else cond)
             else:
@@ -217,11 +221,13 @@ def test_rank_estimate_normalization():
 def test_euler_step_coords_and_structure(mol_model):
     net = mol_model.net
     rng = np.random.default_rng(31)
-    latent = sample_molecular_noise(6, mol_model.priors, net.cfg.n_bond_classes, rng)
+    latent = MoleculeBatch.pack([sample_molecular_noise(6, mol_model.priors,
+                                                        net.cfg.n_bond_classes, rng)])
     ranks = np.arange(6) / 6
     out = guided_forward(net, latent, 1.0, ranks, 1.0)
     stepped, _ = sampler.euler_step(net, latent, 1.0, 0.5, ranks, 1.0,
                                     np.random.default_rng(32))
+    stepped = stepped.unpack()[0]
     assert np.allclose(stepped.coords,
                        np.clip(latent.coords - 0.5 * out["velocity"], -1e3, 1e3))
     assert np.array_equal(stepped.bond_idx, stepped.bond_idx.T)

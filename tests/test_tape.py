@@ -23,7 +23,6 @@ def test_arithmetic_ops():
     params = {"a": a, "b": b}
     check(lambda: tape.tsum(tape.mul(tape.add(a, b), tape.sub(a, b))), params)
     check(lambda: tape.tsum(tape.div(a, tape.add(tape.square(b), Tensor(np.full((4, 3), 0.5))))), params)
-    check(lambda: tape.tsum(tape.pow_const(tape.square(a), 1.5)), params)
 
 
 def test_broadcast_gradients():
@@ -35,17 +34,14 @@ def test_broadcast_gradients():
 
 def test_nonlinearities():
     a = p((6, 4), 4, scale=2.0)
-    check(lambda: tape.tsum(tape.exp(tape.mul(a, Tensor(np.full((6, 4), 0.3))))), {"a": a})
-    check(lambda: tape.tsum(tape.tanh(a)), {"a": a})
-    check(lambda: tape.tsum(tape.sigmoid(a)), {"a": a})
     check(lambda: tape.tsum(tape.silu(a)), {"a": a})
 
 
 def test_sigmoid_stable_at_extremes():
     big = Tensor(np.array([[800.0, -800.0]]), requires_grad=True)
     with np.errstate(over="raise"):
-        out = tape.sigmoid(big)
-    assert np.allclose(out.data, [[1.0, 0.0]])
+        out = tape.silu(big)
+    assert np.allclose(out.data, [[800.0, 0.0]])
     tape.backward(tape.tsum(out))
     assert np.all(np.isfinite(big.grad))
 
@@ -63,15 +59,15 @@ def test_matmul_reshape_concat_slice():
     check(lambda: tape.tsum(tape.matmul(a, b)), params)
     check(lambda: tape.tsum(tape.square(tape.reshape(a, (2, 6)))), params)
     check(lambda: tape.tsum(tape.square(tape.concat([a, tape.square(a)], axis=1))), params)
-    check(lambda: tape.tsum(tape.square(tape.slice_cols(a, 1, 2))), params)
+    check(lambda: tape.tsum(tape.square(tape.take_cols(a, slice(1, 3)))), params)
 
 
 def test_reductions():
     a = p((5, 4), 7)
     check(lambda: tape.tsum(tape.square(tape.tmean(a, axis=0, keepdims=True))), {"a": a})
     check(lambda: tape.tmean(tape.square(a)), {"a": a})
-    check(lambda: tape.square(tape.reduce_min(a)), {"a": a})
-    check(lambda: tape.square(tape.reduce_max(a)), {"a": a})
+    check(lambda: tape.tsum(tape.square(tape.reduce_min(a, [0]))), {"a": a})
+    check(lambda: tape.tsum(tape.square(tape.reduce_max(a, [0]))), {"a": a})
 
 
 def test_pair_message_primitives():
@@ -81,16 +77,17 @@ def test_pair_message_primitives():
     v = p((k,), 10)
     pw = p((n * n, k), 11)
     params = {"x": x, "w": w, "v": v, "pw": pw}
+    lay = tape.PairLayout([n])
 
     def fwd():
         cs = tape.stack_scale(x, w)                 # (K, N, D)
-        dots = tape.pairwise_dot(cs)                # (N^2, K)
-        mixed = tape.coord_mix(cs, tape.add(dots, pw))
+        dots = tape.pairwise_dot(cs, lay)           # (N^2, K)
+        mixed = tape.coord_mix(cs, tape.add(dots, pw), lay)
         out = tape.stack_mix(mixed, v)              # (N, D)
-        rows = tape.repeat_rows(out, 2)
-        tiles = tape.tile_rows(out, 2)
+        rows = tape.repeat_rows(out, n)
+        tiles = tape.tile_rows(out, n)
         both = tape.concat([rows, tiles], axis=1)
-        pooled = tape.block_mean_rows(both, 2)
+        pooled = tape.block_mean_rows(both, lay)
         return tape.tsum(tape.square(pooled))
     check(fwd, params)
 
@@ -98,10 +95,11 @@ def test_pair_message_primitives():
 def test_pair_sum_broadcasts_over_pairs():
     n = 3
     a, b = p((n, 2), 18), p((n, 2), 19)
-    out = tape.pair_sum(a, b)
+    lay = tape.PairLayout([n])
+    out = tape.pair_sum(a, b, lay)
     assert np.allclose(out.data, tape.repeat_rows(a, n).data + tape.tile_rows(b, n).data)
     w = Tensor(np.random.default_rng(20).standard_normal((n * n, 2)))
-    check(lambda: tape.tsum(tape.mul(tape.square(tape.pair_sum(a, b)), w)), {"a": a, "b": b})
+    check(lambda: tape.tsum(tape.mul(tape.square(tape.pair_sum(a, b, lay)), w)), {"a": a, "b": b})
 
 
 def test_slice_rows():
@@ -113,9 +111,10 @@ def test_slice_rows():
 def test_transpose_pairs_involution():
     n = 3
     a = p((n * n, 2), 12)
-    out = tape.transpose_pairs(tape.transpose_pairs(a, n), n)
+    lay = tape.PairLayout([n])
+    out = tape.transpose_pairs(tape.transpose_pairs(a, lay), lay)
     assert np.allclose(out.data, a.data)
-    check(lambda: tape.tsum(tape.square(tape.transpose_pairs(a, n))), {"a": a})
+    check(lambda: tape.tsum(tape.square(tape.transpose_pairs(a, lay))), {"a": a})
 
 
 def test_softmax_cross_entropy_value_and_grad():
@@ -156,16 +155,6 @@ def test_grad_accumulates_across_reuse():
     assert a.grad is None or np.all(a.grad == 0.0)
 
 
-def test_operator_sugar():
-    a = p((3, 2), 15)
-    b = p((3, 2), 16)
-    out = (a + b) * 2.0 - a / 4.0 + (-b)
-    expect = (a.data + b.data) * 2.0 - a.data / 4.0 - b.data
-    assert np.allclose(out.data, expect)
-    m = p((2, 4), 17)
-    assert np.allclose((a @ m).data, a.data @ m.data)
-
-
 def test_pair_layout_rows():
     lay = tape.PairLayout([2, 1, 3])
     assert (len(lay.row_size), lay.n_pairs) == (6, 14)
@@ -199,12 +188,13 @@ def test_segmented_pair_primitives_match_per_molecule_ops():
     pooled = tape.block_mean_rows(pw, lay).data
     for n, rows, prs in zip(sizes, nodes, pairs):
         cs_b = Tensor(cs.data[:, rows])
-        assert np.allclose(dots[prs], tape.pairwise_dot(cs_b).data)
-        assert np.allclose(mixed[:, rows], tape.coord_mix(cs_b, Tensor(pw.data[prs])).data)
+        one = tape.PairLayout([n])
+        assert np.allclose(dots[prs], tape.pairwise_dot(cs_b, one).data)
+        assert np.allclose(mixed[:, rows], tape.coord_mix(cs_b, Tensor(pw.data[prs]), one).data)
         assert np.allclose(summed[prs], tape.pair_sum(Tensor(a.data[rows]),
-                                                      Tensor(b.data[rows])).data)
-        assert np.allclose(swapped[prs], tape.transpose_pairs(Tensor(pw.data[prs]), n).data)
-        assert np.allclose(pooled[rows], tape.block_mean_rows(Tensor(pw.data[prs]), n).data)
+                                                      Tensor(b.data[rows]), one).data)
+        assert np.allclose(swapped[prs], tape.transpose_pairs(Tensor(pw.data[prs]), one).data)
+        assert np.allclose(pooled[rows], tape.block_mean_rows(Tensor(pw.data[prs]), one).data)
 
     weights = Tensor(np.random.default_rng(35).standard_normal((lay.n_pairs, k)))
 
