@@ -37,3 +37,22 @@ def nondegenerate_molecule(rng: np.random.Generator, n_atoms: int,
         if not canonicalize(m, group=group).degenerate:
             return m
     raise RuntimeError(f"no non-degenerate molecule found at N={n_atoms}")
+
+
+# (group, key, value) edits that make a checkpoint not fit its architecture;
+# value None deletes the entry
+CHECKPOINT_DAMAGE = [
+    ("params", "head_atom.bias", {"shape": [1], "data": [0.0]}),   # would broadcast silently
+    ("ema", "head_vel", None),                                      # load_ema would skip it
+    ("ema", "cs_weights", {"shape": [2], "data": [0.0, 0.0]}),
+    ("net_config", "d_hidden", 8),
+    ("train_config", "learning_rate", 0.1),
+]
+
+
+def damage_checkpoint(doc: dict, group: str, key: str, value) -> dict:
+    if value is None:
+        del doc[group][key]
+    else:
+        doc[group][key] = value
+    return doc

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import nondegenerate_molecule, random_molecule
+from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, nondegenerate_molecule,
+                      random_molecule)
 from gaugeflow import molecule, symgroup
 from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.cli import main
@@ -210,21 +211,12 @@ def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("group, key, value", [
-    ("params", "head_atom.bias", {"shape": [1], "data": [0.0]}),
-    ("ema", "head_vel", None),
-    ("net_config", "d_hidden", 8),
-    ("train_config", "learning_rate", 0.1),
-])
+@pytest.mark.parametrize("group, key, value", CHECKPOINT_DAMAGE)
 def test_sample_rejects_checkpoint_that_does_not_fit(trained_mol, tmp_path, capsys,
                                                      group, key, value):
     doc = json.loads((trained_mol / "checkpoint.json").read_text())
-    if value is None:
-        del doc[group][key]
-    else:
-        doc[group][key] = value
     ckpt = tmp_path / "checkpoint.json"
-    ckpt.write_text(json.dumps(doc))
+    ckpt.write_text(json.dumps(damage_checkpoint(doc, group, key, value)))
     out = tmp_path / "gen"
     assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "-o", out) == 3
     assert key in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_molecule
+from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
@@ -219,35 +219,15 @@ def test_checkpoint_rejects_bad_version(tmp_path):
         FlowModel.load(path)
 
 
-def _set_entry(doc, group, key, value):
-    doc[group][key] = value
-
-
-CHECKPOINT_DAMAGE = {
-    # a bias stored as (1,) would broadcast silently over every logit column
-    "param_shape": (lambda doc: _set_entry(doc, "params", "head_atom.bias",
-                                           {"shape": [1], "data": [0.0]}), "head_atom.bias"),
-    # load_ema would leave the missing weight live
-    "ema_missing": (lambda doc: doc["ema"].pop("head_vel"), "head_vel"),
-    "ema_shape": (lambda doc: _set_entry(doc, "ema", "cs_weights",
-                                         {"shape": [2], "data": [0.0, 0.0]}), "cs_weights"),
-    "net_config_key": (lambda doc: _set_entry(doc, "net_config", "d_hidden", 8), "d_hidden"),
-    "train_config_key": (lambda doc: _set_entry(doc, "train_config", "learning_rate", 0.1),
-                         "learning_rate"),
-}
-
-
-@pytest.mark.parametrize("damage", sorted(CHECKPOINT_DAMAGE))
-def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, damage):
+@pytest.mark.parametrize("group, key, value", CHECKPOINT_DAMAGE)
+def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, group, key, value):
     import json
 
     model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=0))
     path = tmp_path / "mol.json"
     model.save(path)
-    doc = json.loads(path.read_text())
-    change, key = CHECKPOINT_DAMAGE[damage]
-    change(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(damage_checkpoint(json.loads(path.read_text()),
+                                                 group, key, value)))
     with pytest.raises(ValueError, match=key):
         FlowModel.load(path)
 
