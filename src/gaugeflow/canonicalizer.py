@@ -1,13 +1,17 @@
-"""Canonicalization of molecular states: permutation gauge via a geometric
-Laplacian Fiedler ordering, rotation gauge via a spectral anchor frame.
+"""Canonicalization of molecular states in one pass: one atom order, one
+frame, one group element.
 
-The map is an orbit selector: for non-degenerate inputs every element of the
-S_N x SO(3) orbit of a molecule produces the same representative, and the
-returned gauge element reconstructs the input exactly,
+The permutation stage picks the atom order (a geometric Laplacian Fiedler
+ordering, or a multi-hop or atomic-number key), the rotation stage picks a
+spectral anchor frame on the ordered, centred coordinates, and one element g
+built from both maps the input to its representative. The map is an orbit
+selector: for non-degenerate inputs every element of the S_N x SO(3) orbit of
+a molecule produces the same representative. The gauge is inverse(g), so it
+reconstructs the input by construction,
 
     act(gauge, representative) == input.
 
-Degeneracies (spectral ties, vanishing sign statistic, collinear anchors) are
+Degeneracies (key ties, vanishing sign statistic, collinear anchors) are
 flagged rather than hidden; downstream callers decide whether to resample.
 """
 
@@ -39,17 +43,14 @@ class CanonicalResult:
     degenerate: bool
 
 
-def _laplacian_sigma2(m: MoleculeState) -> float:
-    """Kernel bandwidth: 4 * (mean bond length)^2, falling back to
-    4 * (mean pairwise distance)^2 when the molecule carries no bonds."""
-    diffs = m.coords[:, None, :] - m.coords[None, :, :]
-    dists = np.linalg.norm(diffs, axis=-1)
-    iu = np.triu_indices(m.n_atoms, k=1)
-    bonded = m.bonds[iu] > 0
-    if bonded.any():
-        mean_d = dists[iu][bonded].mean()
-    else:
-        mean_d = dists[iu].mean()
+def _laplacian_sigma2(sq: np.ndarray, bonds: np.ndarray) -> float:
+    """Kernel bandwidth from the squared-distance matrix: 4 * (mean bond
+    length)^2, falling back to 4 * (mean pairwise distance)^2 when the
+    molecule carries no bonds."""
+    iu = np.triu_indices(sq.shape[0], k=1)
+    dists = np.sqrt(sq[iu])
+    bonded = bonds[iu] > 0
+    mean_d = dists[bonded].mean() if bonded.any() else dists.mean()
     if mean_d <= 0.0:
         raise CanonicalizationError("degenerate geometry: all atoms coincide")
     return 4.0 * mean_d * mean_d
@@ -69,9 +70,8 @@ def fiedler_vector(m: MoleculeState) -> tuple[np.ndarray, bool]:
     if n < 2:
         raise CanonicalizationError("Fiedler ordering needs at least 2 atoms")
     x = m.coords
-    sigma2 = _laplacian_sigma2(m)
     sq = ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1)
-    w = np.exp(-sq / (2.0 * sigma2))
+    w = np.exp(-sq / (2.0 * _laplacian_sigma2(sq, m.bonds)))
     np.fill_diagonal(w, 0.0)
     deg = w.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
@@ -89,103 +89,66 @@ def fiedler_vector(m: MoleculeState) -> tuple[np.ndarray, bool]:
     return u, degenerate
 
 
-def _order_with_ties(keys: np.ndarray, atom_types: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
-    """Ascending sort of keys; exact ties broken by atomic number desc then
-    index asc; any near-tie within tol flags degeneracy."""
-    n = keys.shape[0]
-    order = np.lexsort((np.arange(n), -atom_types, keys))
-    sorted_keys = keys[order]
-    tied = bool(n >= 2 and np.any(np.diff(sorted_keys) < tol))
-    return order, tied
+def canonicalize_perm(m: MoleculeState, ordering: str = "spectral") -> tuple[np.ndarray, np.ndarray, bool]:
+    """Permutation stage: returns (order, keys in that order, degenerate).
 
-
-def _perm_gauge(m: MoleculeState, order: np.ndarray) -> GroupElement:
-    # act(gauge, representative) == m with representative = centered m[order]
-    return GroupElement(np.argsort(order), np.eye(3), symgroup.centroid(m))
-
-
-def canonicalize_perm(m: MoleculeState) -> CanonicalResult:
-    """Permutation gauge: reorder atoms by ascending signed Fiedler value."""
-    n = m.n_atoms
-    if n == 1:
-        return CanonicalResult(
-            symgroup.center(m), _perm_gauge(m, np.arange(1)),
-            np.zeros(1), np.zeros(1), degenerate=False,
-        )
-    u, degenerate = fiedler_vector(m)
-    order, tied = _order_with_ties(u, m.atom_types, SIGN_TOL)
-    degenerate = degenerate or tied
-    rep = symgroup.center(
-        symgroup.act(GroupElement(order, np.eye(3), np.zeros(3)), m)
-    )
-    return CanonicalResult(
-        rep, _perm_gauge(m, order),
-        np.arange(n) / n, u[order], degenerate,
-    )
-
-
-def canonicalize_so3(m: MoleculeState, u2: np.ndarray) -> CanonicalResult:
-    """Rotation gauge for an already permutation-ordered molecule.
-
-    Enforces sum(u2^3) > 0 by reversing the ordering if needed, then builds a
-    right-handed frame from head (rank 0), tail (rank N-1) and the middle-third
-    anchor maximizing the cross-product norm; coordinates are expressed in that
-    frame after centering. Collinear or too-small inputs keep the identity
-    rotation and raise the degenerate flag.
+    Atoms sort by ascending key: the signed Fiedler value ("spectral"), the
+    packed hop-count weight ("multihop") or the atomic key ("atomic"). Ties
+    break by atomic number, descending for spectral and ascending for the
+    other two, then by index. Sorted keys closer than SIGN_TOL flag the order
+    degenerate. The integer multihop and atomic keys come back scaled by
+    1 / max(norm, 1). A single atom has the key 0.
     """
-    n = m.n_atoms
-    u2 = np.asarray(u2, dtype=np.float64)
-    eye_gauge = GroupElement(np.arange(n), np.eye(3), symgroup.centroid(m))
-    ranks = np.arange(n) / n
+    z = m.atom_types
+    spectral = ordering == "spectral"
+    if spectral:
+        keys, degenerate = fiedler_vector(m) if m.n_atoms > 1 else (np.zeros(1), False)
+    else:
+        keys = _multihop_keys(m) if ordering == "multihop" else _atomic_keys(m)
+        degenerate = False
+    order = np.lexsort((-z if spectral else z, keys))
+    sorted_keys = keys[order]
+    degenerate = degenerate or bool(np.any(np.diff(sorted_keys) < SIGN_TOL))
+    if not spectral:
+        sorted_keys = sorted_keys / max(np.linalg.norm(sorted_keys), 1.0)
+    return order, sorted_keys, degenerate
+
+
+def canonicalize_so3(x: np.ndarray, keys: np.ndarray) -> tuple[bool, np.ndarray, bool]:
+    """Rotation stage on ordered, centred coordinates x (N, 3) and their
+    spectral keys: returns (reverse, rot, degenerate).
+
+    reverse asks for the order to be reversed (and the keys negated) so that
+    sum(keys^3) > 0. The rows of rot are a right-handed frame built, in that
+    order, from head (rank 0), tail (rank N-1) and the middle-third anchor
+    maximizing the cross-product norm. Fewer than three atoms, a vanishing
+    third moment or collinear anchors raise the degenerate flag; with fewer
+    than three atoms or collinear anchors rot is the identity.
+    """
+    n = x.shape[0]
     if n < 3:
-        return CanonicalResult(symgroup.center(m), eye_gauge, ranks, u2.copy(), degenerate=True)
-
-    degenerate = False
-    cube = float(np.sum(u2 ** 3))
-    work = m
-    v = u2
-    reversal: GroupElement | None = None
-    if abs(cube) < SIGN_TOL:
-        degenerate = True
-    elif cube < 0.0:
-        rev = np.arange(n)[::-1]
-        reversal = GroupElement(rev, np.eye(3), np.zeros(3))
-        work = symgroup.act(reversal, m)
-        v = -u2[::-1]
-
-    x = work.coords
-    head, tail = x[0], x[-1]
-    axis = tail - head
+        return False, np.eye(3), True
+    cube = float(np.sum(keys ** 3))
+    reverse = cube <= -SIGN_TOL
+    if reverse:
+        x = x[::-1]
+    head, axis = x[0], x[-1] - x[0]
     axis_norm = np.linalg.norm(axis)
-    lo, hi = n // 3, (2 * n) // 3
-    candidates = np.arange(lo, hi)
-    crosses = np.cross(x[candidates] - head, np.broadcast_to(axis, (len(candidates), 3)))
-    cross_norms = np.linalg.norm(crosses, axis=1)
-    anchor = candidates[int(np.argmax(cross_norms))]
-
+    candidates = x[n // 3:(2 * n) // 3] - head
+    cross_norms = np.linalg.norm(np.cross(candidates, axis), axis=1)
     if axis_norm < GEOM_TOL or cross_norms.max() < GEOM_TOL:
-        rep = symgroup.center(work)
-        gauge = GroupElement(np.arange(n), np.eye(3), symgroup.centroid(work))
-        if reversal is not None:
-            gauge = symgroup.compose(reversal, gauge)
-        return CanonicalResult(rep, gauge, ranks, v.copy(), degenerate=True)
-
+        return reverse, np.eye(3), True
     e1 = axis / axis_norm
-    normal = np.cross(e1, x[anchor] - head)
+    normal = np.cross(e1, candidates[int(np.argmax(cross_norms))])
     e3 = normal / np.linalg.norm(normal)
-    e2 = np.cross(e3, e1)
-    rot = np.stack([e1, e2, e3])          # rows; det +1 by construction
-    mean = x.mean(axis=0)
-    rep = work.with_coords((x - mean) @ rot.T)
-
-    gauge = GroupElement(np.arange(n), rot.T, mean)
-    if reversal is not None:
-        gauge = symgroup.compose(reversal, gauge)
-    return CanonicalResult(rep, gauge, ranks, v.copy(), degenerate)
+    return reverse, np.stack([e1, np.cross(e3, e1), e3]), abs(cube) < SIGN_TOL
 
 
 def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spectral") -> CanonicalResult:
-    """Full canonicalization: permutation gauge, then optionally the rotation gauge.
+    """Full canonicalization: the permutation stage picks the atom order, the
+    rotation stage (group "perm_so3") the frame, and the one element
+    g = (order, rot, -rot @ centroid) gives the representative act(g, m) and
+    the gauge inverse(g).
 
     group: "perm" or "perm_so3". ordering: "spectral" (Fiedler), "multihop",
     or "atomic"; the rotation gauge requires the spectral ordering since its
@@ -198,30 +161,17 @@ def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spe
     if group == "perm_so3" and ordering != "spectral":
         raise ValueError("the rotation gauge is defined on the spectral ordering only")
 
-    if ordering == "spectral":
-        perm_result = canonicalize_perm(m)
-    else:
-        keys = _multihop_keys(m) if ordering == "multihop" else _atomic_keys(m)
-        order = _key_order(m, keys)
-        n = m.n_atoms
-        rep = symgroup.center(symgroup.act(GroupElement(order, np.eye(3), np.zeros(3)), m))
-        sorted_keys = keys[order]
-        tied = bool(n >= 2 and np.any(np.diff(sorted_keys) == 0))
-        perm_result = CanonicalResult(
-            rep, _perm_gauge(m, order), np.arange(n) / n,
-            sorted_keys / max(np.linalg.norm(sorted_keys), 1.0), tied,
-        )
-    if group == "perm":
-        return perm_result
-
-    so3_result = canonicalize_so3(perm_result.representative, perm_result.fiedler)
-    return CanonicalResult(
-        so3_result.representative,
-        symgroup.compose(perm_result.gauge, so3_result.gauge),
-        so3_result.ranks,
-        so3_result.fiedler,
-        perm_result.degenerate or so3_result.degenerate,
-    )
+    order, keys, degenerate = canonicalize_perm(m, ordering)
+    centroid = symgroup.centroid(m)
+    rot = np.eye(3)
+    if group == "perm_so3":
+        reverse, rot, so3_degenerate = canonicalize_so3(m.coords[order] - centroid, keys)
+        if reverse:
+            order, keys = order[::-1], -keys[::-1]
+        degenerate = degenerate or so3_degenerate
+    g = GroupElement(order, rot, -rot @ centroid)
+    n = m.n_atoms
+    return CanonicalResult(symgroup.act(g, m), symgroup.inverse(g), np.arange(n) / n, keys, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +200,9 @@ def _multihop_keys(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
     return (_hop_counts(m.bonds, n_hops) @ place).astype(np.float64)
 
 
-def _key_order(m: MoleculeState, keys: np.ndarray) -> np.ndarray:
-    """Ascending keys; ties by atomic number, then index (lexsort is stable)."""
-    return np.lexsort((m.atom_types, keys))
-
-
-def order_multihop(m: MoleculeState, n_hops: int = 3) -> np.ndarray:
+def order_multihop(m: MoleculeState) -> np.ndarray:
     """Ascending order by the packed hop-count weight; ties by atomic number then index."""
-    return _key_order(m, _multihop_keys(m, n_hops))
+    return canonicalize_perm(m, "multihop")[0]
 
 
 def _atomic_keys(m: MoleculeState) -> np.ndarray:
@@ -267,4 +212,4 @@ def _atomic_keys(m: MoleculeState) -> np.ndarray:
 
 def order_atomic(m: MoleculeState) -> np.ndarray:
     """Descending atomic number with hydrogens last; ties by original index."""
-    return _key_order(m, _atomic_keys(m))
+    return canonicalize_perm(m, "atomic")[0]

@@ -257,13 +257,16 @@ def cmd_sample(args) -> int:
             raise molecule.UnsupportedElementError(
                 f"checkpoint vocab holds element(s) {', '.join(missing)} that the "
                 "valence table cannot score; no samples written")
+    try:
+        cfg = sampler.SampleConfig(
+            steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
+            prior=args.prior, group=HAAR_FLAGS[args.haar], seed=args.seed,
+            canonicalize_mode=args.canonicalize_mode,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     outdir = _outdir(args)
     model.load_ema()
-    cfg = sampler.SampleConfig(
-        steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
-        prior=args.prior, group=HAAR_FLAGS[args.haar], seed=args.seed,
-        canonicalize_mode=args.canonicalize_mode,
-    )
     if args.n == 0:
         _write_manifest(outdir, "sample", args, seed=args.seed,
                         config=dataclasses.asdict(cfg))
@@ -308,9 +311,7 @@ def cmd_verify(args) -> int:
     outdir = _outdir(args)
     systems = None if args.system == "all" else (args.system,)
     n_mc = int(float(args.n)) if args.n is not None else None
-    report = theorylab.run_default_suite(
-        seed=args.seed, fast=args.fast, inject_failure=args.inject_failure,
-        systems=systems, n_mc=n_mc)
+    report = theorylab.run_default_suite(seed=args.seed, systems=systems, n_mc=n_mc)
     for line in report.summary_lines():
         print(line)
     report_path = Path(args.out) if args.out else outdir / "theory_report.json"
@@ -424,11 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default=None,
                    help="Monte Carlo sample count, e.g. 1e6")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fast", action="store_true",
-                   help="smaller sample sizes, looser but quick")
     p.add_argument("--out", default=None, help="report JSON path")
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)
     p.add_argument("-o", "--outdir", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -281,16 +281,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-
+def tmean(a: Tensor) -> Tensor:
+    """Mean of all entries, a scalar."""
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg / count, a.data.shape).copy())
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bw)
+        _accum(a, np.broadcast_to(g / a.data.size, a.data.shape).copy())
+    return _make(a.data.mean(), (a,), bw)
 
 
 def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
@@ -372,9 +367,9 @@ class PairLayout:
 
 
 def repeat_rows(a: Tensor, times) -> Tensor:
-    """Row r repeated times[r] consecutive times (an int repeats every row equally):
-    with times = n, pair row (i, j) of one molecule sees a[i]."""
-    counts = np.broadcast_to(np.asarray(times, dtype=np.int64), a.data.shape[:1])
+    """Row r repeated times[r] consecutive times: with one row per molecule and
+    times = the molecule sizes, every atom row sees its molecule's row."""
+    counts = np.asarray(times, dtype=np.int64)
     if np.any(counts < 1):
         raise ValueError("repeat counts must be >= 1")
 

@@ -34,6 +34,10 @@ class ConfigError(ValueError):
     """A TrainConfig key is set away from its default for data that never reads it."""
 
 
+# TrainConfig field annotation -> the JSON value types from_dict accepts for it
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 10
@@ -63,10 +67,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """The config a dict holds; a key TrainConfig does not have is a ValueError."""
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        """The config a dict holds. A key TrainConfig does not have, or a value
+        not of its field's type, is a ValueError; an int passes for a float
+        field, a bool for no numeric field."""
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(doc) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in doc.items():
+            allowed = _CONFIG_TYPES[types[key]]
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise ValueError(f"config key {key} must be {types[key]}, got {value!r}")
         return cls(**doc)
 
 

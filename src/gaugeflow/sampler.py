@@ -61,6 +61,8 @@ class SampleConfig:
             raise ValueError(f"group must be one of {HAAR_GROUPS}")
         if self.prior not in PRIOR_CHOICES:
             raise ValueError(f"prior must be one of {PRIOR_CHOICES}")
+        if self.canonicalize_mode and self.regime != "b":
+            raise ValueError("canonicalize_mode applies to regime 'b' only")
 
     def to_dict(self) -> dict:
         return asdict(self)

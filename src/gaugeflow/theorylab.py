@@ -631,13 +631,11 @@ class TheoryReport:
 ALL_SYSTEMS = ("signflip", "c4", "s3")
 
 
-def run_default_suite(seed: int = 0, fast: bool = False,
-                      inject_failure: bool = False,
-                      systems=None, n_mc: int | None = None) -> TheoryReport:
+def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> TheoryReport:
     """Run the stock verification battery.
 
-    systems selects a subset of ("signflip", "c4", "s3"); fast mode shrinks
-    sample sizes; n_mc overrides the large sample count directly.
+    systems selects a subset of ("signflip", "c4", "s3"); n_mc is the large
+    Monte Carlo sample count (default 1,000,000).
     """
     if systems is None:
         systems = ALL_SYSTEMS
@@ -645,7 +643,7 @@ def run_default_suite(seed: int = 0, fast: bool = False,
     if unknown:
         raise ValueError(f"unknown systems: {sorted(unknown)}")
     rng = np.random.default_rng(seed)
-    n_big = n_mc if n_mc is not None else (200_000 if fast else 1_000_000)
+    n_big = n_mc if n_mc is not None else 1_000_000
     n_mid = max(1000, n_big // 10)
     checks = []
 
@@ -725,13 +723,5 @@ def run_default_suite(seed: int = 0, fast: bool = False,
             "broken_coupling_detected", estimate=broken["max_ratio"], reference=0.0,
             stderr=1.0, tolerance=broken["ratio_bound"],
             passed=not broken["equivariant"], n_samples=n_mid, seed=seed, detail=broken))
-
-    if inject_failure:
-        c = checks[0]
-        checks[0] = CheckResult(
-            name=c.name, estimate=c.estimate, reference=c.reference + 1.0,
-            stderr=c.stderr, tolerance=c.tolerance, passed=False,
-            n_samples=c.n_samples, seed=c.seed,
-            detail={"injected_failure": True})
 
     return TheoryReport(checks=checks, seed=seed)

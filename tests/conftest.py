@@ -47,6 +47,7 @@ CHECKPOINT_DAMAGE = [
     ("ema", "cs_weights", {"shape": [2], "data": [0.0, 0.0]}),
     ("net_config", "d_hidden", 8),
     ("train_config", "learning_rate", 0.1),
+    ("train_config", "epochs", "1"),                                # would fail in range()
 ]
 
 

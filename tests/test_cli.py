@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, nondegenerate_molecule,
                       random_molecule)
-from gaugeflow import molecule, symgroup
+from gaugeflow import molecule, symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.cli import main
 
@@ -195,6 +195,18 @@ def test_molecular_sample_rejects_sizes_below_one(trained_mol, tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flags, word", [(["--steps", 0], "steps"),
+                                         (["--cfg-scale", -1], "cfg_scale"),
+                                         (["--regime", "a", "--canonicalize-mode"],
+                                          "canonicalize_mode")])
+def test_sample_rejects_bad_sampling_config(trained_mol, tmp_path, capsys, flags, word):
+    out = tmp_path / "gen"
+    assert run("sample", "--model", trained_mol / "checkpoint.json",
+               "--n", 2, "--n-atoms", 5, *flags, "-o", out) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsys):
     doc = json.loads((trained_mol / "checkpoint.json").read_text())
     atoms = doc["meta"]["vocab"]["atom_classes"]
@@ -264,6 +276,15 @@ def test_train_rejects_keys_the_data_ignores(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "1"}))
+    out = tmp_path / "run"
+    assert run("train", "--data", "c4", "--config", cfg, "-o", out) == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_theory_signflip(tmp_path, capsys):
     out = tmp_path / "verify"
     code = run("verify-theory", "--system", "signflip", "--n", "2e4", "-o", out)
@@ -275,10 +296,13 @@ def test_verify_theory_signflip(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["command"] == "verify-theory"
 
 
-def test_verify_theory_failure_exit(tmp_path):
+def test_verify_theory_failure_exit(tmp_path, monkeypatch):
+    failing = theorylab.CheckResult("failing", estimate=1.0, reference=0.0, stderr=0.0,
+                                    tolerance=0.0, passed=False, n_samples=0, seed=0)
+    monkeypatch.setattr(theorylab, "run_default_suite",
+                        lambda **kw: theorylab.TheoryReport(checks=[failing], seed=0))
     out = tmp_path / "verify"
-    code = run("verify-theory", "--system", "signflip", "--n", "2e4",
-               "--inject-failure", "-o", out)
+    code = run("verify-theory", "--system", "signflip", "--n", "2e4", "-o", out)
     assert code == 1
     doc = json.loads((out / "theory_report.json").read_text())
     assert doc["all_passed"] is False

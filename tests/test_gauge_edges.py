@@ -4,7 +4,10 @@ and symmetric shapes (square, hexagon, CH4) under near-tie jitter.
 For every input moved by a random permutation, rotation and translation:
 act(gauge, representative) gives the input back, and every result not flagged
 degenerate carries the same representative. The regime-b sampler step
-(sampler.pcs_step) must agree with the canonicalizer on the same inputs.
+(sampler.pcs_step) must agree with the canonicalizer on the same inputs. The
+permutation-only key orderings (multihop, atomic) run on the same shapes plus
+N = 1; their representatives keep the input's orientation, so non-degenerate
+results agree on atom types, bonds and pairwise distances.
 """
 
 import numpy as np
@@ -35,6 +38,8 @@ def _ring(n, radius):
 
 def _shape(name):
     rng = np.random.default_rng(list(name.encode()))
+    if name == "n1":
+        return _molecule(rng.standard_normal((1, 3)), [6], [])
     if name == "n2":
         return _molecule(rng.standard_normal((2, 3)), [6, 8], [(0, 1)])
     if name == "n3":
@@ -75,11 +80,19 @@ def _assert_same_molecule(a, b, tol=1e-8):
     assert np.abs(a.coords - b.coords).max() <= tol
 
 
-@pytest.mark.parametrize("name, jitter", CASES)
-def test_gauge_contract_at_the_edges(name, jitter):
+def _jittered_shape(name, jitter):
     m = _shape(name)
     rng = np.random.default_rng([len(name), int(jitter * 1e12)])
-    m = m.with_coords(m.coords + jitter * rng.standard_normal(m.coords.shape))
+    return m.with_coords(m.coords + jitter * rng.standard_normal(m.coords.shape))
+
+
+def _distances(m):
+    return np.linalg.norm(m.coords[:, None, :] - m.coords[None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("name, jitter", CASES)
+def test_gauge_contract_at_the_edges(name, jitter):
+    m = _jittered_shape(name, jitter)
     vocab = build_vocab([m])
     reps, states = [], []
     for moved in _gauged_copies(m, [len(name), 7]):
@@ -97,3 +110,19 @@ def test_gauge_contract_at_the_edges(name, jitter):
     for state in states[1:]:
         for field in ("type_idx", "charge_idx", "bond_idx"):
             assert np.array_equal(getattr(state, field), getattr(states[0], field))
+
+
+@pytest.mark.parametrize("ordering", ["multihop", "atomic"])
+@pytest.mark.parametrize("name, jitter", CASES + [("n1", 0.0)])
+def test_gauge_contract_for_key_orderings(name, jitter, ordering):
+    m = _jittered_shape(name, jitter)
+    reps = []
+    for moved in _gauged_copies(m, [len(name), 7]):
+        res = canonicalize(moved, group="perm", ordering=ordering)
+        _assert_same_molecule(symgroup.act(res.gauge, res.representative), moved)
+        if not res.degenerate:
+            reps.append(res.representative)
+    for rep in reps[1:]:
+        assert np.array_equal(rep.atom_types, reps[0].atom_types)
+        assert np.array_equal(rep.bonds, reps[0].bonds)
+        assert np.abs(_distances(rep) - _distances(reps[0])).max() <= 1e-8

@@ -34,8 +34,8 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         p = layer.node_proj(h)
         q = layer.rank_proj(r)
         msg = layer.msg_mlp(tape.concat([
-            tape.repeat_rows(p, n), tape.tile_rows(p, n),
-            tape.repeat_rows(q, n), tape.tile_rows(q, n),
+            tape.repeat_rows(p, np.full(n, n)), tape.tile_rows(p, n),
+            tape.repeat_rows(q, np.full(n, n)), tape.tile_rows(q, n),
             tape.pairwise_dot(cs, lay), e,
         ], axis=1))
         rank_at = c.d_model + c.n_coord_sets

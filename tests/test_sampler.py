@@ -41,6 +41,8 @@ def test_sample_config_validation():
         SampleConfig(group="o3")
     with pytest.raises(ValueError):
         SampleConfig(prior="laplace")
+    with pytest.raises(ValueError):
+        SampleConfig(regime="a", canonicalize_mode=True)
     assert SampleConfig().to_dict()["regime"] == "a"
 
 

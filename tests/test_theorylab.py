@@ -276,10 +276,6 @@ def test_default_suite_signflip_subset():
     assert report.all_passed
 
 
-def test_default_suite_failure_injection_and_validation():
-    report = lab.run_default_suite(seed=0, systems=("signflip",), n_mc=20_000,
-                                   inject_failure=True)
-    assert not report.all_passed
-    assert report.checks[0].detail == {"injected_failure": True}
+def test_default_suite_rejects_unknown_systems():
     with pytest.raises(ValueError):
         lab.run_default_suite(systems=("signflip", "d8"))
