@@ -95,9 +95,11 @@ def canonicalize_perm(m: MoleculeState, ordering: str = "spectral") -> tuple[np.
     Atoms sort by ascending key: the signed Fiedler value ("spectral"), the
     packed hop-count weight ("multihop") or the atomic key ("atomic"). Ties
     break by atomic number, descending for spectral and ascending for the
-    other two, then by index. Sorted keys closer than SIGN_TOL flag the order
-    degenerate. The integer multihop and atomic keys come back scaled by
-    1 / max(norm, 1). A single atom has the key 0.
+    other two, then by index. Adjacent sorted keys closer than SIGN_TOL flag
+    the order degenerate; for the exact integer multihop and atomic keys only
+    when the two atoms also share their atomic number, since the atomic-number
+    tiebreak orders atoms of different elements uniquely. The integer keys
+    come back scaled by 1 / max(norm, 1). A single atom has the key 0.
     """
     z = m.atom_types
     spectral = ordering == "spectral"
@@ -108,9 +110,11 @@ def canonicalize_perm(m: MoleculeState, ordering: str = "spectral") -> tuple[np.
         degenerate = False
     order = np.lexsort((-z if spectral else z, keys))
     sorted_keys = keys[order]
-    degenerate = degenerate or bool(np.any(np.diff(sorted_keys) < SIGN_TOL))
+    tied = np.diff(sorted_keys) < SIGN_TOL
     if not spectral:
+        tied &= np.diff(z[order]) == 0
         sorted_keys = sorted_keys / max(np.linalg.norm(sorted_keys), 1.0)
+    degenerate = degenerate or bool(tied.any())
     return order, sorted_keys, degenerate
 
 

@@ -22,6 +22,12 @@ place (tape.pair_silu), and the coordinate and edge outputs are one fused
 matmul-plus-bias (tape.linear) on a column gather of the second layer's
 weight and bias. Every Linear is that fused op.
 
+The coordinate weights are bounded: coord_mix reads tanh of the coordinate
+message, the EGNN-family remedy, so a layer's coordinate update is linear in
+the coordinates it mixes instead of growing as a power of their scale (the
+message MLP sees Gram entries, quadratic in the coordinates). Training feeds
+unit-scale coordinates (training.fit_coord_scale).
+
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
 min-max normalized to [0, 1] within each molecule.
@@ -317,7 +323,7 @@ class CanonLiteNet(Module):
             m_rank = tape.take_cols(pooled, slice(rank_at, rank_at + c.d_rank))
             m_pair = tape.linear(hidden, tape.take_cols(lin_out.weight, pair_cols),
                                  tape.take_cols(lin_out.bias, pair_cols))
-            m_coord = tape.take_cols(m_pair, slice(0, c.n_coord_sets))
+            m_coord = tape.tanh(tape.take_cols(m_pair, slice(0, c.n_coord_sets)))
             m_edge = tape.take_cols(m_pair, slice(c.n_coord_sets, None))
             h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))

@@ -1,22 +1,33 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense numpy arrays of one
+compute dtype.
 
 A Tensor records its parents and a backward closure; backward() walks the
 graph in reverse topological order and accumulates gradients on every tensor
 that requires them. Inside `with no_grad():` ops record nothing, so inference
 keeps no graph alive. The ops are the ones the networks here call:
 broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
-reductions, SiLU, softmax cross-entropy, and a few pairwise-message
+reductions, SiLU, tanh, softmax cross-entropy, and a few pairwise-message
 primitives whose adjoints are cheaper written by hand than composed from
 smaller pieces. The adjoints of matmul and linear skip g @ W.T when the left
 operand needs no gradient (constant features, one-hot edges).
+
+Compute dtype: every Tensor holds float32 by default. Inside
+`with precision(np.float64):` Tensors made and ops run compute in float64
+instead (the finite-difference and tight reference checks use it). The dtype
+flows end to end: Tensor() casts its input, and the ops build their
+constants, scales, sparse block-sum matrices and losses in it, so no float64
+array upcasts a float32 chain. Callers keep their own state (coordinates,
+priors, checkpoints) in float64; the cast happens where an array enters a
+Tensor.
 
 The pairwise primitives take a packed batch and its PairLayout, and nothing
 else: the atom ("node") rows of all molecules are concatenated, and so are
 their ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order.
 One molecule of n atoms is PairLayout([n]). Sums over a node's pairs, in the
 ops and in their adjoints, are products with sparse 0/1 block-sum matrices
-the layout builds once (contiguous i-major blocks for the sum over j, the
-precomputed pair transposition for the sum over i). pair_silu builds a
+the layout builds once, in the compute dtype of its construction (0/1 entries
+are exact in either dtype): contiguous i-major blocks for the sum over j, the
+precomputed pair transposition for the sum over i. pair_silu builds a
 message layer's pre-activation a[i] + b[j] + c[(i, j)] in one buffer and
 applies SiLU to it in place, keeping the SiLU slope only while the tape
 records. pairwise_dot and coord_mix read one contiguous node-major copy of
@@ -35,7 +46,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_dtype)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -53,6 +64,23 @@ class Tensor:
 
 
 _grad_enabled = True
+_dtype = np.dtype(np.float32)
+
+
+@contextlib.contextmanager
+def precision(dtype):
+    """Tensors made and ops run inside the block compute in `dtype`."""
+    global _dtype
+    previous, _dtype = _dtype, np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _dtype = previous
+
+
+def compute_dtype() -> np.dtype:
+    """The dtype Tensors are made in here."""
+    return _dtype
 
 
 @contextlib.contextmanager
@@ -166,7 +194,7 @@ def square(a: Tensor) -> Tensor:
 
 def _stable_sigmoid(x) -> np.ndarray:
     # sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing
-    out = np.multiply(x, 0.5, dtype=np.float64)
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5
@@ -193,6 +221,14 @@ def silu(a: Tensor) -> Tensor:
 
     def bw(g):
         _accum(a, g * slope)
+    return _make(out_data, (a,), bw)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out_data = np.tanh(a.data)
+
+    def bw(g):
+        _accum(a, g * (1.0 - np.square(out_data)))
     return _make(out_data, (a,), bw)
 
 
@@ -299,7 +335,7 @@ def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
     idx = np.minimum.reduceat(np.where(hit, np.arange(flat.size), flat.size), bounds)
 
     def bw(g):
-        full = np.zeros(flat.size)
+        full = np.zeros_like(flat)
         full[idx] = np.reshape(g, -1)
         _accum(a, full.reshape(a.data.shape))
     return _make(value, (a,), bw)
@@ -320,11 +356,11 @@ def reduce_max(a: Tensor, starts) -> Tensor:
 # pairwise-message primitives (node rows to ordered-pair rows of a packed batch)
 
 
-def _block_sums(counts) -> sparse.csr_matrix:
+def _block_sums(counts, dtype) -> sparse.csr_matrix:
     """0/1 matrix whose row r sums the next counts[r] rows of its operand."""
     counts = np.asarray(counts, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sparse.csr_matrix((np.ones(indptr[-1]), np.arange(indptr[-1]), indptr),
+    return sparse.csr_matrix((np.ones(indptr[-1], dtype=dtype), np.arange(indptr[-1]), indptr),
                              shape=(len(counts), int(indptr[-1])))
 
 
@@ -353,12 +389,13 @@ class PairLayout:
         self.pair_i = np.repeat(np.arange(n_nodes), self.row_size)
         self.pair_j = first_atom + np.arange(n_pairs) - self.block_start[self.pair_i]
         self.transpose = self.block_start[self.pair_j] + self.pair_i - first_atom
-        self.sum_j = _block_sums(self.row_size)
+        self.sum_j = _block_sums(self.row_size, _dtype)
         # row j of sum_i holds rows (i, j) for i in turn: the transposed block of j
         self.sum_i = sparse.csr_matrix((self.sum_j.data, self.transpose, self.sum_j.indptr),
                                        shape=self.sum_j.shape)
         self.pair_gather = sparse.csr_matrix(
-            (np.ones(2 * n_pairs), np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
+            (np.ones(2 * n_pairs, dtype=_dtype),
+             np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
              np.arange(0, 2 * n_pairs + 1, 2)), shape=(n_pairs, 2 * n_nodes))
 
     @property
@@ -374,7 +411,7 @@ def repeat_rows(a: Tensor, times) -> Tensor:
         raise ValueError("repeat counts must be >= 1")
 
     def bw(g):
-        _accum(a, _block_sums(counts) @ g)
+        _accum(a, _block_sums(counts, g.dtype) @ g)
     return _make(np.repeat(a.data, counts, axis=0), (a,), bw)
 
 
@@ -398,7 +435,7 @@ def pair_sum(a: Tensor, b: Tensor, lay: PairLayout) -> Tensor:
 def block_mean_rows(a: Tensor, lay: PairLayout) -> Tensor:
     """(pairs, c) -> (nodes, c): the mean over each node's pair block (over j)."""
     counts = lay.row_size
-    scale = 1.0 / counts[:, None]
+    scale = 1 / counts[:, None].astype(_dtype)
 
     def bw(g):
         _accum(a, np.repeat(g * scale, counts, axis=0))
@@ -455,7 +492,7 @@ def coord_mix(cs: Tensor, w: Tensor, lay: PairLayout) -> Tensor:
     delta[k,i] = (1/n_b) * sum_j w[(i,j),k] * (cs[k,j] - cs[k,i]).
     """
     x = _node_major(cs.data)
-    scale = 1.0 / lay.row_size[:, None, None]
+    scale = 1 / lay.row_size[:, None, None].astype(_dtype)
     wk = w.data[:, :, None]                                    # (pairs, K, 1)
     term1 = (lay.sum_j @ (wk * x[lay.pair_j]).reshape(lay.n_pairs, -1)).reshape(x.shape)
     rowsum = (lay.sum_j @ w.data)[:, :, None]                  # (nodes, K, 1)
@@ -500,13 +537,13 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
     targets = np.asarray(targets, dtype=np.int64)
     n = logits.data.shape[0]
     if weights is None:
-        wnorm = np.full(n, 1.0 / n)
+        wnorm = np.full(n, 1.0 / n, dtype=_dtype)
     else:
         weights = np.asarray(weights, dtype=np.float64)
         total = weights.sum()
         if total <= 0:
             raise ValueError("weights must have positive sum")
-        wnorm = weights / total
+        wnorm = (weights / total).astype(_dtype)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
@@ -517,7 +554,7 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
         soft = np.exp(logp)
         soft[rows, targets] -= 1.0
         _accum(logits, g * soft * wnorm[:, None])
-    return _make(np.float64(loss), (logits,), bw)
+    return _make(loss, (logits,), bw)
 
 
 def mse(pred: Tensor, target: np.ndarray, weights: np.ndarray | None = None) -> Tensor:

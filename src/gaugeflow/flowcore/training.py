@@ -5,6 +5,18 @@ z_t = (1 - t) z0 + t z1 (+ sigma * eps for coordinates); the regression target
 for coordinates is the straight-line velocity z1 - z0; categorical entries
 keep the data class with probability (1 - t), else a prior draw; categorical
 heads predict the data class. Samplers integrate from t = 1 down to 0.
+
+Molecular coordinates are trained at unit scale: fit_coord_scale gives one
+scale from the training set, encode_molecule divides by it and
+decode_molecule multiplies back, and the priors, the loss, the preview and
+the Euler rollout all see scaled coordinates. The scale is stored in the
+checkpoint (format_version 2) next to the priors.
+
+The nets run on the tape's compute dtype (float32 unless inside
+tape.precision); this module's own state (data, priors, rollout coordinates,
+checkpoints) stays float64 and is cast where it enters a Tensor. After each
+backward the global gradient norm is checked, so a float32 overflow fails
+at the step that made it instead of poisoning Adam and the EMA.
 """
 
 from __future__ import annotations
@@ -22,12 +34,12 @@ from . import tape
 from .nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch, VectorFieldMLP
 from .tape import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2          # 2: coordinate scale stored, bounded coordinate weights
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the offending epoch and loss parts."""
+    """Loss or gradient norm became non-finite; names the epoch and step."""
 
 
 class ConfigError(ValueError):
@@ -211,7 +223,8 @@ def _arrays_to_doc(arrays: dict[str, np.ndarray]) -> dict:
 
 
 def _doc_to_arrays(doc: dict) -> dict[str, np.ndarray]:
-    return {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
+    """Stored arrays in the tape's compute dtype."""
+    return {k: np.array(v["data"], dtype=tape.compute_dtype()).reshape(v["shape"])
             for k, v in doc.items()}
 
 
@@ -224,6 +237,7 @@ class FlowModel:
     ema: dict
     meta: dict = field(default_factory=dict)
     step: int = 0
+    coord_scale: float = 1.0         # molecular coordinates enter the net divided by it
 
     def parameters(self) -> dict[str, Tensor]:
         return self.net.parameters()
@@ -247,6 +261,7 @@ class FlowModel:
             "params": _arrays_to_doc({k: p.data for k, p in self.net.parameters().items()}),
             "ema": _arrays_to_doc(self.ema),
             "priors": {k: priors_mod.prior_to_dict(v) for k, v in self.priors.items()},
+            "coord_scale": self.coord_scale,
             "meta": self.meta,
             "step": self.step,
         }
@@ -255,8 +270,12 @@ class FlowModel:
 
     @classmethod
     def load(cls, path) -> "FlowModel":
-        """Read a checkpoint. A file whose configs, parameter or EMA names, or
-        stored shapes do not fit the architecture it names is a ValueError."""
+        """Read a checkpoint; parameters and EMA come back in the tape's compute
+        dtype. A file of another format version (version 1 predates the
+        coordinate scale and the bounded coordinate weights, so its weights
+        would silently mean another model), or whose configs, parameter or
+        EMA names, stored shapes or coordinate scale do not fit, is a
+        ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
@@ -270,6 +289,10 @@ class FlowModel:
                    else CanonLiteNet(CanonLiteConfig(**doc["net_config"])))
         except TypeError as exc:        # a net_config key the architecture lacks, or misses
             raise ValueError(f"checkpoint net_config does not fit {kind}: {exc}") from None
+        coord_scale = doc.get("coord_scale")
+        if not (isinstance(coord_scale, (int, float)) and 0.0 < coord_scale < np.inf):
+            raise ValueError(f"checkpoint coord_scale must be a positive number, "
+                             f"got {coord_scale!r}")
         params = net.parameters()
         stored = _doc_to_arrays(doc["params"])
         ema = _doc_to_arrays(doc["ema"])
@@ -292,6 +315,7 @@ class FlowModel:
             ema=ema,
             meta=doc.get("meta", {}),
             step=int(doc.get("step", 0)),
+            coord_scale=float(coord_scale),
         )
 
 
@@ -325,14 +349,24 @@ def _check_finite(value: float, parts: dict, epoch: int, step: int) -> None:
         )
 
 
+def _grad_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm of the parameter gradients. Each parameter's square sum
+    is taken in its gradient's dtype, so a gradient whose square would
+    overflow Adam's second moment reads inf here too."""
+    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                             for p in params.values() if p.grad is not None)))
+
+
 def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict]]:
     """Adam with warmup and an EMA shadow over cfg.epochs x cfg.steps_per_epoch steps.
 
     step_loss(epoch) draws one batch and returns (loss Tensor, parts),
-    parts being named float loss terms averaged into the trace. After each
+    parts being named float loss terms averaged into the trace. A non-finite
+    loss, or a non-finite global gradient norm after backward, raises
+    TrainingDiverged before the optimizer or the EMA sees the step. After each
     epoch epoch_stats(epoch) returns the validation columns; it runs under
     no_grad. Returns (EMA state, trace), one trace row per epoch: epoch, loss,
-    the validation columns, then the parts.
+    grad_norm (the epoch mean), the validation columns, then the parts.
     """
     params = net.parameters()
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -340,7 +374,7 @@ def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict
     ema = EMA(params, cfg.ema_decay)
     trace = []
     for epoch in range(cfg.epochs):
-        losses, part_sums = [], {}
+        losses, norms, part_sums = [], [], {}
         for step in range(cfg.steps_per_epoch):
             tape.zero_grads(params)
             loss, parts = step_loss(epoch)
@@ -348,13 +382,19 @@ def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict
             _check_finite(loss_val, {"loss": loss_val, **parts}, epoch, step)
             tape.backward(loss)
             del loss            # release the recorded graph before the next forward
+            norm = _grad_norm(params)
+            if not np.isfinite(norm):
+                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} "
+                                       f"step {step}: grad_norm={norm:.4g}")
             opt.step()
             ema.update(params)
             losses.append(loss_val)
+            norms.append(norm)
             for k, v in parts.items():
                 part_sums[k] = part_sums.get(k, 0.0) + v
         with tape.no_grad():
-            row = {"epoch": epoch, "loss": float(np.mean(losses)), **epoch_stats(epoch)}
+            row = {"epoch": epoch, "loss": float(np.mean(losses)),
+                   "grad_norm": float(np.mean(norms)), **epoch_stats(epoch)}
         for k, v in part_sums.items():
             row[k] = v / cfg.steps_per_epoch
         trace.append(row)
@@ -416,28 +456,39 @@ def build_vocab(mols: list[MoleculeState]) -> dict:
     return {"atom_classes": atoms, "charge_classes": charges, "bond_classes": [0, 1, 2, 3, 4]}
 
 
-def encode_molecule(m: MoleculeState, vocab: dict) -> LatentMolecule:
+def fit_coord_scale(mols: list[MoleculeState]) -> float:
+    """Root mean square of all coordinate entries (1 when they are all 0):
+    coordinates divided by it have unit scale, whatever unit the data use."""
+    rms = float(np.sqrt(np.mean(np.concatenate([m.coords for m in mols]) ** 2)))
+    return rms if rms > 0.0 else 1.0
+
+
+def encode_molecule(m: MoleculeState, vocab: dict, coord_scale: float = 1.0) -> LatentMolecule:
+    """Class indices from the vocab, coordinates divided by coord_scale."""
     atom_lut = {z: i for i, z in enumerate(vocab["atom_classes"])}
     charge_lut = {c: i for i, c in enumerate(vocab["charge_classes"])}
     return LatentMolecule(
-        coords=m.coords.copy(),
+        coords=m.coords / coord_scale,
         type_idx=np.array([atom_lut[int(z)] for z in m.atom_types], dtype=np.int64),
         charge_idx=np.array([charge_lut[int(c)] for c in m.charges], dtype=np.int64),
         bond_idx=m.bonds.copy(),
     )
 
 
-def decode_molecule(latent: LatentMolecule, vocab: dict) -> MoleculeState:
+def decode_molecule(latent: LatentMolecule, vocab: dict, coord_scale: float = 1.0) -> MoleculeState:
+    """Inverse of encode_molecule: classes from the vocab, coordinates times coord_scale."""
     atoms = np.array(vocab["atom_classes"])[latent.type_idx]
     charges = np.array(vocab["charge_classes"])[latent.charge_idx]
     bonds = latent.bond_idx.copy()
     np.fill_diagonal(bonds, 0)
     bonds = np.minimum(bonds, bonds.T)  # guard: decoded matrix must be symmetric
-    return MoleculeState(latent.coords.copy(), atoms, charges, bonds)
+    return MoleculeState(latent.coords * coord_scale, atoms, charges, bonds)
 
 
-def fit_molecular_priors(mols: list[MoleculeState], vocab: dict, cfg: TrainConfig) -> dict:
-    """Rank-conditioned priors for coordinates / types / charges."""
+def fit_molecular_priors(mols: list[MoleculeState], vocab: dict, cfg: TrainConfig,
+                         coord_scale: float = 1.0) -> dict:
+    """Rank-conditioned priors for coordinates / types / charges; the coordinate
+    prior is fitted to coordinates divided by coord_scale."""
     all_ranks, all_coords, type_obs, charge_obs = [], [], [], []
     atom_lut = {z: i for i, z in enumerate(vocab["atom_classes"])}
     charge_lut = {c: i for i, c in enumerate(vocab["charge_classes"])}
@@ -445,7 +496,7 @@ def fit_molecular_priors(mols: list[MoleculeState], vocab: dict, cfg: TrainConfi
         n = m.n_atoms
         ranks = np.arange(n) / n
         all_ranks.append(ranks)
-        all_coords.append(m.coords)
+        all_coords.append(m.coords / coord_scale)
         type_obs.extend(zip(ranks, (atom_lut[int(z)] for z in m.atom_types)))
         charge_obs.extend(zip(ranks, (charge_lut[int(c)] for c in m.charges)))
     ranks_cat = np.concatenate(all_ranks)
@@ -585,7 +636,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.ndarray,
                    w: float) -> dict[str, np.ndarray]:
-    """Guided heads v_u + w (v_c - v_u) as arrays, with no tape recorded.
+    """Guided heads v_u + w (v_c - v_u) as float64 arrays, with no tape recorded.
 
     The unconditional copy drops the PE; w = 1 runs the conditional copy only,
     w = 0 the unconditional one only, and any other w runs both copies as one
@@ -594,7 +645,7 @@ def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.
     with tape.no_grad():
         if w == 1.0 or w == 0.0:
             preds = net(batch, t, ranks, pe_dropped=(w == 0.0))
-            return {k: getattr(preds, k).data for k in _HEADS}
+            return {k: getattr(preds, k).data.astype(np.float64) for k in _HEADS}
         n_mols = len(batch.layout.sizes)
         both = MoleculeBatch(
             *(np.concatenate([x, x]) for x in (batch.coords, batch.type_idx,
@@ -603,10 +654,9 @@ def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.
         preds = net(both, np.tile(np.broadcast_to(t, (n_mols,)), 2), np.tile(ranks, 2),
                     pe_dropped=np.repeat([False, True], n_mols))
     out = {}
-    for k in _HEADS[:-1]:
-        cond, unc = np.split(getattr(preds, k).data, 2)
-        out[k] = unc + w * (cond - unc)
-    out["rank_raw"] = np.split(preds.rank_raw.data, 2)[0]
+    for k in _HEADS:
+        cond, unc = np.split(getattr(preds, k).data.astype(np.float64), 2)
+        out[k] = cond if k == "rank_raw" else unc + w * (cond - unc)
     return out
 
 
@@ -672,15 +722,16 @@ def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
 def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, val_data):
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(mols)
-    priors = fit_molecular_priors(mols, vocab, cfg)
+    scale = fit_coord_scale(mols)
+    priors = fit_molecular_priors(mols, vocab, cfg, scale)
     if val_data is None:
         n_val = max(1, len(mols) // 10)
         val_mols = mols[-n_val:]
         train_mols = mols[:-n_val] if len(mols) - n_val >= 1 else mols
     else:
         train_mols, val_mols = mols, list(val_data)
-    encoded = [encode_molecule(m, vocab) for m in train_mols]
-    encoded_val = [encode_molecule(m, vocab) for m in val_mols]
+    encoded = [encode_molecule(m, vocab, scale) for m in train_mols]
+    encoded_val = [encode_molecule(m, vocab, scale) for m in val_mols]
 
     if net_config is None:
         net_config = CanonLiteConfig(
@@ -709,6 +760,7 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
     model = FlowModel(
         kind="canonlite", net=net, train_config=cfg, priors=priors,
         ema=ema, meta={"vocab": vocab}, step=cfg.epochs * cfg.steps_per_epoch,
+        coord_scale=scale,
     )
     return model, trace
 

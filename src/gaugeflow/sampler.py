@@ -14,6 +14,9 @@ Regimes:
        min-max normalized); canonicalize_mode=True instead re-canonicalizes
        the intermediate state and reads ranks off the new ordering.
 
+Integration runs on the net's unit-scale coordinates; finished samples and
+regime-b canonicalizations are decoded with the checkpoint's coord_scale.
+
 After integration an optional Haar randomization pushes the canonical
 samples back to the ambient space (config group: none / perm / perm_so3).
 """
@@ -78,11 +81,14 @@ def rank_estimate(rank_raw: np.ndarray) -> np.ndarray:
     return (rank_raw - rank_raw.min()) / span
 
 
-def pcs_step(latent: LatentMolecule, vocab: dict) -> tuple[LatentMolecule, np.ndarray, bool]:
-    """Re-canonicalize an intermediate state; returns (state, ranks, degenerate)."""
-    mol = decode_molecule(latent, vocab)
+def pcs_step(latent: LatentMolecule, vocab: dict,
+             coord_scale: float = 1.0) -> tuple[LatentMolecule, np.ndarray, bool]:
+    """Re-canonicalize an intermediate state in data units (latent coordinates
+    times coord_scale); returns (state, ranks, degenerate)."""
+    mol = decode_molecule(latent, vocab, coord_scale)
     result = canonicalize(mol, group="perm_so3")
-    return encode_molecule(result.representative, vocab), result.ranks, result.degenerate
+    return (encode_molecule(result.representative, vocab, coord_scale), result.ranks,
+            result.degenerate)
 
 
 def _isotropic_coord_prior(aligned: priors_mod.RankBinnedGaussianPrior
@@ -111,7 +117,9 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
                             but flagged its ordering degenerate (near-tied
                             keys); its ranks are used all the same;
       clipped_coords        coordinate entries at the +-COORD_CLIP bound after
-                            an Euler step, summed over steps and samples.
+                            an Euler step, summed over steps and samples. The
+                            bound acts on the net's unit-scale coordinates, so
+                            a decoded sample sits at +-COORD_CLIP * coord_scale.
     """
     if model.kind != "canonlite":
         raise ValueError("molecular sampling needs a canonlite model")
@@ -145,17 +153,17 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
             if cfg.regime != "b":
                 continue
             if cfg.canonicalize_mode:
-                state, ranks = _recanonicalize(state, ranks, vocab, counts)
+                state, ranks = _recanonicalize(state, ranks, vocab, model.coord_scale, counts)
             else:
                 ranks = np.concatenate([rank_estimate(r) for r in
                                         np.split(rank_raw, state.layout.node_start[1:])])
-        mols = [decode_molecule(latent, vocab) for latent in state.unpack()]
+        mols = [decode_molecule(latent, vocab, model.coord_scale) for latent in state.unpack()]
     mols = haar_randomize(mols, cfg.group, rng)
     info = dict(counts, regime=cfg.regime, steps=cfg.steps, haar_group=cfg.group)
     return mols, info
 
 
-def _recanonicalize(state: MoleculeBatch, ranks: np.ndarray, vocab: dict,
+def _recanonicalize(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
                     counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
     """Regime-b canonicalization of each molecule in turn, counted in `counts`."""
     latents = state.unpack()
@@ -163,7 +171,7 @@ def _recanonicalize(state: MoleculeBatch, ranks: np.ndarray, vocab: dict,
     for b, latent in enumerate(latents):
         counts["canonicalize_calls"] += 1
         try:
-            latents[b], rank_list[b], degenerate = pcs_step(latent, vocab)
+            latents[b], rank_list[b], degenerate = pcs_step(latent, vocab, coord_scale)
         except CanonicalizationError:
             counts["degenerate_steps"] += 1
             continue

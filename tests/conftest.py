@@ -1,8 +1,10 @@
-"""Shared random-structure generators for the suite."""
+"""Shared random-structure generators and fixtures for the suite."""
 
 import numpy as np
+import pytest
 
 from gaugeflow.canonicalizer import canonicalize
+from gaugeflow.flowcore import tape
 from gaugeflow.molecule import MoleculeState
 
 ELEMENTS = np.array([1, 6, 7, 8, 9, 16, 17], dtype=np.int64)
@@ -28,6 +30,14 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
         if bonds[i, j] == 0:
             bonds[i, j] = bonds[j, i] = 1
     return MoleculeState(coords, types, charges, bonds)
+
+
+@pytest.fixture
+def float64_tape():
+    """Run the test on the float64 tape: central differences and 1e-10
+    reference comparisons need more digits than float32 holds."""
+    with tape.precision(np.float64):
+        yield
 
 
 def nondegenerate_molecule(rng: np.random.Generator, n_atoms: int,

@@ -10,6 +10,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from conftest import nondegenerate_molecule
@@ -204,6 +205,7 @@ def _full_head_loss(net, z_t, ranks, target_coords, target_types):
     return fn
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_network_gradients_match_finite_differences():
     # every parameter of three small random networks, central differences,
     # mixed rel/abs error <= 1e-4

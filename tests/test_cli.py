@@ -235,6 +235,20 @@ def test_sample_rejects_checkpoint_that_does_not_fit(trained_mol, tmp_path, caps
     assert not out.exists()
 
 
+def test_sample_refuses_version_1_checkpoint(trained_mol, tmp_path, capsys):
+    # version 1 predates the coordinate scale and the bounded coordinate
+    # weights: its weights would mean another model, so it is not loaded
+    doc = json.loads((trained_mol / "checkpoint.json").read_text())
+    doc["format_version"] = 1
+    del doc["coord_scale"]
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "gen"
+    assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "-o", out) == 3
+    assert "version 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_counts_degenerate_inputs(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()

@@ -219,6 +219,93 @@ def test_checkpoint_rejects_bad_version(tmp_path):
         FlowModel.load(path)
 
 
+def test_checkpoint_refuses_version_1(tmp_path):
+    import json
+
+    model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=0))
+    path = tmp_path / "mol.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2 and doc["coord_scale"] == model.coord_scale
+    doc["format_version"] = 1
+    del doc["coord_scale"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="version 1"):
+        FlowModel.load(path)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, None, "2"])
+def test_checkpoint_rejects_bad_coord_scale(tmp_path, scale):
+    import json
+
+    model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=0))
+    path = tmp_path / "mol.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    doc["coord_scale"] = scale
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="coord_scale"):
+        FlowModel.load(path)
+
+
+def test_float32_checkpoint_round_trip_is_bit_equal(tmp_path):
+    model, _ = train(mol_set(n_mols=4, n_atoms=5), tiny_cfg(epochs=1, steps_per_epoch=2,
+                                                            batch_size=2))
+    path = tmp_path / "mol.json"
+    model.save(path)
+    loaded = FlowModel.load(path)
+    assert loaded.coord_scale == model.coord_scale
+    for k, p in model.parameters().items():
+        got = loaded.parameters()[k].data
+        assert p.data.dtype == got.dtype == loaded.ema[k].dtype == np.float32
+        assert np.array_equal(got, p.data)
+        assert np.array_equal(loaded.ema[k], model.ema[k])
+
+
+def test_coordinates_enter_the_net_at_unit_scale():
+    mols = mol_set(n_mols=6, n_atoms=5)
+    scale = training.fit_coord_scale(mols)
+    coords = np.concatenate([m.coords for m in mols])
+    assert scale == pytest.approx(np.sqrt(np.mean(coords ** 2)))
+    vocab = training.build_vocab(mols)
+    latent = training.encode_molecule(mols[0], vocab, scale)
+    assert np.allclose(latent.coords * scale, mols[0].coords)
+    back = training.decode_molecule(latent, vocab, scale)
+    assert np.allclose(back.coords, mols[0].coords)
+    model, _ = train(mols, tiny_cfg(epochs=0))
+    assert model.coord_scale == scale
+    # the coordinate prior is fitted to the scaled coordinates
+    priors = training.fit_molecular_priors(mols, vocab, tiny_cfg(prior_mode="isotropic"), scale)
+    assert np.allclose(priors["coord"].bin_stds, (coords / scale).std())
+    origin = [random_molecule(np.random.default_rng(0), 1)]
+    origin[0].coords[:] = 0.0
+    assert training.fit_coord_scale(origin) == 1.0
+
+
+def test_non_finite_gradient_fails_before_the_update(monkeypatch):
+    # a float32 overflow in backward shows as an inf gradient with a finite
+    # loss; training must stop there, before Adam or the EMA see it
+    params, before = {}, {}
+    real_zero, real_backward = tape.zero_grads, tape.backward
+
+    def capturing_zero(p):
+        params.update(p)
+        before.update({k: t.data.copy() for k, t in p.items()})
+        real_zero(p)
+
+    def overflowing_backward(root):
+        real_backward(root)
+        params["net.layers.0.weight"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(tape, "zero_grads", capturing_zero)
+    monkeypatch.setattr(tape, "backward", overflowing_backward)
+    data = np.random.default_rng(3).standard_normal((64, 2))
+    with pytest.raises(TrainingDiverged, match=r"epoch 0 step 0: grad_norm=inf"):
+        train(data, tiny_cfg(epochs=2, steps_per_epoch=3))
+    for k, t in params.items():
+        assert np.array_equal(t.data, before[k])
+
+
 @pytest.mark.parametrize("group, key, value", CHECKPOINT_DAMAGE)
 def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, group, key, value):
     import json
@@ -345,6 +432,7 @@ def _loss_and_grads(net, examples, cfg):
                                  for k, p in params.items()}
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_packed_training_step_equals_mean_of_single_steps():
     rng = np.random.default_rng(41)
     mols = [random_molecule(rng, n, charged=True) for n in (1, 3, 6, 9)]
@@ -362,6 +450,30 @@ def test_packed_training_step_equals_mean_of_single_steps():
     for k, g in grads.items():
         want = np.mean([s[2][k] for s in singles], axis=0)
         assert np.abs(g - want).max() <= 1e-10 * max(1.0, np.abs(want).max()), k
+
+
+def test_float32_is_the_default_end_to_end():
+    # no float64 constant, scale, sparse matrix or loss weight upcasts the chain
+    rng = np.random.default_rng(44)
+    mols = [random_molecule(rng, n, charged=True) for n in (1, 3, 6)]
+    cfg = tiny_cfg(p_drop=0.5)
+    examples, vocab = _examples(mols, cfg)
+    net_cfg = CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
+                              n_charge_classes=len(vocab["charge_classes"]))
+    losses = {}
+    for dtype in (np.float32, np.float64):
+        with tape.precision(dtype):
+            net = CanonLiteNet(net_cfg, rng=np.random.default_rng(45))
+            params = net.parameters()
+            tape.zero_grads(params)
+            total, _ = training.molecular_fm_loss(net, examples, cfg)
+            tape.backward(total)
+        assert total.data.dtype == dtype
+        assert all(p.data.dtype == dtype and (p.grad is None or p.grad.dtype == dtype)
+                   for p in params.values())
+        losses[dtype] = total.item()
+    assert tape.compute_dtype() == np.float32
+    assert losses[np.float32] == pytest.approx(losses[np.float64], rel=1e-5)
 
 
 def test_single_atom_molecules_train():

@@ -126,3 +126,15 @@ def test_gauge_contract_for_key_orderings(name, jitter, ordering):
         assert np.array_equal(rep.atom_types, reps[0].atom_types)
         assert np.array_equal(rep.bonds, reps[0].bonds)
         assert np.abs(_distances(rep) - _distances(reps[0])).max() <= 1e-8
+
+
+def test_key_ties_split_by_atomic_number_are_not_degenerate():
+    # C-O: both atoms have one neighbour, so their hop keys tie, and the
+    # atomic-number tiebreak orders them uniquely; C-C keeps the tie
+    n2 = _shape("n2")
+    for moved in _gauged_copies(n2, [2, 8]):
+        assert not canonicalize(moved, group="perm", ordering="multihop").degenerate
+    cc = _molecule(n2.coords, [6, 6], [(0, 1)])
+    assert canonicalize(cc, group="perm", ordering="multihop").degenerate
+    chain = _molecule(_shape("n3").coords, [6, 7, 6], [(0, 1), (1, 2)])
+    assert canonicalize(chain, group="perm", ordering="multihop").degenerate

@@ -40,7 +40,7 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         ], axis=1))
         rank_at = c.d_model + c.n_coord_sets
         m_node = tape.take_cols(msg, slice(0, c.d_model))
-        m_coord = tape.take_cols(msg, slice(c.d_model, rank_at))
+        m_coord = tape.tanh(tape.take_cols(msg, slice(c.d_model, rank_at)))
         m_rank = tape.take_cols(msg, slice(rank_at, rank_at + c.d_rank))
         m_edge = tape.take_cols(msg, slice(rank_at + c.d_rank, rank_at + c.d_rank + c.d_edge))
         h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, lay)))
@@ -92,6 +92,7 @@ def assert_close(got, want, what):
     assert err <= 1e-10 * scale, f"{what}: max abs error {err:.3g} at scale {scale:.3g}"
 
 
+@pytest.mark.usefixtures("float64_tape")
 @pytest.mark.parametrize("pe_dropped", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 7, 13])
 def test_factorized_messages_match_concat_form(n, pe_dropped):
@@ -150,6 +151,7 @@ def test_parameter_names_and_shapes_unchanged():
     ]
 
 
+@pytest.mark.usefixtures("float64_tape")
 def test_packed_batch_matches_single_forwards():
     # mixed sizes, PE drops and times in one packed graph against the concat
     # reference run one molecule at a time

@@ -91,7 +91,9 @@ def test_clipped_coordinates_are_counted(mol_model):
     model.net.head_vel.data *= 1e9
     cfg = SampleConfig(steps=1, seed=6)
     mols, info = sampler.sample(model, 6, 3, cfg)
-    at_bound = sum(int((np.abs(m.coords) == sampler.COORD_CLIP).sum()) for m in mols)
+    # the clip acts on the net's unit-scale coordinates; samples come back scaled
+    bound = sampler.COORD_CLIP * model.coord_scale
+    at_bound = sum(int((np.abs(m.coords) == bound).sum()) for m in mols)
     assert info["clipped_coords"] == at_bound > 0
     assert info["degenerate_steps"] == 0
 
@@ -173,6 +175,7 @@ def test_guidance_endpoints_and_mixing(mol_model):
                        unc.atom_logits.data + 0.3 * (cond.atom_logits.data - unc.atom_logits.data))
 
 
+@pytest.mark.usefixtures("float64_tape")
 @pytest.mark.parametrize("w", [1.0, 0.0, 2.0])
 def test_packed_guided_heads_equal_single_forwards(mol_model, w):
     # one packed forward (two copies when guidance mixes) against B separate
@@ -202,8 +205,8 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
 def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
     real = sampler.pcs_step
 
-    def flagged(latent, vocab):
-        state, ranks, _ = real(latent, vocab)
+    def flagged(latent, vocab, coord_scale):
+        state, ranks, _ = real(latent, vocab, coord_scale)
         return state, ranks, True
     monkeypatch.setattr(sampler, "pcs_step", flagged)
     cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
@@ -252,7 +255,8 @@ def test_zero_field_single_step_reproduces_prior(mol_model):
     pooled = np.concatenate([m.coords for m in mols]).ravel()
 
     rng = np.random.default_rng(1234)
-    direct = np.concatenate([
+    # the prior is fitted in the net's unit-scale coordinates
+    direct = model.coord_scale * np.concatenate([
         priors_mod.sample_rank_gaussian(model.priors["coord"], np.arange(6) / 6, rng)
         for _ in range(60)
     ]).ravel()

@@ -6,6 +6,8 @@ import pytest
 from gaugeflow.flowcore import tape
 from gaugeflow.flowcore.tape import Tensor
 
+pytestmark = pytest.mark.usefixtures("float64_tape")
+
 
 def check(fn, params, tol=1e-6):
     errs = tape.gradient_check(fn, params)
@@ -35,6 +37,7 @@ def test_broadcast_gradients():
 def test_nonlinearities():
     a = p((6, 4), 4, scale=2.0)
     check(lambda: tape.tsum(tape.silu(a)), {"a": a})
+    check(lambda: tape.tsum(tape.tanh(a)), {"a": a})
 
 
 def test_sigmoid_stable_at_extremes():
@@ -239,6 +242,24 @@ def test_no_grad_records_no_graph():
         with tape.no_grad():
             raise RuntimeError("the flag is restored on the way out")
     assert tape.square(a).requires_grad
+
+
+def test_precision_selects_the_compute_dtype():
+    values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    for dtype in (np.float32, np.float64):
+        with tape.precision(dtype):
+            a = Tensor(values, requires_grad=True)
+            lay = tape.PairLayout([2])
+            outs = [tape.silu(a), tape.tanh(a), tape.block_mean_rows(a, lay),
+                    tape.reduce_min(a, [0]), tape.softmax_cross_entropy(a, [0, 1, 0, 1]),
+                    tape.mse(a, np.zeros((4, 2)), weights=np.ones(4))]
+            assert all(out.data.dtype == dtype for out in outs)
+            tape.backward(tape.tsum(tape.block_mean_rows(tape.square(a), lay)))
+            assert a.grad.dtype == dtype
+    with pytest.raises(RuntimeError):
+        with tape.precision(np.float32):
+            raise RuntimeError("the dtype is restored on the way out")
+    assert Tensor(1.0).data.dtype == np.float64        # this module runs on float64
 
 
 def test_linear_matches_matmul_plus_bias():
