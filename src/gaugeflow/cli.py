@@ -189,9 +189,14 @@ def _load_training_data(data_arg: str, seed: int):
     path = Path(data_arg)
     if path.suffix == ".npz":
         with np.load(path) as doc:
-            if "data" not in doc:
-                raise UsageError("npz input must contain a 'data' array")
-            return np.asarray(doc["data"], dtype=np.float64), None
+            try:
+                data = doc["data"]
+            except (KeyError, ValueError):      # no 'data' entry, or an object array
+                data = np.zeros(0)
+        if (data.ndim != 2 or not data.size or data.dtype.kind not in "biuf"
+                or not np.isfinite(data).all()):
+            raise UsageError("npz input must hold 'data': a non-empty 2-D array of finite numbers")
+        return data.astype(np.float64), None
     if path.is_dir():
         files = sorted(list(path.glob("*.sdf")) + list(path.glob("*.xyz")))
         if not files:
@@ -242,6 +247,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be at least 0, got {args.n}")
     if args.n_atoms is not None and args.n_atoms < 1:
         raise UsageError(f"--n-atoms must be at least 1, got {args.n_atoms}")
     try:
@@ -308,9 +315,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        n_mc = None if args.n is None else int(float(args.n))
+    except (ValueError, OverflowError):
+        raise UsageError(f"--n must be a number, got {args.n!r}") from None
+    if n_mc is not None and n_mc < theorylab.MIN_MC_SAMPLES:
+        raise UsageError(f"--n must be at least {theorylab.MIN_MC_SAMPLES}, got {args.n}")
     outdir = _outdir(args)
     systems = None if args.system == "all" else (args.system,)
-    n_mc = int(float(args.n)) if args.n is not None else None
     report = theorylab.run_default_suite(seed=args.seed, systems=systems, n_mc=n_mc)
     for line in report.summary_lines():
         print(line)

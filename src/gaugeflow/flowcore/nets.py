@@ -38,8 +38,8 @@ molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout). Matmuls
 see the packed rows; only the pairwise primitives and the rank normalization
 know where molecules end, so messages never cross molecules and each
 molecule's heads equal those of its own forward up to rounding. Time, ranks
-and the PE drop are per molecule. One LatentMolecule runs as
-MoleculeBatch.pack([latent]).
+and the PE drop are per molecule. Molecules enter as a MoleculeBatch from
+training.encode_molecules and leave through training.decode_molecules.
 """
 
 from __future__ import annotations
@@ -168,23 +168,17 @@ class CanonLiteConfig:
         return dict(self.__dict__)
 
 
-@dataclass
-class LatentMolecule:
-    """Mid-path molecular state: continuous coords, categorical class indices."""
-
-    coords: np.ndarray       # (N, 3)
-    type_idx: np.ndarray     # (N,)
-    charge_idx: np.ndarray   # (N,)
-    bond_idx: np.ndarray     # (N, N) symmetric, zero diagonal
-
-    @property
-    def n_atoms(self) -> int:
-        return self.coords.shape[0]
+def concat_aranges(starts, lengths) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for each k in turn."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
 
 
 @dataclass
 class MoleculeBatch:
-    """Molecules packed into one graph; rows follow `layout` (a tape.PairLayout)."""
+    """Molecules packed into one graph; rows follow `layout` (a tape.PairLayout).
+    The flow's only molecular state: class indices, unit-scale coordinates."""
 
     coords: np.ndarray       # (sum N, 3)
     type_idx: np.ndarray     # (sum N,)
@@ -197,24 +191,15 @@ class MoleculeBatch:
         """Total atoms over the batch."""
         return self.coords.shape[0]
 
-    @classmethod
-    def pack(cls, latents) -> "MoleculeBatch":
-        latents = list(latents)
-        return cls(np.concatenate([m.coords for m in latents]),
-                   np.concatenate([m.type_idx for m in latents]),
-                   np.concatenate([m.charge_idx for m in latents]),
-                   np.concatenate([m.bond_idx.ravel() for m in latents]),
-                   tape.PairLayout([m.n_atoms for m in latents]))
-
-    def unpack(self) -> list[LatentMolecule]:
+    def select(self, idx) -> "MoleculeBatch":
+        """The molecules at positions idx (repeats allowed), packed in that order."""
         lay = self.layout
-        out = []
-        for n, node, pair in zip(lay.sizes, lay.node_start, lay.block_start[lay.node_start]):
-            rows = slice(node, node + n)
-            out.append(LatentMolecule(self.coords[rows], self.type_idx[rows],
-                                      self.charge_idx[rows],
-                                      self.bond_idx[pair:pair + n * n].reshape(n, n)))
-        return out
+        idx = np.asarray(idx, dtype=np.int64)
+        sizes = lay.sizes[idx]
+        nodes = concat_aranges(lay.node_start[idx], sizes)
+        pairs = concat_aranges(lay.block_start[lay.node_start[idx]], sizes ** 2)
+        return MoleculeBatch(self.coords[nodes], self.type_idx[nodes], self.charge_idx[nodes],
+                             self.bond_idx[pairs], tape.PairLayout(sizes))
 
 
 @dataclass

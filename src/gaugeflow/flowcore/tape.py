@@ -370,8 +370,9 @@ class PairLayout:
     Node rows: the n_b atoms of each molecule in turn (sum n_b rows). Pair
     rows: the n_b^2 ordered pairs (i, j) of each molecule in turn, i-major, so
     node row r owns the n_b consecutive pair rows starting at block_start[r].
-    pair_i / pair_j give the node rows of a pair row's i and j, and
-    `transpose` maps row (i, j) to row (j, i). The sparse 0/1 operators
+    pair_i / pair_j give the node rows of a pair row's i and j, `transpose`
+    maps row (i, j) to row (j, i), and `upper` lists the rows with i < j
+    (each molecule's upper triangle, i-major). The sparse 0/1 operators
     sum_j and sum_i (nodes x pairs) add up each node's pair rows (i, .) and
     (., j); pair_gather (pairs x 2 nodes) maps stacked [a; b] to a[i] + b[j].
     """
@@ -389,6 +390,7 @@ class PairLayout:
         self.pair_i = np.repeat(np.arange(n_nodes), self.row_size)
         self.pair_j = first_atom + np.arange(n_pairs) - self.block_start[self.pair_i]
         self.transpose = self.block_start[self.pair_j] + self.pair_i - first_atom
+        self.upper = np.flatnonzero(self.pair_i < self.pair_j)
         self.sum_j = _block_sums(self.row_size, _dtype)
         # row j of sum_i holds rows (i, j) for i in turn: the transposed block of j
         self.sum_i = sparse.csr_matrix((self.sum_j.data, self.transpose, self.sum_j.indptr),
@@ -401,6 +403,14 @@ class PairLayout:
     @property
     def n_pairs(self) -> int:
         return len(self.pair_i)
+
+    def symmetric(self, upper_values: np.ndarray) -> np.ndarray:
+        """Pair-row array holding upper_values at the `upper` rows (i, j) and
+        at their mirrors (j, i), zero on the diagonal."""
+        out = np.zeros(self.n_pairs, dtype=np.asarray(upper_values).dtype)
+        out[self.upper] = upper_values
+        out[self.transpose[self.upper]] = upper_values
+        return out
 
 
 def repeat_rows(a: Tensor, times) -> Tensor:

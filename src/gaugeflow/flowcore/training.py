@@ -6,9 +6,13 @@ for coordinates is the straight-line velocity z1 - z0; categorical entries
 keep the data class with probability (1 - t), else a prior draw; categorical
 heads predict the data class. Samplers integrate from t = 1 down to 0.
 
+Molecules enter as one packed MoleculeBatch (encode_molecules) and leave
+through decode_molecules; in between, every draw is batch-major: one draw per
+quantity over the whole batch, in the order each drawing function documents.
+
 Molecular coordinates are trained at unit scale: fit_coord_scale gives one
-scale from the training set, encode_molecule divides by it and
-decode_molecule multiplies back, and the priors, the loss, the preview and
+scale from the training set, encode_molecules divides by it and
+decode_molecules multiplies back, and the priors, the loss, the preview and
 the Euler rollout all see scaled coordinates. The scale is stored in the
 checkpoint (format_version 2) next to the priors.
 
@@ -31,7 +35,7 @@ from .. import coupling as coupling_mod
 from .. import priors as priors_mod
 from ..molecule import MoleculeState
 from . import tape
-from .nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch, VectorFieldMLP
+from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP, concat_aranges
 from .tape import Tensor
 
 CHECKPOINT_VERSION = 2          # 2: coordinate scale stored, bounded coordinate weights
@@ -128,12 +132,17 @@ class Adam:
 
 
 class EMA:
+    """Shadow weights; update t (from 0) uses the warm-up decay
+    min(decay, (1 + t) / (10 + t)), so a short run's shadow is not the init."""
+
     def __init__(self, params: dict[str, Tensor], decay: float = 0.999):
         self.decay = decay
+        self.t = 0
         self.shadow = {k: p.data.copy() for k, p in params.items()}
 
     def update(self, params: dict[str, Tensor]) -> None:
-        d = self.decay
+        d = min(self.decay, (1 + self.t) / (10 + self.t))
+        self.t += 1
         for k, p in params.items():
             self.shadow[k] = d * self.shadow[k] + (1 - d) * p.data
 
@@ -172,16 +181,18 @@ def interpolate(z0: np.ndarray, z1: np.ndarray, t: np.ndarray, sigma: float,
     return PathSample(t.ravel(), z_t, z1 - z0)
 
 
-def mix_categorical(data_idx: np.ndarray, noise_idx: np.ndarray, t: float,
+def mix_categorical(data_idx: np.ndarray, noise_idx: np.ndarray, t,
                     rng: np.random.Generator) -> np.ndarray:
-    """Each entry keeps the data class with probability (1 - t)."""
+    """Each entry keeps the data class with probability (1 - t); t is a scalar
+    or one time per entry."""
     keep = rng.random(data_idx.shape) < (1.0 - t)
     return np.where(keep, data_idx, noise_idx)
 
 
-def rank_noise(ranks: np.ndarray, t: float, sigma_r: float,
+def rank_noise(ranks: np.ndarray, t, sigma_r: float,
                rng: np.random.Generator) -> np.ndarray:
-    """Noised ranks r + N(0, sigma_r^2) * (1 - t); exact at t = 1."""
+    """Noised ranks r + N(0, sigma_r^2) * (1 - t); exact at t = 1. t is a
+    scalar or one time per rank."""
     return ranks + sigma_r * (1.0 - t) * rng.standard_normal(ranks.shape)
 
 
@@ -463,141 +474,142 @@ def fit_coord_scale(mols: list[MoleculeState]) -> float:
     return rms if rms > 0.0 else 1.0
 
 
-def encode_molecule(m: MoleculeState, vocab: dict, coord_scale: float = 1.0) -> LatentMolecule:
-    """Class indices from the vocab, coordinates divided by coord_scale."""
-    atom_lut = {z: i for i, z in enumerate(vocab["atom_classes"])}
-    charge_lut = {c: i for i, c in enumerate(vocab["charge_classes"])}
-    return LatentMolecule(
-        coords=m.coords / coord_scale,
-        type_idx=np.array([atom_lut[int(z)] for z in m.atom_types], dtype=np.int64),
-        charge_idx=np.array([charge_lut[int(c)] for c in m.charges], dtype=np.int64),
-        bond_idx=m.bonds.copy(),
-    )
+def _class_index(classes, values: np.ndarray, what: str) -> np.ndarray:
+    """Position of each value in the vocab's class list; a value the list
+    does not hold is a ValueError."""
+    classes = np.asarray(classes)
+    order = np.argsort(classes)
+    idx = order[np.minimum(np.searchsorted(classes, values, sorter=order), len(classes) - 1)]
+    if (classes[idx] != values).any():
+        bad = values[classes[idx] != values][0]
+        raise ValueError(f"{what} class {bad} is not in the vocab {classes.tolist()}")
+    return idx
 
 
-def decode_molecule(latent: LatentMolecule, vocab: dict, coord_scale: float = 1.0) -> MoleculeState:
-    """Inverse of encode_molecule: classes from the vocab, coordinates times coord_scale."""
-    atoms = np.array(vocab["atom_classes"])[latent.type_idx]
-    charges = np.array(vocab["charge_classes"])[latent.charge_idx]
-    bonds = latent.bond_idx.copy()
-    np.fill_diagonal(bonds, 0)
-    bonds = np.minimum(bonds, bonds.T)  # guard: decoded matrix must be symmetric
-    return MoleculeState(latent.coords * coord_scale, atoms, charges, bonds)
+def encode_molecules(mols: list[MoleculeState], vocab: dict, coord_scale: float) -> MoleculeBatch:
+    """The molecules packed into one MoleculeBatch: class indices from the
+    vocab, coordinates divided by coord_scale."""
+    return MoleculeBatch(
+        np.concatenate([m.coords for m in mols]) / coord_scale,
+        _class_index(vocab["atom_classes"], np.concatenate([m.atom_types for m in mols]), "atom"),
+        _class_index(vocab["charge_classes"], np.concatenate([m.charges for m in mols]), "charge"),
+        _class_index(vocab["bond_classes"], np.concatenate([m.bonds.ravel() for m in mols]),
+                     "bond"),
+        tape.PairLayout([m.n_atoms for m in mols]))
 
 
-def fit_molecular_priors(mols: list[MoleculeState], vocab: dict, cfg: TrainConfig,
-                         coord_scale: float = 1.0) -> dict:
-    """Rank-conditioned priors for coordinates / types / charges; the coordinate
-    prior is fitted to coordinates divided by coord_scale."""
-    all_ranks, all_coords, type_obs, charge_obs = [], [], [], []
-    atom_lut = {z: i for i, z in enumerate(vocab["atom_classes"])}
-    charge_lut = {c: i for i, c in enumerate(vocab["charge_classes"])}
-    for m in mols:
-        n = m.n_atoms
-        ranks = np.arange(n) / n
-        all_ranks.append(ranks)
-        all_coords.append(m.coords / coord_scale)
-        type_obs.extend(zip(ranks, (atom_lut[int(z)] for z in m.atom_types)))
-        charge_obs.extend(zip(ranks, (charge_lut[int(c)] for c in m.charges)))
-    ranks_cat = np.concatenate(all_ranks)
-    coords_cat = np.concatenate(all_coords)
+def decode_molecules(batch: MoleculeBatch, vocab: dict, coord_scale: float) -> list[MoleculeState]:
+    """Inverse of encode_molecules: one MoleculeState per molecule, classes
+    from the vocab, coordinates times coord_scale."""
+    lay = batch.layout
+    coords = batch.coords * coord_scale
+    atoms = np.asarray(vocab["atom_classes"])[batch.type_idx]
+    charges = np.asarray(vocab["charge_classes"])[batch.charge_idx]
+    # guard: a decoded bond matrix must be symmetric with an empty diagonal
+    bond_idx = np.minimum(batch.bond_idx, batch.bond_idx[lay.transpose])
+    bond_idx[lay.pair_i == lay.pair_j] = 0
+    bonds = np.asarray(vocab["bond_classes"])[bond_idx]
+    return [MoleculeState(coords[a:a + n], atoms[a:a + n], charges[a:a + n],
+                          bonds[p:p + n * n].reshape(n, n))
+            for a, n, p in zip(lay.node_start, lay.sizes, lay.block_start[lay.node_start])]
+
+
+def index_ranks(sizes) -> np.ndarray:
+    """Ranks i/n_b of every atom row of molecules of the given sizes, packed."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return concat_aranges(np.zeros_like(sizes), sizes) / np.repeat(sizes, sizes)
+
+
+def fit_molecular_priors(batch: MoleculeBatch, vocab: dict, cfg: TrainConfig) -> dict:
+    """Rank-conditioned priors for the coordinates / types / charges of an
+    encoded batch, at index ranks; coordinates are fitted in the batch's
+    unit scale."""
+    ranks = index_ranks(batch.layout.sizes)
+    k = cfg.n_rank_bins
     if cfg.prior_mode == "aligned":
-        coord_prior = priors_mod.fit_rank_gaussian(ranks_cat, coords_cat, cfg.n_rank_bins)
+        coord_prior = priors_mod.fit_rank_gaussian(ranks, batch.coords, k)
     elif cfg.prior_mode == "isotropic":
-        scale = float(coords_cat.std())
-        k = cfg.n_rank_bins
+        scale = float(batch.coords.std())
         coord_prior = priors_mod.RankBinnedGaussianPrior(
             np.zeros((k, 3)), np.full((k, 3), max(scale, 1e-4)))
     else:
         raise ValueError(f"unknown prior_mode {cfg.prior_mode!r}")
     return {
         "coord": coord_prior,
-        "atom": priors_mod.fit_positional(type_obs, cfg.n_rank_bins, len(vocab["atom_classes"])),
-        "charge": priors_mod.fit_positional(charge_obs, cfg.n_rank_bins, len(vocab["charge_classes"])),
+        "atom": priors_mod.fit_positional(ranks, batch.type_idx, k, len(vocab["atom_classes"])),
+        "charge": priors_mod.fit_positional(ranks, batch.charge_idx, k,
+                                            len(vocab["charge_classes"])),
     }
 
 
-def sample_molecular_noise(n_atoms: int, priors: dict, n_bond_classes: int,
-                           rng: np.random.Generator) -> LatentMolecule:
-    """Draw the noise endpoint: rank-conditioned coords/types/charges, uniform bonds."""
-    ranks = np.arange(n_atoms) / n_atoms
+def sample_molecular_noise(sizes, priors: dict, n_bond_classes: int,
+                           rng: np.random.Generator) -> MoleculeBatch:
+    """The noise endpoint of molecules of the given sizes, as one batch.
+
+    Draws come in the order: coordinates, atom types and charges of all atom
+    rows (rank-conditioned at index ranks), then uniform bond classes over
+    all upper-triangle pairs.
+    """
+    lay = tape.PairLayout(sizes)
+    ranks = index_ranks(lay.sizes)
     coords = priors_mod.sample_rank_gaussian(priors["coord"], ranks, rng)
     type_idx = priors_mod.sample_positional(priors["atom"], ranks, rng)
     charge_idx = priors_mod.sample_positional(priors["charge"], ranks, rng)
-    bonds = np.zeros((n_atoms, n_atoms), dtype=np.int64)
-    iu = np.triu_indices(n_atoms, k=1)
-    draws = rng.integers(0, n_bond_classes, size=len(iu[0]))
-    bonds[iu] = draws
-    bonds = bonds + bonds.T
-    return LatentMolecule(coords, type_idx, charge_idx, bonds)
-
-
-def molecular_path(latent0: LatentMolecule, latent1: LatentMolecule, t: float,
-                   cfg: TrainConfig, rng: np.random.Generator) -> LatentMolecule:
-    """Interpolated state: linear+noise coords, (1 - t)-keep categorical mixing."""
-    n = latent0.n_atoms
-    coords_t = (1.0 - t) * latent0.coords + t * latent1.coords
-    if cfg.coord_noise > 0:
-        coords_t = coords_t + cfg.coord_noise * rng.standard_normal(coords_t.shape)
-    type_t = mix_categorical(latent0.type_idx, latent1.type_idx, t, rng)
-    charge_t = mix_categorical(latent0.charge_idx, latent1.charge_idx, t, rng)
-    iu = np.triu_indices(n, k=1)
-    keep = rng.random(len(iu[0])) < (1.0 - t)
-    mixed = np.where(keep, latent0.bond_idx[iu], latent1.bond_idx[iu])
-    bonds_t = np.zeros((n, n), dtype=np.int64)
-    bonds_t[iu] = mixed
-    bonds_t = bonds_t + bonds_t.T
-    return LatentMolecule(coords_t, type_t, charge_t, bonds_t)
-
-
-def index_ranks(sizes) -> np.ndarray:
-    """Ranks i/n_b of every atom row of molecules of the given sizes, packed."""
-    return np.concatenate([np.arange(n) / n for n in sizes])
+    bonds = rng.integers(0, n_bond_classes, size=len(lay.upper))
+    return MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay)
 
 
 @dataclass
-class FlowExample:
-    """One molecule's training draws around its data state latent0."""
+class MolecularPath:
+    """One batch's training draws around its data state."""
 
-    latent0: LatentMolecule
-    latent1: LatentMolecule     # noise endpoint
-    t: float
-    z_t: LatentMolecule         # path state at t
-    ranks: np.ndarray           # noised index ranks fed to the net
-    pe_dropped: bool
-
-
-def draw_example(latent0: LatentMolecule, priors: dict, n_bond_classes: int,
-                 cfg: TrainConfig, rng: np.random.Generator) -> FlowExample:
-    """Draw in stream order: noise endpoint, time, path state, rank noise, PE drop."""
-    n = latent0.n_atoms
-    latent1 = sample_molecular_noise(n, priors, n_bond_classes, rng)
-    t = float(sample_times(1, cfg.time_dist, rng)[0])
-    z_t = molecular_path(latent0, latent1, t, cfg, rng)
-    noisy_ranks = rank_noise(np.arange(n) / n, t, cfg.rank_noise, rng)
-    pe_dropped = bool(rng.random() < cfg.p_drop)
-    return FlowExample(latent0, latent1, t, z_t, noisy_ranks, pe_dropped)
+    data: MoleculeBatch
+    z_t: MoleculeBatch           # path state at t, in data's layout
+    t: np.ndarray                # (B,) one time per molecule
+    target_velocity: np.ndarray  # (sum N, 3) noise minus data coordinates
+    ranks: np.ndarray            # (sum N,) noised index ranks fed to the net
+    pe_dropped: np.ndarray       # (B,) bool
 
 
-def molecular_fm_loss(net: CanonLiteNet, examples: list[FlowExample], cfg: TrainConfig):
-    """Flow-matching loss of a batch from one packed forward; returns (total
-    Tensor, parts dict).
+def draw_path(data: MoleculeBatch, priors: dict, n_bond_classes: int, cfg: TrainConfig,
+              rng: np.random.Generator) -> MolecularPath:
+    """Training draws for a whole batch, in stream order: the noise endpoint
+    (sample_molecular_noise), one time per molecule, coordinate path noise,
+    type, charge and upper-pair bond keep masks, rank noise, one PE drop per
+    molecule. Coordinates follow (1 - t) x0 + t x1 (+ coord_noise * eps)."""
+    lay = data.layout
+    noise = sample_molecular_noise(lay.sizes, priors, n_bond_classes, rng)
+    t = sample_times(len(lay.sizes), cfg.time_dist, rng)
+    t_rows = np.repeat(t, lay.sizes)
+    coords = (1.0 - t_rows[:, None]) * data.coords + t_rows[:, None] * noise.coords
+    if cfg.coord_noise > 0:
+        coords = coords + cfg.coord_noise * rng.standard_normal(coords.shape)
+    type_idx = mix_categorical(data.type_idx, noise.type_idx, t_rows, rng)
+    charge_idx = mix_categorical(data.charge_idx, noise.charge_idx, t_rows, rng)
+    bonds = mix_categorical(data.bond_idx[lay.upper], noise.bond_idx[lay.upper],
+                            t_rows[lay.pair_i[lay.upper]], rng)
+    ranks = rank_noise(index_ranks(lay.sizes), t_rows, cfg.rank_noise, rng)
+    pe_dropped = rng.random(len(lay.sizes)) < cfg.p_drop
+    z_t = MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay)
+    return MolecularPath(data, z_t, t, noise.coords - data.coords, ranks, pe_dropped)
+
+
+def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
+    """Flow-matching loss of a drawn batch from one packed forward; returns
+    (total Tensor, parts dict).
 
     Each term is the mean over molecules of the molecule's own mean (row
     weights 1 / (B n_b), off-diagonal pair weights 1 / (B n_b (n_b - 1))), so
     the total and the parts equal the mean of single-molecule losses. A
     one-atom molecule has no bond to predict and adds zero bond loss.
     """
-    n_mols = len(examples)
-    state = MoleculeBatch.pack(ex.z_t for ex in examples)
-    data = MoleculeBatch.pack(ex.latent0 for ex in examples)
-    lay = state.layout
-    preds = net(state, [ex.t for ex in examples], np.concatenate([ex.ranks for ex in examples]),
-                pe_dropped=[ex.pe_dropped for ex in examples])
+    data = path.data
+    lay = data.layout
+    n_mols = len(lay.sizes)
+    preds = net(path.z_t, path.t, path.ranks, pe_dropped=path.pe_dropped)
 
     row_w = 1.0 / (n_mols * lay.row_size)
-    target_velocity = np.concatenate([ex.latent1.coords for ex in examples]) - data.coords
-    l_coord = tape.mse(preds.velocity, target_velocity, weights=row_w)
+    l_coord = tape.mse(preds.velocity, path.target_velocity, weights=row_w)
     l_type = tape.softmax_cross_entropy(preds.atom_logits, data.type_idx, weights=row_w)
     l_charge = tape.softmax_cross_entropy(preds.charge_logits, data.charge_idx, weights=row_w)
     n_bonded = int((lay.sizes > 1).sum())
@@ -647,10 +659,7 @@ def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.
             preds = net(batch, t, ranks, pe_dropped=(w == 0.0))
             return {k: getattr(preds, k).data.astype(np.float64) for k in _HEADS}
         n_mols = len(batch.layout.sizes)
-        both = MoleculeBatch(
-            *(np.concatenate([x, x]) for x in (batch.coords, batch.type_idx,
-                                              batch.charge_idx, batch.bond_idx)),
-            tape.PairLayout(np.tile(batch.layout.sizes, 2)))
+        both = batch.select(np.tile(np.arange(n_mols), 2))
         preds = net(both, np.tile(np.broadcast_to(t, (n_mols,)), 2), np.tile(ranks, 2),
                     pe_dropped=np.repeat([False, True], n_mols))
     out = {}
@@ -680,39 +689,33 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
     coords = np.clip(coords, -COORD_CLIP, COORD_CLIP)
 
     p = (t_from - t_to) / t_from
-    type_idx = batch.type_idx.copy()
-    mask = rng.random(batch.n_atoms) < p
+    type_idx = _redraw(batch.type_idx, out["atom_logits"], p, rng)
+    charge_idx = _redraw(batch.charge_idx, out["charge_logits"], p, rng)
+    bonds = _redraw(batch.bond_idx[lay.upper], out["bond_logits"][lay.upper], p, rng)
+    return (MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay),
+            out["rank_raw"])
+
+
+def _redraw(idx: np.ndarray, logits: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Each entry redrawn from softmax(logits) of its row with probability p:
+    one mask draw over all entries, then one class draw per masked entry."""
+    idx = idx.copy()
+    mask = rng.random(len(idx)) < p
     if mask.any():
-        type_idx[mask] = priors_mod.draw_categorical(_softmax(out["atom_logits"][mask]), rng)
-    charge_idx = batch.charge_idx.copy()
-    mask = rng.random(batch.n_atoms) < p
-    if mask.any():
-        charge_idx[mask] = priors_mod.draw_categorical(_softmax(out["charge_logits"][mask]), rng)
-
-    upper = np.flatnonzero(lay.pair_i < lay.pair_j)
-    values = batch.bond_idx[upper]
-    mask = rng.random(len(upper)) < p
-    if mask.any():
-        values[mask] = priors_mod.draw_categorical(
-            _softmax(out["bond_logits"][upper[mask]]), rng)
-    bond_idx = np.zeros_like(batch.bond_idx)
-    bond_idx[upper] = values
-    bond_idx[lay.transpose[upper]] = values
-
-    return MoleculeBatch(coords, type_idx, charge_idx, bond_idx, lay), out["rank_raw"]
+        idx[mask] = priors_mod.draw_categorical(_softmax(logits[mask]), rng)
+    return idx
 
 
-def _molecular_energy_distance(net, encoded_val, priors, n_bond_classes,
+def _molecular_energy_distance(net, val: MoleculeBatch, priors, n_bond_classes,
                                rng, n_gen=4, k_steps=5) -> float:
     """Pooled-atom energy distance between short-rollout samples and held-out data.
 
     A trace diagnostic only: conditional forwards, index ranks, Euler in t,
-    all n_gen molecules stepped together.
+    n_gen molecules, sized as the validation molecules in turn, stepped together.
     """
-    target = np.concatenate([e.coords for e in encoded_val], axis=0)[:512]
-    sizes = [encoded_val[j % len(encoded_val)].n_atoms for j in range(n_gen)]
-    state = MoleculeBatch.pack(sample_molecular_noise(n, priors, n_bond_classes, rng)
-                               for n in sizes)
+    target = val.coords[:512]
+    sizes = val.layout.sizes[np.arange(n_gen) % len(val.layout.sizes)]
+    state = sample_molecular_noise(sizes, priors, n_bond_classes, rng)
     ranks = index_ranks(sizes)
     for k in range(k_steps, 0, -1):
         state, _ = euler_step(net, state, k / k_steps, (k - 1) / k_steps, ranks, 1.0, rng)
@@ -723,15 +726,14 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(mols)
     scale = fit_coord_scale(mols)
-    priors = fit_molecular_priors(mols, vocab, cfg, scale)
-    if val_data is None:
-        n_val = max(1, len(mols) // 10)
-        val_mols = mols[-n_val:]
-        train_mols = mols[:-n_val] if len(mols) - n_val >= 1 else mols
+    encoded = encode_molecules(mols, vocab, scale)
+    priors = fit_molecular_priors(encoded, vocab, cfg)
+    n = len(mols)
+    if val_data is None:        # the last tenth validates; the rest (all of one) trains
+        n_val = max(1, n // 10)
+        n_train, val_set = max(n - n_val, 1), encoded.select(np.arange(n - n_val, n))
     else:
-        train_mols, val_mols = mols, list(val_data)
-    encoded = [encode_molecule(m, vocab, scale) for m in train_mols]
-    encoded_val = [encode_molecule(m, vocab, scale) for m in val_mols]
+        n_train, val_set = n, encode_molecules(list(val_data), vocab, scale)
 
     if net_config is None:
         net_config = CanonLiteConfig(
@@ -739,21 +741,19 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, va
             n_charge_classes=len(vocab["charge_classes"]),
         )
     net = CanonLiteNet(net_config, rng=np.random.default_rng([cfg.seed, 1]))
-    batch = max(1, min(cfg.batch_size, len(encoded)))
+    batch = max(1, min(cfg.batch_size, n_train))
     n_bond = net_config.n_bond_classes
 
     def step_loss(epoch):
-        idx = rng.integers(0, len(encoded), batch)
-        examples = [draw_example(encoded[i], priors, n_bond, cfg, rng) for i in idx]
-        return molecular_fm_loss(net, examples, cfg)
+        data = encoded.select(rng.integers(0, n_train, batch))
+        return molecular_fm_loss(net, draw_path(data, priors, n_bond, cfg, rng), cfg)
 
     def epoch_stats(epoch):
         val_rng = np.random.default_rng([cfg.seed, 2, epoch])
-        val_examples = [draw_example(latent0, priors, n_bond, cfg, val_rng)
-                        for latent0 in encoded_val]
-        val_loss = molecular_fm_loss(net, val_examples, cfg)[0].item()
+        val_loss = molecular_fm_loss(net, draw_path(val_set, priors, n_bond, cfg, val_rng),
+                                     cfg)[0].item()
         ed_rng = np.random.default_rng([cfg.seed, 3, epoch])
-        val_ed = _molecular_energy_distance(net, encoded_val, priors, n_bond, ed_rng)
+        val_ed = _molecular_energy_distance(net, val_set, priors, n_bond, ed_rng)
         return {"val_loss": val_loss, "val_energy_distance": float(val_ed)}
 
     ema, trace = _fit(net, cfg, step_loss, epoch_stats)

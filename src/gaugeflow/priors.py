@@ -20,7 +20,6 @@ class GaussianPrior:
     mean: np.ndarray
     cov: np.ndarray
     sqrt: np.ndarray
-    isotropic: bool = False
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -33,7 +32,7 @@ class GaussianPrior:
 
 
 def isotropic_prior(dim: int, scale: float = 1.0) -> GaussianPrior:
-    return GaussianPrior(np.zeros(dim), scale ** 2 * np.eye(dim), scale * np.eye(dim), isotropic=True)
+    return GaussianPrior(np.zeros(dim), scale ** 2 * np.eye(dim), scale * np.eye(dim))
 
 
 def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
@@ -51,7 +50,7 @@ def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
     cov = centered.T @ centered / samples.shape[0]
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, EIG_FLOOR)) @ vecs.T
-    return GaussianPrior(mean, cov, sqrt_psd(cov), isotropic=False)
+    return GaussianPrior(mean, cov, sqrt_psd(cov))
 
 
 def sqrt_psd(cov: np.ndarray) -> np.ndarray:
@@ -113,21 +112,23 @@ class PositionalCategoricalPrior:
         return self.bin_probs.shape[1]
 
 
-def fit_positional(observations, n_bins: int, n_classes: int,
+def fit_positional(ranks, classes, n_bins: int, n_classes: int,
                    epsilon: float = 1.0, beta: float = 0.1) -> PositionalCategoricalPrior:
-    """Count (rank, class) pairs into K bins with additive smoothing epsilon.
+    """Count (rank, class) observations into K bins with additive smoothing epsilon.
 
-    observations: iterable of (rank in [0, 1], class index) pairs. Ranks at
+    ranks in [0, 1] and class indices, one observation per entry. Ranks at
     exactly 1.0 land in the last bin.
     """
+    ranks = np.asarray(ranks, dtype=np.float64)
+    classes = np.asarray(classes, dtype=np.int64)
+    if ranks.shape != classes.shape or ranks.ndim != 1:
+        raise ValueError(f"ranks {ranks.shape} and classes {classes.shape} must be equal 1-D")
+    _check_ranks(ranks)
+    bad = (classes < 0) | (classes >= n_classes)
+    if bad.any():
+        raise ValueError(f"class {classes[bad][0]} outside 0..{n_classes - 1}")
     counts = np.zeros((n_bins, n_classes), dtype=np.float64)
-    for r, c in observations:
-        if not (0.0 <= r <= 1.0):
-            raise ValueError(f"rank {r} outside [0, 1]")
-        if not (0 <= c < n_classes):
-            raise ValueError(f"class {c} outside 0..{n_classes - 1}")
-        k = min(int(r * n_bins), n_bins - 1)
-        counts[k, c] += 1.0
+    np.add.at(counts, (np.minimum((ranks * n_bins).astype(np.int64), n_bins - 1), classes), 1.0)
     probs = (counts + epsilon) / (counts + epsilon).sum(axis=1, keepdims=True)
     base = np.full(n_classes, 1.0 / n_classes)
     return PositionalCategoricalPrior(probs, base, beta)
@@ -191,12 +192,10 @@ def sample_positional(prior: PositionalCategoricalPrior, ranks: np.ndarray,
 
 @dataclass
 class RankBinnedGaussianPrior:
-    """Per-rank-bin diagonal Gaussian over coordinates; beta = 0 by default
-    for continuous features (no base mixing)."""
+    """Per-rank-bin diagonal Gaussian over coordinates."""
 
     bin_means: np.ndarray     # (K, d)
     bin_stds: np.ndarray      # (K, d)
-    beta: float = 0.0
 
     def __post_init__(self):
         self.bin_means = np.asarray(self.bin_means, dtype=np.float64)
@@ -254,7 +253,6 @@ def prior_to_dict(prior) -> dict:
             "mean": prior.mean.tolist(),
             "cov": prior.cov.tolist(),
             "sqrt": prior.sqrt.tolist(),
-            "isotropic": prior.isotropic,
         }
     if isinstance(prior, PositionalCategoricalPrior):
         return {
@@ -268,24 +266,21 @@ def prior_to_dict(prior) -> dict:
             "kind": "rank_gaussian",
             "bin_means": prior.bin_means.tolist(),
             "bin_stds": prior.bin_stds.tolist(),
-            "beta": prior.beta,
         }
     raise TypeError(f"unknown prior type {type(prior).__name__}")
 
 
 def prior_from_dict(doc: dict):
+    """Inverse of prior_to_dict. Older files also carry a Gaussian's
+    "isotropic" flag and a rank Gaussian's "beta", which nothing reads; they
+    are ignored."""
     kind = doc.get("kind")
     if kind == "gaussian":
-        return GaussianPrior(
-            np.array(doc["mean"]), np.array(doc["cov"]),
-            np.array(doc["sqrt"]), bool(doc.get("isotropic", False)),
-        )
+        return GaussianPrior(np.array(doc["mean"]), np.array(doc["cov"]), np.array(doc["sqrt"]))
     if kind == "positional_categorical":
         return PositionalCategoricalPrior(
             np.array(doc["bin_probs"]), np.array(doc["base"]), float(doc["beta"]),
         )
     if kind == "rank_gaussian":
-        return RankBinnedGaussianPrior(
-            np.array(doc["bin_means"]), np.array(doc["bin_stds"]), float(doc.get("beta", 0.0)),
-        )
+        return RankBinnedGaussianPrior(np.array(doc["bin_means"]), np.array(doc["bin_stds"]))
     raise ValueError(f"unknown prior kind {kind!r}")

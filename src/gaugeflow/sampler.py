@@ -14,7 +14,8 @@ Regimes:
        min-max normalized); canonicalize_mode=True instead re-canonicalizes
        the intermediate state and reads ranks off the new ordering.
 
-Integration runs on the net's unit-scale coordinates; finished samples and
+Integration runs on the net's unit-scale coordinates, all samples of a
+request as one MoleculeBatch from one noise draw; finished samples and
 regime-b canonicalizations are decoded with the checkpoint's coord_scale.
 
 After integration an optional Haar randomization pushes the canonical
@@ -31,8 +32,8 @@ from . import priors as priors_mod
 from . import symgroup
 from .canonicalizer import CanonicalizationError, canonicalize
 from .flowcore import training
-from .flowcore.nets import LatentMolecule, MoleculeBatch
-from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecule, encode_molecule,
+from .flowcore.nets import MoleculeBatch
+from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecules, encode_molecules,
                                 euler_step, index_ranks, sample_molecular_noise)
 from .molecule import MoleculeState
 
@@ -81,14 +82,23 @@ def rank_estimate(rank_raw: np.ndarray) -> np.ndarray:
     return (rank_raw - rank_raw.min()) / span
 
 
-def pcs_step(latent: LatentMolecule, vocab: dict,
-             coord_scale: float = 1.0) -> tuple[LatentMolecule, np.ndarray, bool]:
-    """Re-canonicalize an intermediate state in data units (latent coordinates
-    times coord_scale); returns (state, ranks, degenerate)."""
-    mol = decode_molecule(latent, vocab, coord_scale)
-    result = canonicalize(mol, group="perm_so3")
-    return (encode_molecule(result.representative, vocab, coord_scale), result.ranks,
-            result.degenerate)
+def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
+             counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
+    """Regime-b re-canonicalization: the decoded molecules (data units) are
+    canonicalized one by one and encoded back; returns (state, ranks) and
+    adds to the counts `sample` documents."""
+    mols = decode_molecules(state, vocab, coord_scale)
+    rank_list = np.split(ranks, state.layout.node_start[1:])
+    for b, mol in enumerate(mols):
+        counts["canonicalize_calls"] += 1
+        try:
+            result = canonicalize(mol, group="perm_so3")
+        except CanonicalizationError:
+            counts["degenerate_steps"] += 1
+            continue
+        mols[b], rank_list[b] = result.representative, result.ranks
+        counts["degenerate_orderings"] += int(result.degenerate)
+    return encode_molecules(mols, vocab, coord_scale), np.concatenate(rank_list)
 
 
 def _isotropic_coord_prior(aligned: priors_mod.RankBinnedGaussianPrior
@@ -143,8 +153,7 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
                             "degenerate_orderings", "clipped_coords"), 0)
     mols = []
     if n_samples:
-        state = MoleculeBatch.pack(sample_molecular_noise(int(n), priors, n_bond, rng)
-                                   for n in sizes)
+        state = sample_molecular_noise(sizes, priors, n_bond, rng)
         ranks = index_ranks(sizes)
         for k in range(cfg.steps, 0, -1):
             state, rank_raw = euler_step(net, state, k / cfg.steps, (k - 1) / cfg.steps,
@@ -153,30 +162,14 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
             if cfg.regime != "b":
                 continue
             if cfg.canonicalize_mode:
-                state, ranks = _recanonicalize(state, ranks, vocab, model.coord_scale, counts)
+                state, ranks = pcs_step(state, ranks, vocab, model.coord_scale, counts)
             else:
                 ranks = np.concatenate([rank_estimate(r) for r in
                                         np.split(rank_raw, state.layout.node_start[1:])])
-        mols = [decode_molecule(latent, vocab, model.coord_scale) for latent in state.unpack()]
+        mols = decode_molecules(state, vocab, model.coord_scale)
     mols = haar_randomize(mols, cfg.group, rng)
     info = dict(counts, regime=cfg.regime, steps=cfg.steps, haar_group=cfg.group)
     return mols, info
-
-
-def _recanonicalize(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
-                    counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
-    """Regime-b canonicalization of each molecule in turn, counted in `counts`."""
-    latents = state.unpack()
-    rank_list = np.split(ranks, state.layout.node_start[1:])
-    for b, latent in enumerate(latents):
-        counts["canonicalize_calls"] += 1
-        try:
-            latents[b], rank_list[b], degenerate = pcs_step(latent, vocab, coord_scale)
-        except CanonicalizationError:
-            counts["degenerate_steps"] += 1
-            continue
-        counts["degenerate_orderings"] += int(degenerate)
-    return MoleculeBatch.pack(latents), np.concatenate(rank_list)
 
 
 def sample_vectors(model: FlowModel, n_samples: int, cfg: SampleConfig,

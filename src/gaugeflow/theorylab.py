@@ -30,6 +30,8 @@ from .symgroup import FiniteGroupSpec
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+MIN_MC_SAMPLES = 1000           # fewest samples a k-NN variance estimate runs on
+
 
 # ---------------------------------------------------------------------------
 # Systems
@@ -410,8 +412,8 @@ def variance_decomposition(system: MixtureSystem, n: int, rng: np.random.Generat
     the slice conditional variance (k-NN on the slice pair), ambiguity the
     closed-form posterior spread averaged over the same ambient points.
     """
-    if n < 1000:
-        raise ValueError("need at least 1000 Monte Carlo samples")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples")
     sim = simulate(system, n, rng)
     lhs, lhs_se, _ = knn_local_linear_variance(sim["z"], sim["velocity"], rng,
                                                n_query=n_query, k=k)
@@ -644,7 +646,7 @@ def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> T
         raise ValueError(f"unknown systems: {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     n_big = n_mc if n_mc is not None else 1_000_000
-    n_mid = max(1000, n_big // 10)
+    n_mid = max(MIN_MC_SAMPLES, n_big // 10)
     checks = []
 
     checks.append(equality_check(

@@ -18,7 +18,7 @@ from gaugeflow import symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.coupling import kabsch_align, ot_pair
 from gaugeflow.flowcore import tape, toydata
-from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, LatentMolecule, MoleculeBatch
+from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import TrainConfig, energy_distance, train
 from gaugeflow.sampler import (SampleConfig, finite_group_randomize,
@@ -182,11 +182,9 @@ def test_kabsch_recovers_planted_rotation():
         assert np.abs(aligned - target).max() <= 1e-8
 
 
-def _full_head_loss(net, z_t, ranks, target_coords, target_types):
+def _full_head_loss(net, batch, ranks, target_coords, target_types):
     # touches every head and both positional-encoding branches so each
     # parameter carries gradient signal
-    batch = MoleculeBatch.pack([z_t])
-
     def fn():
         total = None
         for dropped in (False, True):
@@ -195,9 +193,9 @@ def _full_head_loss(net, z_t, ranks, target_coords, target_types):
             part = tape.add(part, tape.softmax_cross_entropy(
                 preds.atom_logits, target_types))
             part = tape.add(part, tape.softmax_cross_entropy(
-                preds.charge_logits, z_t.charge_idx))
+                preds.charge_logits, batch.charge_idx))
             part = tape.add(part, tape.softmax_cross_entropy(
-                preds.bond_logits, z_t.bond_idx.ravel()))
+                preds.bond_logits, batch.bond_idx))
             part = tape.add(part, tape.tmean(tape.square(
                 tape.sub(preds.rank_pred, Tensor(ranks)))))
             total = part if total is None else tape.add(total, part)
@@ -221,8 +219,8 @@ def test_network_gradients_match_finite_differences():
         bonds = np.zeros((n, n), dtype=np.int64)
         bonds[iu] = rng.integers(0, 3, len(iu[0]))
         bonds = bonds + bonds.T
-        z_t = LatentMolecule(rng.standard_normal((n, 3)),
-                             rng.integers(0, 3, n), rng.integers(0, 2, n), bonds)
+        z_t = MoleculeBatch(rng.standard_normal((n, 3)), rng.integers(0, 3, n),
+                            rng.integers(0, 2, n), bonds.ravel(), tape.PairLayout([n]))
         fn = _full_head_loss(net, z_t, np.arange(n) / n,
                              rng.standard_normal((n, 3)), rng.integers(0, 3, n))
         errors = tape.gradient_check(fn, net.parameters(), eps=1e-4)

@@ -299,6 +299,34 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
     assert not out.exists()
 
 
+BAD_NPZ_DATA = {"1-D": np.zeros(5), "3-D": np.zeros((4, 2, 2)), "empty": np.zeros((0, 2)),
+                "non-finite": np.array([[np.nan, 1.0]] * 20), "text": np.array([["a", "b"]] * 20),
+                "objects": np.array([[1, None]] * 5, dtype=object)}
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["verify-theory", "--n", "abc"], "--n must be a number"),
+    (["verify-theory", "--n", "10"], "--n must be at least 1000"),
+    (["sample", "--model", "CHECKPOINT", "--n", "-3"], "--n must be at least 0"),
+] + [(["train", "--data", f"NPZ:{name}"], "non-empty 2-D array of finite numbers")
+     for name in BAD_NPZ_DATA],
+    ids=["verify-n-not-a-number", "verify-n-below-1000", "sample-n-negative"]
+    + [f"train-npz-{name}" for name in BAD_NPZ_DATA])
+def test_bad_arguments_exit_2_before_anything_runs(trained_vec, tmp_path, capsys, argv, word):
+    def resolve(arg):
+        if arg == "CHECKPOINT":
+            return trained_vec / "checkpoint.json"
+        if arg.startswith("NPZ:"):
+            np.savez(tmp_path / "data.npz", data=BAD_NPZ_DATA[arg[4:]])
+            return tmp_path / "data.npz"
+        return arg
+
+    out = tmp_path / "out"
+    assert run(*map(resolve, argv), "-o", out) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_theory_signflip(tmp_path, capsys):
     out = tmp_path / "verify"
     code = run("verify-theory", "--system", "signflip", "--n", "2e4", "-o", out)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
 from gaugeflow.flowcore import tape, toydata, training
-from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP
+from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import (
     EMA,
@@ -138,11 +138,27 @@ def test_adam_warmup_scales_first_step():
 
 
 def test_ema_shadow_update():
+    # update t (from 0) uses the decay min(decay, (1 + t) / (10 + t))
     p = Tensor(np.array([1.0]), requires_grad=True)
     ema = EMA({"p": p}, decay=0.9)
-    p.data = np.array([2.0])
-    ema.update({"p": p})
-    assert np.allclose(ema.state()["p"], 0.9 * 1.0 + 0.1 * 2.0)
+    want = 1.0
+    for t, value in enumerate(np.linspace(2.0, 3.0, 100)):
+        p.data = np.array([value])
+        ema.update({"p": p})
+        d = min(0.9, (1 + t) / (10 + t))
+        want = d * want + (1 - d) * value
+        assert np.allclose(ema.state()["p"], want)
+
+
+def test_ema_follows_a_short_run():
+    # without a warm-up the shadow of a weight moved from 0 to 1 would read
+    # 1 - 0.999^10 = 0.01 after ten updates at the default decay
+    p = Tensor(np.zeros(1), requires_grad=True)
+    ema = EMA({"p": p}, decay=0.999)
+    p.data = np.ones(1)
+    for _ in range(10):
+        ema.update({"p": p})
+    assert ema.state()["p"][0] >= 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +284,14 @@ def test_coordinates_enter_the_net_at_unit_scale():
     coords = np.concatenate([m.coords for m in mols])
     assert scale == pytest.approx(np.sqrt(np.mean(coords ** 2)))
     vocab = training.build_vocab(mols)
-    latent = training.encode_molecule(mols[0], vocab, scale)
-    assert np.allclose(latent.coords * scale, mols[0].coords)
-    back = training.decode_molecule(latent, vocab, scale)
-    assert np.allclose(back.coords, mols[0].coords)
+    encoded = training.encode_molecules(mols, vocab, scale)
+    assert np.allclose(encoded.coords * scale, coords)
+    back = training.decode_molecules(encoded, vocab, scale)
+    assert np.allclose(back[0].coords, mols[0].coords)
     model, _ = train(mols, tiny_cfg(epochs=0))
     assert model.coord_scale == scale
     # the coordinate prior is fitted to the scaled coordinates
-    priors = training.fit_molecular_priors(mols, vocab, tiny_cfg(prior_mode="isotropic"), scale)
+    priors = training.fit_molecular_priors(encoded, vocab, tiny_cfg(prior_mode="isotropic"))
     assert np.allclose(priors["coord"].bin_stds, (coords / scale).std())
     origin = [random_molecule(np.random.default_rng(0), 1)]
     origin[0].coords[:] = 0.0
@@ -339,36 +355,54 @@ def mol_set(n_mols=6, n_atoms=5, seed=12):
     return [random_molecule(rng, n_atoms, charged=True) for _ in range(n_mols)]
 
 
-def test_encode_decode_roundtrip():
-    mols = mol_set()
-    vocab = training.build_vocab(mols)
-    for m in mols:
-        back = training.decode_molecule(training.encode_molecule(m, vocab), vocab)
+def _assert_same_molecules(got, want):
+    assert len(got) == len(want)
+    for back, m in zip(got, want):
         assert np.array_equal(back.atom_types, m.atom_types)
         assert np.array_equal(back.charges, m.charges)
         assert np.array_equal(back.bonds, m.bonds)
         assert np.allclose(back.coords, m.coords)
 
 
+def test_encode_decode_roundtrip():
+    rng = np.random.default_rng(12)
+    mols = [random_molecule(rng, n, charged=True) for n in (5, 1, 8, 3)]
+    vocab = training.build_vocab(mols)
+    encoded = training.encode_molecules(mols, vocab, 2.0)
+    assert encoded.n_atoms == 17 and encoded.layout.sizes.tolist() == [5, 1, 8, 3]
+    _assert_same_molecules(training.decode_molecules(encoded, vocab, 2.0), mols)
+    picked = encoded.select([2, 0, 2])
+    _assert_same_molecules(training.decode_molecules(picked, vocab, 2.0),
+                           [mols[2], mols[0], mols[2]])
+    # a class the vocab does not hold is refused, not mapped to a neighbour
+    for field, value, what in (("atom_types", 92, "atom"), ("charges", 3, "charge")):
+        odd = mols[0].copy()
+        getattr(odd, field)[0] = value
+        with pytest.raises(ValueError, match=f"{what} class {value} is not in the vocab"):
+            training.encode_molecules([mols[1], odd], vocab, 1.0)
+
+
 def test_molecular_priors_and_noise_shapes():
     mols = mol_set()
     cfg = tiny_cfg()
     vocab = training.build_vocab(mols)
-    priors = training.fit_molecular_priors(mols, vocab, cfg)
-    noise = training.sample_molecular_noise(7, priors, 5, np.random.default_rng(0))
-    assert noise.coords.shape == (7, 3)
-    assert noise.bond_idx.shape == (7, 7)
-    assert np.array_equal(noise.bond_idx, noise.bond_idx.T)
-    assert np.all(np.diag(noise.bond_idx) == 0)
+    encoded = training.encode_molecules(mols, vocab, 1.0)
+    priors = training.fit_molecular_priors(encoded, vocab, cfg)
+    noise = training.sample_molecular_noise([7, 3], priors, 5, np.random.default_rng(0))
+    assert noise.coords.shape == (10, 3)
+    assert noise.bond_idx.shape == (49 + 9,)
+    for m in training.decode_molecules(noise, vocab, 1.0):     # symmetric, empty diagonal
+        assert np.array_equal(m.bonds, m.bonds.T)
+        assert np.all(np.diag(m.bonds) == 0)
     with pytest.raises(ValueError):
-        training.fit_molecular_priors(mols, vocab, tiny_cfg(prior_mode="banana"))
+        training.fit_molecular_priors(encoded, vocab, tiny_cfg(prior_mode="banana"))
 
 
 def test_isotropic_prior_mode_centers_noise():
     mols = mol_set(n_mols=10)
     cfg = tiny_cfg(prior_mode="isotropic")
     vocab = training.build_vocab(mols)
-    priors = training.fit_molecular_priors(mols, vocab, cfg)
+    priors = training.fit_molecular_priors(training.encode_molecules(mols, vocab, 1.0), vocab, cfg)
     assert np.allclose(priors["coord"].bin_means, 0.0)
     stds = priors["coord"].bin_stds
     assert np.allclose(stds, stds.ravel()[0])
@@ -382,7 +416,7 @@ def test_pe_drop_is_rank_blind():
         n_charge_classes=len(vocab["charge_classes"]),
     )
     net = CanonLiteNet(cfg, rng=np.random.default_rng(13))
-    latent = MoleculeBatch.pack([training.encode_molecule(mols[0], vocab)])
+    latent = training.encode_molecules(mols[:1], vocab, 1.0)
     n = latent.n_atoms
     a = net(latent, 0.4, np.arange(n) / n, pe_dropped=True)
     b = net(latent, 0.4, np.arange(n)[::-1] / n, pe_dropped=True)
@@ -415,18 +449,26 @@ def test_molecular_training_and_checkpoint(tmp_path):
     assert set(loaded.priors) == {"coord", "atom", "charge"}
 
 
-def _examples(mols, cfg, sizes_seed=40):
+def _draw(mols, cfg, seed=40):
     vocab = training.build_vocab(mols)
-    priors = training.fit_molecular_priors(mols, vocab, cfg)
-    rng = np.random.default_rng(sizes_seed)
-    return [training.draw_example(training.encode_molecule(m, vocab), priors, 5, cfg, rng)
-            for m in mols], vocab
+    encoded = training.encode_molecules(mols, vocab, 1.0)
+    priors = training.fit_molecular_priors(encoded, vocab, cfg)
+    return training.draw_path(encoded, priors, 5, cfg, np.random.default_rng(seed)), vocab
 
 
-def _loss_and_grads(net, examples, cfg):
+def _single(path, b):
+    """Molecule b of a drawn batch as a one-molecule draw."""
+    lay = path.data.layout
+    rows = slice(lay.node_start[b], lay.node_start[b] + lay.sizes[b])
+    return training.MolecularPath(path.data.select([b]), path.z_t.select([b]), path.t[b:b + 1],
+                                  path.target_velocity[rows], path.ranks[rows],
+                                  path.pe_dropped[b:b + 1])
+
+
+def _loss_and_grads(net, path, cfg):
     params = net.parameters()
     tape.zero_grads(params)
-    total, parts = training.molecular_fm_loss(net, examples, cfg)
+    total, parts = training.molecular_fm_loss(net, path, cfg)
     tape.backward(total)
     return total.item(), parts, {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
                                  for k, p in params.items()}
@@ -437,12 +479,13 @@ def test_packed_training_step_equals_mean_of_single_steps():
     rng = np.random.default_rng(41)
     mols = [random_molecule(rng, n, charged=True) for n in (1, 3, 6, 9)]
     cfg = tiny_cfg(p_drop=0.5)
-    examples, vocab = _examples(mols, cfg)
+    path, vocab = _draw(mols, cfg)
+    assert 0 < path.pe_dropped.sum() < len(mols)      # both PE branches in one batch
     net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
                                        n_charge_classes=len(vocab["charge_classes"])),
                        rng=np.random.default_rng(42))
-    loss, parts, grads = _loss_and_grads(net, examples, cfg)
-    singles = [_loss_and_grads(net, [ex], cfg) for ex in examples]
+    loss, parts, grads = _loss_and_grads(net, path, cfg)
+    singles = [_loss_and_grads(net, _single(path, b), cfg) for b in range(len(mols))]
     assert abs(loss - np.mean([s[0] for s in singles])) <= 1e-10 * max(1.0, abs(loss))
     for k, v in parts.items():
         assert abs(v - np.mean([s[1][k] for s in singles])) <= 1e-10 * max(1.0, abs(v))
@@ -457,7 +500,7 @@ def test_float32_is_the_default_end_to_end():
     rng = np.random.default_rng(44)
     mols = [random_molecule(rng, n, charged=True) for n in (1, 3, 6)]
     cfg = tiny_cfg(p_drop=0.5)
-    examples, vocab = _examples(mols, cfg)
+    path, vocab = _draw(mols, cfg)
     net_cfg = CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
                               n_charge_classes=len(vocab["charge_classes"]))
     losses = {}
@@ -466,7 +509,7 @@ def test_float32_is_the_default_end_to_end():
             net = CanonLiteNet(net_cfg, rng=np.random.default_rng(45))
             params = net.parameters()
             tape.zero_grads(params)
-            total, _ = training.molecular_fm_loss(net, examples, cfg)
+            total, _ = training.molecular_fm_loss(net, path, cfg)
             tape.backward(total)
         assert total.data.dtype == dtype
         assert all(p.data.dtype == dtype and (p.grad is None or p.grad.dtype == dtype)
@@ -480,10 +523,10 @@ def test_single_atom_molecules_train():
     rng = np.random.default_rng(43)
     one_atom = [random_molecule(rng, 1) for _ in range(3)]
     cfg = tiny_cfg(epochs=1, steps_per_epoch=2, batch_size=2)
-    examples, vocab = _examples(one_atom, cfg)
+    path, vocab = _draw(one_atom, cfg)
     net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
                                        n_charge_classes=len(vocab["charge_classes"])))
-    total, parts = training.molecular_fm_loss(net, examples, cfg)
+    total, parts = training.molecular_fm_loss(net, path, cfg)
     assert parts["loss_bond"] == 0.0 and np.isfinite(total.item())
     # a mixed set whose batches draw the one-atom molecules
     mols = one_atom + [random_molecule(rng, 4) for _ in range(3)]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gaugeflow.flowcore import tape
-from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, LatentMolecule,
-                                     MoleculeBatch, Predictions, canonical_pe, _one_hot)
+from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, MoleculeBatch,
+                                     Predictions, canonical_pe, _one_hot)
 from gaugeflow.flowcore.tape import Tensor
 
 HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred", "rank_raw")
@@ -29,7 +29,7 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     h = net.input_mlp(tape.concat([node_feats, pe], axis=1))
     r = net.rank_mlp(pe)
     cs = tape.stack_scale(Tensor(z_t.coords), net.cs_weights)
-    e = net.edge_in(Tensor(_one_hot(z_t.bond_idx.ravel(), c.n_bond_classes)))
+    e = net.edge_in(Tensor(_one_hot(z_t.bond_idx, c.n_bond_classes)))
     for layer in net.layers:
         p = layer.node_proj(h)
         q = layer.rank_proj(r)
@@ -61,13 +61,16 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     )
 
 
-def random_latent(rng, n, cfg):
-    iu = np.triu_indices(n, k=1)
-    bonds = np.zeros((n, n), dtype=np.int64)
-    bonds[iu] = rng.integers(0, cfg.n_bond_classes, len(iu[0]))
-    return LatentMolecule(2.0 * rng.standard_normal((n, 3)),
-                          rng.integers(0, cfg.n_atom_classes, n),
-                          rng.integers(0, cfg.n_charge_classes, n), bonds + bonds.T)
+def random_batch(rng, sizes, cfg):
+    """Random molecules of the given sizes, drawn one molecule at a time."""
+    parts = []
+    for n in sizes:
+        lay = tape.PairLayout([n])
+        bonds = lay.symmetric(rng.integers(0, cfg.n_bond_classes, len(lay.upper)))
+        parts.append((2.0 * rng.standard_normal((n, 3)), rng.integers(0, cfg.n_atom_classes, n),
+                      rng.integers(0, cfg.n_charge_classes, n), bonds))
+    return MoleculeBatch(*(np.concatenate(field) for field in zip(*parts)),
+                         tape.PairLayout(sizes))
 
 
 def heads_and_grads(forward, net, weights):
@@ -99,15 +102,14 @@ def test_factorized_messages_match_concat_form(n, pe_dropped):
     cfg = CanonLiteConfig(n_atom_classes=4, n_charge_classes=3)
     rng = np.random.default_rng([n, int(pe_dropped), 31])
     net = CanonLiteNet(cfg, rng)
-    z_t = random_latent(rng, n, cfg)
-    batch = MoleculeBatch.pack([z_t])
+    batch = random_batch(rng, [n], cfg)
     ranks = rng.permutation(n) / n
     preds = net(batch, 0.3, ranks, pe_dropped=pe_dropped)
     weights = {k: rng.standard_normal(getattr(preds, k).shape) for k in HEADS}
     heads, grads = heads_and_grads(
         lambda: net(batch, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
     ref_heads, ref_grads = heads_and_grads(
-        lambda: concat_forward(net, z_t, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
+        lambda: concat_forward(net, batch, 0.3, ranks, pe_dropped=pe_dropped), net, weights)
     for k in HEADS:
         assert_close(heads[k], ref_heads[k], k)
     assert grads.keys() == ref_grads.keys()
@@ -159,11 +161,11 @@ def test_packed_batch_matches_single_forwards():
     rng = np.random.default_rng(47)
     net = CanonLiteNet(cfg, rng)
     sizes = [1, 2, 7, 13]
-    latents = [random_latent(rng, n, cfg) for n in sizes]
+    batch = random_batch(rng, sizes, cfg)
+    singles = [batch.select([b]) for b in range(len(sizes))]
     ranks = [rng.permutation(n) / n for n in sizes]
     ts = [0.1, 0.9, 0.4, 0.65]
     dropped = [True, False, True, False]
-    batch = MoleculeBatch.pack(latents)
     assert batch.n_atoms == sum(sizes)
     preds = net(batch, ts, np.concatenate(ranks), pe_dropped=dropped)
     weights = {k: rng.standard_normal(getattr(preds, k).shape) for k in HEADS}
@@ -172,7 +174,7 @@ def test_packed_batch_matches_single_forwards():
 
     def reference():
         per_mol = [concat_forward(net, *args)
-                   for args in zip(latents, ts, ranks, dropped)]
+                   for args in zip(singles, ts, ranks, dropped)]
         return Predictions(**{k: tape.concat([getattr(p, k) for p in per_mol], axis=0)
                               for k in HEADS})
     ref_heads, ref_grads = heads_and_grads(reference, net, weights)
@@ -184,17 +186,13 @@ def test_packed_batch_matches_single_forwards():
     # each molecule's rank head is normalized on its own
     for piece in np.split(heads["rank_pred"], np.cumsum(sizes)[:-1]):
         assert piece.min() == 0.0 and (len(piece) == 1 or piece.max() == 1.0)
-    unpacked = batch.unpack()
-    for got, want in zip(unpacked, latents):
-        for field in ("coords", "type_idx", "charge_idx", "bond_idx"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_no_grad_forward_records_nothing():
     cfg = CanonLiteConfig(n_atom_classes=4, n_charge_classes=3)
     rng = np.random.default_rng(48)
     net = CanonLiteNet(cfg, rng)
-    batch = MoleculeBatch.pack([random_latent(rng, n, cfg) for n in (3, 6)])
+    batch = random_batch(rng, [3, 6], cfg)
     ranks = np.concatenate([np.arange(3) / 3, np.arange(6) / 6])
     recorded = net(batch, 0.5, ranks, pe_dropped=[False, True])
     with tape.no_grad():

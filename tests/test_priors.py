@@ -49,7 +49,7 @@ def test_sample_gaussian_roundtrip(seed):
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.6], [0.6, 0.5]])
     vals, vecs = np.linalg.eigh(cov)
-    p = priors.GaussianPrior(mean, cov, (vecs * np.sqrt(vals)) @ vecs.T, isotropic=False)
+    p = priors.GaussianPrior(mean, cov, (vecs * np.sqrt(vals)) @ vecs.T)
     x = priors.sample_gaussian(p, 60_000, rng)
     assert np.allclose(x.mean(axis=0), mean, atol=0.05)
     assert np.allclose(np.cov(x.T, bias=True), cov, atol=0.08)
@@ -67,7 +67,6 @@ def test_gaussian_logpdf_against_scipy():
 
 def test_isotropic_prior_shape():
     p = priors.isotropic_prior(4, scale=2.0)
-    assert p.isotropic
     assert np.allclose(p.cov, 4.0 * np.eye(4))
     lp = priors.gaussian_logpdf(p, np.zeros(4))
     assert np.allclose(lp, -0.5 * 4 * (np.log(2 * np.pi) + np.log(4.0)))
@@ -78,8 +77,8 @@ def test_isotropic_prior_shape():
 
 
 def test_fit_positional_counts_and_smoothing():
-    obs = [(0.05, 0), (0.1, 0), (0.9, 1), (0.95, 1), (1.0, 1)]
-    p = priors.fit_positional(obs, n_bins=2, n_classes=2, epsilon=1.0, beta=0.0)
+    ranks, classes = [0.05, 0.1, 0.9, 0.95, 1.0], [0, 0, 1, 1, 1]
+    p = priors.fit_positional(ranks, classes, n_bins=2, n_classes=2, epsilon=1.0, beta=0.0)
     # first bin: counts (2, 0) + 1 smoothing -> (3/4, 1/4)
     assert np.allclose(p.bin_probs[0], [0.75, 0.25])
     # rank 1.0 lands in the last bin: counts (0, 3) + 1 -> (1/5, 4/5)
@@ -100,13 +99,33 @@ def test_eval_positional_blend_and_base():
         assert abs(priors.eval_positional(p, r).sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_positional_matches_a_count_per_observation(seed):
+    rng = np.random.default_rng(seed)
+    n_bins, n_classes = 8, 5
+    ranks = np.concatenate([rng.random(300), np.arange(40) / 40, [1.0, 0.0, 0.999999]])
+    classes = rng.integers(0, n_classes, len(ranks))
+    counts = np.zeros((n_bins, n_classes))
+    for r, c in zip(ranks, classes):
+        counts[min(int(r * n_bins), n_bins - 1), c] += 1.0
+    want = (counts + 0.5) / (counts + 0.5).sum(axis=1, keepdims=True)
+    got = priors.fit_positional(ranks, classes, n_bins, n_classes, epsilon=0.5)
+    assert np.array_equal(got.bin_probs, want)
+
+
 def test_positional_validation():
     with pytest.raises(ValueError):
-        priors.fit_positional([(1.5, 0)], 2, 2)
+        priors.fit_positional([1.5], [0], 2, 2)
     with pytest.raises(ValueError):
-        priors.fit_positional([(0.5, 3)], 2, 2)
+        priors.fit_positional([np.nan], [0], 2, 2)
     with pytest.raises(ValueError):
-        priors.eval_positional(priors.fit_positional([], 2, 2), -0.1)
+        priors.fit_positional([0.5], [3], 2, 2)
+    with pytest.raises(ValueError):
+        priors.fit_positional([0.5], [-1], 2, 2)
+    with pytest.raises(ValueError):
+        priors.fit_positional([0.5, 0.6], [0], 2, 2)
+    with pytest.raises(ValueError):
+        priors.eval_positional(priors.fit_positional([], [], 2, 2), -0.1)
     with pytest.raises(ValueError):
         priors.PositionalCategoricalPrior(np.ones((2, 2)) / 2, np.ones(3) / 3)
 
@@ -170,7 +189,7 @@ def test_sample_rank_gaussian_matches_per_atom_draws(seed, n, n_bins):
 @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
 def test_rank_priors_reject_out_of_range_ranks(bad):
     ranks = np.array([0.0, bad, 0.5])
-    positional = priors.fit_positional([(0.2, 0), (0.8, 1)], 3, 2)
+    positional = priors.fit_positional([0.2, 0.8], [0, 1], 3, 2)
     with pytest.raises(ValueError):
         priors.sample_positional(positional, ranks, np.random.default_rng(0))
     gaussian = priors.fit_rank_gaussian(np.linspace(0, 1, 8), np.ones((8, 3)), 2)
@@ -232,7 +251,7 @@ def test_rank_gaussian_empty_bin_defaults():
 
 @pytest.mark.parametrize("make", [
     lambda: priors.fit_gaussian(np.random.default_rng(1).standard_normal((100, 3))),
-    lambda: priors.fit_positional([(0.2, 0), (0.8, 1)], 3, 2),
+    lambda: priors.fit_positional([0.2, 0.8], [0, 1], 3, 2),
     lambda: priors.fit_rank_gaussian(np.linspace(0, 1, 50),
                                      np.random.default_rng(2).standard_normal((50, 2)), 4),
 ])
@@ -243,6 +262,16 @@ def test_save_load_roundtrip(make):
     assert type(q) is type(p)
     for k, v in priors.prior_to_dict(p).items():
         assert priors.prior_to_dict(q)[k] == v
+
+
+def test_prior_dict_reads_fields_older_files_carry():
+    # files written before the unused Gaussian "isotropic" flag and rank
+    # Gaussian "beta" were dropped still load
+    old_gaussian = dict(priors.prior_to_dict(priors.isotropic_prior(2)), isotropic=True)
+    assert np.array_equal(priors.prior_from_dict(old_gaussian).cov, np.eye(2))
+    ranked = priors.fit_rank_gaussian(np.linspace(0, 1, 8), np.ones((8, 3)), 2)
+    old_ranked = dict(priors.prior_to_dict(ranked), beta=0.0)
+    assert np.array_equal(priors.prior_from_dict(old_ranked).bin_means, ranked.bin_means)
 
 
 def test_prior_dict_rejects_unknown():

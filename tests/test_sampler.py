@@ -1,5 +1,7 @@
 """Euler sampling, guidance mixing, gauge randomization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -9,7 +11,6 @@ from gaugeflow import priors as priors_mod
 from gaugeflow import sampler, symgroup
 from gaugeflow.flowcore.training import (TrainConfig, guided_forward, sample_molecular_noise,
                                          train)
-from gaugeflow.flowcore.nets import MoleculeBatch
 from gaugeflow.sampler import SampleConfig
 
 
@@ -116,16 +117,14 @@ def test_euler_step_draws_stay_in_range_at_the_top_edge(mol_model):
     # each draw must be the last class, even for rows whose float cumsum ends
     # below 1 (27% of random 5-class softmax rows)
     net = mol_model.net
-    latent = MoleculeBatch.pack([sample_molecular_noise(7, mol_model.priors,
-                                                        net.cfg.n_bond_classes,
-                                                        np.random.default_rng(33))])
+    latent = sample_molecular_noise([7], mol_model.priors, net.cfg.n_bond_classes,
+                                    np.random.default_rng(33))
     stepped, _ = sampler.euler_step(net, latent, 1.0, 0.0, np.arange(7) / 7, 1.0,
                                     _EdgeRng(34))
-    stepped = stepped.unpack()[0]
     assert np.all(stepped.type_idx == net.cfg.n_atom_classes - 1)
     assert np.all(stepped.charge_idx == net.cfg.n_charge_classes - 1)
     iu = np.triu_indices(7, k=1)
-    assert np.all(stepped.bond_idx[iu] == net.cfg.n_bond_classes - 1)
+    assert np.all(stepped.bond_idx.reshape(7, 7)[iu] == net.cfg.n_bond_classes - 1)
 
 
 def test_sampling_deterministic_under_seed(mol_model):
@@ -159,8 +158,7 @@ def test_model_kind_guards(mol_model, vec_model):
 def test_guidance_endpoints_and_mixing(mol_model):
     net = mol_model.net
     rng = np.random.default_rng(30)
-    latent = MoleculeBatch.pack([sample_molecular_noise(5, mol_model.priors,
-                                                        net.cfg.n_bond_classes, rng)])
+    latent = sample_molecular_noise([5], mol_model.priors, net.cfg.n_bond_classes, rng)
     ranks = np.arange(5) / 5
     cond = net(latent, 0.5, ranks)
     unc = net(latent, 0.5, ranks, pe_dropped=True)
@@ -183,14 +181,13 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
     net = mol_model.net
     rng = np.random.default_rng(35)
     sizes = [1, 4, 6]
-    latents = [sample_molecular_noise(n, mol_model.priors, net.cfg.n_bond_classes, rng)
-               for n in sizes]
+    batch = sample_molecular_noise(sizes, mol_model.priors, net.cfg.n_bond_classes, rng)
     ranks = [rng.permutation(n) / n for n in sizes]
-    packed = guided_forward(net, MoleculeBatch.pack(latents), 0.7, np.concatenate(ranks), w)
+    packed = guided_forward(net, batch, 0.7, np.concatenate(ranks), w)
     for k, got in packed.items():
         want = []
-        for latent, r in zip(latents, ranks):
-            one = MoleculeBatch.pack([latent])
+        for b, r in enumerate(ranks):
+            one = batch.select([b])
             cond = getattr(net(one, 0.7, r), k).data
             unc = getattr(net(one, 0.7, r, pe_dropped=True), k).data
             if k == "rank_raw":      # the conditional copy's, when one runs
@@ -203,12 +200,11 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
 
 
 def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
-    real = sampler.pcs_step
+    real = sampler.canonicalize
 
-    def flagged(latent, vocab, coord_scale):
-        state, ranks, _ = real(latent, vocab, coord_scale)
-        return state, ranks, True
-    monkeypatch.setattr(sampler, "pcs_step", flagged)
+    def flagged(mol, group):
+        return dataclasses.replace(real(mol, group=group), degenerate=True)
+    monkeypatch.setattr(sampler, "canonicalize", flagged)
     cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
     _, info = sampler.sample(mol_model, 5, 4, cfg)
     assert info["canonicalize_calls"] == 3 * 4
@@ -226,17 +222,16 @@ def test_rank_estimate_normalization():
 def test_euler_step_coords_and_structure(mol_model):
     net = mol_model.net
     rng = np.random.default_rng(31)
-    latent = MoleculeBatch.pack([sample_molecular_noise(6, mol_model.priors,
-                                                        net.cfg.n_bond_classes, rng)])
+    latent = sample_molecular_noise([6], mol_model.priors, net.cfg.n_bond_classes, rng)
     ranks = np.arange(6) / 6
     out = guided_forward(net, latent, 1.0, ranks, 1.0)
     stepped, _ = sampler.euler_step(net, latent, 1.0, 0.5, ranks, 1.0,
                                     np.random.default_rng(32))
-    stepped = stepped.unpack()[0]
     assert np.allclose(stepped.coords,
                        np.clip(latent.coords - 0.5 * out["velocity"], -1e3, 1e3))
-    assert np.array_equal(stepped.bond_idx, stepped.bond_idx.T)
-    assert np.all(np.diag(stepped.bond_idx) == 0)
+    bonds = stepped.bond_idx.reshape(6, 6)
+    assert np.array_equal(bonds, bonds.T)
+    assert np.all(np.diag(bonds) == 0)
     with pytest.raises(ValueError):
         sampler.euler_step(net, latent, 0.5, 0.5, ranks, 1.0, rng)
     with pytest.raises(ValueError):
