@@ -480,9 +480,10 @@ def _class_index(classes, values: np.ndarray, what: str) -> np.ndarray:
     classes = np.asarray(classes)
     order = np.argsort(classes)
     idx = order[np.minimum(np.searchsorted(classes, values, sorter=order), len(classes) - 1)]
-    if (classes[idx] != values).any():
-        bad = values[classes[idx] != values][0]
-        raise ValueError(f"{what} class {bad} is not in the vocab {classes.tolist()}")
+    missing = classes[idx] != values
+    if missing.any():
+        raise ValueError(f"{what} class {values[missing][0]} is not in the vocab "
+                         f"{classes.tolist()}")
     return idx
 
 
