@@ -319,7 +319,8 @@ def cmd_verify(args) -> int:
         n_mc = None if args.n is None else int(float(args.n))
     except (ValueError, OverflowError):
         raise UsageError(f"--n must be a number, got {args.n!r}") from None
-    if n_mc is not None and n_mc < theorylab.MIN_MC_SAMPLES:
+    signflip = args.system in ("all", "signflip")    # c4 and s3 floor --n at MIN_MC_SAMPLES
+    if signflip and n_mc is not None and n_mc < theorylab.MIN_MC_SAMPLES:
         raise UsageError(f"--n must be at least {theorylab.MIN_MC_SAMPLES}, got {args.n}")
     outdir = _outdir(args)
     systems = None if args.system == "all" else (args.system,)

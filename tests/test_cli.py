@@ -338,6 +338,16 @@ def test_verify_theory_signflip(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["command"] == "verify-theory"
 
 
+@pytest.mark.parametrize("system", ["c4", "s3"])
+def test_verify_theory_small_n_runs_where_the_sample_count_is_floored(tmp_path, system):
+    # c4 and s3 floor their Monte Carlo count at MIN_MC_SAMPLES, so --n below it still runs
+    out = tmp_path / "verify"
+    assert run("verify-theory", "--system", system, "--n", "500", "-o", out) == 0
+    doc = json.loads((out / "theory_report.json").read_text())
+    assert doc["all_passed"] is True
+    assert min(c["n_samples"] for c in doc["checks"] if c["n_samples"] > 100) == 1000
+
+
 def test_verify_theory_failure_exit(tmp_path, monkeypatch):
     failing = theorylab.CheckResult("failing", estimate=1.0, reference=0.0, stderr=0.0,
                                     tolerance=0.0, passed=False, n_samples=0, seed=0)

@@ -391,7 +391,11 @@ def test_molecular_priors_and_noise_shapes():
     noise = training.sample_molecular_noise([7, 3], priors, 5, np.random.default_rng(0))
     assert noise.coords.shape == (10, 3)
     assert noise.bond_idx.shape == (49 + 9,)
-    for m in training.decode_molecules(noise, vocab, 1.0):     # symmetric, empty diagonal
+    lay = noise.layout                  # raw pair rows: symmetric, empty diagonal
+    assert np.array_equal(noise.bond_idx, noise.bond_idx[lay.transpose])
+    assert np.all(noise.bond_idx[lay.pair_i == lay.pair_j] == 0)
+    assert np.any(noise.bond_idx[lay.pair_i != lay.pair_j] != 0)
+    for m in training.decode_molecules(noise, vocab, 1.0):
         assert np.array_equal(m.bonds, m.bonds.T)
         assert np.all(np.diag(m.bonds) == 0)
     with pytest.raises(ValueError):
