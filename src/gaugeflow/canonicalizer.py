@@ -212,8 +212,3 @@ def order_multihop(m: MoleculeState) -> np.ndarray:
 def _atomic_keys(m: MoleculeState) -> np.ndarray:
     z = m.atom_types.astype(np.float64)
     return np.where(m.atom_types == 1, 1000.0, -z)  # H sorts last, then Z descending
-
-
-def order_atomic(m: MoleculeState) -> np.ndarray:
-    """Descending atomic number with hydrogens last; ties by original index."""
-    return canonicalize_perm(m, "atomic")[0]

@@ -16,6 +16,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,7 @@ def _outdir(args) -> Path:
 
 
 def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None = None,
-                    counters: dict | None = None) -> None:
+                    counters: dict | None = None, timings: dict | None = None) -> None:
     skip = {"func", "outdir"}
     arg_doc = {}
     for key, value in vars(args).items():
@@ -74,6 +75,8 @@ def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None 
         doc["config"] = config
     if counters is not None:
         doc["counters"] = counters
+    if timings is not None:
+        doc["timings"] = timings
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
@@ -324,13 +327,17 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--n must be at least {theorylab.MIN_MC_SAMPLES}, got {args.n}")
     outdir = _outdir(args)
     systems = None if args.system == "all" else (args.system,)
+    start = time.perf_counter()
     report = theorylab.run_default_suite(seed=args.seed, systems=systems, n_mc=n_mc)
+    battery_done = time.perf_counter()
     for line in report.summary_lines():
         print(line)
     report_path = Path(args.out) if args.out else outdir / "theory_report.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report.to_json(report_path)
-    _write_manifest(outdir, "verify-theory", args, seed=args.seed)
+    timings = {"battery_s": battery_done - start,
+               "write_s": time.perf_counter() - battery_done}
+    _write_manifest(outdir, "verify-theory", args, seed=args.seed, timings=timings)
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

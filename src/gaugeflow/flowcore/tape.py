@@ -434,14 +434,6 @@ def tile_rows(a: Tensor, times: int) -> Tensor:
     return _make(np.tile(a.data, (times, 1)), (a,), bw)
 
 
-def pair_sum(a: Tensor, b: Tensor, lay: PairLayout) -> Tensor:
-    """a, b (nodes, c) -> (pairs, c) with out[(i, j)] = a[i] + b[j]."""
-    def bw(g):
-        _accum(a, lay.sum_j @ g)
-        _accum(b, lay.sum_i @ g)
-    return _make(lay.pair_gather @ np.concatenate([a.data, b.data]), (a, b), bw)
-
-
 def block_mean_rows(a: Tensor, lay: PairLayout) -> Tensor:
     """(pairs, c) -> (nodes, c): the mean over each node's pair block (over j)."""
     counts = lay.row_size

@@ -72,14 +72,16 @@ class SampleConfig:
         return asdict(self)
 
 
-def rank_estimate(rank_raw: np.ndarray) -> np.ndarray:
-    """Min-max normalize the rank head; index ranks when the span collapses."""
+def rank_estimate(rank_raw: np.ndarray, node_start: np.ndarray) -> np.ndarray:
+    """Min-max normalize the packed rank head per molecule, whose atom rows
+    start at node_start; index ranks for a molecule whose span collapses."""
     rank_raw = np.asarray(rank_raw, dtype=np.float64)
-    n = rank_raw.shape[0]
-    span = rank_raw.max() - rank_raw.min()
-    if span < RANK_SPAN_TOL:
-        return np.arange(n) / n
-    return (rank_raw - rank_raw.min()) / span
+    sizes = np.diff(node_start, append=len(rank_raw))
+    low = np.repeat(np.minimum.reduceat(rank_raw, node_start), sizes)
+    span = np.repeat(np.maximum.reduceat(rank_raw, node_start), sizes) - low
+    collapsed = span < RANK_SPAN_TOL
+    return np.where(collapsed, index_ranks(sizes),
+                    (rank_raw - low) / np.where(collapsed, 1.0, span))
 
 
 def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
@@ -164,8 +166,7 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
             if cfg.canonicalize_mode:
                 state, ranks = pcs_step(state, ranks, vocab, model.coord_scale, counts)
             else:
-                ranks = np.concatenate([rank_estimate(r) for r in
-                                        np.split(rank_raw, state.layout.node_start[1:])])
+                ranks = rank_estimate(rank_raw, state.layout.node_start)
         mols = decode_molecules(state, vocab, model.coord_scale)
     mols = haar_randomize(mols, cfg.group, rng)
     info = dict(counts, regime=cfg.regime, steps=cfg.steps, haar_group=cfg.group)

@@ -12,6 +12,13 @@ The slice conditional mean of a Gaussian-slice system is globally linear in
 the interpolant, so the k-NN estimator fits a local linear model and reads
 off residual variance; a plain local mean would inflate the estimate by the
 squared field slope across the neighborhood.
+
+Both k-NN users find neighbours through one search. In one dimension the k
+nearest points of a query are one contiguous window of the sorted values, so
+the search sorts once and bisects every query's window start at once; in two
+or more dimensions it queries a k-d tree. The neighbour sets are the same
+except for points tied at the k-th distance, where the window keeps the lower
+values; the sorted distances to the k neighbours are identical either way.
 """
 
 from __future__ import annotations
@@ -337,6 +344,34 @@ def simulate(system: MixtureSystem, n: int, rng: np.random.Generator) -> dict:
 # Nonparametric estimators
 
 
+def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """Row indices into x of the k nearest points to each query; shape (q, k).
+
+    d == 1: with the values sorted, the k nearest points of q are the window
+    xs[s:s + k] for the smallest start s in [0, n - k] with
+    q - xs[s] <= xs[s + k] - q (the point dropped from the left is no nearer
+    than the one the next window adds on the right). That difference is
+    non-increasing in s, so one bisection over all queries finds every start
+    in about log2(n) rounds. Ties at the k-th distance go to the lower values.
+    d >= 2: a k-d tree query. Non-finite points in x raise ValueError.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    if x.shape[1] > 1:
+        return cKDTree(x).query(queries, k=k, workers=-1)[1]
+    order = np.argsort(x[:, 0])
+    xs = np.append(x[order, 0], np.inf)         # the last window, s = n - k, always qualifies
+    q = queries[:, 0]
+    lo = np.zeros(len(q), dtype=np.int64)
+    hi = np.full(len(q), len(order) - k, dtype=np.int64)
+    while (lo < hi).any():                      # the start lies in [lo, hi] and qualifies
+        mid = (lo + hi) // 2
+        left = q - xs[mid] <= xs[mid + k] - q
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid + 1)
+    return order[lo[:, None] + np.arange(k)]
+
+
 def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
                               n_query: int = 2000, k: int | None = None,
                               n_boot: int = 200) -> tuple[float, float, np.ndarray]:
@@ -348,7 +383,10 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     a bootstrap over query points. Exactly unbiased when E[y|x] is affine.
     All neighbourhoods are fit at once: with the inputs and outputs centred
     per neighbourhood, the intercept is the output mean and the slopes solve
-    the (d, d) normal equations.
+    the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
+    a sorted-window search, ties at the k-th distance going to the lower
+    values; for d >= 2 a k-d tree. Non-finite x or y, or a y whose row count
+    differs from x's, raise ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -357,16 +395,19 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     if y.ndim == 1:
         y = y[:, None]
     n, d = x.shape
+    if y.shape[0] != n:
+        raise ValueError(f"y has {y.shape[0]} rows, x has {n}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if k is None:
         k = int(np.ceil(np.sqrt(n)))
     k = min(k, n)
     dof = k - (d + 1)
     if dof < 2:
         raise ValueError("neighbourhood too small for a linear fit")
-    tree = cKDTree(x)
     n_query = min(n_query, n)
     q_idx = rng.choice(n, size=n_query, replace=False)
-    _, nbr = tree.query(x[q_idx], k=k, workers=-1)
+    nbr = _nearest(x, x[q_idx], k)
     xb = x[nbr]                                     # (q, k, d)
     yb = y[nbr]                                     # (q, k, p)
     del nbr
@@ -506,22 +547,18 @@ def bayes_equivariance_check(system: MixtureSystem, n: int, rng: np.random.Gener
     y = sim["u"] if break_coupling else sim["velocity"]
     if k is None:
         k = int(np.ceil(np.sqrt(n)))
-    tree = cKDTree(x)
     n_query = min(n_query, n)
     zq = x[rng.choice(n, size=n_query, replace=False)]
+    elements = system.group.elements
+    queries = np.concatenate([zq, *(zq @ g for g in elements)])     # zq, then g^-1 zq
+    vals = y[_nearest(x, queries, k)].reshape(len(elements) + 1, n_query, k, -1)
+    means, variances = vals.mean(axis=2), vals.var(axis=2, ddof=1) / k
 
-    def knn_mean(points):
-        _, nbr = tree.query(points, k=k, workers=-1)
-        vals = y[nbr]                               # (q, k, d)
-        return vals.mean(axis=1), vals.var(axis=1, ddof=1) / k
-
-    base_mean, base_var = knn_mean(zq)
+    base_mean, base_var = means[0], variances[0]
     max_ratio = 0.0
     max_gap = 0.0
     ratios = []
-    for m in range(system.group.order):
-        g = system.group.elements[m]
-        mean_g, var_g = knn_mean(zq @ g)            # queries g^-1 zq
+    for g, mean_g, var_g in zip(elements, means[1:], variances[1:]):
         rotated_mean = mean_g @ g.T
         rotated_var = var_g @ (g ** 2).T
         gap = np.linalg.norm(rotated_mean - base_mean, axis=1)

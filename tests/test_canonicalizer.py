@@ -9,8 +9,8 @@ from gaugeflow import canonicalizer, symgroup
 from gaugeflow.canonicalizer import (
     CanonicalizationError,
     canonicalize,
+    canonicalize_perm,
     fiedler_vector,
-    order_atomic,
     order_multihop,
 )
 from gaugeflow.molecule import MoleculeState
@@ -138,7 +138,7 @@ def test_multihop_and_atomic_orders_match_reference_loops():
             multihop = sorted(range(n), key=lambda v: (keys[v], types[v], v))
             atomic = sorted(range(n), key=lambda v: (types[v] == 1, -types[v], v))
             assert order_multihop(m).tolist() == multihop
-            assert order_atomic(m).tolist() == atomic
+            assert canonicalize_perm(m, "atomic")[0].tolist() == atomic
             rep = canonicalize(m, group="perm", ordering="multihop").representative
             assert np.array_equal(rep.atom_types, m.atom_types[multihop])
 
@@ -152,7 +152,7 @@ def test_atomic_ordering_puts_hydrogens_last():
     bonds[2, 3] = bonds[3, 2] = 1
     bonds[3, 4] = bonds[4, 3] = 1
     m = MoleculeState(coords, types, np.zeros(5, dtype=np.int64), bonds)
-    order = order_atomic(m)
+    order = canonicalize_perm(m, "atomic")[0]
     assert types[order].tolist() == [16, 8, 6, 1, 1]
     rep = canonicalize(m, group="perm", ordering="atomic").representative
     assert rep.atom_types.tolist() == [16, 8, 6, 1, 1]

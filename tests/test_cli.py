@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary directories."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -336,6 +337,15 @@ def test_verify_theory_signflip(tmp_path, capsys):
     doc = json.loads((out / "theory_report.json").read_text())
     assert doc["all_passed"] is True
     assert json.loads((out / "manifest.json").read_text())["command"] == "verify-theory"
+
+
+def test_verify_theory_manifest_records_timings(tmp_path):
+    out = tmp_path / "verify"
+    assert run("verify-theory", "--system", "c4", "--n", "1000", "-o", out) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"battery_s", "write_s"}
+    for value in timings.values():
+        assert isinstance(value, float) and math.isfinite(value) and value > 0
 
 
 @pytest.mark.parametrize("system", ["c4", "s3"])

@@ -212,11 +212,28 @@ def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
     assert info["degenerate_steps"] == 0
 
 
+def _rank_estimate_loop(raw):
+    """Reference: one molecule's min-max normalization, index ranks if collapsed."""
+    raw = np.asarray(raw, dtype=np.float64)
+    span = raw.max() - raw.min()
+    if span < sampler.RANK_SPAN_TOL:
+        return np.arange(len(raw)) / len(raw)
+    return (raw - raw.min()) / span
+
+
 def test_rank_estimate_normalization():
     raw = np.array([3.0, 1.0, 2.0])
-    assert np.allclose(sampler.rank_estimate(raw), [1.0, 0.0, 0.5])
+    assert np.allclose(sampler.rank_estimate(raw, np.array([0])), [1.0, 0.0, 0.5])
     flat = np.full(4, 2.0)
-    assert np.allclose(sampler.rank_estimate(flat), np.arange(4) / 4)
+    assert np.allclose(sampler.rank_estimate(flat, np.array([0])), np.arange(4) / 4)
+    # packed: a collapsed molecule and a 1-atom molecule among ordinary ones
+    sizes = [3, 4, 1, 5, 2]
+    rng = np.random.default_rng(40)
+    raw = rng.standard_normal(sum(sizes)).astype(np.float32)
+    raw[3:7] = 0.25 + np.float32(1e-8) * np.arange(4)
+    node_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    want = np.concatenate([_rank_estimate_loop(r) for r in np.split(raw, node_start[1:])])
+    assert np.array_equal(sampler.rank_estimate(raw, node_start), want)
 
 
 def test_euler_step_coords_and_structure(mol_model):

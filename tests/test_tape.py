@@ -94,14 +94,10 @@ def test_pair_message_primitives():
     check(fwd, params)
 
 
-def test_pair_sum_broadcasts_over_pairs():
-    n = 3
-    a, b = p((n, 2), 18), p((n, 2), 19)
-    lay = tape.PairLayout([n])
-    out = tape.pair_sum(a, b, lay)
-    assert np.allclose(out.data, tape.repeat_rows(a, np.full(n, n)).data + tape.tile_rows(b, n).data)
-    w = Tensor(np.random.default_rng(20).standard_normal((n * n, 2)))
-    check(lambda: tape.tsum(tape.mul(tape.square(tape.pair_sum(a, b, lay)), w)), {"a": a, "b": b})
+def pair_sum(a, b, lay):
+    """Reference pair broadcast out[(i, j)] = a[i] + b[j] from tape ops."""
+    return tape.add(tape.repeat_rows(a, lay.row_size),
+                    tape.transpose_pairs(tape.repeat_rows(b, lay.row_size), lay))
 
 
 def test_slice_rows():
@@ -185,7 +181,6 @@ def test_segmented_pair_primitives_match_per_molecule_ops():
     pairs = np.split(np.arange(lay.n_pairs), np.cumsum(np.square(sizes))[:-1])
     dots = tape.pairwise_dot(cs, lay).data
     mixed = tape.coord_mix(cs, pw, lay).data
-    summed = tape.pair_sum(a, b, lay).data
     swapped = tape.transpose_pairs(pw, lay).data
     pooled = tape.block_mean_rows(pw, lay).data
     for n, rows, prs in zip(sizes, nodes, pairs):
@@ -193,8 +188,6 @@ def test_segmented_pair_primitives_match_per_molecule_ops():
         one = tape.PairLayout([n])
         assert np.allclose(dots[prs], tape.pairwise_dot(cs_b, one).data)
         assert np.allclose(mixed[:, rows], tape.coord_mix(cs_b, Tensor(pw.data[prs]), one).data)
-        assert np.allclose(summed[prs], tape.pair_sum(Tensor(a.data[rows]),
-                                                      Tensor(b.data[rows]), one).data)
         assert np.allclose(swapped[prs], tape.transpose_pairs(Tensor(pw.data[prs]), one).data)
         assert np.allclose(pooled[rows], tape.block_mean_rows(Tensor(pw.data[prs]), one).data)
 
@@ -205,7 +198,7 @@ def test_segmented_pair_primitives_match_per_molecule_ops():
         dots = tape.add(tape.pairwise_dot(cs, lay), pw)
         mixed = tape.coord_mix(cs, tape.transpose_pairs(dots, lay), lay)
         out = tape.tsum(tape.square(mixed))
-        msg = tape.mul(tape.square(tape.pair_sum(a, b, lay)), weights)
+        msg = tape.mul(tape.square(pair_sum(a, b, lay)), weights)
         return tape.add(out, tape.tsum(tape.square(tape.block_mean_rows(msg, lay))))
     check(fwd, {"x": x, "w": w, "a": a, "b": b, "pw": pw})
 
@@ -296,7 +289,7 @@ def test_pair_silu_matches_unfused_ops():
 
     def loss(fused):
         out = (tape.pair_silu(a, b, c, lay) if fused
-               else tape.silu(tape.add(tape.pair_sum(a, b, lay), c)))
+               else tape.silu(tape.add(pair_sum(a, b, lay), c)))
         return out, tape.tsum(tape.mul(tape.square(out), weights))
 
     grads = {}

@@ -157,6 +157,70 @@ def test_knn_estimator_on_linear_oracle():
         lab.knn_local_linear_variance(np.zeros((8, 5)), np.zeros(8), rng, k=4)
 
 
+def _with_nan(a):
+    a = a.copy()
+    a[7, 0] = np.nan
+    return a
+
+
+def _with_inf(a):
+    a = a.copy()
+    a[3, 0] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case, bad_x, bad_y", [
+    ("x-nan", _with_nan, None),
+    ("x-inf", _with_inf, None),
+    ("y-nan", None, _with_nan),
+    ("y-inf", None, _with_inf),
+    ("y-extra-rows", None, lambda y: np.concatenate([y, y])),
+    ("y-fewer-rows", None, lambda y: y[:-1]),
+])
+def test_knn_rejects_bad_inputs(case, bad_x, bad_y, d):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((500, d))
+    y = x + 0.1 * rng.standard_normal((500, d))
+    x = bad_x(x) if bad_x else x
+    y = bad_y(y) if bad_y else y
+    with pytest.raises(ValueError):
+        lab.knn_local_linear_variance(x, y, rng, n_query=50, k=40)
+
+
+def _tree_distances(x, queries, k):
+    dist, _ = cKDTree(x).query(queries, k=k)
+    return dist.reshape(len(queries), k)
+
+
+def _window_distances(x, queries, k):
+    nbr = lab._nearest(x, queries, k)
+    assert nbr.shape == (len(queries), k)
+    assert all(len(set(row)) == k for row in nbr.tolist())
+    return np.sort(np.abs(x[nbr, 0] - queries[:, :1]), axis=1)
+
+
+@pytest.mark.parametrize("case", ["integer-ties", "k-equals-n", "all-rows-query",
+                                  "data-min", "data-max", "outside-range"])
+def test_sorted_window_search_matches_tree(case):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((400, 1))
+    k = 25
+    queries = x[rng.choice(400, size=60, replace=False)]
+    if case == "integer-ties":
+        x = rng.integers(-6, 7, size=(400, 1)).astype(np.float64)
+        queries = np.concatenate([x[:40], np.arange(-8.0, 9.0, 0.5)[:, None]])
+    elif case == "k-equals-n":
+        k = 400
+    elif case == "all-rows-query":
+        queries = x
+    elif case in ("data-min", "data-max"):        # alone, so no other query keeps bisecting
+        queries = np.array([[x.min() if case == "data-min" else x.max()]])
+    elif case == "outside-range":
+        queries = np.concatenate([-queries - 10.0, queries + 10.0, [[-1e6], [1e6]]])
+    assert np.array_equal(_window_distances(x, queries, k), _tree_distances(x, queries, k))
+
+
 def _lstsq_local_linear_variance(x, y, rng, n_query, k):
     """Reference: one least-squares fit per query point."""
     n = x.shape[0]
