@@ -47,9 +47,9 @@ def _laplacian_sigma2(sq: np.ndarray, bonds: np.ndarray) -> float:
     """Kernel bandwidth from the squared-distance matrix: 4 * (mean bond
     length)^2, falling back to 4 * (mean pairwise distance)^2 when the
     molecule carries no bonds."""
-    iu = np.triu_indices(sq.shape[0], k=1)
-    dists = np.sqrt(sq[iu])
-    bonded = bonds[iu] > 0
+    upper = ~np.tri(sq.shape[0], dtype=bool)     # i < j, read i-major
+    dists = np.sqrt(sq[upper])
+    bonded = bonds[upper] > 0
     mean_d = dists[bonded].mean() if bonded.any() else dists.mean()
     if mean_d <= 0.0:
         raise CanonicalizationError("degenerate geometry: all atoms coincide")
@@ -139,13 +139,21 @@ def canonicalize_so3(x: np.ndarray, keys: np.ndarray) -> tuple[bool, np.ndarray,
     head, axis = x[0], x[-1] - x[0]
     axis_norm = np.linalg.norm(axis)
     candidates = x[n // 3:(2 * n) // 3] - head
-    cross_norms = np.linalg.norm(np.cross(candidates, axis), axis=1)
+    cross_norms = np.linalg.norm(_cross(candidates, axis), axis=1)
     if axis_norm < GEOM_TOL or cross_norms.max() < GEOM_TOL:
         return reverse, np.eye(3), True
     e1 = axis / axis_norm
-    normal = np.cross(e1, candidates[int(np.argmax(cross_norms))])
+    normal = _cross(e1, candidates[int(np.argmax(cross_norms))])
     e3 = normal / np.linalg.norm(normal)
-    return reverse, np.stack([e1, np.cross(e3, e1), e3]), abs(cube) < SIGN_TOL
+    return reverse, np.stack([e1, _cross(e3, e1), e3]), abs(cube) < SIGN_TOL
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) of a 3-vector b with a 3-vector or an (n, 3) stack a:
+    the same products and differences, without np.cross's generic dispatch."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]).T
 
 
 def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spectral") -> CanonicalResult:

@@ -170,11 +170,11 @@ def cmd_canonicalize(args) -> int:
         else:
             out_path = outdir / f"{path.stem}.canonical.xyz"
             out_path.write_text(molecule.write_xyz(rep))
-        with open(outdir / f"{path.stem}.ranks.csv", "w") as fh:
-            fh.write("index,rank,atomic_number,degenerate\n")
-            for i in range(rep.n_atoms):
-                fh.write(f"{i},{result.ranks[i]:.8f},{rep.atom_types[i]},"
-                         f"{int(result.degenerate)}\n")
+        degenerate = int(result.degenerate)
+        rows = [f"{i},{rank:.8f},{z},{degenerate}\n"
+                for i, (rank, z) in enumerate(zip(result.ranks.tolist(), rep.atom_types.tolist()))]
+        (outdir / f"{path.stem}.ranks.csv").write_text(
+            "index,rank,atomic_number,degenerate\n" + "".join(rows))
         flag = " degenerate" if result.degenerate else ""
         print(f"{path.name}: {mol.n_atoms} atoms -> {out_path.name}{flag}")
     _write_manifest(outdir, "canonicalize", args, seed=None)

@@ -378,7 +378,12 @@ class PairLayout:
     """
 
     def __init__(self, sizes):
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+        given = np.asarray(sizes).reshape(-1)
+        if given.dtype.kind == "f":
+            fractional = ~(np.isfinite(given) & (given == np.floor(given)))
+            if fractional.any():
+                raise ValueError(f"molecule sizes must be whole numbers, got {given[fractional][0]:g}")
+        sizes = given.astype(np.int64)
         if sizes.size == 0 or np.any(sizes < 1):
             raise ValueError("a pair layout needs one or more molecules of >= 1 atom")
         self.sizes = sizes

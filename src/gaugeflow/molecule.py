@@ -2,6 +2,14 @@
 
 Coordinates are Angstroms. Bond codes: 0 none, 1-3 single/double/triple,
 4 aromatic (counted as order 1.5 in valence sums).
+
+The readers convert whole blocks: an atom block's coordinate tokens go
+through Python float and its symbols through SYMBOL_TO_NUMBER in one pass
+each, and the bond lines (fixed-width aaabbbttt, whitespace-split as a
+fallback, checked line by line) become one (n_bonds, 3) table that fills the
+bond matrix in one assignment. A malformed file raises ParseError with the
+1-based number of its first offending line. The writers format each block
+from Python scalars (.tolist()) and take the bonds from the upper triangle.
 """
 
 from __future__ import annotations
@@ -63,11 +71,11 @@ class MoleculeState:
             raise ValueError("atom_types/charges must be (N,)")
         if self.bonds.shape != (n, n):
             raise ValueError(f"bonds must be (N, N), got {self.bonds.shape}")
-        if not np.all(np.isfinite(self.coords)):
+        if not np.isfinite(self.coords).all():
             raise ValueError("coords must be finite")
-        if np.any(self.bonds != self.bonds.T):
+        if (self.bonds != self.bonds.T).any():
             raise ValueError("bond matrix must be symmetric")
-        if np.any(np.diag(self.bonds) != 0):
+        if self.bonds.diagonal().any():
             raise ValueError("bond matrix diagonal must be zero")
         if self.bonds.min() < 0 or self.bonds.max() > AROMATIC:
             raise ValueError("bond codes must lie in {0,1,2,3,4}")
@@ -95,11 +103,43 @@ def atoms_only(coords, atom_types, charges=None) -> MoleculeState:
     return MoleculeState(coords, np.asarray(atom_types), np.asarray(charges), np.zeros((n, n), dtype=np.int64))
 
 
-def _symbol_to_z(symbol: str, line: int) -> int:
+def _symbols(atom_types: np.ndarray) -> list[str]:
+    """Element symbols, "Z<number>" for elements outside the symbol table."""
+    return [NUMBER_TO_SYMBOL.get(z, f"Z{z}") for z in atom_types.tolist()]
+
+
+def _atom_block(raws: list[str], first_line: int, symbol_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(coords (n, 3), atomic numbers (n,)) of an atom block, one atom per
+    line: "symbol x y z" (XYZ) or "x y z symbol" (SDF), further fields
+    ignored. Coordinates convert with Python float, symbols through
+    SYMBOL_TO_NUMBER; the whole block converts at once, and only when that
+    fails are the rows walked to raise the first offending row's error."""
+    rows = [raw.split() for raw in raws]
+    xyz, sym = (slice(1, 4), 0) if symbol_first else (slice(0, 3), 3)
     try:
-        return SYMBOL_TO_NUMBER[symbol]
-    except KeyError:
-        raise ParseError(f"unknown element symbol {symbol!r}", line) from None
+        if min(map(len, rows)) < 4:
+            raise IndexError("an atom row is short")
+        coords = np.array(list(map(float, [p for r in rows for p in r[xyz]]))).reshape(-1, 3)
+        types = np.array([SYMBOL_TO_NUMBER[r[sym]] for r in rows], dtype=np.int64)
+    except (ValueError, KeyError, IndexError):
+        layout = "symbol x y z" if symbol_first else "x y z symbol"
+        for i, (raw, parts) in enumerate(zip(raws, rows)):
+            lineno = first_line + i
+            if len(parts) < 4:
+                raise ParseError(f"expected {layout!r}, got {raw!r}", lineno) from None
+            bad_symbol = parts[sym] not in SYMBOL_TO_NUMBER
+            try:
+                list(map(float, parts[xyz]))
+                bad_coords = False
+            except ValueError:
+                bad_coords = True
+            # an XYZ row is read symbol first, an SDF row coordinates first
+            if bad_symbol and (symbol_first or not bad_coords):
+                raise ParseError(f"unknown element symbol {parts[sym]!r}", lineno) from None
+            if bad_coords:
+                raise ParseError(f"bad coordinate in {raw!r}", lineno) from None
+        raise
+    return coords, types
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +163,39 @@ def parse_xyz(text: str) -> MoleculeState:
         atom_lines.pop()
     if len(atom_lines) != n:
         raise ParseError(f"count says {n} atoms, found {len(atom_lines)}", 2 + len(atom_lines))
-    coords = np.zeros((n, 3))
-    types = np.zeros(n, dtype=np.int64)
-    for i, raw in enumerate(atom_lines):
-        lineno = 3 + i
-        parts = raw.split()
-        if len(parts) < 4:
-            raise ParseError(f"expected 'symbol x y z', got {raw!r}", lineno)
-        types[i] = _symbol_to_z(parts[0], lineno)
-        try:
-            coords[i] = [float(p) for p in parts[1:4]]
-        except ValueError:
-            raise ParseError(f"bad coordinate in {raw!r}", lineno) from None
+    coords, types = _atom_block(atom_lines, 3, symbol_first=True)
     return atoms_only(coords, types)
 
 
 def write_xyz(m: MoleculeState, comment: str = "") -> str:
     rows = [str(m.n_atoms), comment]
-    for z, xyz in zip(m.atom_types, m.coords):
-        sym = NUMBER_TO_SYMBOL.get(int(z), f"Z{int(z)}")
-        rows.append(f"{sym} {xyz[0]:.8f} {xyz[1]:.8f} {xyz[2]:.8f}")
+    rows += [f"{sym} {x:.8f} {y:.8f} {z:.8f}"
+             for sym, (x, y, z) in zip(_symbols(m.atom_types), m.coords.tolist())]
     return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # SDF (V2000 subset: counts line, atom block, bond block, M CHG, M END)
+
+
+def _bond_row(raw: str, n_atoms: int, lineno: int) -> tuple[int, int, int]:
+    """(atom 1, atom 2, order) of one bond line, 1-based and checked."""
+    try:
+        # fixed-width aaabbbttt first, whitespace split as fallback
+        a1, a2, order = int(raw[0:3]), int(raw[3:6]), int(raw[6:9])
+    except ValueError:
+        parts = raw.split()
+        try:
+            a1, a2, order = int(parts[0]), int(parts[1]), int(parts[2])
+        except (ValueError, IndexError):
+            raise ParseError(f"bad bond line {raw!r}", lineno) from None
+    if not (1 <= a1 <= n_atoms and 1 <= a2 <= n_atoms):
+        raise ParseError(f"bond references atom out of range: {a1}-{a2}", lineno)
+    if a1 == a2:
+        raise ParseError(f"self bond on atom {a1}", lineno)
+    if not (1 <= order <= AROMATIC):
+        raise ParseError(f"bond order {order} outside 1..4", lineno)
+    return a1, a2, order
 
 
 def parse_sdf(text: str) -> MoleculeState:
@@ -165,43 +213,18 @@ def parse_sdf(text: str) -> MoleculeState:
     if len(lines) < 4 + n_atoms + n_bonds:
         raise ParseError("file truncated before end of bond block", len(lines))
 
-    coords = np.zeros((n_atoms, 3))
-    types = np.zeros(n_atoms, dtype=np.int64)
+    coords, types = _atom_block(lines[4:4 + n_atoms], 5, symbol_first=False)
     charges = np.zeros(n_atoms, dtype=np.int64)
-    for i in range(n_atoms):
-        lineno = 5 + i
-        parts = lines[4 + i].split()
-        if len(parts) < 4:
-            raise ParseError(f"expected 'x y z symbol', got {lines[4 + i]!r}", lineno)
-        try:
-            coords[i] = [float(p) for p in parts[:3]]
-        except ValueError:
-            raise ParseError(f"bad coordinate in {lines[4 + i]!r}", lineno) from None
-        types[i] = _symbol_to_z(parts[3], lineno)
 
+    # each line is checked as it is read, so the first offending line raises;
+    # both directions go in one assignment, in line order, so a bond listed
+    # twice takes the order on its last line
+    table = np.array([_bond_row(raw, n_atoms, 5 + n_atoms + b)
+                      for b, raw in enumerate(lines[4 + n_atoms:4 + n_atoms + n_bonds])],
+                     dtype=np.int64).reshape(-1, 3)
+    ends = table[:, :2] - 1
     bonds = np.zeros((n_atoms, n_atoms), dtype=np.int64)
-    for b in range(n_bonds):
-        lineno = 5 + n_atoms + b
-        raw = lines[4 + n_atoms + b]
-        try:
-            # fixed-width aaabbbttt first, whitespace split as fallback
-            a1, a2, order = int(raw[0:3]), int(raw[3:6]), int(raw[6:9])
-        except (ValueError, IndexError):
-            parts = raw.split()
-            if len(parts) < 3:
-                raise ParseError(f"bad bond line {raw!r}", lineno) from None
-            try:
-                a1, a2, order = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad bond line {raw!r}", lineno) from None
-        if not (1 <= a1 <= n_atoms and 1 <= a2 <= n_atoms):
-            raise ParseError(f"bond references atom out of range: {a1}-{a2}", lineno)
-        if a1 == a2:
-            raise ParseError(f"self bond on atom {a1}", lineno)
-        if not (1 <= order <= AROMATIC):
-            raise ParseError(f"bond order {order} outside 1..4", lineno)
-        bonds[a1 - 1, a2 - 1] = order
-        bonds[a2 - 1, a1 - 1] = order
+    bonds[ends.ravel(), ends[:, ::-1].ravel()] = np.repeat(table[:, 2], 2)
 
     for j, raw in enumerate(lines[4 + n_atoms + n_bonds:]):
         if raw.startswith("M  CHG"):
@@ -220,17 +243,17 @@ def parse_sdf(text: str) -> MoleculeState:
 
 
 def write_sdf(m: MoleculeState, name: str = "") -> str:
-    pairs = [(i, j) for i in range(m.n_atoms) for j in range(i + 1, m.n_atoms) if m.bonds[i, j] > 0]
-    rows = [name, "  gaugeflow", "", f"{m.n_atoms:3d}{len(pairs):3d}  0  0  0  0  0  0  0  0999 V2000"]
-    for z, xyz in zip(m.atom_types, m.coords):
-        sym = NUMBER_TO_SYMBOL.get(int(z), f"Z{int(z)}")
-        rows.append(f"{xyz[0]:10.4f}{xyz[1]:10.4f}{xyz[2]:10.4f} {sym:<3s} 0  0  0  0  0  0  0  0  0  0  0  0")
-    for i, j in pairs:
-        rows.append(f"{i + 1:3d}{j + 1:3d}{int(m.bonds[i, j]):3d}  0  0  0  0")
-    charged = [(i, int(c)) for i, c in enumerate(m.charges) if c != 0]
-    for start in range(0, len(charged), 8):
-        chunk = charged[start:start + 8]
-        rows.append("M  CHG" + f"{len(chunk):3d}" + "".join(f"{i + 1:4d}{c:4d}" for i, c in chunk))
+    first, second = np.nonzero(np.triu(m.bonds, 1))     # i-major, i < j
+    rows = [name, "  gaugeflow", "", f"{m.n_atoms:3d}{len(first):3d}  0  0  0  0  0  0  0  0999 V2000"]
+    rows += [f"{x:10.4f}{y:10.4f}{z:10.4f} {sym:<3s} 0  0  0  0  0  0  0  0  0  0  0  0"
+             for sym, (x, y, z) in zip(_symbols(m.atom_types), m.coords.tolist())]
+    rows += [f"{i:3d}{j:3d}{code:3d}  0  0  0  0" for i, j, code in
+             zip((first + 1).tolist(), (second + 1).tolist(), m.bonds[first, second].tolist())]
+    charged = np.flatnonzero(m.charges)
+    entries = [f"{i:4d}{c:4d}" for i, c in zip((charged + 1).tolist(), m.charges[charged].tolist())]
+    for start in range(0, len(entries), 8):
+        chunk = entries[start:start + 8]
+        rows.append("M  CHG" + f"{len(chunk):3d}" + "".join(chunk))
     rows.append("M  END")
     rows.append("$$$$")
     return "\n".join(rows) + "\n"

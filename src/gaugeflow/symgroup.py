@@ -15,6 +15,11 @@ import numpy as np
 from .molecule import MoleculeState
 
 
+_EYE3 = np.eye(3)
+# np.allclose(R R^T, I, atol=1e-8) entrywise: atol + rtol |I_ij| with rtol = 1e-5
+_ORTHO_TOL = 1e-8 + 1e-5 * np.abs(_EYE3)
+
+
 @dataclass
 class GroupElement:
     """One element of S_N x SO(3) x R^3."""
@@ -32,7 +37,7 @@ class GroupElement:
             raise ValueError("perm must be a permutation of 0..N-1")
         if self.rot.shape != (3, 3):
             raise ValueError("rot must be 3x3")
-        if not np.allclose(self.rot @ self.rot.T, np.eye(3), atol=1e-8):
+        if not (np.abs(self.rot @ self.rot.T - _EYE3) <= _ORTHO_TOL).all():
             raise ValueError("rot must be orthogonal")
         if np.linalg.det(self.rot) < 0:
             raise ValueError("rot must have determinant +1")
@@ -72,7 +77,7 @@ def act(g: GroupElement, z: MoleculeState) -> MoleculeState:
         act_coords(g, z.coords),
         z.atom_types[p],
         z.charges[p],
-        z.bonds[np.ix_(p, p)],
+        z.bonds[p][:, p],
     )
 
 

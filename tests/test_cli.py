@@ -45,6 +45,10 @@ def test_canonicalize_outputs(tmp_path, capsys):
     ranks = (out / "mol.ranks.csv").read_text().strip().splitlines()
     assert ranks[0] == "index,rank,atomic_number,degenerate"
     assert len(ranks) == 11
+    assert (out / "mol.ranks.csv").read_bytes() == (
+        b"index,rank,atomic_number,degenerate\n0,0.00000000,9,0\n1,0.10000000,16,0\n"
+        b"2,0.20000000,16,0\n3,0.30000000,9,0\n4,0.40000000,16,0\n5,0.50000000,9,0\n"
+        b"6,0.60000000,1,0\n7,0.70000000,8,0\n8,0.80000000,7,0\n9,0.90000000,17,0\n")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "canonicalize"
     assert set(manifest["versions"]) == {"gaugeflow", "numpy", "scipy", "python"}

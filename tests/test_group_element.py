@@ -56,3 +56,18 @@ def test_group_element_accepts(args):
 def test_group_element_rejects(args, fault):
     with pytest.raises(ValueError, match=fault):
         GroupElement(*args)
+
+
+def test_orthogonality_check_matches_allclose():
+    # rotations perturbed around the tolerance edge: accepted exactly when
+    # np.allclose(R R^T, I, atol=1e-8) holds and det R is not negative
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        rot = haar_rotation(3, rng) + rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-10, -4)
+        try:
+            GroupElement(np.arange(2), rot, np.zeros(3))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (np.allclose(rot @ rot.T, np.eye(3), atol=1e-8)
+                            and np.linalg.det(rot) >= 0)

@@ -148,6 +148,16 @@ def test_per_sample_sizes(mol_model):
             sampler.sample(mol_model, sizes, 3, cfg)
 
 
+def test_fractional_sizes_fail_loudly(mol_model):
+    cfg = SampleConfig(steps=2, seed=3)
+    with pytest.raises(ValueError, match="whole numbers, got 8.7"):
+        sampler.sample(mol_model, 8.7, 2, cfg)
+    with pytest.raises(ValueError, match="whole numbers, got 6.9"):
+        sampler.sample(mol_model, [6.9, 7.2], 2, cfg)
+    mols, _ = sampler.sample(mol_model, 8.0, 2, cfg)
+    assert [m.n_atoms for m in mols] == [8, 8]
+
+
 def test_model_kind_guards(mol_model, vec_model):
     with pytest.raises(ValueError):
         sampler.sample(vec_model, 5, 1, SampleConfig())

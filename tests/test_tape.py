@@ -165,6 +165,15 @@ def test_pair_layout_rows():
         tape.PairLayout([2, 0])
 
 
+def test_pair_layout_rejects_fractional_sizes():
+    for sizes, first in (([6.9, 7.2], "6.9"), (np.array([3.0, 7.5]), "7.5"), ([4.0, np.nan], "nan")):
+        with pytest.raises(ValueError, match=f"whole numbers, got {first}$"):
+            tape.PairLayout(sizes)
+    # a whole-number float is a size like any other
+    assert tape.PairLayout([8.0, 3.0]).sizes.tolist() == [8, 3]
+    assert tape.PairLayout(np.array([8.0, 3.0])).sizes.dtype == np.int64
+
+
 def test_segmented_pair_primitives_match_per_molecule_ops():
     # every packed op equals the one-molecule op on each segment, and its
     # adjoint passes central differences
