@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="TrainConfig JSON")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ot", default=None, choices=["none", "exact", "sinkhorn", "anneal"],
-                   help="slice coupling; anneal ramps the OT probability")
+    p.add_argument("--ot", default=None, choices=[*training.OT_MODES, "anneal"],
+                   help="slice coupling: exact OT pairs each batch; anneal ramps "
+                        "its probability from 1 to 0")
     p.add_argument("-o", "--outdir", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -428,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-atoms", type=int, default=None)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--cfg-scale", type=float, default=1.0)
-    p.add_argument("--regime", default="a", choices=["a", "b"])
-    p.add_argument("--prior", default="aligned", choices=["isotropic", "aligned"])
+    p.add_argument("--regime", default="a", choices=sampler.REGIMES)
+    p.add_argument("--prior", default="aligned", choices=sampler.PRIOR_CHOICES)
     p.add_argument("--haar", default="off", choices=sorted(HAAR_FLAGS),
                    help="post-hoc group randomization of the samples")
     p.add_argument("--canonicalize-mode", action="store_true",

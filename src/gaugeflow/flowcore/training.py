@@ -40,6 +40,7 @@ from .tape import Tensor
 
 CHECKPOINT_VERSION = 2          # 2: coordinate scale stored, bounded coordinate weights
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
+OT_MODES = ("none", "exact")    # TrainConfig.ot_mode values
 
 
 class TrainingDiverged(RuntimeError):
@@ -47,7 +48,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A TrainConfig key is set away from its default for data that never reads it."""
+    """A TrainConfig key is set away from its default for data that never reads
+    it, or holds an OT setting training cannot run."""
 
 
 # TrainConfig field annotation -> the JSON value types from_dict accepts for it
@@ -72,7 +74,7 @@ class TrainConfig:
     lambda_bond: float = 1.0
     lambda_charge: float = 1.0
     lambda_rank: float = 0.1
-    ot_mode: str = "none"            # "none" | "exact" | "sinkhorn"
+    ot_mode: str = "none"            # one of OT_MODES
     ot_anneal: bool = False
     prior_mode: str = "aligned"      # molecular coordinate prior: "aligned" | "isotropic"
     n_rank_bins: int = 8
@@ -436,8 +438,7 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig, prior, val_data):
         z0 = data[idx]
         z1 = priors_mod.sample_gaussian(prior, cfg.batch_size, rng)
         if p_ot > 0 and rng.random() < p_ot:
-            plan = coupling_mod.ot_pair(z0, z1, "exact" if cfg.ot_mode != "sinkhorn" else "sinkhorn")
-            z1 = z1[plan.noise_permutation()]
+            z1 = z1[coupling_mod.ot_pair(z0, z1)]
         t = sample_times(cfg.batch_size, cfg.time_dist, rng)
         path = interpolate(z0, z1, t, cfg.coord_noise, rng)
         return tape.mse(net(path.z_t, path.t), path.target_velocity), {}
@@ -781,17 +782,29 @@ def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
                               f"{kind} data (default {getattr(default, key)!r})")
 
 
+def _reject_bad_ot(cfg: TrainConfig) -> None:
+    if cfg.ot_mode not in OT_MODES:
+        raise ConfigError(f"config key 'ot_mode' = {cfg.ot_mode!r} must be one of {OT_MODES}")
+    if cfg.ot_anneal and cfg.ot_mode == "none":
+        raise ConfigError("config key 'ot_anneal' = True anneals OT, but ot_mode is 'none'")
+    if cfg.ot_mode == "exact" and cfg.batch_size > coupling_mod.MAX_EXACT:
+        raise ConfigError(f"config key 'batch_size' = {cfg.batch_size} exceeds exact OT's "
+                          f"limit of {coupling_mod.MAX_EXACT} rows")
+
+
 def train(data, cfg: TrainConfig, prior=None, net_config=None, val_data=None):
     """Train a flow model on canonical states.
 
     data: (n, d) array of slice vectors, or a list of canonicalized
     MoleculeState. Returns (FlowModel, trace); trace rows are per-epoch dicts.
     Identical seeds give identical traces and checkpoints. A config key the
-    data kind does not read, set away from its default, raises ConfigError
-    before any work is done.
+    data kind does not read, set away from its default, or an OT setting
+    outside OT_MODES, annealing with ot_mode "none", or exact OT over more
+    than coupling.MAX_EXACT rows, raises ConfigError before any work is done.
     """
     if isinstance(data, np.ndarray):
         _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
+        _reject_bad_ot(cfg)
         return _train_vectors(data, cfg, prior, val_data)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
         _reject_unused_keys(cfg, _VECTOR_ONLY, "molecule")

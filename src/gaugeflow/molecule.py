@@ -111,15 +111,18 @@ def _symbols(atom_types: np.ndarray) -> list[str]:
 def _atom_block(raws: list[str], first_line: int, symbol_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """(coords (n, 3), atomic numbers (n,)) of an atom block, one atom per
     line: "symbol x y z" (XYZ) or "x y z symbol" (SDF), further fields
-    ignored. Coordinates convert with Python float, symbols through
-    SYMBOL_TO_NUMBER; the whole block converts at once, and only when that
-    fails are the rows walked to raise the first offending row's error."""
+    ignored. Coordinates convert with Python float and must be finite,
+    symbols go through SYMBOL_TO_NUMBER; the whole block converts at once,
+    and only when that fails are the rows walked to raise the first
+    offending row's error."""
     rows = [raw.split() for raw in raws]
     xyz, sym = (slice(1, 4), 0) if symbol_first else (slice(0, 3), 3)
     try:
         if min(map(len, rows)) < 4:
             raise IndexError("an atom row is short")
         coords = np.array(list(map(float, [p for r in rows for p in r[xyz]]))).reshape(-1, 3)
+        if not np.isfinite(coords).all():
+            raise ValueError("a coordinate is not finite")
         types = np.array([SYMBOL_TO_NUMBER[r[sym]] for r in rows], dtype=np.int64)
     except (ValueError, KeyError, IndexError):
         layout = "symbol x y z" if symbol_first else "x y z symbol"
@@ -129,8 +132,7 @@ def _atom_block(raws: list[str], first_line: int, symbol_first: bool) -> tuple[n
                 raise ParseError(f"expected {layout!r}, got {raw!r}", lineno) from None
             bad_symbol = parts[sym] not in SYMBOL_TO_NUMBER
             try:
-                list(map(float, parts[xyz]))
-                bad_coords = False
+                bad_coords = not np.isfinite(list(map(float, parts[xyz]))).all()
             except ValueError:
                 bad_coords = True
             # an XYZ row is read symbol first, an SDF row coordinates first
@@ -210,6 +212,8 @@ def parse_sdf(text: str) -> MoleculeState:
         raise ParseError(f"bad counts line {counts!r}", 4) from None
     if n_atoms < 1:
         raise ParseError("atom count must be positive", 4)
+    if n_bonds < 0:
+        raise ParseError("bond count must not be negative", 4)
     if len(lines) < 4 + n_atoms + n_bonds:
         raise ParseError("file truncated before end of bond block", len(lines))
 

@@ -181,6 +181,22 @@ class FiniteGroupSpec:
         return (idx, *(np.einsum("nij,nj->ni", mats, b) for b in batches))
 
 
+@dataclass
+class RotationGroup:
+    """SO(d) acting on R^d point states, drawn from the Haar measure."""
+
+    dim: int
+
+    def randomize(self, rng: np.random.Generator, *batches: np.ndarray) -> tuple:
+        """Apply one Haar-random rotation per row, the same one in every batch.
+
+        Each batch is (n, d). Returns (rotations (n, d, d), acted batches...);
+        draws haar_rotations(dim, n) once.
+        """
+        mats = haar_rotations(self.dim, len(batches[0]), rng)
+        return (mats, *(np.einsum("nij,nj->ni", mats, b) for b in batches))
+
+
 def finite_act(spec: FiniteGroupSpec, index: int, v: np.ndarray) -> np.ndarray:
     """Apply element `index` to a vector (d,) or a batch (n, d)."""
     v = np.asarray(v, dtype=np.float64)

@@ -31,7 +31,6 @@ from scipy import stats
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
-from . import coupling as coupling_mod
 from . import priors, symgroup
 from .symgroup import FiniteGroupSpec
 
@@ -485,19 +484,19 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
     """Simulate a group-aligned lift and test the pair for dependence.
 
     q0 is the slice data distribution (SliceGaussian or SlicePoint); noise
-    defaults to the standard normal, and group may be a FiniteGroupSpec or a
-    coupling.RotationLift. Checks every linear coordinate correlation plus
-    one quadratic direction statistic (difference of squared coordinates),
-    which is what picks up the dependence a shared rotation induces when the
-    noise is anisotropic; raw correlations vanish there. With the default
+    defaults to the standard normal, and group is a FiniteGroupSpec or a
+    RotationGroup: its randomize applies one shared element per pair. Checks
+    every linear coordinate correlation plus one quadratic direction
+    statistic (difference of squared coordinates), which is what picks up the
+    dependence a shared rotation induces when the noise is anisotropic; raw
+    correlations vanish there. With the default
     isotropic noise the z1 coordinates are also KS-tested against N(0, 1).
     """
     d = q0.dim
     normal_reference = noise is None
     if noise is None:
         noise = SliceGaussian(np.zeros(d), np.eye(d))
-    z0, z1 = coupling_mod.group_aligned_lift((q0.draw(n_mc, rng), noise.draw(n_mc, rng)),
-                                             group, rng)
+    _, z0, z1 = group.randomize(rng, q0.draw(n_mc, rng), noise.draw(n_mc, rng))
     n = n_mc
     threshold = threshold_scale / np.sqrt(n)
 
@@ -738,7 +737,7 @@ def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> T
     if "c4" in systems:
         n_lift = n_mid
         q0 = SliceGaussian(np.array([2.0, 0.0]), 0.09 * np.eye(2))
-        lift = coupling_mod.RotationLift(2)
+        lift = symgroup.RotationGroup(2)
         iso = lift_independence(q0, n_lift, lift, rng)
         checks.append(CheckResult(
             "lift_independence_isotropic",

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, nondegenerate_molecule,
                       random_molecule)
-from gaugeflow import molecule, symgroup, theorylab
+from gaugeflow import molecule, sampler, symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
-from gaugeflow.cli import main
+from gaugeflow.cli import build_parser, main
+from gaugeflow.flowcore import training
 
 
 def run(*argv):
@@ -83,6 +84,23 @@ def test_canonicalize_error_codes(tmp_path):
     txt = tmp_path / "mol.txt"
     txt.write_text("whatever")
     assert run("canonicalize", txt, "-o", tmp_path) == 2
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("nan.sdf", "name\n  test\n\n  1  0\n       nan    0.0000    0.0000 C   0\nM  END\n",
+     "line 5: bad coordinate"),
+    ("inf.xyz", "1\ncomment\nC 0.0 inf 0.0\n", "line 3: bad coordinate"),
+    ("bonds.sdf", "name\n  test\n\n  2 -1\n    0.0000    0.0000    0.0000 C   0\n"
+                  "    1.5000    0.0000    0.0000 O   0\nM  END\n",
+     "line 4: bond count must not be negative")],
+    ids=["sdf-nan-coordinate", "xyz-inf-coordinate", "sdf-negative-bond-count"])
+def test_canonicalize_malformed_numbers_exit_3(tmp_path, capsys, name, text, error):
+    src = tmp_path / name
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert run("canonicalize", src, "-o", out) == 3
+    assert error in capsys.readouterr().err
+    assert not list(out.glob("*.canonical.*"))
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +320,43 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
     assert run("train", "--data", "c4", "--config", cfg, "-o", out) == 2
     assert "epochs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_rejects_ot_mode_it_would_misread(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "ot_mode": "sinkhorn"}))
+    out = tmp_path / "run"
+    assert run("train", "--data", "c4", "--config", cfg, "-o", out) == 2
+    assert "ot_mode" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as info:
+        run("train", "--data", "c4", "--ot", "sinkhorn", "-o", out)
+    assert info.value.code == 2
+    assert not out.exists()
+
+
+def test_sample_loads_checkpoint_trained_with_sinkhorn(trained_vec, tmp_path):
+    # "sinkhorn" is no longer a training choice; checkpoints that hold it still sample
+    doc = json.loads((trained_vec / "checkpoint.json").read_text())
+    doc["train_config"]["ot_mode"] = "sinkhorn"
+    ckpt = tmp_path / "old.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "gen"
+    assert run("sample", "--model", ckpt, "--n", 4, "--steps", 2, "-o", out) == 0
+    with np.load(out / "samples.npz") as samples:
+        assert samples["samples"].shape == (4, 2)
+
+
+def test_cli_choice_lists_are_the_library_constants():
+    sub = next(a for a in build_parser()._actions if a.choices and "train" in a.choices)
+
+    def choices(command, flag):
+        return list(next(a for a in sub.choices[command]._actions
+                         if flag in a.option_strings).choices)
+
+    assert choices("train", "--ot") == [*training.OT_MODES, "anneal"]
+    assert choices("sample", "--regime") == list(sampler.REGIMES)
+    assert choices("sample", "--prior") == list(sampler.PRIOR_CHOICES)
 
 
 BAD_NPZ_DATA = {"1-D": np.zeros(5), "3-D": np.zeros((4, 2, 2)), "empty": np.zeros((0, 2)),

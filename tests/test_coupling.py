@@ -26,49 +26,18 @@ def test_exact_matches_brute_force(seed, n):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, 3))
     noise = rng.standard_normal((n, 3))
-    plan = coupling.ot_pair(data, noise, mode="exact")
-    assert abs(plan.cost - brute_force_cost(data, noise)) < 1e-10
+    perm = coupling.ot_pair(data, noise)
+    assert abs(((data - noise[perm]) ** 2).sum() - brute_force_cost(data, noise)) < 1e-10
     # a valid assignment touches every noise row once
-    assert sorted(j for _, j in plan.pairs) == list(range(n))
-
-
-@settings(max_examples=25, deadline=None)
-@given(seeds, st.integers(min_value=2, max_value=40))
-def test_sinkhorn_never_worse_than_identity(seed, n):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((n, 2))
-    noise = rng.standard_normal((n, 2))
-    plan = coupling.ot_pair(data, noise, mode="sinkhorn")
-    identity_cost = float(((data - noise) ** 2).sum())
-    assert plan.cost <= identity_cost + 1e-9
-    assert sorted(j for _, j in plan.pairs) == list(range(n))
-    exact = coupling.ot_pair(data, noise, mode="exact")
-    assert plan.cost >= exact.cost - 1e-9
-
-
-def test_sinkhorn_finds_obvious_assignment():
-    # two well-separated clusters; rounding must pair within clusters
-    rng = np.random.default_rng(7)
-    data = np.concatenate([rng.normal(-10, 0.1, (8, 2)), rng.normal(10, 0.1, (8, 2))])
-    noise = np.concatenate([rng.normal(10, 0.1, (8, 2)), rng.normal(-10, 0.1, (8, 2))])
-    plan = coupling.ot_pair(data, noise, mode="sinkhorn")
-    for i, j in plan.pairs:
-        assert (i < 8) == (j >= 8)
+    assert sorted(perm.tolist()) == list(range(n))
 
 
 def test_ot_pair_validation():
     with pytest.raises(ValueError):
         coupling.ot_pair(np.zeros((3, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError):
-        coupling.ot_pair(np.zeros((2, 2)), np.zeros((2, 2)), mode="swap")
-    with pytest.raises(ValueError):
         coupling.ot_pair(np.zeros((coupling.MAX_EXACT + 1, 1)),
-                         np.zeros((coupling.MAX_EXACT + 1, 1)), mode="exact")
-
-
-def test_noise_permutation_inverts_pairs():
-    plan = coupling.CouplingPlan([(0, 2), (1, 0), (2, 1)], "exact", 0.0)
-    assert plan.noise_permutation().tolist() == [2, 0, 1]
+                         np.zeros((coupling.MAX_EXACT + 1, 1)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,8 +77,9 @@ def test_lift_shares_one_element_per_pair(seed):
     rng = np.random.default_rng(seed)
     z0 = rng.standard_normal((64, 2))
     z1 = rng.standard_normal((64, 2))
-    (l0, l1), mats, idx = coupling.group_aligned_lift(
-        (z0, z1), symgroup.c4_group(), rng, return_elements=True)
+    group = symgroup.c4_group()
+    idx, l0, l1 = group.randomize(rng, z0, z1)
+    mats = group.elements[idx]
     for i in range(64):
         assert np.allclose(l0[i], mats[i] @ z0[i])
         assert np.allclose(l1[i], mats[i] @ z1[i])
@@ -120,16 +90,22 @@ def test_lift_shares_one_element_per_pair(seed):
 
 def test_lift_rotation_marker():
     rng = np.random.default_rng(11)
-    z0, z1 = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-    (l0, l1), mats, idx = coupling.group_aligned_lift(
-        (z0, z1), coupling.RotationLift(3), rng, return_elements=True)
-    assert idx is None
-    for a, b, g, la, lb in zip(z0, z1, mats, l0, l1):
-        assert np.allclose(g @ g.T, np.eye(3), atol=1e-12)
-        assert np.allclose(la, g @ a)
-        assert np.allclose(lb, g @ b)
-    with pytest.raises(TypeError):
-        coupling.group_aligned_lift((z0, z1), object(), rng)
+    for d in (2, 3):
+        z0, z1 = rng.standard_normal((5, d)), rng.standard_normal((5, d))
+        state = rng.bit_generator.state
+        mats, l0, l1 = symgroup.RotationGroup(d).randomize(rng, z0, z1)
+        for a, b, g, la, lb in zip(z0, z1, mats, l0, l1):
+            assert np.allclose(g @ g.T, np.eye(d), atol=1e-12)
+            assert np.allclose(la, g @ a)
+            assert np.allclose(lb, g @ b)
+        # the draw order: one haar_rotations call, then each batch acted on
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        want = symgroup.haar_rotations(d, 5, replay)
+        assert np.array_equal(mats, want)
+        assert np.array_equal(l0, np.einsum("nij,nj->ni", want, z0))
+        assert np.array_equal(l1, np.einsum("nij,nj->ni", want, z1))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_lift_marginal_is_group_mixture():
@@ -137,8 +113,7 @@ def test_lift_marginal_is_group_mixture():
     rng = np.random.default_rng(0)
     z0 = np.tile([2.0, 0.0], (8000, 1))
     z1 = np.zeros((8000, 2))
-    (l0, _), _, idx = coupling.group_aligned_lift(
-        (z0, z1), symgroup.c4_group(), rng, return_elements=True)
+    idx, l0, _ = symgroup.c4_group().randomize(rng, z0, z1)
     counts = np.bincount(idx, minlength=4) / 8000
     assert np.allclose(counts, 0.25, atol=0.03)
     images = {tuple(np.round(row, 6)) for row in l0}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
+from gaugeflow import coupling
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
@@ -552,6 +553,19 @@ def test_vector_training_rejects_molecule_only_keys(key, value):
     data = np.random.default_rng(44).standard_normal((64, 2))
     with pytest.raises(ValueError, match=key):
         train(data, tiny_cfg(**{key: value}))
+
+
+@pytest.mark.parametrize("kw, key", [
+    ({"ot_mode": "bogus"}, "ot_mode"),
+    ({"ot_mode": "Exact "}, "ot_mode"),
+    ({"ot_mode": "sinkhorn"}, "ot_mode"),
+    ({"ot_anneal": True}, "ot_anneal"),
+    ({"ot_mode": "exact", "batch_size": coupling.MAX_EXACT + 1}, "batch_size")],
+    ids=["unknown", "misspelt", "sinkhorn", "anneal-without-ot", "batch-over-max-exact"])
+def test_vector_training_rejects_ot_settings_it_would_misread(kw, key):
+    data = np.random.default_rng(45).standard_normal((64, 2))
+    with pytest.raises(training.ConfigError, match=key):
+        train(data, tiny_cfg(**kw))
 
 
 # ---------------------------------------------------------------------------

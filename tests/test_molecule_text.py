@@ -62,6 +62,15 @@ SDF_ERRORS = {
                         "bad charge line 'M  CHG  1   x   1'"),
     "charge on a missing atom": (sdf(tail=("M  CHG  1   2   1", "M  CHG  1   4   1", "M  END")), 11,
                                  "bad charge line 'M  CHG  1   4   1'"),
+    "negative bond count": (sdf(counts="  2 -1"), 4, "bond count must not be negative"),
+    "negative bond count, one atom row": (sdf(ATOMS[:1], bonds=[], tail=(), counts="  3 -5"), 4,
+                                          "bond count must not be negative"),
+    "nan coordinate": (sdf(with_row(ATOMS, 0, "       nan    0.0000    0.0000 C   0")), 5,
+                       "bad coordinate in '       nan    0.0000    0.0000 C   0'"),
+    # a non-finite coordinate is an offending row like any other: the first one wins
+    "inf before unknown symbol": (sdf(ATOMS[:1] + ["       inf    0.0000    0.0000 O   0",
+                                                   "   -1.5000    0.0000    0.0000 Qq  0"]), 6,
+                                  "bad coordinate in '       inf    0.0000    0.0000 O   0'"),
 }
 
 XYZ_ATOMS = ["C 0.0 0.0 0.0", "O 1.5 0.0 0.0", "N -1.5 0.0 0.0"]
@@ -90,6 +99,10 @@ XYZ_ERRORS = {
                                   "unknown element symbol 'Xx'"),
     "first bad row": (xyz(XYZ_ATOMS[:1] + ["O 1.5 0.0 z", "Qq 0 0 0"]), 4,
                       "bad coordinate in 'O 1.5 0.0 z'"),
+    "inf coordinate": (xyz(with_row(XYZ_ATOMS, 1, "O 1.5 inf 0.0")), 4,
+                       "bad coordinate in 'O 1.5 inf 0.0'"),
+    "-inf after nan": (xyz(with_row(XYZ_ATOMS, 2, "N -inf 0.0 NaN")), 5,
+                       "bad coordinate in 'N -inf 0.0 NaN'"),
 }
 
 

@@ -260,15 +260,13 @@ def test_quadrature_matches_mc():
 
 
 def test_lift_independence_isotropic_vs_anisotropic():
-    from gaugeflow import coupling
-
     rng = np.random.default_rng(13)
     q0 = lab.SliceGaussian(np.array([2.0, 0.0]), 0.09 * np.eye(2))
-    iso = lab.lift_independence(q0, 30_000, coupling.RotationLift(2), rng)
+    iso = lab.lift_independence(q0, 30_000, symgroup.RotationGroup(2), rng)
     assert iso["independent"]
     assert all(p > 0.001 for p in iso["ks_pvalues"])
     aniso = lab.lift_independence(
-        q0, 30_000, coupling.RotationLift(2), rng,
+        q0, 30_000, symgroup.RotationGroup(2), rng,
         noise=lab.SliceGaussian(np.zeros(2), np.diag([9.0, 1.0])))
     assert not aniso["independent"]
     assert aniso["quadratic_corr"] > aniso["threshold"]
