@@ -3,12 +3,14 @@ Euclidean cost, rigid alignment, and the linear OT-probability anneal.
 
 Group-aligned lifts, which share one symmetry element per pair, are the
 `randomize` method of the group classes in `symgroup`.
+
+`scipy.optimize` is imported inside `ot_pair`, on its first call, so importing
+this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 MAX_EXACT = 4096
 
@@ -26,6 +28,8 @@ def ot_pair(data: np.ndarray, noise: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     if n > MAX_EXACT:
         raise ValueError(f"exact assignment capped at {MAX_EXACT} rows, got {n}")
+    from scipy.optimize import linear_sum_assignment
+
     cost = ((data[:, None, :] - noise[None, :, :]) ** 2).sum(-1)
     return linear_sum_assignment(cost)[1]
 

@@ -32,6 +32,8 @@ message layer's pre-activation a[i] + b[j] + c[(i, j)] in one buffer and
 applies SiLU to it in place, keeping the SiLU slope only while the tape
 records. pairwise_dot and coord_mix read one contiguous node-major copy of
 the coordinate sets, repeating its rows for the i side of each pair.
+`scipy.sparse` is imported by `_csr`, the one builder of those matrices, when
+the first PairLayout is made; importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy import sparse
 
 
 class Tensor:
@@ -356,12 +357,19 @@ def reduce_max(a: Tensor, starts) -> Tensor:
 # pairwise-message primitives (node rows to ordered-pair rows of a packed batch)
 
 
-def _block_sums(counts, dtype) -> sparse.csr_matrix:
-    """0/1 matrix whose row r sums the next counts[r] rows of its operand."""
+def _csr(data, indices, indptr, shape):
+    """scipy.sparse.csr_matrix((data, indices, indptr), shape)."""
+    from scipy import sparse
+
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _block_sums(counts, dtype):
+    """0/1 CSR matrix whose row r sums the next counts[r] rows of its operand."""
     counts = np.asarray(counts, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sparse.csr_matrix((np.ones(indptr[-1], dtype=dtype), np.arange(indptr[-1]), indptr),
-                             shape=(len(counts), int(indptr[-1])))
+    return _csr(np.ones(indptr[-1], dtype=dtype), np.arange(indptr[-1]), indptr,
+                (len(counts), int(indptr[-1])))
 
 
 class PairLayout:
@@ -398,12 +406,10 @@ class PairLayout:
         self.upper = np.flatnonzero(self.pair_i < self.pair_j)
         self.sum_j = _block_sums(self.row_size, _dtype)
         # row j of sum_i holds rows (i, j) for i in turn: the transposed block of j
-        self.sum_i = sparse.csr_matrix((self.sum_j.data, self.transpose, self.sum_j.indptr),
-                                       shape=self.sum_j.shape)
-        self.pair_gather = sparse.csr_matrix(
-            (np.ones(2 * n_pairs, dtype=_dtype),
-             np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
-             np.arange(0, 2 * n_pairs + 1, 2)), shape=(n_pairs, 2 * n_nodes))
+        self.sum_i = _csr(self.sum_j.data, self.transpose, self.sum_j.indptr, self.sum_j.shape)
+        self.pair_gather = _csr(np.ones(2 * n_pairs, dtype=_dtype),
+                                np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
+                                np.arange(0, 2 * n_pairs + 1, 2), (n_pairs, 2 * n_nodes))
 
     @property
     def n_pairs(self) -> int:

@@ -41,6 +41,8 @@ from .tape import Tensor
 CHECKPOINT_VERSION = 2          # 2: coordinate scale stored, bounded coordinate weights
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
 OT_MODES = ("none", "exact")    # TrainConfig.ot_mode values
+TIME_DISTS = ("beta", "uniform")        # TrainConfig.time_dist values
+PRIOR_MODES = ("aligned", "isotropic")  # TrainConfig.prior_mode values
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,7 +51,8 @@ class TrainingDiverged(RuntimeError):
 
 class ConfigError(ValueError):
     """A TrainConfig key is set away from its default for data that never reads
-    it, or holds an OT setting training cannot run."""
+    it, holds a value outside the range training can use, or holds an OT
+    setting training cannot run."""
 
 
 # TrainConfig field annotation -> the JSON value types from_dict accepts for it
@@ -782,6 +785,35 @@ def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
                               f"{kind} data (default {getattr(default, key)!r})")
 
 
+def _reject_out_of_range(cfg: TrainConfig) -> None:
+    """ConfigError for the first key outside its range or its set of values;
+    the chained comparisons are False for NaN, so NaN is out of every range."""
+    inf = float("inf")
+    ranges = (
+        ("time_dist", cfg.time_dist in TIME_DISTS, f"one of {TIME_DISTS}"),
+        ("prior_mode", cfg.prior_mode in PRIOR_MODES, f"one of {PRIOR_MODES}"),
+        ("epochs", 0 <= cfg.epochs, ">= 0"),
+        ("steps_per_epoch", 1 <= cfg.steps_per_epoch, ">= 1"),
+        ("batch_size", 1 <= cfg.batch_size, ">= 1"),
+        ("lr", 0 < cfg.lr < inf, "finite and > 0"),
+        ("warmup_steps", 0 <= cfg.warmup_steps, ">= 0"),
+        ("beta1", 0 <= cfg.beta1 < 1, "in [0, 1)"),
+        ("beta2", 0 <= cfg.beta2 < 1, "in [0, 1)"),
+        ("ema_decay", 0 <= cfg.ema_decay <= 1, "in [0, 1]"),
+        ("coord_noise", 0 <= cfg.coord_noise < inf, "finite and >= 0"),
+        ("rank_noise", 0 <= cfg.rank_noise < inf, "finite and >= 0"),
+        ("p_drop", 0 <= cfg.p_drop <= 1, "in [0, 1]"),
+        ("lambda_type", 0 <= cfg.lambda_type < inf, "finite and >= 0"),
+        ("lambda_bond", 0 <= cfg.lambda_bond < inf, "finite and >= 0"),
+        ("lambda_charge", 0 <= cfg.lambda_charge < inf, "finite and >= 0"),
+        ("lambda_rank", 0 <= cfg.lambda_rank < inf, "finite and >= 0"),
+        ("n_rank_bins", 1 <= cfg.n_rank_bins, ">= 1"),
+    )
+    for key, ok, rule in ranges:
+        if not ok:
+            raise ConfigError(f"config key {key!r} = {getattr(cfg, key)!r} must be {rule}")
+
+
 def _reject_bad_ot(cfg: TrainConfig) -> None:
     if cfg.ot_mode not in OT_MODES:
         raise ConfigError(f"config key 'ot_mode' = {cfg.ot_mode!r} must be one of {OT_MODES}")
@@ -797,11 +829,15 @@ def train(data, cfg: TrainConfig, prior=None, net_config=None, val_data=None):
 
     data: (n, d) array of slice vectors, or a list of canonicalized
     MoleculeState. Returns (FlowModel, trace); trace rows are per-epoch dicts.
-    Identical seeds give identical traces and checkpoints. A config key the
-    data kind does not read, set away from its default, or an OT setting
-    outside OT_MODES, annealing with ot_mode "none", or exact OT over more
-    than coupling.MAX_EXACT rows, raises ConfigError before any work is done.
+    Identical seeds give identical traces and checkpoints. A config value
+    outside its range or set (epochs below 0, steps_per_epoch or batch_size
+    below 1, a non-finite or non-positive lr, a time_dist outside TIME_DISTS,
+    ...), a config key the data kind does not read set away from its
+    default, or an OT setting outside OT_MODES, annealing with ot_mode
+    "none", or exact OT over more than coupling.MAX_EXACT rows, raises
+    ConfigError before any work is done.
     """
+    _reject_out_of_range(cfg)
     if isinstance(data, np.ndarray):
         _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
         _reject_bad_ot(cfg)

@@ -57,8 +57,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.cfg_scale < 0:
-            raise ValueError("cfg_scale must be >= 0")
+        if not 0 <= self.cfg_scale < float("inf"):     # False for NaN too
+            raise ValueError("cfg_scale must be finite and >= 0")
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
         if self.group not in HAAR_GROUPS:

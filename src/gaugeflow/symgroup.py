@@ -37,12 +37,16 @@ class GroupElement:
             raise ValueError("perm must be a permutation of 0..N-1")
         if self.rot.shape != (3, 3):
             raise ValueError("rot must be 3x3")
-        if not (np.abs(self.rot @ self.rot.T - _EYE3) <= _ORTHO_TOL).all():
+        # finiteness first: an inf entry would warn inside the product
+        if not (np.isfinite(self.rot).all()
+                and (np.abs(self.rot @ self.rot.T - _EYE3) <= _ORTHO_TOL).all()):
             raise ValueError("rot must be orthogonal")
         if np.linalg.det(self.rot) < 0:
             raise ValueError("rot must have determinant +1")
         if self.trans.shape != (3,):
             raise ValueError("trans must be a 3-vector")
+        if not np.isfinite(self.trans).all():
+            raise ValueError("trans must be finite")
 
     @property
     def n_atoms(self) -> int:

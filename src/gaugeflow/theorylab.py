@@ -19,6 +19,11 @@ the search sorts once and bisects every query's window start at once; in two
 or more dimensions it queries a k-d tree. The neighbour sets are the same
 except for points tied at the k-th distance, where the window keeps the lower
 values; the sorted distances to the k neighbours are identical either way.
+
+Importing the lab loads numpy only. The two scipy submodules it uses load on
+first use, inside the branch that needs them: `scipy.spatial` for the k-d tree
+of a search in two or more dimensions (`_nearest`), and `scipy.stats` for the
+KS tests of `lift_independence` against the standard normal.
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.spatial import cKDTree
-from scipy.special import logsumexp
 
 from . import priors, symgroup
 from .symgroup import FiniteGroupSpec
@@ -224,15 +226,29 @@ def _member_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     return priors.gaussian_logpdf(qt, zg.reshape(-1, system.dim)).reshape(zg.shape[:2])
 
 
+def _log_sum_exp(logq: np.ndarray) -> np.ndarray:
+    """log sum_m exp(logq[m]) over the rows of an (M, n) array, as
+    peak + log1p(sum of exp(logq[m] - peak) over the other rows), peak the
+    column maximum (Blanchard, Higham and Higham 2021). These are the steps
+    scipy.special.logsumexp (1.17) takes, in its order, so the results agree
+    bitwise."""
+    cols = np.arange(logq.shape[1])
+    top = logq.argmax(axis=0)
+    peak = logq[top, cols]
+    shifted = np.exp(logq - peak)
+    shifted[top, cols] = 0.0
+    return np.log1p(shifted.sum(axis=0)) + peak
+
+
 def mixture_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """Log density of the ambient time marginal (1/M) sum_g qt(g^-1 z)."""
-    return logsumexp(_member_logpdf(system, z), axis=0) - np.log(system.group.order)
+    return _log_sum_exp(_member_logpdf(system, z)) - np.log(system.group.order)
 
 
 def posterior_responsibilities(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """P(G = g | ambient point z); shape (n, M)."""
     logq = _member_logpdf(system, z)
-    return np.exp(logq - logsumexp(logq, axis=0)).T
+    return np.exp(logq - _log_sum_exp(logq)).T
 
 
 def mixture_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
@@ -357,6 +373,8 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if x.shape[1] > 1:
+        from scipy.spatial import cKDTree
+
         return cKDTree(x).query(queries, k=k, workers=-1)[1]
     order = np.argsort(x[:, 0])
     xs = np.append(x[order, 0], np.inf)         # the last window, s = n - k, always qualifies
@@ -384,8 +402,9 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     per neighbourhood, the intercept is the output mean and the slopes solve
     the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
     a sorted-window search, ties at the k-th distance going to the lower
-    values; for d >= 2 a k-d tree. Non-finite x or y, or a y whose row count
-    differs from x's, raise ValueError.
+    values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
+    differs from x's, or n_query below 2 (no mean and no bootstrap spread to
+    read) raise ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -398,6 +417,8 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
         raise ValueError(f"y has {y.shape[0]} rows, x has {n}")
     if not np.isfinite(y).all():
         raise ValueError("y must be finite")
+    if n_query < 2:
+        raise ValueError(f"n_query must be >= 2, got {n_query}")
     if k is None:
         k = int(np.ceil(np.sqrt(n)))
     k = min(k, n)
@@ -516,6 +537,8 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
 
     ks_pvalues = []
     if normal_reference:
+        from scipy import stats
+
         ks_pvalues = [float(stats.kstest(z1[:, j], "norm").pvalue) for j in range(d)]
 
     return {

@@ -221,7 +221,9 @@ def test_molecular_sample_rejects_sizes_below_one(trained_mol, tmp_path, capsys,
 @pytest.mark.parametrize("flags, word", [(["--steps", 0], "steps"),
                                          (["--cfg-scale", -1], "cfg_scale"),
                                          (["--regime", "a", "--canonicalize-mode"],
-                                          "canonicalize_mode")])
+                                          "canonicalize_mode"),
+                                         (["--cfg-scale", "nan"], "cfg_scale"),
+                                         (["--cfg-scale", "inf"], "cfg_scale")])
 def test_sample_rejects_bad_sampling_config(trained_mol, tmp_path, capsys, flags, word):
     out = tmp_path / "gen"
     assert run("sample", "--model", trained_mol / "checkpoint.json",
@@ -319,6 +321,23 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("train", "--data", "c4", "--config", cfg, "-o", out) == 2
     assert "epochs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, doc, key", [
+    (["--epochs", -3], None, "epochs"),
+    ([], {"steps_per_epoch": 0}, "steps_per_epoch"),
+    ([], {"batch_size": 0}, "batch_size"),
+    ([], {"epochs": 1, "steps_per_epoch": 1, "lr": math.nan}, "lr"),
+    ([], {"epochs": 1, "steps_per_epoch": 1, "time_dist": "gamma"}, "time_dist")],
+    ids=["epochs-negative", "steps-zero", "batch-zero", "lr-nan", "time-dist-unknown"])
+def test_train_rejects_out_of_range_config_values(tmp_path, capsys, flags, doc, key):
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        flags = [*flags, "--config", tmp_path / "cfg.json"]
+    out = tmp_path / "run"
+    assert run("train", "--data", "c4", *flags, "-o", out) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

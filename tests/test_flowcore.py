@@ -568,6 +568,34 @@ def test_vector_training_rejects_ot_settings_it_would_misread(kw, key):
         train(data, tiny_cfg(**kw))
 
 
+OUT_OF_RANGE = {
+    "time-dist-unknown": {"time_dist": "gamma"}, "prior-mode-unknown": {"prior_mode": "bogus"},
+    "epochs-negative": {"epochs": -3}, "steps-zero": {"steps_per_epoch": 0},
+    "batch-zero": {"batch_size": 0}, "lr-nan": {"lr": float("nan")},
+    "lr-inf": {"lr": float("inf")}, "lr-zero": {"lr": 0.0},
+    "warmup-negative": {"warmup_steps": -1}, "beta1-one": {"beta1": 1.0},
+    "beta2-nan": {"beta2": float("nan")}, "ema-above-one": {"ema_decay": 1.5},
+    "coord-noise-negative": {"coord_noise": -0.1}, "rank-noise-inf": {"rank_noise": float("inf")},
+    "p-drop-above-one": {"p_drop": 1.5}, "lambda-type-nan": {"lambda_type": float("nan")},
+    "lambda-bond-negative": {"lambda_bond": -1.0}, "lambda-charge-inf": {"lambda_charge": float("inf")},
+    "lambda-rank-negative": {"lambda_rank": -0.1}, "rank-bins-zero": {"n_rank_bins": 0},
+}
+
+
+@pytest.mark.parametrize("kind", ["vector", "molecule"])
+@pytest.mark.parametrize("kw", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_training_rejects_out_of_range_values_before_any_work(monkeypatch, kw, kind):
+    def no_work(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(training, "_train_vectors", no_work)
+    monkeypatch.setattr(training, "_train_molecules", no_work)
+    data = np.random.default_rng(46).standard_normal((64, 2)) if kind == "vector" else mol_set()
+    (key,) = kw
+    with pytest.raises(training.ConfigError, match=key):
+        train(data, tiny_cfg(**kw))
+
+
 # ---------------------------------------------------------------------------
 # toy data
 

@@ -1,6 +1,8 @@
 """GroupElement's accept/reject set, at the edges of its orthogonality
 tolerance: R R^T must match I entrywise within 1e-8 + 1e-5 |I_ij|."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,8 @@ REJECTED = {
     "reflection": ((np.arange(3), np.diag([1.0, 1.0, -1.0]), np.zeros(3)), "determinant"),
     "2-vector trans": ((np.arange(3), np.eye(3), np.zeros(2)), "3-vector"),
     "row trans": ((np.arange(3), np.eye(3), np.zeros((1, 3))), "3-vector"),
+    "nan trans": ((np.arange(3), np.eye(3), [np.nan, 0.0, 0.0]), "finite"),
+    "inf trans": ((np.arange(3), np.eye(3), [0.0, -np.inf, 0.0]), "finite"),
 }
 
 
@@ -56,6 +60,15 @@ def test_group_element_accepts(args):
 def test_group_element_rejects(args, fault):
     with pytest.raises(ValueError, match=fault):
         GroupElement(*args)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_rot_rejected_without_a_warning(value):
+    # the finiteness test comes before R R^T, so nothing overflows on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="orthogonal"):
+            GroupElement(np.arange(3), nudged(1, 1, value), np.zeros(3))
 
 
 def test_orthogonality_check_matches_allclose():

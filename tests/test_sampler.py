@@ -36,6 +36,9 @@ def test_sample_config_validation():
         SampleConfig(steps=0)
     with pytest.raises(ValueError):
         SampleConfig(cfg_scale=-0.5)
+    for scale in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="cfg_scale"):
+            SampleConfig(cfg_scale=scale)
     with pytest.raises(ValueError):
         SampleConfig(regime="c")
     with pytest.raises(ValueError):

@@ -80,6 +80,20 @@ def test_mixture_logpdf_normalized_and_invariant():
         assert np.allclose(lab.mixture_logpdf(c4, z @ g.T), base, atol=1e-10)
 
 
+@pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
+def test_mixture_log_sum_exp_matches_scipy(make):
+    # the lab's numpy log-sum-exp over the members takes scipy's steps in scipy's order
+    from scipy.special import logsumexp
+
+    system = make()
+    z = 4.0 * np.random.default_rng(19).standard_normal((500, system.dim))
+    logq = lab._member_logpdf(system, z)
+    expected = logsumexp(logq, axis=0) - np.log(system.group.order)
+    assert np.allclose(lab.mixture_logpdf(system, z), expected, rtol=1e-14, atol=0)
+    assert np.allclose(lab.posterior_responsibilities(system, z),
+                       np.exp(logq - logsumexp(logq, axis=0)).T, rtol=1e-14, atol=1e-300)
+
+
 def test_posterior_responsibilities_normalize():
     system = lab.c4_system()
     z = np.random.default_rng(7).standard_normal((30, 2)) * 3
@@ -182,6 +196,15 @@ def test_knn_rejects_bad_inputs(bad_x, bad_y, d):
     y = bad_y(y) if bad_y else y
     with pytest.raises(ValueError):
         lab.knn_local_linear_variance(x, y, rng, n_query=50, k=40)
+
+
+@pytest.mark.parametrize("n_query", [0, 1])
+def test_knn_rejects_fewer_than_two_queries(n_query):
+    # 0 queries has no mean, and 1 a bootstrap stderr of exactly 0
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((500, 1))
+    with pytest.raises(ValueError, match="n_query"):
+        lab.knn_local_linear_variance(x, 2.0 * x, rng, n_query=n_query, k=40)
 
 
 def _tree_distances(x, queries, k):
