@@ -63,7 +63,7 @@ def fiedler_vector(m: MoleculeState) -> tuple[np.ndarray, bool]:
     L_rw = D^-1 (D - W), solved through the symmetric conjugate
     D^-1/2 (D - W) D^-1/2 so a dense Hermitian eigensolver applies. The
     eigenvector sign is fixed by the radial statistic
-    s = sum_i u_i (||x_i - xbar|| - mean radius): flip so s > 0. Degenerate
+    s = sum over i of u_i (||x_i - xbar|| - mean radius): flip so s > 0. Degenerate
     when |s| < 1e-9 or the eigengap lambda_3 - lambda_2 < 1e-9.
     """
     n = m.n_atoms

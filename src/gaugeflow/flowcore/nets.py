@@ -9,24 +9,27 @@ mean over j (no attention), and applies residual updates to all streams.
 
 The message MLP is evaluated in factorized form, as in the EGNN edge function
 (Satorras et al. 2021): the first layer's p and q row blocks act on the N node
-rows and are broadcast-added over pairs, so only the Gram and edge columns are
-multiplied on N^2 pair rows. The node and rank outputs are used only through
-their mean over j, so the hidden layer is averaged first and their output
-columns are applied on N rows; pair rows carry only the coordinate and edge
-outputs. Parameters keep the shapes of the plain MLP over the concatenated
-input, and both forms agree up to rounding.
+rows (from_i, from_j), and only the Gram and edge rows are multiplied on the
+N^2 pair rows. The node and rank outputs are used only through their mean
+over j, so the hidden layer is averaged first and their output columns are
+applied on N rows; pair rows carry only the coordinate and edge outputs.
+Parameters keep the shapes of the plain MLP over the concatenated input, and
+both forms agree up to rounding.
 
-Per layer the pair rows see few passes: the hidden array is built as
-from_i[i] + from_j[j] + from_pair[(i, j)] in one buffer with SiLU applied in
-place (tape.pair_silu), and the coordinate and edge outputs are one fused
-matmul-plus-bias (tape.linear) on a column gather of the second layer's
-weight and bias. Every Linear is that fused op.
+Each layer's pair stage is one tape op, tape.pair_stage, evaluated block by
+block over runs of same-size molecules viewed as dense (k, n, n, .) arrays:
+the Gram of the coordinate sets is a batched matmul written into the first
+layer's pair input, from_i[i] and from_j[j] are broadcast-added into that
+layer's output, SiLU runs in place, the mean over j is a sum over the j axis
+of the block, the coordinate and edge outputs are one matmul, and the
+coordinate mix is a batched matmul. No pair-row gather, concat or sparse
+product is built. Every Linear is the fused matmul-plus-bias tape.linear.
 
-The coordinate weights are bounded: coord_mix reads tanh of the coordinate
-message, the EGNN-family remedy, so a layer's coordinate update is linear in
-the coordinates it mixes instead of growing as a power of their scale (the
-message MLP sees Gram entries, quadratic in the coordinates). Training feeds
-unit-scale coordinates (training.fit_coord_scale).
+The coordinate weights are bounded: the coordinate mix reads tanh of the
+coordinate message, the EGNN-family remedy, so a layer's coordinate update is
+linear in the coordinates it mixes instead of growing as a power of their
+scale (the message MLP sees Gram entries, quadratic in the coordinates).
+Training feeds unit-scale coordinates (training.fit_coord_scale).
 
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
@@ -35,9 +38,9 @@ min-max normalized to [0, 1] within each molecule.
 The net takes a MoleculeBatch only and runs one graph for it: the atom rows
 of all molecules are concatenated, and so are their pair rows, each
 molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout). Matmuls
-see the packed rows; only the pairwise primitives and the rank normalization
-know where molecules end, so messages never cross molecules and each
-molecule's heads equal those of its own forward up to rounding. Time, ranks
+see the packed rows; only the pair stage, the pair transposition and the rank
+normalization know where molecules end, so messages never cross molecules and
+each molecule's heads equal those of its own forward up to rounding. Time, ranks
 and the PE drop are per molecule. Molecules enter as a MoleculeBatch from
 training.encode_molecules and leave through training.decode_molecules.
 """
@@ -299,19 +302,16 @@ class CanonLiteNet(Module):
                               tape.matmul(q, tape.slice_rows(w_in, 2 * dp, dp)))
             from_j = tape.add(tape.matmul(p, tape.slice_rows(w_in, dp, dp)),
                               tape.matmul(q, tape.slice_rows(w_in, 3 * dp, dp)))
-            pair_in = tape.concat([tape.pairwise_dot(cs, lay), e], axis=1)
-            from_pair = tape.matmul(pair_in, tape.slice_rows(w_in, 4 * dp, pair_in.shape[1]))
-            hidden = tape.pair_silu(from_i, from_j, from_pair, lay)
+            mean_hidden, delta, m_edge = tape.pair_stage(
+                cs, e, from_i, from_j, tape.slice_rows(w_in, 4 * dp, c.n_coord_sets + c.d_edge),
+                tape.take_cols(lin_out.weight, pair_cols), tape.take_cols(lin_out.bias, pair_cols),
+                lay)
             # second layer: node and rank messages are only used as means over j
-            pooled = lin_out(tape.block_mean_rows(hidden, lay))
+            pooled = lin_out(mean_hidden)
             m_node = tape.take_cols(pooled, slice(0, c.d_model))
             m_rank = tape.take_cols(pooled, slice(rank_at, rank_at + c.d_rank))
-            m_pair = tape.linear(hidden, tape.take_cols(lin_out.weight, pair_cols),
-                                 tape.take_cols(lin_out.bias, pair_cols))
-            m_coord = tape.tanh(tape.take_cols(m_pair, slice(0, c.n_coord_sets)))
-            m_edge = tape.take_cols(m_pair, slice(c.n_coord_sets, None))
             h = tape.add(h, layer.node_update(m_node))
-            cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
+            cs = tape.add(cs, delta)
             r = tape.add(r, layer.rank_update(m_rank))
             e = tape.add(e, layer.edge_update(m_edge))
 

@@ -15,25 +15,27 @@ Compute dtype: every Tensor holds float32 by default. Inside
 `with precision(np.float64):` Tensors made and ops run compute in float64
 instead (the finite-difference and tight reference checks use it). The dtype
 flows end to end: Tensor() casts its input, and the ops build their
-constants, scales, sparse block-sum matrices and losses in it, so no float64
-array upcasts a float32 chain. Callers keep their own state (coordinates,
-priors, checkpoints) in float64; the cast happens where an array enters a
-Tensor.
+constants, scales, buffers and losses in it, so no float64 array upcasts a
+float32 chain. Callers keep their own state (coordinates, priors,
+checkpoints) in float64; the cast happens where an array enters a Tensor.
 
 The pairwise primitives take a packed batch and its PairLayout, and nothing
 else: the atom ("node") rows of all molecules are concatenated, and so are
 their ordered-pair rows, each molecule's n_b^2 pairs (i, j) in i-major order.
-One molecule of n atoms is PairLayout([n]). Sums over a node's pairs, in the
-ops and in their adjoints, are products with sparse 0/1 block-sum matrices
-the layout builds once, in the compute dtype of its construction (0/1 entries
-are exact in either dtype): contiguous i-major blocks for the sum over j, the
-precomputed pair transposition for the sum over i. pair_silu builds a
-message layer's pre-activation a[i] + b[j] + c[(i, j)] in one buffer and
-applies SiLU to it in place, keeping the SiLU slope only while the tape
-records. pairwise_dot and coord_mix read one contiguous node-major copy of
-the coordinate sets, repeating its rows for the i side of each pair.
-`scipy.sparse` is imported by `_csr`, the one builder of those matrices, when
-the first PairLayout is made; importing this module loads numpy only.
+One molecule of n atoms is PairLayout([n]). The layout cuts the batch once
+into blocks of consecutive same-size molecules (molecules are never
+reordered), and the primitives run block by block on dense views: a block of
+k molecules of n atoms is a (k, n, .) array of node rows and a (k, n, n, .)
+array of pair rows, so a sum over j or i is a reshape-sum, a Gram or a
+coordinate mix is a batched matmul, and a node term reaches its pairs by
+broadcasting. Each block kernel (_gram, _mix and their adjoints) has one
+implementation, shared by the single primitives (pairwise_dot, coord_mix,
+block_mean_rows) and by pair_stage, CanonLite's whole pair stage as one op:
+Gram, first message layer, SiLU, mean over j, second message layer, tanh
+coordinate weights and coordinate mix, with a blockwise adjoint. pair_stage
+has three outputs; an op with several outputs hangs them on one hidden node
+(_make_many) whose backward runs once all of their gradients are in.
+Importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -107,6 +109,23 @@ def _make(data, parents, backward_fn) -> Tensor:
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
+
+
+def _make_many(outputs, parents, backward_fn) -> tuple:
+    """Tensors of an op with several outputs. One hidden node holds the
+    parents; backward_fn gets the list of the outputs' gradients (None for an
+    output the loss does not reach) after every output has received its own."""
+    outs = tuple(Tensor(data) for data in outputs)
+    if _recording(parents):
+        grads = [None] * len(outs)
+        joint = _make(np.zeros(0, dtype=_dtype), parents, lambda _: backward_fn(grads))
+        for index, out in enumerate(outs):
+            def store(g, index=index):
+                grads[index] = g
+            out.requires_grad = True
+            out._parents = (joint,)
+            out._backward_fn = store
+    return outs
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -193,32 +212,30 @@ def square(a: Tensor) -> Tensor:
     return _make(np.square(a.data), (a,), bw)
 
 
-def _stable_sigmoid(x) -> np.ndarray:
-    # sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing
-    out = np.multiply(x, 0.5)
-    np.tanh(out, out=out)
-    out *= 0.5
-    out += 0.5
-    return out
+def _silu_into(x: np.ndarray, out: np.ndarray, slope: np.ndarray | None = None,
+               work: np.ndarray | None = None) -> None:
+    """Write silu(x) = x * sigmoid(x) to out (which may be x itself), and the
+    slope d silu / dx = sig * (1 + x * (1 - sig)) to `slope` when one is given.
+    `work` is an optional scratch array of x's shape.
 
-
-def _silu_into(x: np.ndarray, out: np.ndarray, record: bool):
-    """Write silu(x) = x * sigmoid(x) to out (which may be x itself); return the
-    slope d silu / dx = sig * (1 + x * (1 - sig)) when record is set, else None."""
-    sig = _stable_sigmoid(x)
-    slope = None
-    if record:
-        slope = np.subtract(1.0, sig)
-        slope *= x
+    sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing,
+    and silu(x) = (x / 2) * (1 + tanh(x / 2))."""
+    half = np.multiply(x, 0.5, out=out)
+    two_sig = np.tanh(half, out=work)
+    two_sig += 1.0
+    if slope is not None:
+        np.subtract(2.0, two_sig, out=slope)        # 2 (1 - sig)
+        slope *= half
         slope += 1.0
-        slope *= sig
-    np.multiply(x, sig, out=out)
-    return slope
+        slope *= two_sig
+        slope *= 0.5
+    np.multiply(half, two_sig, out=out)
 
 
 def silu(a: Tensor) -> Tensor:
     out_data = np.empty_like(a.data)
-    slope = _silu_into(a.data, out_data, _recording((a,)))
+    slope = np.empty_like(a.data) if _recording((a,)) else None
+    _silu_into(a.data, out_data, slope)
 
     def bw(g):
         _accum(a, g * slope)
@@ -357,21 +374,6 @@ def reduce_max(a: Tensor, starts) -> Tensor:
 # pairwise-message primitives (node rows to ordered-pair rows of a packed batch)
 
 
-def _csr(data, indices, indptr, shape):
-    """scipy.sparse.csr_matrix((data, indices, indptr), shape)."""
-    from scipy import sparse
-
-    return sparse.csr_matrix((data, indices, indptr), shape=shape)
-
-
-def _block_sums(counts, dtype):
-    """0/1 CSR matrix whose row r sums the next counts[r] rows of its operand."""
-    counts = np.asarray(counts, dtype=np.int64)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return _csr(np.ones(indptr[-1], dtype=dtype), np.arange(indptr[-1]), indptr,
-                (len(counts), int(indptr[-1])))
-
-
 class PairLayout:
     """Row layout of B molecules of sizes n_b packed into one graph.
 
@@ -380,9 +382,9 @@ class PairLayout:
     node row r owns the n_b consecutive pair rows starting at block_start[r].
     pair_i / pair_j give the node rows of a pair row's i and j, `transpose`
     maps row (i, j) to row (j, i), and `upper` lists the rows with i < j
-    (each molecule's upper triangle, i-major). The sparse 0/1 operators
-    sum_j and sum_i (nodes x pairs) add up each node's pair rows (i, .) and
-    (., j); pair_gather (pairs x 2 nodes) maps stacked [a; b] to a[i] + b[j].
+    (each molecule's upper triangle, i-major). `blocks` cuts the batch into
+    runs of consecutive same-size molecules: (k, n, node rows, pair rows),
+    whose node rows view as (k, n, .) and pair rows as (k, n, n, .) arrays.
     """
 
     def __init__(self, sizes):
@@ -404,12 +406,7 @@ class PairLayout:
         self.pair_j = first_atom + np.arange(n_pairs) - self.block_start[self.pair_i]
         self.transpose = self.block_start[self.pair_j] + self.pair_i - first_atom
         self.upper = np.flatnonzero(self.pair_i < self.pair_j)
-        self.sum_j = _block_sums(self.row_size, _dtype)
-        # row j of sum_i holds rows (i, j) for i in turn: the transposed block of j
-        self.sum_i = _csr(self.sum_j.data, self.transpose, self.sum_j.indptr, self.sum_j.shape)
-        self.pair_gather = _csr(np.ones(2 * n_pairs, dtype=_dtype),
-                                np.stack([self.pair_i, n_nodes + self.pair_j], axis=1).ravel(),
-                                np.arange(0, 2 * n_pairs + 1, 2), (n_pairs, 2 * n_nodes))
+        self.blocks = _same_size_runs(sizes)
 
     @property
     def n_pairs(self) -> int:
@@ -424,6 +421,94 @@ class PairLayout:
         return out
 
 
+# Pair rows per block, at most (a molecule with more pairs is a block of its
+# own). Blocks of about 1024 rows keep a (rows, 96) float32 hidden array and
+# its temporaries in a core's L2 cache. One-core timings (one BLAS thread) of
+# a no_grad CanonLite forward at 8 x N = 32: 10.0 ms with this cap, 9.8 ms at
+# 2048, 10.7 ms at 4096 and 17.0 ms uncapped; at 16 x N = 32: 19.6, 19.5, 21.5
+# and 36.9 ms; at 16 x N = 8: 2.1 ms, against 2.6 ms with a 256-row cap.
+_BLOCK_PAIRS = 1024
+
+
+def _same_size_runs(sizes) -> list:
+    """(k, n, node slice, pair slice) of each block: k consecutive molecules of
+    n atoms, at most _BLOCK_PAIRS pair rows unless k = 1, in batch order."""
+    cuts = np.flatnonzero(np.diff(sizes)) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, len(sizes)]
+    blocks, node, pair = [], 0, 0
+    for start, end in zip(starts.tolist(), ends.tolist()):
+        n = int(sizes[start])
+        per_block = max(1, _BLOCK_PAIRS // (n * n))
+        for first in range(start, end, per_block):
+            k = min(per_block, end - first)
+            blocks.append((k, n, slice(node, node + k * n), slice(pair, pair + k * n * n)))
+            node, pair = node + k * n, pair + k * n * n
+    return blocks
+
+
+# Block kernels. x is a block's coordinate sets (K, k, n, D); pair-row arrays
+# of a block are (k, n, n, C), node-row arrays (k, n, C).
+
+
+def _gram(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the Gram entries <x[c, b, i], x[c, b, j]> to out (k, n, n, K)."""
+    out[...] = np.matmul(x, x.swapaxes(-1, -2)).transpose(1, 2, 3, 0)
+
+
+def _stage_input(x: np.ndarray, e_rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A block's first message layer input (rows, K + E) written to out: the
+    Gram entries of x (K, k, n, D), then the edge features e_rows (rows, E)."""
+    n_sets, k, n, _ = x.shape
+    _gram(x, out.reshape(k, n, n, -1)[..., :n_sets])
+    out[:, n_sets:] = e_rows
+    return out
+
+
+def _gram_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d x of sum <g, Gram(x)> for g (K, k, n, n): x[c, i] meets x[c, j] in
+    entries (i, j) and (j, i)."""
+    return np.matmul(g + g.swapaxes(-1, -2), x)
+
+
+def _mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """delta[c, b, i] = 1/n * (sum over j of w[c, b, i, j] (x[c, b, j] - x[c, b, i]))
+    for w (K, k, n, n): one batched matmul minus the row sums times x."""
+    out = np.matmul(w, x)
+    out -= w.sum(axis=-1)[..., None] * x
+    out *= 1 / x.shape[2]
+    return out
+
+
+def _mix_adjoint(g: np.ndarray, w: np.ndarray, x: np.ndarray):
+    """(d x, d w) of sum <g, _mix(w, x)>."""
+    g = g * (1 / x.shape[2])
+    d_x = np.matmul(w.swapaxes(-1, -2), g)
+    d_x -= w.sum(axis=-1)[..., None] * g
+    d_w = np.matmul(g, x.swapaxes(-1, -2))
+    d_w -= np.einsum("...id,...id->...i", g, x)[..., None]
+    return d_x, d_w
+
+
+def _pool_j(a: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """Node rows out (k n, C) = scale * (sum over j of a (k, n, n, C)), as a
+    batched (1, n) @ (n, C) matmul with a constant row (several times faster
+    than a strided sum over that axis)."""
+    k, n, _, c = a.shape
+    np.matmul(np.full((1, n), scale, dtype=a.dtype), a, out=out.reshape(k, n, 1, c))
+
+
+def _pool_i(a: np.ndarray, out: np.ndarray) -> None:
+    """Node rows out (k n, C) = sum over i of a (k, n, n, C), one
+    (1, n) @ (n, n C) matmul per molecule."""
+    k, n, _, c = a.shape
+    np.matmul(np.ones((1, n), dtype=a.dtype), a.reshape(k, n, n * c), out=out.reshape(k, 1, n * c))
+
+
+def _coords(cs: np.ndarray, k: int, n: int, nodes: slice) -> np.ndarray:
+    """A block's coordinate sets of a (K, nodes, D) array as a (K, k, n, D) view."""
+    return cs[:, nodes].reshape(cs.shape[0], k, n, cs.shape[2])
+
+
 def repeat_rows(a: Tensor, times) -> Tensor:
     """Row r repeated times[r] consecutive times: with one row per molecule and
     times = the molecule sizes, every atom row sees its molecule's row."""
@@ -432,7 +517,7 @@ def repeat_rows(a: Tensor, times) -> Tensor:
         raise ValueError("repeat counts must be >= 1")
 
     def bw(g):
-        _accum(a, _block_sums(counts, g.dtype) @ g)
+        _accum(a, np.add.reduceat(g, np.cumsum(counts) - counts, axis=0))
     return _make(np.repeat(a.data, counts, axis=0), (a,), bw)
 
 
@@ -447,12 +532,14 @@ def tile_rows(a: Tensor, times: int) -> Tensor:
 
 def block_mean_rows(a: Tensor, lay: PairLayout) -> Tensor:
     """(pairs, c) -> (nodes, c): the mean over each node's pair block (over j)."""
-    counts = lay.row_size
-    scale = 1 / counts[:, None].astype(_dtype)
+    c = a.data.shape[1]
+    out = np.empty((len(lay.row_size), c), dtype=_dtype)
+    for k, n, nodes, pairs in lay.blocks:
+        _pool_j(a.data[pairs].reshape(k, n, n, c), 1 / n, out[nodes])
 
     def bw(g):
-        _accum(a, np.repeat(g * scale, counts, axis=0))
-    return _make((lay.sum_j @ a.data) * scale, (a,), bw)
+        _accum(a, np.repeat(g * (1 / lay.row_size[:, None].astype(_dtype)), lay.row_size, axis=0))
+    return _make(out, (a,), bw)
 
 
 def transpose_pairs(a: Tensor, lay: PairLayout) -> Tensor:
@@ -464,63 +551,142 @@ def transpose_pairs(a: Tensor, lay: PairLayout) -> Tensor:
     return _make(a.data[perm], (a,), bw)
 
 
-def pair_silu(a: Tensor, b: Tensor, c: Tensor, lay: PairLayout) -> Tensor:
-    """a, b (nodes, h), c (pairs, h) -> (pairs, h) with
-    out[(i, j)] = silu(a[i] + b[j] + c[(i, j)]), built and activated in one buffer.
-    The SiLU slope is kept only while the tape records."""
-    pre = lay.pair_gather @ np.concatenate([a.data, b.data])
-    pre += c.data
-    slope = _silu_into(pre, pre, _recording((a, b, c)))
-
-    def bw(g):
-        d_pre = g * slope
-        _accum(a, lay.sum_j @ d_pre)
-        _accum(b, lay.sum_i @ d_pre)
-        _accum(c, d_pre)
-    return _make(pre, (a, b, c), bw)
-
-
-def _node_major(x: np.ndarray) -> np.ndarray:
-    """(K, nodes, D) coordinate sets as one contiguous (nodes, K, D) array, and back."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2))
-
-
 def pairwise_dot(cs: Tensor, lay: PairLayout) -> Tensor:
     """cs (K, nodes, D) -> (pairs, K) with out[(i, j), k] = <cs[k,i], cs[k,j]>."""
-    x = _node_major(cs.data)
-    dots = np.einsum("pkd,pkd->pk", np.repeat(x, lay.row_size, axis=0), x[lay.pair_j])
+    n_sets = cs.data.shape[0]
+    out = np.empty((lay.n_pairs, n_sets), dtype=_dtype)
+    for k, n, nodes, pairs in lay.blocks:
+        _gram(_coords(cs.data, k, n, nodes), out[pairs].reshape(k, n, n, n_sets))
 
     def bw(g):
-        # cs[k, i] meets cs[k, j] in rows (i, j) and (j, i)
-        both = (g + g[lay.transpose])[:, :, None] * x[lay.pair_j]
-        d_x = lay.sum_j @ both.reshape(lay.n_pairs, -1)
-        _accum(cs, _node_major(d_x.reshape(x.shape)))
-    return _make(dots, (cs,), bw)
+        d_cs = np.empty_like(cs.data)
+        for k, n, nodes, pairs in lay.blocks:
+            g_b = g[pairs].reshape(k, n, n, n_sets).transpose(3, 0, 1, 2)
+            _coords(d_cs, k, n, nodes)[...] = _gram_adjoint(g_b, _coords(cs.data, k, n, nodes))
+        _accum(cs, d_cs)
+    return _make(out, (cs,), bw)
 
 
 def coord_mix(cs: Tensor, w: Tensor, lay: PairLayout) -> Tensor:
     """Weighted relative coordinate aggregation.
 
     cs (K, nodes, D), w (pairs, K) -> delta (K, nodes, D) with
-    delta[k,i] = (1/n_b) * sum_j w[(i,j),k] * (cs[k,j] - cs[k,i]).
+    delta[k,i] = (1/n_b) * (sum over j of w[(i,j),k] * (cs[k,j] - cs[k,i])).
     """
-    x = _node_major(cs.data)
-    scale = 1 / lay.row_size[:, None, None].astype(_dtype)
-    wk = w.data[:, :, None]                                    # (pairs, K, 1)
-    term1 = (lay.sum_j @ (wk * x[lay.pair_j]).reshape(lay.n_pairs, -1)).reshape(x.shape)
-    rowsum = (lay.sum_j @ w.data)[:, :, None]                  # (nodes, K, 1)
+    n_sets = cs.data.shape[0]
+    out = np.empty_like(cs.data)
+    for k, n, nodes, pairs in lay.blocks:
+        w_b = w.data[pairs].reshape(k, n, n, n_sets).transpose(3, 0, 1, 2)
+        _coords(out, k, n, nodes)[...] = _mix(w_b, _coords(cs.data, k, n, nodes))
 
     def bw(g):
-        gs = _node_major(g) * scale                            # (nodes, K, D)
-        gs_i = np.repeat(gs, lay.row_size, axis=0)
-        # x[j] enters row i's sum with weight w[(i, j)]: sum over i of rows (i, j)
-        d_x = (lay.sum_i @ (wk * gs_i).reshape(lay.n_pairs, -1)).reshape(x.shape)
-        d_x -= gs * rowsum
-        d_w = np.einsum("pkd,pkd->pk", gs_i,
-                        x[lay.pair_j] - np.repeat(x, lay.row_size, axis=0))
-        _accum(cs, _node_major(d_x))
+        d_cs, d_w = np.empty_like(cs.data), np.empty_like(w.data)
+        for k, n, nodes, pairs in lay.blocks:
+            w_b = w.data[pairs].reshape(k, n, n, n_sets).transpose(3, 0, 1, 2)
+            d_x, d_wb = _mix_adjoint(_coords(g, k, n, nodes), w_b, _coords(cs.data, k, n, nodes))
+            _coords(d_cs, k, n, nodes)[...] = d_x
+            d_w[pairs].reshape(k, n, n, n_sets)[...] = d_wb.transpose(1, 2, 3, 0)
+        _accum(cs, d_cs)
         _accum(w, d_w)
-    return _make(_node_major((term1 - rowsum * x) * scale), (cs, w), bw)
+    return _make(out, (cs, w), bw)
+
+
+def pair_stage(cs: Tensor, e: Tensor, from_i: Tensor, from_j: Tensor, w_in: Tensor,
+               w_out: Tensor, b_out: Tensor, lay: PairLayout):
+    """CanonLite's pair stage as one op, evaluated block by block.
+
+    cs (K, nodes, D) coordinate sets, e (pairs, E) edge features, from_i and
+    from_j (nodes, H) the node terms of the first message layer, w_in (K + E, H)
+    its Gram and edge rows, w_out (H, K + E) and b_out (K + E,) the second
+    layer's coordinate and edge columns. For each pair (i, j) of a molecule of
+    n atoms:
+        hidden[(i, j)] = silu(from_i[i] + from_j[j] + [<cs_i, cs_j>, e_ij] @ w_in)
+        [m_coord, m_edge][(i, j)] = hidden[(i, j)] @ w_out + b_out
+    Returns three tensors: the mean over j of hidden (nodes, H); the coordinate
+    update (K, nodes, D), delta[c, i] = 1/n * (sum over j of
+    tanh(m_coord[(i, j), c]) (cs[c, j] - cs[c, i])); and m_edge (pairs, E).
+
+    Per block of k molecules of n atoms the Gram is a batched matmul written
+    straight into the first message layer's input, from_i and from_j are
+    broadcast-added into that layer's output, SiLU runs in place, the mean over
+    j is a batched matmul with a constant row, and the coordinate mix is a
+    batched matmul. Pair-row arrays live in a few block-sized buffers reused
+    by every block. Only while the tape records does the op keep, for the
+    adjoint, the hidden activation and its SiLU slope for the whole batch and
+    each block's coordinate weights; the adjoint rebuilds the layer input.
+    """
+    parents = (cs, e, from_i, from_j, w_in, w_out, b_out)
+    record = _recording(parents)
+    n_sets, n_cols = cs.data.shape[0], w_in.data.shape[0]
+    width = w_in.data.shape[1]
+    most = max(pairs.stop - pairs.start for *_, pairs in lay.blocks)
+    kept_rows = lay.n_pairs if record else most
+    hidden_buf = np.empty((kept_rows, width), dtype=_dtype)
+    slope_buf = np.empty((kept_rows, width), dtype=_dtype) if record else None
+    in_buf = np.empty((most, n_cols), dtype=_dtype)
+    two_sig = np.empty((most, width), dtype=_dtype)
+    m_pair_buf = np.empty((most, n_cols), dtype=_dtype)
+    mean = np.empty((len(lay.row_size), width), dtype=_dtype)
+    delta = np.empty_like(cs.data)
+    m_edge = np.empty_like(e.data)
+    coord_w = []
+    for k, n, nodes, pairs in lay.blocks:
+        rows = k * n * n
+        at = pairs if record else slice(0, rows)
+        x = _coords(cs.data, k, n, nodes)
+        hidden = hidden_buf[at]
+        np.matmul(_stage_input(x, e.data[pairs], in_buf[:rows]), w_in.data, out=hidden)
+        pre = hidden.reshape(k, n, n, width)
+        pre += from_i.data[nodes].reshape(k, n, 1, width)
+        pre += from_j.data[nodes].reshape(k, 1, n, width)
+        _silu_into(hidden, hidden, slope_buf[at] if record else None, two_sig[:rows])
+        _pool_j(pre, 1 / n, mean[nodes])
+        m_pair = np.matmul(hidden, w_out.data, out=m_pair_buf[:rows])
+        m_pair += b_out.data
+        m_edge[pairs] = m_pair[:, n_sets:]
+        w = np.tanh(m_pair[:, :n_sets].reshape(k, n, n, n_sets).transpose(3, 0, 1, 2),
+                    out=np.empty((n_sets, k, n, n), dtype=_dtype))
+        _coords(delta, k, n, nodes)[...] = _mix(w, x)
+        if record:
+            coord_w.append(w)
+
+    def bw(grads):
+        g_mean, g_delta, g_edge = grads
+        d_cs, d_e = np.zeros_like(cs.data), np.empty_like(e.data)
+        d_from_i, d_from_j = np.empty_like(mean), np.empty_like(mean)
+        d_w_in, d_w_out = np.zeros_like(w_in.data), np.zeros_like(w_out.data)
+        d_b_out = np.zeros_like(b_out.data)
+        d_pair_buf = np.zeros((most, n_cols), dtype=_dtype)
+        d_pre_buf = np.empty((most, width), dtype=_dtype)
+        d_in_buf = np.empty((most, n_cols), dtype=_dtype)
+        for (k, n, nodes, pairs), w in zip(lay.blocks, coord_w):
+            rows = k * n * n
+            x, d_x = _coords(cs.data, k, n, nodes), _coords(d_cs, k, n, nodes)
+            d_pair = d_pair_buf[:rows]
+            if g_delta is not None:
+                d_xm, d_w = _mix_adjoint(_coords(g_delta, k, n, nodes), w, x)
+                d_x += d_xm
+                d_w *= 1 - np.square(w)
+                d_pair.reshape(k, n, n, n_cols)[..., :n_sets] = d_w.transpose(1, 2, 3, 0)
+            if g_edge is not None:
+                d_pair[:, n_sets:] = g_edge[pairs]
+            d_w_out += hidden_buf[pairs].T @ d_pair
+            d_b_out += d_pair.sum(axis=0)
+            d_pre = np.matmul(d_pair, w_out.data.T, out=d_pre_buf[:rows])
+            d_pre4 = d_pre.reshape(k, n, n, width)
+            if g_mean is not None:
+                d_pre4 += (g_mean[nodes] * (1 / n)).reshape(k, n, 1, width)
+            d_pre *= slope_buf[pairs]
+            _pool_j(d_pre4, 1, d_from_i[nodes])
+            _pool_i(d_pre4, d_from_j[nodes])
+            d_w_in += _stage_input(x, e.data[pairs], in_buf[:rows]).T @ d_pre
+            d_in = np.matmul(d_pre, w_in.data.T, out=d_in_buf[:rows])
+            d_e[pairs] = d_in[:, n_sets:]
+            d_gram = d_in.reshape(k, n, n, n_cols)[..., :n_sets].transpose(3, 0, 1, 2)
+            d_x += _gram_adjoint(d_gram, x)
+        for t, g in zip(parents, (d_cs, d_e, d_from_i, d_from_j, d_w_in, d_w_out, d_b_out)):
+            _accum(t, g)
+    return _make_many((mean, delta, m_edge), parents, bw)
 
 
 def stack_scale(x: Tensor, w: Tensor) -> Tensor:

@@ -403,8 +403,10 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
     a sorted-window search, ties at the k-th distance going to the lower
     values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
-    differs from x's, or n_query below 2 (no mean and no bootstrap spread to
-    read) raise ValueError.
+    differs from x's, n_query below 2 (no mean and no bootstrap spread to
+    read) or n_boot below 2 (one resample has no spread, so the stderr would
+    be NaN) raise ValueError; the n_query and n_boot checks come before any
+    draw from rng.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -419,6 +421,8 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
         raise ValueError("y must be finite")
     if n_query < 2:
         raise ValueError(f"n_query must be >= 2, got {n_query}")
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be >= 2, got {n_boot}")
     if k is None:
         k = int(np.ceil(np.sqrt(n)))
     k = min(k, n)

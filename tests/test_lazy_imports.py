@@ -34,8 +34,9 @@ def test_package_import_loads_no_scipy_submodule():
     assert doc["loaded"] == []
 
 
-# (step, code) in call order; scipy.stats loads optimize and spatial, and
-# those load sparse, so each step's own module is new only in this order
+# (step, code) in call order; a pair layout loads no scipy submodule, and
+# scipy.stats loads optimize and spatial, so each step's own module is new
+# only in this order
 STEPS = [
     ("pair_layout", "tape.PairLayout([3, 2])"),
     ("mixture_logpdf", "theorylab.mixture_logpdf(theorylab.c4_system(), rng.standard_normal((4, 2)))"),
@@ -62,7 +63,7 @@ def test_each_deferred_import_is_taken_on_first_call():
     assert doc["import"] == []
     names = ["import", *(step for step, _ in STEPS)]
     new = {step: set(doc[step]) - set(doc[prev]) for prev, step in zip(names, names[1:])}
-    assert "scipy.sparse" in new["pair_layout"]
+    assert new["pair_layout"] == set()             # dense blocks, no sparse matrices
     assert new["mixture_logpdf"] == set()          # log-sum-exp is numpy's
     assert new["nearest_1d"] == set()              # the sorted window needs no tree
     assert "scipy.spatial" in new["nearest_2d"]

@@ -288,38 +288,109 @@ def test_take_cols_gathers_and_scatters():
     check(lambda: tape.tsum(tape.square(tape.take_cols(v, cols))), {"v": v})
 
 
-def test_pair_silu_matches_unfused_ops():
-    lay = tape.PairLayout([2, 1, 4, 3])
-    n_nodes, h = int(lay.sizes.sum()), 5
-    a, b = p((n_nodes, h), 45, scale=2.0), p((n_nodes, h), 46, scale=2.0)
-    c = p((lay.n_pairs, h), 47, scale=2.0)
-    weights = Tensor(np.random.default_rng(48).standard_normal((lay.n_pairs, h)))
-    params = {"a": a, "b": b, "c": c}
-
-    def loss(fused):
-        out = (tape.pair_silu(a, b, c, lay) if fused
-               else tape.silu(tape.add(pair_sum(a, b, lay), c)))
-        return out, tape.tsum(tape.mul(tape.square(out), weights))
-
-    grads = {}
-    for fused in (True, False):
-        tape.zero_grads(params)
-        out, total = loss(fused)
-        tape.backward(total)
-        grads[fused] = (out.data.copy(), {k: t.grad.copy() for k, t in params.items()})
-    (got, got_g), (want, want_g) = grads[True], grads[False]
-    assert np.abs(got - want).max() <= 1e-10
-    for k in params:
-        assert np.abs(got_g[k] - want_g[k]).max() <= 1e-10 * max(1.0, np.abs(want_g[k]).max())
-    check(lambda: loss(True)[1], params)
+MIXED_SIZES = [3, 3, 1, 4, 4, 4, 2]      # equal-size runs, singletons, a one-atom molecule
 
 
-def test_pair_silu_under_no_grad_records_nothing():
-    lay = tape.PairLayout([3, 2])
-    a, b, c = p((5, 4), 49), p((5, 4), 50), p((lay.n_pairs, 4), 51)
-    recorded = tape.pair_silu(a, b, c, lay)
+def stage_inputs(lay, seed, k=2, d=3, e=2, h=4):
+    """Random pair_stage inputs (cs, e, from_i, from_j, w_in, w_out, b_out)."""
+    n_nodes = int(lay.sizes.sum())
+    shapes = [(k, n_nodes, d), (lay.n_pairs, e), (n_nodes, h), (n_nodes, h),
+              (k + e, h), (h, k + e), (k + e,)]
+    return [p(shape, seed + i) for i, shape in enumerate(shapes)]
+
+
+def unfused_stage(cs, e, from_i, from_j, w_in, w_out, b_out, lay):
+    """pair_stage from the single primitives."""
+    k = cs.shape[0]
+    pre = tape.add(pair_sum(from_i, from_j, lay),
+                   tape.matmul(tape.concat([tape.pairwise_dot(cs, lay), e], axis=1), w_in))
+    hidden = tape.silu(pre)
+    m_pair = tape.linear(hidden, w_out, b_out)
+    delta = tape.coord_mix(cs, tape.tanh(tape.take_cols(m_pair, slice(0, k))), lay)
+    return tape.block_mean_rows(hidden, lay), delta, tape.take_cols(m_pair, slice(k, None))
+
+
+def stage_loss(outs, seed, used=(0, 1, 2)):
+    """sum over the used outputs of <fixed random weights, output>."""
+    rng = np.random.default_rng(seed)
+    terms = [tape.tsum(tape.mul(outs[k], Tensor(rng.standard_normal(outs[k].shape)))) for k in used]
+    total = terms[0]
+    for term in terms[1:]:
+        total = tape.add(total, term)
+    return total
+
+
+def test_layout_blocks_are_same_size_runs():
+    lay = tape.PairLayout(MIXED_SIZES)
+    got = [(k, n, nodes.start, nodes.stop, pairs.start, pairs.stop)
+           for k, n, nodes, pairs in lay.blocks]
+    assert got == [(2, 3, 0, 6, 0, 18), (1, 1, 6, 7, 18, 19), (3, 4, 7, 19, 19, 67),
+                   (1, 2, 19, 21, 67, 71)]
+    # a run longer than the block cap is cut, in order; a molecule over it stands alone
+    n = 8
+    per_block = tape._BLOCK_PAIRS // n ** 2
+    cut = tape.PairLayout([n] * (per_block + 1) + [64, 64])
+    assert [(k, n) for k, n, _, _ in cut.blocks] == [(per_block, 8), (1, 8), (1, 64), (1, 64)]
+    assert cut.blocks[-1][3].stop == cut.n_pairs
+
+
+@pytest.mark.parametrize("used", [(0, 1, 2), (0,), (1,), (2,)], ids=["all", "mean", "delta", "edge"])
+def test_pair_stage_matches_unfused_primitives(used):
+    # an output the loss does not reach gets no gradient and adds nothing
+    lay = tape.PairLayout(MIXED_SIZES)
+    inputs = stage_inputs(lay, 60)
+    results = []
+    for stage in (tape.pair_stage, unfused_stage):
+        tape.zero_grads(inputs)
+        outs = stage(*inputs, lay)
+        tape.backward(stage_loss(outs, 61, used))
+        results.append(([o.data.copy() for o in outs],
+                        [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]))
+    (fused, fused_g), (ref, ref_g) = results
+    for got, want in zip(fused + fused_g, ref + ref_g):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def test_pair_stage_gradients_match_finite_differences():
+    lay = tape.PairLayout(MIXED_SIZES)
+    inputs = stage_inputs(lay, 70)
+    names = ["cs", "e", "from_i", "from_j", "w_in", "w_out", "b_out"]
+    check(lambda: stage_loss(tape.pair_stage(*inputs, lay), 71), dict(zip(names, inputs)))
+
+
+def test_pair_stage_packed_equals_each_molecule_alone():
+    lay = tape.PairLayout(MIXED_SIZES)
+    cs, e, from_i, from_j, *weights = stage_inputs(lay, 80)
+    packed = [o.data for o in tape.pair_stage(cs, e, from_i, from_j, *weights, lay)]
+    node_at = np.concatenate([[0], np.cumsum(lay.sizes)])
+    pair_at = np.concatenate([[0], np.cumsum(lay.sizes ** 2)])
+    for b, n in enumerate(lay.sizes):
+        nodes, pairs = slice(node_at[b], node_at[b + 1]), slice(pair_at[b], pair_at[b + 1])
+        alone = tape.pair_stage(Tensor(cs.data[:, nodes]), Tensor(e.data[pairs]),
+                                Tensor(from_i.data[nodes]), Tensor(from_j.data[nodes]),
+                                *weights, tape.PairLayout([n]))
+        for got, want in zip((packed[0][nodes], packed[1][:, nodes], packed[2][pairs]), alone):
+            assert np.abs(got - want.data).max() <= 1e-12
+
+
+def test_pair_stage_under_no_grad_records_nothing(monkeypatch):
+    lay = tape.PairLayout(MIXED_SIZES)
+    inputs = stage_inputs(lay, 90)
+    slopes = []
+    silu_into = tape._silu_into
+
+    def spy(x, out, slope=None, work=None):
+        slopes.append(slope)
+        silu_into(x, out, slope, work)
+    monkeypatch.setattr(tape, "_silu_into", spy)
+    recorded = tape.pair_stage(*inputs, lay)
+    assert slopes and all(s is not None for s in slopes)
+    slopes.clear()
     with tape.no_grad():
-        free = tape.pair_silu(a, b, c, lay)
-    assert recorded._backward_fn is not None
-    assert not free.requires_grad and free._parents == () and free._backward_fn is None
-    assert np.array_equal(free.data, recorded.data)
+        free = tape.pair_stage(*inputs, lay)
+    assert slopes and all(s is None for s in slopes)        # no SiLU slope is computed
+    for out, ref in zip(free, recorded):
+        assert ref.requires_grad and ref._backward_fn is not None
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None
+        assert np.array_equal(out.data, ref.data)

@@ -207,6 +207,20 @@ def test_knn_rejects_fewer_than_two_queries(n_query):
         lab.knn_local_linear_variance(x, 2.0 * x, rng, n_query=n_query, k=40)
 
 
+def test_knn_needs_two_bootstrap_resamples():
+    # one resample has no spread: its stderr would be NaN, and an equality
+    # check on a NaN stderr always fails
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((500, 1))
+    y = 2.0 * x + 0.1 * rng.standard_normal((500, 1))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_boot"):
+        lab.knn_local_linear_variance(x, y, rng, n_query=50, k=40, n_boot=1)
+    assert rng.bit_generator.state == state            # nothing was drawn
+    estimate, stderr, _ = lab.knn_local_linear_variance(x, y, rng, n_query=50, k=40, n_boot=2)
+    assert np.isfinite(estimate) and np.isfinite(stderr) and stderr >= 0.0
+
+
 def _tree_distances(x, queries, k):
     return cKDTree(x).query(queries, k=k)[0]
 
