@@ -352,6 +352,23 @@ def test_pair_stage_matches_unfused_primitives(used):
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
+def test_pair_stage_is_the_same_for_any_block_cap(monkeypatch):
+    # a cap that cuts every same-size run into several blocks changes nothing
+    inputs = stage_inputs(tape.PairLayout(MIXED_SIZES), 65)
+    results = []
+    for cap in (tape._BLOCK_PAIRS, 16):
+        monkeypatch.setattr(tape, "_BLOCK_PAIRS", cap)
+        lay = tape.PairLayout(MIXED_SIZES)
+        tape.zero_grads(inputs)
+        outs = tape.pair_stage(*inputs, lay)
+        tape.backward(stage_loss(outs, 66))
+        results.append((len(lay.blocks), [o.data.copy() for o in outs] + [t.grad.copy() for t in inputs]))
+    (few, wide), (many, narrow) = results
+    assert (few, many) == (4, 7)
+    for got, want in zip(narrow, wide):
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_pair_stage_gradients_match_finite_differences():
     lay = tape.PairLayout(MIXED_SIZES)
     inputs = stage_inputs(lay, 70)
