@@ -226,11 +226,14 @@ def cmd_train(args) -> int:
         else:
             cfg.ot_mode = args.ot
             cfg.ot_anneal = False
+    start = time.perf_counter()
     data, counters = _load_training_data(args.data, cfg.seed)
+    loaded = time.perf_counter()
     try:
         model, trace = training.train(data, cfg)
     except training.ConfigError as exc:
         raise UsageError(str(exc)) from exc
+    trained = time.perf_counter()
     outdir = _outdir(args)
     model.save(outdir / "checkpoint.json")
     if trace:
@@ -244,8 +247,10 @@ def cmd_train(args) -> int:
     else:
         print(f"trained {model.kind} model for 0 epochs; checkpoint holds "
               "the initialization")
+    timings = {"load_s": loaded - start, "train_s": trained - loaded,
+               "save_s": time.perf_counter() - trained}
     _write_manifest(outdir, "train", args, seed=cfg.seed, config=cfg.to_dict(),
-                    counters=counters)
+                    counters=counters, timings=timings)
     return EXIT_OK
 
 
@@ -254,11 +259,13 @@ def cmd_sample(args) -> int:
         raise UsageError(f"--n must be at least 0, got {args.n}")
     if args.n_atoms is not None and args.n_atoms < 1:
         raise UsageError(f"--n-atoms must be at least 1, got {args.n_atoms}")
+    start = time.perf_counter()
     try:
         model = training.FlowModel.load(args.model)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: cannot load checkpoint {args.model}: {exc}", file=sys.stderr)
         return EXIT_IO
+    loaded = time.perf_counter()
     if model.kind == "canonlite":
         table = molecule.ValenceTable()
         missing = [molecule.NUMBER_TO_SYMBOL.get(z, f"Z={z}")
@@ -277,13 +284,16 @@ def cmd_sample(args) -> int:
         raise UsageError(str(exc)) from exc
     outdir = _outdir(args)
     model.load_ema()
+    timings = {"load_s": loaded - start, "sample_s": 0.0, "write_s": 0.0}
     if args.n == 0:
         _write_manifest(outdir, "sample", args, seed=args.seed,
-                        config=dataclasses.asdict(cfg))
+                        config=dataclasses.asdict(cfg), timings=timings)
         print("n=0: wrote manifest only")
         return EXIT_OK
+    sampling = time.perf_counter()
     if model.kind == "vector_field":
         samples = sampler.sample_vectors(model, args.n, cfg)
+        sampled = time.perf_counter()
         np.savez(outdir / "samples.npz", samples=samples)
         with open(outdir / "sample_metrics.csv", "w") as fh:
             dim = samples.shape[1]
@@ -297,6 +307,7 @@ def cmd_sample(args) -> int:
         if args.n_atoms is None:
             raise UsageError("--n-atoms is required for molecular checkpoints")
         mols, info = sampler.sample(model, args.n_atoms, args.n, cfg)
+        sampled = time.perf_counter()
         write_one = molecule.write_sdf if args.format == "sdf" else molecule.write_xyz
         for i, m in enumerate(mols):
             (outdir / f"sample_{i:05d}.{args.format}").write_text(write_one(m))
@@ -312,8 +323,9 @@ def cmd_sample(args) -> int:
               f"sampling: {info['canonicalize_calls']}, degenerate steps: "
               f"{info['degenerate_steps']}, degenerate orderings: "
               f"{info['degenerate_orderings']}, clipped coordinates: {info['clipped_coords']}")
+    timings.update(sample_s=sampled - sampling, write_s=time.perf_counter() - sampled)
     _write_manifest(outdir, "sample", args, seed=args.seed,
-                    config=dataclasses.asdict(cfg))
+                    config=dataclasses.asdict(cfg), timings=timings)
     return EXIT_OK
 
 

@@ -14,17 +14,24 @@ Molecular coordinates are trained at unit scale: fit_coord_scale gives one
 scale from the training set, encode_molecules divides by it and
 decode_molecules multiplies back, and the priors, the loss, the preview and
 the Euler rollout all see scaled coordinates. The scale is stored in the
-checkpoint (format_version 2) next to the priors.
+checkpoint next to the priors.
+
+A checkpoint (format_version 3) is one JSON document. Configs, vocab, priors
+and the coordinate scale are plain JSON; each parameter and EMA array is
+{"shape", "dtype", "data"}, with data its little-endian bytes in base64 and
+dtype "<f4" or "<f8", the array's own. Version-2 files, whose arrays are
+decimal lists, still load.
 
 The nets run on the tape's compute dtype (float32 unless inside
-tape.precision); this module's own state (data, priors, rollout coordinates,
-checkpoints) stays float64 and is cast where it enters a Tensor. After each
+tape.precision); this module's own state (data, priors, rollout coordinates)
+stays float64 and is cast where it enters a Tensor. After each
 backward the global gradient norm is checked, so a float32 overflow fails
 at the step that made it instead of poisoning Adam and the EMA.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
 from dataclasses import dataclass, field, fields, asdict
@@ -38,7 +45,9 @@ from . import tape
 from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP, concat_aranges
 from .tape import Tensor
 
-CHECKPOINT_VERSION = 2          # 2: coordinate scale stored, bounded coordinate weights
+CHECKPOINT_VERSION = 3          # 3: arrays as base64 bytes; 2: coordinate scale stored,
+                                # bounded coordinate weights (still loads: same model)
+ARRAY_DTYPES = ("<f4", "<f8")   # the dtypes a stored array may declare
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
 OT_MODES = ("none", "exact")    # TrainConfig.ot_mode values
 TIME_DISTS = ("beta", "uniform")        # TrainConfig.time_dist values
@@ -234,14 +243,63 @@ def integrate_vector_field(net: VectorFieldMLP, z_start: np.ndarray, n_steps: in
 
 
 def _arrays_to_doc(arrays: dict[str, np.ndarray]) -> dict:
-    return {k: {"shape": list(a.shape), "data": a.ravel().tolist()}
-            for k, a in arrays.items()}
+    doc = {}
+    for k, a in arrays.items():
+        a = a.astype(a.dtype.newbyteorder("<"), copy=False)
+        doc[k] = {"shape": list(a.shape), "dtype": a.dtype.str,
+                  "data": binascii.b2a_base64(a.tobytes(), newline=False).decode("ascii")}
+    return doc
 
 
-def _doc_to_arrays(doc: dict) -> dict[str, np.ndarray]:
-    """Stored arrays in the tape's compute dtype."""
-    return {k: np.array(v["data"], dtype=tape.compute_dtype()).reshape(v["shape"])
-            for k, v in doc.items()}
+def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
+    """Stored arrays in the tape's compute dtype. An entry's data is either a
+    base64 string of little-endian bytes of its dtype (version 3) or a list of
+    numbers (version 2); an entry that is neither, whose data does not fill
+    its shape, or that holds a value not finite in the compute dtype, is a
+    ValueError naming the group and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {group} must map names to arrays")
+    arrays = {}
+    for k, entry in doc.items():
+        where = f"checkpoint {group} {k}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must hold shape and data")
+        shape = entry.get("shape")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"{where} needs a shape, a list of sizes; got {shape!r}")
+        n = int(np.prod(shape, dtype=np.int64))
+        data = entry.get("data")
+        if isinstance(data, str):
+            dtype = entry.get("dtype")
+            if dtype not in ARRAY_DTYPES:
+                raise ValueError(f"{where} dtype must be one of {', '.join(ARRAY_DTYPES)}, "
+                                 f"got {dtype!r}")
+            try:    # a2b_base64 skips characters outside base64; the length test catches them
+                raw = binascii.a2b_base64(data)
+            except binascii.Error as exc:
+                raise ValueError(f"{where} data is not base64: {exc}") from None
+            need = n * np.dtype(dtype).itemsize
+            if len(raw) != need or len(data) != 4 * -(-need // 3):
+                raise ValueError(f"{where} holds {len(raw)} bytes in {len(data)} base64 "
+                                 f"characters, its shape {shape} needs {need} bytes")
+            flat = np.frombuffer(raw, dtype=dtype)
+        elif isinstance(data, list):
+            try:
+                flat = np.array(data, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"{where} data must be a list of numbers") from None
+            if flat.shape != (n,):
+                raise ValueError(f"{where} holds {len(data)} values, its shape {shape} "
+                                 f"needs {n}")
+        else:
+            raise ValueError(f"{where} data must be a base64 string or a list of numbers, "
+                             f"got {type(data).__name__}")
+        with np.errstate(over="ignore"):    # values past the dtype's range become inf
+            arr = flat.astype(tape.compute_dtype())
+        if not np.isfinite(arr).all():      # training never saves one; sampling would fail late
+            raise ValueError(f"{where} holds values that are not finite in {arr.dtype}")
+        arrays[k] = arr.reshape(shape)
+    return arrays
 
 
 @dataclass
@@ -286,16 +344,16 @@ class FlowModel:
 
     @classmethod
     def load(cls, path) -> "FlowModel":
-        """Read a checkpoint; parameters and EMA come back in the tape's compute
-        dtype. A file of another format version (version 1 predates the
-        coordinate scale and the bounded coordinate weights, so its weights
-        would silently mean another model), or whose configs, parameter or
-        EMA names, stored shapes or coordinate scale do not fit, is a
-        ValueError."""
+        """Read a checkpoint of format version 3 or 2; parameters and EMA come
+        back in the tape's compute dtype. A file of another format version
+        (version 1 predates the coordinate scale and the bounded coordinate
+        weights, so its weights would silently mean another model), or whose
+        configs, parameter or EMA names, stored arrays, shapes or coordinate
+        scale do not fit, is a ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
-        if version != CHECKPOINT_VERSION:
+        if version not in (2, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version!r}")
         kind = doc["kind"]
         if kind not in ("vector_field", "canonlite"):
@@ -310,8 +368,8 @@ class FlowModel:
             raise ValueError(f"checkpoint coord_scale must be a positive number, "
                              f"got {coord_scale!r}")
         params = net.parameters()
-        stored = _doc_to_arrays(doc["params"])
-        ema = _doc_to_arrays(doc["ema"])
+        stored = _doc_to_arrays("params", doc["params"])
+        ema = _doc_to_arrays("ema", doc["ema"])
         for what, arrays in (("parameters", stored), ("EMA", ema)):
             odd = sorted(set(arrays) ^ set(params))
             if odd:

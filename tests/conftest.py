@@ -58,6 +58,15 @@ CHECKPOINT_DAMAGE = [
     ("net_config", "d_hidden", 8),
     ("train_config", "learning_rate", 0.1),
     ("train_config", "epochs", "1"),                                # would fail in range()
+    # stored arrays that cannot be read
+    ("params", "head_charge.bias", {"shape": [1], "data": {"0": 0.0}}),      # neither list nor string
+    ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "not base64!"}),
+    ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "AA!AA AA=="}),  # junk
+    ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "AAAA"}),  # 3 bytes
+    ("ema", "fake_pe", {"shape": [1, 16], "data": [0.0] * 15}),
+    ("ema", "head_charge.bias", {"dtype": "<f4", "data": "AAAAAA=="}),     # no shape
+    ("params", "head_charge.bias", {"shape": [1], "dtype": "<i4", "data": "AAAAAA=="}),
+    ("ema", "head_charge.bias", {"shape": [1], "data": [float("nan")]}),  # would fail in decode
 ]
 
 

@@ -115,6 +115,14 @@ def trained_vec(tmp_path_factory):
     return out
 
 
+def assert_timings(manifest: dict, keys: set) -> None:
+    """The manifest's timings hold exactly these stage keys, each a positive
+    number of seconds."""
+    assert set(manifest["timings"]) == keys
+    for value in manifest["timings"].values():
+        assert isinstance(value, float) and math.isfinite(value) and value > 0
+
+
 def test_train_outputs(trained_vec):
     assert (trained_vec / "checkpoint.json").exists()
     trace = (trained_vec / "trace.csv").read_text().strip().splitlines()
@@ -123,6 +131,7 @@ def test_train_outputs(trained_vec):
     manifest = json.loads((trained_vec / "manifest.json").read_text())
     assert manifest["config"]["steps_per_epoch"] == 3
     assert manifest["seed"] == 3
+    assert_timings(manifest, {"load_s", "train_s", "save_s"})
     svg = (trained_vec / "trace.svg").read_text()
     n_series = len(trace[0].split(",")) - 1
     assert svg.count("<polyline") == n_series
@@ -155,13 +164,15 @@ def test_sample_vectors_roundtrip(trained_vec, tmp_path):
     assert len(rows) == 13
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["steps"] == 4
+    assert_timings(manifest, {"load_s", "sample_s", "write_s"})
 
 
 def test_sample_zero_n_writes_manifest_only(trained_vec, tmp_path):
     out = tmp_path / "empty"
     assert run("sample", "--model", trained_vec / "checkpoint.json",
                "--n", 0, "-o", out) == 0
-    assert (out / "manifest.json").exists()
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert timings["sample_s"] == timings["write_s"] == 0.0 and timings["load_s"] > 0
     assert not (out / "samples.npz").exists()
 
 
@@ -202,6 +213,8 @@ def test_molecular_sample_outputs(trained_mol, tmp_path):
     assert len(rows) == 4
     doc = json.loads((out / "metrics.json").read_text())
     assert "atom_stability" in doc
+    assert_timings(json.loads((out / "manifest.json").read_text()),
+                   {"load_s", "sample_s", "write_s"})
 
 
 def test_molecular_sample_needs_n_atoms(trained_mol, tmp_path):
@@ -295,6 +308,7 @@ def test_train_counts_degenerate_inputs(tmp_path, capsys):
     assert f"degenerate inputs: {want}" in capsys.readouterr().out
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["counters"] == {"degenerate_inputs": want}
+    assert_timings(manifest, {"load_s", "train_s", "save_s"})
 
 
 def test_train_rejects_keys_the_data_ignores(tmp_path, capsys):
@@ -420,10 +434,7 @@ def test_verify_theory_signflip(tmp_path, capsys):
 def test_verify_theory_manifest_records_timings(tmp_path):
     out = tmp_path / "verify"
     assert run("verify-theory", "--system", "c4", "--n", "1000", "-o", out) == 0
-    timings = json.loads((out / "manifest.json").read_text())["timings"]
-    assert set(timings) == {"battery_s", "write_s"}
-    for value in timings.values():
-        assert isinstance(value, float) and math.isfinite(value) and value > 0
+    assert_timings(json.loads((out / "manifest.json").read_text()), {"battery_s", "write_s"})
 
 
 @pytest.mark.parametrize("system", ["c4", "s3"])

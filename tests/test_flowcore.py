@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
 from gaugeflow import coupling
+from gaugeflow.priors import prior_to_dict
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
@@ -243,7 +244,8 @@ def test_checkpoint_refuses_version_1(tmp_path):
     path = tmp_path / "mol.json"
     model.save(path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2 and doc["coord_scale"] == model.coord_scale
+    assert doc["format_version"] == training.CHECKPOINT_VERSION
+    assert doc["coord_scale"] == model.coord_scale
     doc["format_version"] = 1
     del doc["coord_scale"]
     path.write_text(json.dumps(doc))
@@ -265,18 +267,57 @@ def test_checkpoint_rejects_bad_coord_scale(tmp_path, scale):
         FlowModel.load(path)
 
 
-def test_float32_checkpoint_round_trip_is_bit_equal(tmp_path):
-    model, _ = train(mol_set(n_mols=4, n_atoms=5), tiny_cfg(epochs=1, steps_per_epoch=2,
-                                                            batch_size=2))
-    path = tmp_path / "mol.json"
-    model.save(path)
-    loaded = FlowModel.load(path)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
+    import json
+
+    with tape.precision(dtype):
+        model, _ = train(mol_set(n_mols=4, n_atoms=5), tiny_cfg(epochs=1, steps_per_epoch=2,
+                                                                batch_size=2))
+        path = tmp_path / "mol.json"
+        model.save(path)
+        loaded = FlowModel.load(path)
     assert loaded.coord_scale == model.coord_scale
+    want = np.dtype(dtype).newbyteorder("<").str
+    doc = json.loads(path.read_text())
     for k, p in model.parameters().items():
         got = loaded.parameters()[k].data
-        assert p.data.dtype == got.dtype == loaded.ema[k].dtype == np.float32
+        assert doc["params"][k]["dtype"] == doc["ema"][k]["dtype"] == want
+        assert p.data.dtype == got.dtype == loaded.ema[k].dtype == dtype
         assert np.array_equal(got, p.data)
         assert np.array_equal(loaded.ema[k], model.ema[k])
+
+
+def test_version_2_checkpoint_loads_the_same_model(tmp_path):
+    # version 2 stored every array as a list of decimal numbers; the same
+    # weights written that way load bit-equal to the version-3 bytes
+    import base64
+    import json
+
+    model, _ = train(mol_set(n_mols=4, n_atoms=5), tiny_cfg(epochs=1, steps_per_epoch=2,
+                                                            batch_size=2))
+    v3 = tmp_path / "v3.json"
+    model.save(v3)
+    doc = json.loads(v3.read_text())
+    assert doc["format_version"] == 3
+    for group in ("params", "ema"):
+        for entry in doc[group].values():
+            assert entry.pop("dtype") == "<f4"
+            entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4").tolist()
+    doc["format_version"] = 2
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps(doc))
+    new, old = FlowModel.load(v3), FlowModel.load(v2)
+    for k, p in model.parameters().items():
+        assert np.array_equal(new.parameters()[k].data, p.data)
+        assert np.array_equal(old.parameters()[k].data, p.data)
+        assert np.array_equal(new.ema[k], model.ema[k])
+        assert np.array_equal(old.ema[k], model.ema[k])
+    assert set(old.priors) == set(new.priors) == set(model.priors)
+    for k, prior in model.priors.items():
+        want = json.dumps(prior_to_dict(prior), sort_keys=True)
+        for got in (new, old):
+            assert json.dumps(prior_to_dict(got.priors[k]), sort_keys=True) == want
 
 
 def test_coordinates_enter_the_net_at_unit_scale():
