@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, molecule, sampler, theorylab
-from .canonicalizer import CanonicalizationError, canonicalize
+from .canonicalizer import CanonicalizationError, canonicalize_batch
 from .flowcore import toydata, training
 from .flowcore.training import TrainConfig, trace_to_csv
 
@@ -153,16 +153,27 @@ def svg_line_plot(xs, series: dict, path, width: int = 640, height: int = 360,
 # Subcommands
 
 
+def _canonicalize_files(paths: list[Path], group: str, ordering: str) -> tuple[list, list]:
+    """Read every file, then canonicalize them all in one canonicalize_batch
+    call: (molecules, results). The first file that cannot be read or
+    canonicalized raises before any output exists."""
+    mols = [_read_molecule(path) for path in paths]
+    results = canonicalize_batch(mols, group=group, ordering=ordering)
+    for path, result in zip(paths, results):
+        if isinstance(result, CanonicalizationError):
+            raise CanonicalizationError(f"{path.name}: {result}")
+    return mols, results
+
+
 def cmd_canonicalize(args) -> int:
-    outdir = _outdir(args)
     group = GROUP_FLAGS[args.group]
-    for name in args.inputs:
-        path = Path(name)
-        mol = _read_molecule(path)
+    paths = [Path(name) for name in args.inputs]
+    mols, results = _canonicalize_files(paths, group, args.ordering)
+    outdir = _outdir(args)
+    for path, mol, result in zip(paths, mols, results):
         if group == "perm_so3" and mol.n_atoms < 3:
             print(f"warning: {path.name} has fewer than three atoms; "
                   "the rotation stage is degenerate", file=sys.stderr)
-        result = canonicalize(mol, group=group, ordering=args.ordering)
         rep = result.representative
         if path.suffix.lower() == ".sdf":
             out_path = outdir / f"{path.stem}.canonical.sdf"
@@ -204,7 +215,7 @@ def _load_training_data(data_arg: str, seed: int):
         files = sorted(list(path.glob("*.sdf")) + list(path.glob("*.xyz")))
         if not files:
             raise UsageError(f"no .sdf or .xyz files under {path}")
-        results = [canonicalize(_read_molecule(f), group="perm_so3") for f in files]
+        _, results = _canonicalize_files(files, "perm_so3", "spectral")
         degenerate = sum(int(r.degenerate) for r in results)
         print(f"canonicalized {len(results)} training molecules; "
               f"degenerate inputs: {degenerate}")

@@ -348,16 +348,34 @@ class FlowModel:
         back in the tape's compute dtype. A file of another format version
         (version 1 predates the coordinate scale and the bounded coordinate
         weights, so its weights would silently mean another model), or whose
-        configs, parameter or EMA names, stored arrays, shapes or coordinate
-        scale do not fit, is a ValueError."""
+        top level, configs, priors or meta are not JSON objects, whose
+        CanonLite meta lacks the vocab's class lists, or whose parameter or
+        EMA names, stored arrays, shapes or coordinate scale do not fit, is a
+        ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"checkpoint top level must be a JSON object, "
+                             f"got {type(doc).__name__}")
+        for key in ("train_config", "priors", "meta"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ValueError(f"checkpoint {key} must be a JSON object, "
+                                 f"got {type(doc[key]).__name__}")
         version = doc.get("format_version")
         if version not in (2, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version!r}")
         kind = doc["kind"]
         if kind not in ("vector_field", "canonlite"):
             raise ValueError(f"unknown model kind {kind!r}")
+        meta = doc.get("meta", {})
+        if kind == "canonlite":
+            vocab = meta.get("vocab")
+            if not isinstance(vocab, dict):
+                raise ValueError("checkpoint meta needs a vocab object")
+            missing = [k for k in ("atom_classes", "charge_classes", "bond_classes")
+                       if not isinstance(vocab.get(k), list)]
+            if missing:
+                raise ValueError(f"checkpoint meta vocab needs class lists {', '.join(missing)}")
         try:
             net = (VectorFieldMLP(**doc["net_config"]) if kind == "vector_field"
                    else CanonLiteNet(CanonLiteConfig(**doc["net_config"])))
@@ -387,7 +405,7 @@ class FlowModel:
             train_config=TrainConfig.from_dict(doc["train_config"]),
             priors={k: priors_mod.prior_from_dict(v) for k, v in doc["priors"].items()},
             ema=ema,
-            meta=doc.get("meta", {}),
+            meta=meta,
             step=int(doc.get("step", 0)),
             coord_scale=float(coord_scale),
         )

@@ -15,8 +15,11 @@ Regimes:
        the intermediate state and reads ranks off the new ordering.
 
 Integration runs on the net's unit-scale coordinates, all samples of a
-request as one MoleculeBatch from one noise draw; finished samples and
-regime-b canonicalizations are decoded with the checkpoint's coord_scale.
+request as one MoleculeBatch from one noise draw; finished samples are
+decoded with the checkpoint's coord_scale. A regime-b canonicalization
+(pcs_step) runs the stacked canonicalizer on each run of same-size molecules
+of that batch, in data units, and permutes and rotates the batch's rows in
+place: it decodes and encodes nothing.
 
 After integration an optional Haar randomization pushes the canonical
 samples back to the ambient space (config group: none / perm / perm_so3).
@@ -30,11 +33,11 @@ import numpy as np
 
 from . import priors as priors_mod
 from . import symgroup
-from .canonicalizer import CanonicalizationError, canonicalize
+from .canonicalizer import canonicalize_stack
 from .flowcore import training
 from .flowcore.nets import MoleculeBatch
-from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecules, encode_molecules,
-                                euler_step, index_ranks, sample_molecular_noise)
+from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecules, euler_step,
+                                index_ranks, sample_molecular_noise)
 from .molecule import MoleculeState
 
 RANK_SPAN_TOL = 1e-6
@@ -86,21 +89,40 @@ def rank_estimate(rank_raw: np.ndarray, node_start: np.ndarray) -> np.ndarray:
 
 def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
              counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
-    """Regime-b re-canonicalization: the decoded molecules (data units) are
-    canonicalized one by one and encoded back; returns (state, ranks) and
-    adds to the counts `sample` documents."""
-    mols = decode_molecules(state, vocab, coord_scale)
-    rank_list = np.split(ranks, state.layout.node_start[1:])
-    for b, mol in enumerate(mols):
-        counts["canonicalize_calls"] += 1
-        try:
-            result = canonicalize(mol, group="perm_so3")
-        except CanonicalizationError:
-            counts["degenerate_steps"] += 1
-            continue
-        mols[b], rank_list[b] = result.representative, result.ranks
-        counts["degenerate_orderings"] += int(result.degenerate)
-    return encode_molecules(mols, vocab, coord_scale), np.concatenate(rank_list)
+    """Regime-b re-canonicalization of the packed state, in place.
+
+    Each run of same-size molecules (state.layout.blocks) goes through
+    canonicalize_stack as one stack, in data units: coordinates times
+    coord_scale, atom classes decoded through the vocab, bond classes
+    symmetrized with an empty diagonal as decode_molecules guards them. A
+    molecule that canonicalizes has its rows permuted and rotated to its
+    representative (coordinates back over coord_scale, the guarded bond
+    classes) and its ranks set to i/N; one outside the map's domain keeps its
+    rows and ranks. Returns (state, ranks), the objects passed in, and adds to
+    the counts `sample` documents."""
+    atom_classes = np.asarray(vocab["atom_classes"])
+    bond_classes = np.asarray(vocab["bond_classes"])
+    for k, n, nodes, pairs in state.layout.blocks:
+        coords = state.coords[nodes].reshape(k, n, 3)
+        types = state.type_idx[nodes].reshape(k, n)
+        charges = state.charge_idx[nodes].reshape(k, n)
+        bonds = state.bond_idx[pairs].reshape(k, n, n)
+        guarded = np.minimum(bonds, bonds.swapaxes(1, 2))
+        guarded.reshape(k, -1)[:, ::n + 1] = 0
+        st = canonicalize_stack(coords * coord_scale, atom_classes[types],
+                                bond_classes[guarded], group="perm_so3")
+        ok = ~st.failed
+        counts["canonicalize_calls"] += k
+        counts["degenerate_steps"] += k - int(ok.sum())
+        counts["degenerate_orderings"] += int(st.degenerate[ok].sum())
+        order = st.order[ok]
+        rows = np.arange(len(order))[:, None]
+        coords[ok] = st.coords[ok] / coord_scale
+        types[ok] = types[ok][rows, order]
+        charges[ok] = charges[ok][rows, order]
+        bonds[ok] = guarded[ok][rows[:, :, None], order[:, :, None], order[:, None, :]]
+        ranks[nodes].reshape(k, n)[ok] = np.arange(n) / n
+    return state, ranks
 
 
 def _isotropic_coord_prior(aligned: priors_mod.RankBinnedGaussianPrior

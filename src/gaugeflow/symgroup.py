@@ -15,9 +15,9 @@ import numpy as np
 from .molecule import MoleculeState
 
 
-_EYE3 = np.eye(3)
+EYE3 = np.eye(3)
 # np.allclose(R R^T, I, atol=1e-8) entrywise: atol + rtol |I_ij| with rtol = 1e-5
-_ORTHO_TOL = 1e-8 + 1e-5 * np.abs(_EYE3)
+_ORTHO_TOL = 1e-8 + 1e-5 * np.abs(EYE3)
 
 
 @dataclass
@@ -37,20 +37,27 @@ class GroupElement:
             raise ValueError("perm must be a permutation of 0..N-1")
         if self.rot.shape != (3, 3):
             raise ValueError("rot must be 3x3")
-        # finiteness first: an inf entry would warn inside the product
-        if not (np.isfinite(self.rot).all()
-                and (np.abs(self.rot @ self.rot.T - _EYE3) <= _ORTHO_TOL).all()):
-            raise ValueError("rot must be orthogonal")
-        if np.linalg.det(self.rot) < 0:
-            raise ValueError("rot must have determinant +1")
         if self.trans.shape != (3,):
             raise ValueError("trans must be a 3-vector")
-        if not np.isfinite(self.trans).all():
-            raise ValueError("trans must be finite")
+        check_frames(self.rot, self.trans)
 
     @property
     def n_atoms(self) -> int:
         return self.perm.shape[0]
+
+
+def check_frames(rot: np.ndarray, trans: np.ndarray) -> None:
+    """GroupElement's checks on its rotation and translation, over stacks
+    rot (..., 3, 3) and trans (..., 3): ValueError unless every rot is a
+    finite orthogonal matrix with determinant +1 and every trans is finite."""
+    # finiteness first: an inf entry would warn inside the product
+    if not (np.isfinite(rot).all()
+            and (np.abs(rot @ rot.swapaxes(-1, -2) - EYE3) <= _ORTHO_TOL).all()):
+        raise ValueError("rot must be orthogonal")
+    if (np.linalg.det(rot) < 0).any():
+        raise ValueError("rot must have determinant +1")
+    if not np.isfinite(trans).all():
+        raise ValueError("trans must be finite")
 
 
 def identity(n_atoms: int) -> GroupElement:

@@ -67,12 +67,28 @@ CHECKPOINT_DAMAGE = [
     ("ema", "head_charge.bias", {"dtype": "<f4", "data": "AAAAAA=="}),     # no shape
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<i4", "data": "AAAAAA=="}),
     ("ema", "head_charge.bias", {"shape": [1], "data": [float("nan")]}),  # would fail in decode
+    # top-level entries that are not JSON objects, and the whole document
+    (None, "top level", []),
+    (None, "top level", "x"),
+    (None, "train_config", []),
+    (None, "priors", []),
+    (None, "meta", []),
+    # a CanonLite checkpoint must carry the vocab the sampler decodes with
+    ("meta", "vocab", None),
+    ("meta", "vocab", []),
+    ("meta", "vocab", {"atom_classes": [6, 8], "charge_classes": [0]}),   # no bond_classes
 ]
 
 
-def damage_checkpoint(doc: dict, group: str, key: str, value) -> dict:
+def damage_checkpoint(doc: dict, group: str | None, key: str, value) -> dict:
+    """Apply one CHECKPOINT_DAMAGE edit: doc[group][key] = value (a top-level
+    entry when group is None; the whole document when key is "top level"),
+    deleting the entry when value is None."""
+    if key == "top level":
+        return value
+    target = doc if group is None else doc[group]
     if value is None:
-        del doc[group][key]
+        del target[key]
     else:
-        doc[group][key] = value
+        target[key] = value
     return doc

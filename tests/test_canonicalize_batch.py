@@ -1,0 +1,127 @@
+"""The stacked canonicalizer against the batch of one.
+
+canonicalize_batch runs each size group of its input as one stack, and
+sampler.pcs_step runs the packed sampler state's same-size runs the same way.
+Every molecule's result must be bitwise what canonicalize gives it alone,
+whatever shares its stack, and a molecule outside the map's domain must fail
+on its own.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_molecule
+from test_gauge_edges import CASES, _gauged_copies, _jittered_shape
+from gaugeflow import sampler
+from gaugeflow.canonicalizer import (CanonicalizationError, canonicalize, canonicalize_batch,
+                                     canonicalize_stack)
+from gaugeflow.flowcore.training import build_vocab, decode_molecules, encode_molecules
+from gaugeflow.molecule import MoleculeState
+
+OPTIONS = [("perm_so3", "spectral"), ("perm", "spectral"), ("perm", "multihop"),
+           ("perm", "atomic")]
+
+
+def _coincident(n):
+    """n atoms at one point, bonded in a chain: the bond lengths average 0."""
+    bonds = np.zeros((n, n), dtype=np.int64)
+    bonds[np.arange(n - 1), np.arange(1, n)] = bonds[np.arange(1, n), np.arange(n - 1)] = 1
+    return MoleculeState(np.full((n, 3), 0.7), np.full(n, 6), np.zeros(n, dtype=np.int64), bonds)
+
+
+def _mixed_molecules(seed):
+    """The gauge-edge shapes (two gauges each), random molecules with
+    repeated sizes and one all-coincident molecule, interleaved."""
+    rng = np.random.default_rng(seed)
+    mols = []
+    for name, jitter in CASES + [("n1", 0.0)]:
+        mols += list(_gauged_copies(_jittered_shape(name, jitter), [len(name), seed]))[:2]
+    mols += [random_molecule(rng, int(n), charged=True) for n in rng.integers(2, 13, 24)]
+    mols.append(_coincident(4))
+    return [mols[i] for i in rng.permutation(len(mols))]
+
+
+def _assert_bitwise(got, want):
+    pairs = [(got.representative.coords, want.representative.coords),
+             (got.representative.atom_types, want.representative.atom_types),
+             (got.representative.charges, want.representative.charges),
+             (got.representative.bonds, want.representative.bonds),
+             (got.gauge.perm, want.gauge.perm), (got.gauge.rot, want.gauge.rot),
+             (got.gauge.trans, want.gauge.trans), (got.ranks, want.ranks),
+             (got.fiedler, want.fiedler)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert type(got.degenerate) is bool and got.degenerate == want.degenerate
+
+
+@pytest.mark.parametrize("group, ordering", OPTIONS)
+def test_batch_matches_each_molecule_alone(group, ordering):
+    mols = _mixed_molecules(5)
+    results = canonicalize_batch(mols, group=group, ordering=ordering)
+    assert len(results) == len(mols)
+    failures = 0
+    for mol, got in zip(mols, results):
+        try:
+            want = canonicalize(mol, group=group, ordering=ordering)
+        except CanonicalizationError as exc:
+            assert isinstance(got, CanonicalizationError) and str(got) == str(exc)
+            failures += 1
+            continue
+        _assert_bitwise(got, want)
+    # only the coincident molecule fails, and only where geometry sets the order
+    assert failures == (ordering == "spectral")
+
+
+def test_batch_rejects_bad_options_before_any_work():
+    with pytest.raises(ValueError, match="rotation gauge"):
+        canonicalize_batch([_coincident(3)], group="perm_so3", ordering="atomic")
+    assert canonicalize_batch([]) == []
+
+
+def test_pcs_step_matches_the_canonicalizer_per_molecule():
+    # a mixed-size packed state at a coord_scale other than 1: each
+    # molecule's rows become its representative, bit for bit, in unit scale
+    rng = np.random.default_rng(11)
+    sizes = [3, 3, 7, 1, 2, 7, 7, 4, 5, 5, 12]
+    mols = [random_molecule(rng, n, charged=True) for n in sizes]
+    mols[7] = _coincident(4)
+    vocab = build_vocab(mols)
+    scale = 1.7
+    state = encode_molecules(mols, vocab, scale)
+    before = encode_molecules(mols, vocab, scale)
+    ranks = rng.random(state.n_atoms)
+    incoming = ranks.copy()
+    counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps", "degenerate_orderings"), 0)
+    out, out_ranks = sampler.pcs_step(state, ranks, vocab, scale, counts)
+    assert out is state and out_ranks is ranks
+    lay = state.layout
+    want_degenerate = 0
+    for b, mol in enumerate(decode_molecules(before, vocab, scale)):
+        n = int(lay.sizes[b])
+        nodes = slice(lay.node_start[b], lay.node_start[b] + n)
+        start = lay.block_start[lay.node_start[b]]
+        pairs = slice(start, start + n * n)
+        try:
+            res = canonicalize(mol, group="perm_so3")
+        except CanonicalizationError:
+            # outside the map's domain: rows and ranks stay as they were
+            for field in ("coords", "type_idx", "charge_idx"):
+                assert np.array_equal(getattr(state, field)[nodes], getattr(before, field)[nodes])
+            assert np.array_equal(state.bond_idx[pairs], before.bond_idx[pairs])
+            assert np.array_equal(ranks[nodes], incoming[nodes])
+            continue
+        want = encode_molecules([res.representative], vocab, scale)
+        assert state.coords[nodes].tobytes() == want.coords.tobytes()
+        for field in ("type_idx", "charge_idx"):
+            assert np.array_equal(getattr(state, field)[nodes], getattr(want, field))
+        assert np.array_equal(state.bond_idx[pairs], want.bond_idx)
+        assert ranks[nodes].tobytes() == res.ranks.tobytes()
+        want_degenerate += int(res.degenerate)
+    assert counts == {"canonicalize_calls": len(sizes), "degenerate_steps": 1,
+                      "degenerate_orderings": want_degenerate}
+
+
+def test_stack_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="needs coords"):
+        canonicalize_stack(np.zeros((2, 4, 3)), np.zeros((2, 5), dtype=np.int64),
+                           np.zeros((2, 5, 5), dtype=np.int64))

@@ -133,7 +133,7 @@ def test_multihop_and_atomic_orders_match_reference_loops():
             assert np.array_equal(canonicalizer._hop_counts(m.bonds, 3), counts)
             base = max(n, 2)
             keys = [sum(int(counts[v, k]) * base ** (2 - k) for k in range(3)) for v in range(n)]
-            assert np.array_equal(canonicalizer._multihop_keys(m), np.array(keys, dtype=np.float64))
+            assert np.array_equal(canonicalizer._multihop_keys(m.bonds), np.array(keys, dtype=np.float64))
             types = m.atom_types.tolist()
             multihop = sorted(range(n), key=lambda v: (keys[v], types[v], v))
             atomic = sorted(range(n), key=lambda v: (types[v] == 1, -types[v], v))

@@ -86,6 +86,22 @@ def test_canonicalize_error_codes(tmp_path):
     assert run("canonicalize", txt, "-o", tmp_path) == 2
 
 
+@pytest.mark.parametrize("bad, text, code, error", [
+    ("bad.xyz", "not a count\nxx\n", 3, "line 1: expected atom count"),
+    ("flat.xyz", "3\ncoincident\nC 0.5 0.5 0.5\nC 0.5 0.5 0.5\nO 0.5 0.5 0.5\n", 1,
+     "flat.xyz: degenerate geometry")],
+    ids=["unparseable", "coincident"])
+def test_canonicalize_writes_nothing_when_any_input_fails(tmp_path, capsys, bad, text, code,
+                                                          error):
+    # every input is read and canonicalized before the first output is written
+    good = write_xyz(tmp_path / "a.xyz", nondegenerate_molecule(np.random.default_rng(3), 6))
+    (tmp_path / bad).write_text(text)
+    out = tmp_path / "out"
+    assert run("canonicalize", good, tmp_path / bad, "-o", out) == code
+    assert error in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("name, text, error", [
     ("nan.sdf", "name\n  test\n\n  1  0\n       nan    0.0000    0.0000 C   0\nM  END\n",
      "line 5: bad coordinate"),

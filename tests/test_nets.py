@@ -8,6 +8,7 @@ from gaugeflow.flowcore import tape
 from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, MoleculeBatch,
                                      Predictions, canonical_pe, _one_hot)
 from gaugeflow.flowcore.tape import Tensor
+from gaugeflow.symgroup import haar_rotations
 
 HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred", "rank_raw")
 
@@ -203,3 +204,39 @@ def test_no_grad_forward_records_nothing():
         assert np.array_equal(out.data, getattr(recorded, k).data)
     # recording resumes after the block
     assert net(batch, 0.5, ranks).velocity.requires_grad
+
+
+@pytest.mark.usefixtures("float64_tape")
+def test_pe_dropped_twin_is_permutation_and_rotation_equivariant():
+    # with the PE dropped every atom reads the one learned fake_pe row, so the
+    # rank stream is constant, messages read only Gram entries, bonds and node
+    # features, and the coordinate update mixes coordinate sets: CanonLite is
+    # then S_N x SO(3)-equivariant. Each molecule gets its own permutation and
+    # rotation (about the origin: the Gram is not translation-invariant)
+    cfg = CanonLiteConfig(n_atom_classes=4, n_charge_classes=3)
+    rng = np.random.default_rng(59)
+    net = CanonLiteNet(cfg, rng)
+    sizes = [1, 2, 5, 5, 9, 3]
+    batch = random_batch(rng, sizes, cfg)
+    lay = batch.layout
+    rots = haar_rotations(3, len(sizes), rng)
+    nodes, pairs, coords = [], [], []
+    for b, n in enumerate(sizes):
+        perm = rng.permutation(n)
+        start = lay.node_start[b]
+        nodes.append(start + perm)
+        pairs.append(lay.block_start[start] + (perm[:, None] * n + perm[None, :]).ravel())
+        coords.append(batch.coords[start + perm] @ rots[b].T)
+    nodes, pairs = np.concatenate(nodes), np.concatenate(pairs)
+    moved = MoleculeBatch(np.concatenate(coords), batch.type_idx[nodes],
+                          batch.charge_idx[nodes], batch.bond_idx[pairs], lay)
+    ranks = np.concatenate([np.arange(n) / n for n in sizes])
+    base = net(batch, 0.4, ranks, pe_dropped=True)
+    got = net(moved, 0.4, ranks, pe_dropped=True)
+    row_rot = np.repeat(rots, sizes, axis=0)
+    want = {"velocity": np.einsum("rij,rj->ri", row_rot, base.velocity.data[nodes]),
+            "bond_logits": base.bond_logits.data[pairs]}
+    for k in HEADS:
+        expected = want.get(k, getattr(base, k).data[nodes])
+        err = float(np.abs(getattr(got, k).data - expected).max())
+        assert err <= 1e-12 * max(1.0, float(np.abs(expected).max())), (k, err)

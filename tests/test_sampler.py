@@ -213,11 +213,12 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
 
 
 def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
-    real = sampler.canonicalize
+    real = sampler.canonicalize_stack
 
-    def flagged(mol, group):
-        return dataclasses.replace(real(mol, group=group), degenerate=True)
-    monkeypatch.setattr(sampler, "canonicalize", flagged)
+    def flagged(*args, **kwargs):
+        stack = real(*args, **kwargs)
+        return dataclasses.replace(stack, degenerate=np.ones_like(stack.degenerate))
+    monkeypatch.setattr(sampler, "canonicalize_stack", flagged)
     cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
     _, info = sampler.sample(mol_model, 5, 4, cfg)
     assert info["canonicalize_calls"] == 3 * 4
