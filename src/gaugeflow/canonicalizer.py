@@ -43,7 +43,8 @@ GEOM_TOL = 1e-9
 
 GROUPS = ("perm", "perm_so3")
 ORDERINGS = ("spectral", "multihop", "atomic")
-_COINCIDE = "degenerate geometry: all atoms coincide"
+_FAILURES = (None, "degenerate geometry: all atoms coincide",
+             "degenerate geometry: an atom is so far from all others that its weights underflow")
 
 
 class CanonicalizationError(ValueError):
@@ -64,8 +65,7 @@ class CanonicalStack:
     """canonicalize_stack's result; row b belongs to molecule b. Each
     molecule's element g = (order, rot, trans) maps it to its representative:
     representative row i is input atom order[b, i], at coords[b, i]. A failed
-    row is outside the map's domain (its bond lengths average to zero) and its
-    other entries carry no meaning."""
+    row is outside the map's domain and its other entries carry no meaning."""
 
     order: np.ndarray        # (k, n) int64
     rot: np.ndarray          # (k, 3, 3)
@@ -73,7 +73,7 @@ class CanonicalStack:
     coords: np.ndarray       # (k, n, 3) representative coordinates
     keys: np.ndarray         # (k, n) keys in representative order
     degenerate: np.ndarray   # (k,) bool
-    failed: np.ndarray       # (k,) bool
+    failed: np.ndarray       # (k,) int8: 0, or the _FAILURES index of the reason why
 
 
 def _check_options(group: str, ordering: str) -> None:
@@ -94,8 +94,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _laplacian_sigma2(sq: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kernel bandwidth of each molecule from its squared-distance matrix:
     4 * (mean bond length)^2, falling back to 4 * (mean pairwise distance)^2
-    for a molecule without bonds. Returns (sigma2 (k,), failed (k,)); a
-    molecule fails when that mean is 0."""
+    for a molecule without bonds. Returns (sigma2 (k,), coincide (k,)); a
+    molecule's atoms coincide when that mean is 0."""
     k, n, _ = sq.shape
     upper = np.flatnonzero(np.arange(n)[:, None] < np.arange(n))   # i < j, i-major
     dists = np.sqrt(sq.reshape(k, -1)[:, upper])
@@ -104,14 +104,10 @@ def _laplacian_sigma2(sq: np.ndarray, bonds: np.ndarray) -> tuple[np.ndarray, np
     counts = np.add.reduce(used, axis=1)
     # rows with c used pairs sum as one (rows, c) reduction: each of its rows
     # sums in the order numpy sums a single molecule's c distances
-    same = set(counts.tolist())
-    if len(same) == 1:
-        sums = np.add.reduce(dists[used].reshape(k, -1), axis=1)
-    else:
-        sums = np.empty(k)
-        for c in same:
-            rows = counts == c
-            sums[rows] = np.add.reduce(dists[rows][used[rows]].reshape(-1, c), axis=1)
+    sums = np.empty(k)
+    for c in set(counts.tolist()):
+        rows = counts == c
+        sums[rows] = np.add.reduce(dists[used & rows[:, None]].reshape(-1, c), axis=1)
     mean_d = sums / counts
     return 4.0 * mean_d * mean_d, mean_d <= 0.0
 
@@ -128,13 +124,22 @@ def _fiedler_stack(x: np.ndarray, bonds: np.ndarray, centroid: np.ndarray
     diff *= diff
     sq = diff[0] + diff[1]
     sq += diff[2]
-    sigma2, failed = _laplacian_sigma2(sq, bonds)
-    if failed.any():        # keep the failed rows finite; their output is discarded
-        sq[failed] = 0.0
-        sigma2[failed] = 1.0
+    sigma2, coincide = _laplacian_sigma2(sq, bonds)
+    if coincide.any():      # keep the failed rows finite; their output is discarded
+        sq[coincide] = 0.0
+        sigma2[coincide] = 1.0
     w = np.exp(-sq / (2.0 * sigma2)[:, None, None])
     w.reshape(k, -1)[:, ::n + 1] = 0.0                 # the diagonals
-    inv_sqrt = 1.0 / np.sqrt(np.add.reduce(w, axis=2))
+    deg = np.add.reduce(w, axis=2)
+    failed = coincide.view(np.int8)
+    if np.count_nonzero(deg) < deg.size:
+        # an atom far from all others has a kernel row that underflows to 0, and
+        # 1 / sqrt(0) would make the Laplacian non-finite: fail the row, keep it finite
+        isolated = ~deg.all(axis=1)
+        w[isolated] = 1.0 - np.eye(n)
+        deg[isolated] = n - 1.0
+        failed = np.where(isolated, 2, failed).astype(np.int8)
+    inv_sqrt = 1.0 / np.sqrt(deg)
     lsym = np.eye(n) - inv_sqrt[:, :, None] * w * inv_sqrt[:, None, :]
     vals, vecs = np.linalg.eigh(lsym)
     u = inv_sqrt * vecs[:, :, 1]            # back to the random-walk eigenvector
@@ -155,7 +160,7 @@ def _perm_stage(x: np.ndarray, z: np.ndarray, bonds: np.ndarray, ordering: str,
     canonicalize_perm. rows is arange(k)[:, None]."""
     k, n = z.shape
     spectral = ordering == "spectral"
-    degenerate = failed = np.zeros(k, dtype=bool)
+    degenerate, failed = np.zeros(k, dtype=bool), np.zeros(k, dtype=np.int8)
     if not spectral:
         keys = _multihop_keys(bonds) if ordering == "multihop" else _atomic_keys(z)
     elif n > 1:
@@ -215,9 +220,10 @@ def canonicalize_stack(coords: np.ndarray, atom_types: np.ndarray, bonds: np.nda
     (k, n, 3), atomic numbers (k, n), bonds (k, n, n) (only bonds > 0 is
     read). The permutation stage picks each atom order, the rotation stage
     (group "perm_so3") each frame, and g = (order, rot, -rot @ centroid) the
-    representative. Options as in canonicalize. A molecule whose bond lengths
-    average to zero is flagged failed; the others are unaffected by it. Raises
-    ValueError, as GroupElement does, if a frame is not a finite rotation."""
+    representative. Options as in canonicalize. A molecule outside the map's
+    domain (see canonicalize) is flagged failed; the others are unaffected by
+    it. Raises ValueError, as GroupElement does, if a frame is not a finite
+    rotation."""
     _check_options(group, ordering)
     x = np.asarray(coords, dtype=np.float64)
     z = np.asarray(atom_types, dtype=np.int64)
@@ -243,7 +249,7 @@ def canonicalize_stack(coords: np.ndarray, atom_types: np.ndarray, bonds: np.nda
         if group == "perm_so3":                   # fewer than three atoms: no frame
             degenerate = np.ones(k, dtype=bool)
     trans = ((-rot) @ centroid[:, :, None])[:, :, 0]
-    ok = ~failed if failed.any() else slice(None)
+    ok = failed == 0 if failed.any() else slice(None)
     symgroup.check_frames(rot[ok], trans[ok])
     return CanonicalStack(order, rot, trans, xo @ rot.swapaxes(1, 2) + trans[:, None, :],
                           keys, degenerate, failed)
@@ -278,7 +284,7 @@ def canonicalize_batch(mols: list[MoleculeState], group: str = "perm_so3",
         gauge_perm = np.argsort(order, axis=1)
         for b, i in enumerate(idx):
             if st.failed[b]:
-                results[i] = CanonicalizationError(_COINCIDE)
+                results[i] = CanonicalizationError(_FAILURES[st.failed[b]])
                 continue
             # the checks of both constructors have run for the whole stack:
             # the input molecules were checked, the representative permutes
@@ -311,7 +317,8 @@ def canonicalize(m: MoleculeState, group: str = "perm_so3", ordering: str = "spe
     group: "perm" or "perm_so3". ordering: "spectral" (Fiedler), "multihop",
     or "atomic"; the rotation gauge requires the spectral ordering since its
     sign conventions live on the Fiedler vector. Raises CanonicalizationError
-    when the molecule's bond lengths average to zero.
+    when the molecule's bond lengths average to zero, or when an atom is so far
+    from all others that its kernel weights underflow to 0.
     """
     result = canonicalize_batch([m], group, ordering)[0]
     if isinstance(result, CanonicalizationError):
@@ -338,7 +345,7 @@ def fiedler_vector(m: MoleculeState) -> tuple[np.ndarray, bool]:
     u, degenerate, failed = _fiedler_stack(m.coords[None], m.bonds[None],
                                            m.coords.mean(axis=0)[None])
     if failed[0]:
-        raise CanonicalizationError(_COINCIDE)
+        raise CanonicalizationError(_FAILURES[failed[0]])
     return u[0], bool(degenerate[0])
 
 
@@ -359,7 +366,7 @@ def canonicalize_perm(m: MoleculeState, ordering: str = "spectral") -> tuple[np.
         m.coords[None], m.atom_types[None], m.bonds[None], ordering,
         m.coords.mean(axis=0)[None], np.arange(1)[:, None])
     if failed[0]:
-        raise CanonicalizationError(_COINCIDE)
+        raise CanonicalizationError(_FAILURES[failed[0]])
     return order[0], keys[0], bool(degenerate[0])
 
 
@@ -401,12 +408,12 @@ def _hop_counts(bonds: np.ndarray, max_hops: int) -> np.ndarray:
     return np.diff(np.stack(within, axis=-1), axis=-1)
 
 
-def _multihop_keys(bonds: np.ndarray, n_hops: int = 3) -> np.ndarray:
-    """Packed hop-count weight w_K(v) = sum_{k=1..K} d_k(v) * N^(K-k) of
+def _multihop_keys(bonds: np.ndarray) -> np.ndarray:
+    """Packed hop-count weight w_3(v) = sum_{k=1..3} d_k(v) * N^(3-k) of
     bond matrices (..., N, N)."""
     base = max(bonds.shape[-1], 2)
-    place = base ** np.arange(n_hops - 1, -1, -1, dtype=np.int64)
-    return (_hop_counts(bonds, n_hops) @ place).astype(np.float64)
+    place = base ** np.arange(2, -1, -1, dtype=np.int64)
+    return (_hop_counts(bonds, 3) @ place).astype(np.float64)
 
 
 def order_multihop(m: MoleculeState) -> np.ndarray:

@@ -91,18 +91,20 @@ def _load_train_config(path) -> TrainConfig:
 
 
 def _read_molecule(path: Path) -> molecule.MoleculeState:
+    """The molecule in an .sdf or .xyz file; a ParseError names the file."""
     text = path.read_text()
-    if path.suffix.lower() == ".sdf":
-        return molecule.parse_sdf(text)
-    if path.suffix.lower() == ".xyz":
-        return molecule.parse_xyz(text)
-    raise UsageError(f"unsupported molecule format: {path.name}")
+    parse = {".sdf": molecule.parse_sdf, ".xyz": molecule.parse_xyz}.get(path.suffix.lower())
+    if parse is None:
+        raise UsageError(f"unsupported molecule format: {path.name}")
+    try:
+        return parse(text)
+    except molecule.ParseError as exc:
+        raise molecule.ParseError(f"{path.name}: {exc}") from exc
 
 
-def svg_line_plot(xs, series: dict, path, width: int = 640, height: int = 360,
-                  title: str = "") -> None:
-    """Minimal self-contained SVG: one polyline per series plus a legend."""
-    margin = 48
+def svg_line_plot(xs, series: dict, path, title: str = "") -> None:
+    """Minimal self-contained 640 x 360 SVG: one polyline per series plus a legend."""
+    width, height, margin = 640, 360, 48
     xs = np.asarray(xs, dtype=np.float64)
     all_y = np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()])
     finite = all_y[np.isfinite(all_y)]

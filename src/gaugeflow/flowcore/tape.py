@@ -325,14 +325,11 @@ def take_cols(a: Tensor, cols) -> Tensor:
     return _make(a.data[..., cols], (a,), bw)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     def bw(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bw)
+        gg = g if axis is None else np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+    return _make(a.data.sum(axis=axis), (a,), bw)
 
 
 def tmean(a: Tensor) -> Tensor:

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def c4_blobs(n: int, rng: np.random.Generator, radius: float = 2.0,
-             std: float = 0.3) -> np.ndarray:
-    """Mixture of four Gaussian blobs on the C4 orbit of (radius, 0)."""
+def c4_blobs(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Mixture of four Gaussian blobs of std 0.3 on the C4 orbit of (2, 0)."""
     component = rng.integers(0, 4, size=n)
     angles = component * (np.pi / 2.0)
-    centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return centers + std * rng.standard_normal((n, 2))
+    centers = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return centers + 0.3 * rng.standard_normal((n, 2))
 
 
 def sector_canonicalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -117,13 +117,11 @@ class TrainConfig:
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 warmup_steps: int = 0):
+                 beta1: float = 0.9, beta2: float = 0.999, warmup_steps: int = 0):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.warmup_steps = warmup_steps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -142,7 +140,7 @@ class Adam:
             self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad ** 2
             mhat = self.m[k] / (1 - b1 ** self.t)
             vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= lr_t * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr_t * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 class EMA:
@@ -493,16 +491,14 @@ def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict
     return ema.state(), trace
 
 
-def _train_vectors(data: np.ndarray, cfg: TrainConfig, prior, val_data):
+def _train_vectors(data: np.ndarray, cfg: TrainConfig):
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     rng = np.random.default_rng(cfg.seed)
-    if prior is None:
-        prior = priors_mod.isotropic_prior(dim)
-    if val_data is None:
-        n_val = max(16, n // 10)
-        val_data = data[-n_val:]
-        data = data[:-n_val] if n - n_val >= 2 else data
+    prior = priors_mod.isotropic_prior(dim)
+    n_val = max(16, n // 10)
+    val_data = data[-n_val:]
+    data = data[:-n_val] if n - n_val >= 2 else data
     net = VectorFieldMLP(dim, rng=np.random.default_rng([cfg.seed, 1]))
 
     # frozen validation path set: reused every epoch so rows are comparable
@@ -581,15 +577,15 @@ def encode_molecules(mols: list[MoleculeState], vocab: dict, coord_scale: float)
 
 def decode_molecules(batch: MoleculeBatch, vocab: dict, coord_scale: float) -> list[MoleculeState]:
     """Inverse of encode_molecules: one MoleculeState per molecule, classes
-    from the vocab, coordinates times coord_scale."""
+    from the vocab, coordinates times coord_scale. The bond rows are taken as
+    they are: every MoleculeBatch builder (PairLayout.symmetric, encoding
+    checked molecules, select) writes them symmetric with an empty diagonal,
+    and MoleculeState rejects a batch that breaks that."""
     lay = batch.layout
     coords = batch.coords * coord_scale
     atoms = np.asarray(vocab["atom_classes"])[batch.type_idx]
     charges = np.asarray(vocab["charge_classes"])[batch.charge_idx]
-    # guard: a decoded bond matrix must be symmetric with an empty diagonal
-    bond_idx = np.minimum(batch.bond_idx, batch.bond_idx[lay.transpose])
-    bond_idx[lay.pair_i == lay.pair_j] = 0
-    bonds = np.asarray(vocab["bond_classes"])[bond_idx]
+    bonds = np.asarray(vocab["bond_classes"])[batch.bond_idx]
     return [MoleculeState(coords[a:a + n], atoms[a:a + n], charges[a:a + n],
                           bonds[p:p + n * n].reshape(n, n))
             for a, n, p in zip(lay.node_start, lay.sizes, lay.block_start[lay.node_start])]
@@ -657,22 +653,21 @@ def draw_path(data: MoleculeBatch, priors: dict, n_bond_classes: int, cfg: Train
     """Training draws for a whole batch, in stream order: the noise endpoint
     (sample_molecular_noise), one time per molecule, coordinate path noise,
     type, charge and upper-pair bond keep masks, rank noise, one PE drop per
-    molecule. Coordinates follow (1 - t) x0 + t x1 (+ coord_noise * eps)."""
+    molecule. Coordinates follow interpolate's path from the data to the
+    noise, at each molecule's time on its rows."""
     lay = data.layout
     noise = sample_molecular_noise(lay.sizes, priors, n_bond_classes, rng)
     t = sample_times(len(lay.sizes), cfg.time_dist, rng)
     t_rows = np.repeat(t, lay.sizes)
-    coords = (1.0 - t_rows[:, None]) * data.coords + t_rows[:, None] * noise.coords
-    if cfg.coord_noise > 0:
-        coords = coords + cfg.coord_noise * rng.standard_normal(coords.shape)
+    coord_path = interpolate(data.coords, noise.coords, t_rows, cfg.coord_noise, rng)
     type_idx = mix_categorical(data.type_idx, noise.type_idx, t_rows, rng)
     charge_idx = mix_categorical(data.charge_idx, noise.charge_idx, t_rows, rng)
     bonds = mix_categorical(data.bond_idx[lay.upper], noise.bond_idx[lay.upper],
                             t_rows[lay.pair_i[lay.upper]], rng)
     ranks = rank_noise(index_ranks(lay.sizes), t_rows, cfg.rank_noise, rng)
     pe_dropped = rng.random(len(lay.sizes)) < cfg.p_drop
-    z_t = MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay)
-    return MolecularPath(data, z_t, t, noise.coords - data.coords, ranks, pe_dropped)
+    z_t = MoleculeBatch(coord_path.z_t, type_idx, charge_idx, lay.symmetric(bonds), lay)
+    return MolecularPath(data, z_t, t, coord_path.target_velocity, ranks, pe_dropped)
 
 
 def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
@@ -787,40 +782,35 @@ def _redraw(idx: np.ndarray, logits: np.ndarray, p: float, rng: np.random.Genera
     return idx
 
 
-def _molecular_energy_distance(net, val: MoleculeBatch, priors, n_bond_classes,
-                               rng, n_gen=4, k_steps=5) -> float:
+def _molecular_energy_distance(net, val: MoleculeBatch, priors, n_bond_classes, rng) -> float:
     """Pooled-atom energy distance between short-rollout samples and held-out data.
 
-    A trace diagnostic only: conditional forwards, index ranks, Euler in t,
-    n_gen molecules, sized as the validation molecules in turn, stepped together.
+    A trace diagnostic only: 4 molecules, sized as the validation molecules in
+    turn, stepped together through 5 conditional Euler steps at index ranks.
     """
     target = val.coords[:512]
-    sizes = val.layout.sizes[np.arange(n_gen) % len(val.layout.sizes)]
+    sizes = val.layout.sizes[np.arange(4) % len(val.layout.sizes)]
     state = sample_molecular_noise(sizes, priors, n_bond_classes, rng)
     ranks = index_ranks(sizes)
-    for k in range(k_steps, 0, -1):
-        state, _ = euler_step(net, state, k / k_steps, (k - 1) / k_steps, ranks, 1.0, rng)
+    for k in range(5, 0, -1):
+        state, _ = euler_step(net, state, k / 5, (k - 1) / 5, ranks, 1.0, rng)
     return energy_distance(state.coords, target)
 
 
-def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig, net_config, val_data):
+def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     vocab = build_vocab(mols)
     scale = fit_coord_scale(mols)
     encoded = encode_molecules(mols, vocab, scale)
     priors = fit_molecular_priors(encoded, vocab, cfg)
     n = len(mols)
-    if val_data is None:        # the last tenth validates; the rest (all of one) trains
-        n_val = max(1, n // 10)
-        n_train, val_set = max(n - n_val, 1), encoded.select(np.arange(n - n_val, n))
-    else:
-        n_train, val_set = n, encode_molecules(list(val_data), vocab, scale)
+    n_val = max(1, n // 10)     # the last tenth validates; the rest (all of one) trains
+    n_train, val_set = max(n - n_val, 1), encoded.select(np.arange(n - n_val, n))
 
-    if net_config is None:
-        net_config = CanonLiteConfig(
-            n_atom_classes=len(vocab["atom_classes"]),
-            n_charge_classes=len(vocab["charge_classes"]),
-        )
+    net_config = CanonLiteConfig(
+        n_atom_classes=len(vocab["atom_classes"]),
+        n_charge_classes=len(vocab["charge_classes"]),
+    )
     net = CanonLiteNet(net_config, rng=np.random.default_rng([cfg.seed, 1]))
     batch = max(1, min(cfg.batch_size, n_train))
     n_bond = net_config.n_bond_classes
@@ -900,11 +890,14 @@ def _reject_bad_ot(cfg: TrainConfig) -> None:
                           f"limit of {coupling_mod.MAX_EXACT} rows")
 
 
-def train(data, cfg: TrainConfig, prior=None, net_config=None, val_data=None):
+def train(data, cfg: TrainConfig):
     """Train a flow model on canonical states.
 
     data: (n, d) array of slice vectors, or a list of canonicalized
     MoleculeState. Returns (FlowModel, trace); trace rows are per-epoch dicts.
+    Vector data train against the isotropic N(0, I) prior and molecules under
+    the default CanonLiteConfig sized to the data's vocab; either kind
+    validates on its own last tenth (at least 16 vectors or one molecule).
     Identical seeds give identical traces and checkpoints. A config value
     outside its range or set (epochs below 0, steps_per_epoch or batch_size
     below 1, a non-finite or non-positive lr, a time_dist outside TIME_DISTS,
@@ -917,8 +910,8 @@ def train(data, cfg: TrainConfig, prior=None, net_config=None, val_data=None):
     if isinstance(data, np.ndarray):
         _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
         _reject_bad_ot(cfg)
-        return _train_vectors(data, cfg, prior, val_data)
+        return _train_vectors(data, cfg)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
         _reject_unused_keys(cfg, _VECTOR_ONLY, "molecule")
-        return _train_molecules(list(data), cfg, net_config, val_data)
+        return _train_molecules(list(data), cfg)
     raise TypeError("data must be an (n, d) array or a list of MoleculeState")

@@ -94,13 +94,13 @@ class MoleculeState:
         return MoleculeState(coords, self.atom_types.copy(), self.charges.copy(), self.bonds.copy())
 
 
-def atoms_only(coords, atom_types, charges=None) -> MoleculeState:
-    """Build a bond-free molecule (bond matrix all zeros)."""
+def atoms_only(coords, atom_types) -> MoleculeState:
+    """Build a bond-free, uncharged molecule (bond matrix and charges all
+    zeros)."""
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
-    if charges is None:
-        charges = np.zeros(n, dtype=np.int64)
-    return MoleculeState(coords, np.asarray(atom_types), np.asarray(charges), np.zeros((n, n), dtype=np.int64))
+    return MoleculeState(coords, np.asarray(atom_types), np.zeros(n, dtype=np.int64),
+                         np.zeros((n, n), dtype=np.int64))
 
 
 def _symbols(atom_types: np.ndarray) -> list[str]:

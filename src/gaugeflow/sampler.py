@@ -93,13 +93,13 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
 
     Each run of same-size molecules (state.layout.blocks) goes through
     canonicalize_stack as one stack, in data units: coordinates times
-    coord_scale, atom classes decoded through the vocab, bond classes
-    symmetrized with an empty diagonal as decode_molecules guards them. A
-    molecule that canonicalizes has its rows permuted and rotated to its
-    representative (coordinates back over coord_scale, the guarded bond
-    classes) and its ranks set to i/N; one outside the map's domain keeps its
-    rows and ranks. Returns (state, ranks), the objects passed in, and adds to
-    the counts `sample` documents."""
+    coord_scale, atom and bond classes decoded through the vocab (every
+    MoleculeBatch builder writes symmetric bond rows with an empty diagonal).
+    A molecule that canonicalizes has its rows permuted and rotated to its
+    representative (coordinates back over coord_scale) and its ranks set to
+    i/N; one outside the map's domain keeps its rows and ranks. Returns
+    (state, ranks), the objects passed in, and adds to the counts `sample`
+    documents."""
     atom_classes = np.asarray(vocab["atom_classes"])
     bond_classes = np.asarray(vocab["bond_classes"])
     for k, n, nodes, pairs in state.layout.blocks:
@@ -107,11 +107,9 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
         types = state.type_idx[nodes].reshape(k, n)
         charges = state.charge_idx[nodes].reshape(k, n)
         bonds = state.bond_idx[pairs].reshape(k, n, n)
-        guarded = np.minimum(bonds, bonds.swapaxes(1, 2))
-        guarded.reshape(k, -1)[:, ::n + 1] = 0
         st = canonicalize_stack(coords * coord_scale, atom_classes[types],
-                                bond_classes[guarded], group="perm_so3")
-        ok = ~st.failed
+                                bond_classes[bonds], group="perm_so3")
+        ok = st.failed == 0
         counts["canonicalize_calls"] += k
         counts["degenerate_steps"] += k - int(ok.sum())
         counts["degenerate_orderings"] += int(st.degenerate[ok].sum())
@@ -120,7 +118,7 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
         coords[ok] = st.coords[ok] / coord_scale
         types[ok] = types[ok][rows, order]
         charges[ok] = charges[ok][rows, order]
-        bonds[ok] = guarded[ok][rows[:, :, None], order[:, :, None], order[:, None, :]]
+        bonds[ok] = bonds[ok][rows[:, :, None], order[:, :, None], order[:, None, :]]
         ranks[nodes].reshape(k, n)[ok] = np.arange(n) / n
     return state, ranks
 
@@ -145,8 +143,9 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
       canonicalize_calls    canonicalizer invocations during integration
                             (zero in regime "a");
       degenerate_steps      regime-b steps whose state could not be
-                            canonicalized (e.g. all atoms coincide); the step
-                            keeps its state and ranks;
+                            canonicalized (all atoms coincide, or one is
+                            far from all others); the step keeps its state
+                            and ranks;
       degenerate_orderings  regime-b steps whose canonicalization succeeded
                             but flagged its ordering degenerate (near-tied
                             keys); its ranks are used all the same;

@@ -134,17 +134,18 @@ def signflip_system(t: float = 0.5) -> MixtureSystem:
                          SliceGaussian(np.zeros(1), np.eye(1)), t)
 
 
-def c4_system(t: float = 0.5, mean=(2.0, 0.0), std: float = 0.3) -> MixtureSystem:
+def c4_system() -> MixtureSystem:
+    """C4 system on R^2 at t = 0.5 with the slice blob N((2, 0), 0.3^2 I)."""
     return MixtureSystem(symgroup.c4_group(),
-                         SliceGaussian(np.asarray(mean), std ** 2 * np.eye(2)),
-                         SliceGaussian(np.zeros(2), np.eye(2)), t)
+                         SliceGaussian(np.asarray((2.0, 0.0)), 0.3 ** 2 * np.eye(2)),
+                         SliceGaussian(np.zeros(2), np.eye(2)), 0.5)
 
 
-def s3_system(t: float = 0.5) -> MixtureSystem:
-    """Coordinate-permutation system on R^3 with an asymmetric slice blob."""
+def s3_system() -> MixtureSystem:
+    """Coordinate-permutation system on R^3 at t = 0.5, asymmetric slice blob."""
     return MixtureSystem(symgroup.permutation_matrix_group(3),
                          SliceGaussian(np.array([1.2, 0.3, -1.5]), 0.09 * np.eye(3)),
-                         SliceGaussian(np.zeros(3), np.eye(3)), t)
+                         SliceGaussian(np.zeros(3), np.eye(3)), 0.5)
 
 
 def random_gaussian_system(rng: np.random.Generator) -> MixtureSystem:
@@ -265,9 +266,9 @@ def mixture_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     return score
 
 
-def finite_difference_score(system: MixtureSystem, z: np.ndarray,
-                            eps: float = 1e-5) -> np.ndarray:
-    """Central finite differences of mixture_logpdf, coordinate by coordinate."""
+def finite_difference_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
+    """Central finite differences (step 1e-5) of mixture_logpdf, per coordinate."""
+    eps = 1e-5
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     out = np.empty_like(z)
     for j in range(z.shape[1]):
@@ -446,16 +447,16 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     return estimate, stderr, per_query
 
 
-def ambient_condvar_quadrature(system: MixtureSystem, n_grid: int = 200_001,
-                               half_width: float = 10.0) -> float:
-    """E_z[tr Var(velocity | z)] by 1-D trapezoid quadrature (d = 1 only)."""
+def ambient_condvar_quadrature(system: MixtureSystem) -> float:
+    """E_z[tr Var(velocity | z)] by 1-D trapezoid quadrature (d = 1 only), on
+    200,001 points reaching 10 marginal stds past the farthest orbit mean."""
     if system.dim != 1:
         raise ValueError("quadrature oracle is one-dimensional")
     mu_t, s_t = slice_time_marginal(system)
     scale = float(np.sqrt(s_t[0, 0]))
     reach = float(np.abs(system.group.elements @ mu_t).max())
-    lim = reach + half_width * scale
-    grid = np.linspace(-lim, lim, n_grid)[:, None]
+    lim = reach + 10.0 * scale
+    grid = np.linspace(-lim, lim, 200_001)[:, None]
     density = np.exp(mixture_logpdf(system, grid))
     v = slice_conditional_variance(system) + ambiguity_term(system, grid)
     return float(_trapezoid(density * v, grid[:, 0]))
@@ -504,8 +505,7 @@ def variance_decomposition(system: MixtureSystem, n: int, rng: np.random.Generat
 
 
 def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
-                      noise: SliceGaussian | None = None,
-                      threshold_scale: float = 4.0) -> dict:
+                      noise: SliceGaussian | None = None) -> dict:
     """Simulate a group-aligned lift and test the pair for dependence.
 
     q0 is the slice data distribution (SliceGaussian or SlicePoint); noise
@@ -514,8 +514,9 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
     every linear coordinate correlation plus one quadratic direction
     statistic (difference of squared coordinates), which is what picks up the
     dependence a shared rotation induces when the noise is anisotropic; raw
-    correlations vanish there. With the default
-    isotropic noise the z1 coordinates are also KS-tested against N(0, 1).
+    correlations vanish there. The pair counts as independent when both
+    statistics are below 4 / sqrt(n_mc). With the default isotropic noise the
+    z1 coordinates are also KS-tested against N(0, 1).
     """
     d = q0.dim
     normal_reference = noise is None
@@ -523,7 +524,7 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
         noise = SliceGaussian(np.zeros(d), np.eye(d))
     _, z0, z1 = group.randomize(rng, q0.draw(n_mc, rng), noise.draw(n_mc, rng))
     n = n_mc
-    threshold = threshold_scale / np.sqrt(n)
+    threshold = 4.0 / np.sqrt(n)
 
     with np.errstate(invalid="ignore"):
         full = np.corrcoef(np.concatenate([z0, z1], axis=1).T)
@@ -556,24 +557,23 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
 
 
 def bayes_equivariance_check(system: MixtureSystem, n: int, rng: np.random.Generator,
-                             n_query: int = 200, k: int | None = None,
-                             break_coupling: bool = False,
-                             ratio_bound: float = 5.0) -> dict:
+                             break_coupling: bool = False) -> dict:
     """Check that the estimated ambient field commutes with the group.
 
-    Compares g vhat(g^-1 z) against vhat(z) at query points, with vhat a k-NN
-    mean; under the true coupling the k-NN smoothing bias cancels between the
-    two sides and the gap is pure noise, so the max violation-to-stderr ratio
-    stays below ratio_bound. break_coupling leaves the regression target in
+    Compares g vhat(g^-1 z) against vhat(z) at min(200, n) query points, with
+    vhat a mean over the k = ceil(sqrt(n)) nearest neighbours; under the true
+    coupling the k-NN smoothing bias cancels between the two sides and the gap
+    is pure noise, so the max violation-to-stderr ratio stays below 5.
+    break_coupling leaves the regression target in
     the slice frame (never rotated by G), a process whose field is not
     equivariant; the check is expected to fail there.
     """
     sim = simulate(system, n, rng)
     x = sim["z"]
     y = sim["u"] if break_coupling else sim["velocity"]
-    if k is None:
-        k = int(np.ceil(np.sqrt(n)))
-    n_query = min(n_query, n)
+    k = int(np.ceil(np.sqrt(n)))
+    n_query = min(200, n)
+    ratio_bound = 5.0
     zq = x[rng.choice(n, size=n_query, replace=False)]
     elements = system.group.elements
     queries = np.concatenate([zq, *(zq @ g for g in elements)])     # zq, then g^-1 zq
@@ -655,9 +655,9 @@ class CheckResult:
 
 
 def equality_check(name: str, estimate: float, reference: float, stderr: float,
-                   n_samples: int, seed: int, n_sigma: float = 3.0,
-                   floor: float = 0.0, detail: dict | None = None) -> CheckResult:
-    tolerance = max(n_sigma * stderr, floor)
+                   n_samples: int, seed: int, floor: float = 0.0,
+                   detail: dict | None = None) -> CheckResult:
+    tolerance = max(3.0 * stderr, floor)
     return CheckResult(
         name=name, estimate=float(estimate), reference=float(reference),
         stderr=float(stderr), tolerance=float(tolerance),

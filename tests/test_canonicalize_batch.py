@@ -72,6 +72,35 @@ def test_batch_matches_each_molecule_alone(group, ordering):
     assert failures == (ordering == "spectral")
 
 
+def _far_atom():
+    """Atoms at the origin, (1, 0, 0), (0, 1, 0) and (400, 0, 0), bonds 0-1 and
+    0-2: the far atom's kernel weights underflow to 0."""
+    bonds = np.zeros((4, 4), dtype=np.int64)
+    bonds[0, 1] = bonds[1, 0] = bonds[0, 2] = bonds[2, 0] = 1
+    coords = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [400.0, 0.0, 0.0]])
+    return MoleculeState(coords, np.array([6, 6, 8, 7]), np.zeros(4, dtype=np.int64), bonds)
+
+
+def _stack(mols, group):
+    return canonicalize_stack(*(np.array([getattr(m, f) for m in mols])
+                                for f in ("coords", "atom_types", "bonds")), group=group)
+
+
+@pytest.mark.parametrize("group", ["perm_so3", "perm"])
+def test_far_atom_fails_only_its_own_row(group):
+    rng = np.random.default_rng(9)
+    mols = [random_molecule(rng, 4) for _ in range(5)]
+    mols.insert(2, _far_atom())
+    st = _stack(mols, group)
+    assert (st.failed != 0).tolist() == [False, False, True, False, False, False]
+    alone = _stack(mols[:2] + mols[3:], group)
+    others = np.arange(len(mols)) != 2
+    for field in ("order", "rot", "trans", "coords", "keys", "degenerate", "failed"):
+        assert getattr(st, field)[others].tobytes() == getattr(alone, field).tobytes()
+    with pytest.raises(CanonicalizationError, match="an atom is so far from all others"):
+        canonicalize(mols[2], group=group)
+
+
 def test_batch_rejects_bad_options_before_any_work():
     with pytest.raises(ValueError, match="rotation gauge"):
         canonicalize_batch([_coincident(3)], group="perm_so3", ordering="atomic")

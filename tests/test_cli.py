@@ -89,8 +89,12 @@ def test_canonicalize_error_codes(tmp_path):
 @pytest.mark.parametrize("bad, text, code, error", [
     ("bad.xyz", "not a count\nxx\n", 3, "line 1: expected atom count"),
     ("flat.xyz", "3\ncoincident\nC 0.5 0.5 0.5\nC 0.5 0.5 0.5\nO 0.5 0.5 0.5\n", 1,
-     "flat.xyz: degenerate geometry")],
-    ids=["unparseable", "coincident"])
+     "flat.xyz: degenerate geometry: all atoms coincide"),
+    ("far.sdf", "far\n  test\n\n  4  2\n    0.0000    0.0000    0.0000 C   0\n"
+                "    1.0000    0.0000    0.0000 C   0\n    0.0000    1.0000    0.0000 O   0\n"
+                "  400.0000    0.0000    0.0000 N   0\n  1  2  1\n  1  3  1\nM  END\n", 1,
+     "far.sdf: degenerate geometry: an atom is so far from all others")],
+    ids=["unparseable", "coincident", "far-atom"])
 def test_canonicalize_writes_nothing_when_any_input_fails(tmp_path, capsys, bad, text, code,
                                                           error):
     # every input is read and canonicalized before the first output is written
@@ -117,6 +121,20 @@ def test_canonicalize_malformed_numbers_exit_3(tmp_path, capsys, name, text, err
     assert run("canonicalize", src, "-o", out) == 3
     assert error in capsys.readouterr().err
     assert not list(out.glob("*.canonical.*"))
+
+
+@pytest.mark.parametrize("command", ["canonicalize", "train", "metrics"])
+def test_reader_errors_name_their_file(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_xyz(data / "a.xyz", nondegenerate_molecule(np.random.default_rng(3), 6))
+    (data / "bad.xyz").write_text("not a count\nxx\n")
+    argv = {"canonicalize": ["canonicalize", data / "a.xyz", data / "bad.xyz"],
+            "train": ["train", "--data", data],
+            "metrics": ["metrics", data]}[command]
+    assert run(*argv, "-o", tmp_path / "out") == 3
+    assert ("error: bad.xyz: line 1: expected atom count, got 'not a count'"
+            in capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")

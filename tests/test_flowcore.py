@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
-from gaugeflow import coupling
+from gaugeflow import coupling, sampler
 from gaugeflow.priors import prior_to_dict
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
@@ -433,15 +433,51 @@ def test_molecular_priors_and_noise_shapes():
     noise = training.sample_molecular_noise([7, 3], priors, 5, np.random.default_rng(0))
     assert noise.coords.shape == (10, 3)
     assert noise.bond_idx.shape == (49 + 9,)
-    lay = noise.layout                  # raw pair rows: symmetric, empty diagonal
-    assert np.array_equal(noise.bond_idx, noise.bond_idx[lay.transpose])
-    assert np.all(noise.bond_idx[lay.pair_i == lay.pair_j] == 0)
+    lay = noise.layout
     assert np.any(noise.bond_idx[lay.pair_i != lay.pair_j] != 0)
-    for m in training.decode_molecules(noise, vocab, 1.0):
-        assert np.array_equal(m.bonds, m.bonds.T)
-        assert np.all(np.diag(m.bonds) == 0)
     with pytest.raises(ValueError):
         training.fit_molecular_priors(encoded, vocab, tiny_cfg(prior_mode="banana"))
+
+
+BUILDERS = ["sample_molecular_noise", "draw_path", "euler_step_cfg0", "euler_step_cfg1",
+            "euler_step_cfg2", "pcs_step", "select"]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_batch_builders_write_symmetric_bonds_with_empty_diagonal(builder):
+    # decode_molecules and pcs_step read the bond rows as they are, so every
+    # builder must write them symmetric with an empty diagonal
+    mols = mol_set()
+    cfg = tiny_cfg()
+    vocab = training.build_vocab(mols)
+    encoded = training.encode_molecules(mols, vocab, 1.0)
+    priors = training.fit_molecular_priors(encoded, vocab, cfg)
+    rng = np.random.default_rng(0)
+    noise = training.sample_molecular_noise([7, 3, 7, 1], priors, 5, rng)
+    ranks = training.index_ranks(noise.layout.sizes)
+    net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
+                                       n_charge_classes=len(vocab["charge_classes"])),
+                       rng=np.random.default_rng(1))
+    if builder == "sample_molecular_noise":
+        batch = noise
+    elif builder == "draw_path":
+        batch = training.draw_path(encoded, priors, 5, cfg, rng).z_t
+    elif builder.startswith("euler_step"):
+        batch, _ = training.euler_step(net, noise, 1.0, 0.5, ranks,
+                                       float(builder[-1]), rng)
+    elif builder == "pcs_step":
+        counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps",
+                                "degenerate_orderings"), 0)
+        batch, _ = sampler.pcs_step(noise, ranks, vocab, 1.3, counts)
+        assert counts["canonicalize_calls"] == 4
+    else:
+        batch = encoded.select([2, 0, 2])
+    lay = batch.layout
+    assert np.array_equal(batch.bond_idx, batch.bond_idx[lay.transpose])
+    assert np.all(batch.bond_idx[lay.pair_i == lay.pair_j] == 0)
+    for m in training.decode_molecules(batch, vocab, 1.0):
+        assert np.array_equal(m.bonds, m.bonds.T)
+        assert np.all(np.diag(m.bonds) == 0)
 
 
 def test_isotropic_prior_mode_centers_noise():
