@@ -52,6 +52,7 @@ COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-CO
 OT_MODES = ("none", "exact")    # TrainConfig.ot_mode values
 TIME_DISTS = ("beta", "uniform")        # TrainConfig.time_dist values
 PRIOR_MODES = ("aligned", "isotropic")  # TrainConfig.prior_mode values
+BOND_CLASSES = (0, 1, 2, 3, 4)  # a CanonLite vocab's bond orders; class 0, no bond, is the diagonal
 
 
 class TrainingDiverged(RuntimeError):
@@ -347,7 +348,9 @@ class FlowModel:
         (version 1 predates the coordinate scale and the bounded coordinate
         weights, so its weights would silently mean another model), or whose
         top level, configs, priors or meta are not JSON objects, whose
-        CanonLite meta lacks the vocab's class lists, or whose parameter or
+        CanonLite meta lacks the vocab's class lists or holds a class that is
+        not an integer or bond classes other than BOND_CLASSES (decoding maps
+        bond class 0 to the empty diagonal), or whose parameter or
         EMA names, stored arrays, shapes or coordinate scale do not fit, is a
         ValueError."""
         with open(path) as fh:
@@ -370,10 +373,17 @@ class FlowModel:
             vocab = meta.get("vocab")
             if not isinstance(vocab, dict):
                 raise ValueError("checkpoint meta needs a vocab object")
-            missing = [k for k in ("atom_classes", "charge_classes", "bond_classes")
-                       if not isinstance(vocab.get(k), list)]
+            lists = ("atom_classes", "charge_classes", "bond_classes")
+            missing = [k for k in lists if not isinstance(vocab.get(k), list)]
             if missing:
                 raise ValueError(f"checkpoint meta vocab needs class lists {', '.join(missing)}")
+            for key in lists:
+                if not all(type(v) is int for v in vocab[key]):
+                    raise ValueError(f"checkpoint meta vocab {key} must hold integers, "
+                                     f"got {vocab[key]!r}")
+            if tuple(vocab["bond_classes"]) != BOND_CLASSES:
+                raise ValueError(f"checkpoint meta vocab bond_classes must be {list(BOND_CLASSES)}, "
+                                 f"got {vocab['bond_classes']!r}")
         try:
             net = (VectorFieldMLP(**doc["net_config"]) if kind == "vector_field"
                    else CanonLiteNet(CanonLiteConfig(**doc["net_config"])))
@@ -540,7 +550,7 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig):
 def build_vocab(mols: list[MoleculeState]) -> dict:
     atoms = sorted({int(z) for m in mols for z in m.atom_types})
     charges = sorted({int(c) for m in mols for c in m.charges} | {0})
-    return {"atom_classes": atoms, "charge_classes": charges, "bond_classes": [0, 1, 2, 3, 4]}
+    return {"atom_classes": atoms, "charge_classes": charges, "bond_classes": list(BOND_CLASSES)}
 
 
 def fit_coord_scale(mols: list[MoleculeState]) -> float:

@@ -20,6 +20,18 @@ or more dimensions it queries a k-d tree. The neighbour sets are the same
 except for points tied at the k-th distance, where the window keeps the lower
 values; the sorted distances to the k neighbours are identical either way.
 
+Each system's members are computed once, in affine form (`MemberForm`,
+cached as `MixtureSystem.members`): for every group element g the whitened
+residual L^-1 (g^T z - mu_t) behind log qt(g^T z), the member mean
+g E[Z1 - Z0 | Zt = g^T z] and the member score g s_t(g^T z) are a (d, d)
+slope and a shift, so each is one batched matmul of the ambient points with no
+per-element loop or solve. The posterior functions evaluate their points in
+fixed pieces of _CHUNK_ROWS rows, and the k-NN fits their neighbourhoods in
+pieces of _CHUNK_QUERIES queries; `variance_decomposition` drops each
+simulated array once nothing reads it. Memory therefore scales with the kept
+simulation arrays only, not with the posterior temporaries or the gathered
+neighbourhoods.
+
 Importing the lab loads numpy only. The two scipy submodules it uses load on
 first use, inside the branch that needs them: `scipy.spatial` for the k-d tree
 of a search in two or more dimensions (`_nearest`), and `scipy.stats` for the
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -123,6 +136,11 @@ class MixtureSystem:
     def dim(self) -> int:
         return self.group.dim
 
+    @cached_property
+    def members(self) -> "MemberForm":
+        """The affine member form, built on first use (see MemberForm)."""
+        return MemberForm.of(self)
+
 
 def trivial_group(dim: int) -> FiniteGroupSpec:
     return FiniteGroupSpec(np.eye(dim)[None])
@@ -183,14 +201,18 @@ def _path_cross_cov(system: MixtureSystem) -> np.ndarray:
     return system.t * system.q1.cov - (1.0 - system.t) * system.q0.cov
 
 
+def _slice_gain(system: MixtureSystem) -> np.ndarray:
+    """K = C St^-1, the slope of the slice conditional mean."""
+    _, s_t = slice_time_marginal(system)
+    return np.linalg.solve(s_t, _path_cross_cov(system).T).T
+
+
 def slice_conditional_mean(system: MixtureSystem, z_slice: np.ndarray) -> np.ndarray:
     """E[Z1 - Z0 | Zt = z] on the slice, affine in z."""
     z_slice = np.atleast_2d(np.asarray(z_slice, dtype=np.float64))
-    mu_t, s_t = slice_time_marginal(system)
-    c = _path_cross_cov(system)
-    gain = np.linalg.solve(s_t, c.T).T          # C S^{-1}
+    mu_t, _ = slice_time_marginal(system)
     mu_delta = system.q1.mean - system.q0.mean
-    return mu_delta + (z_slice - mu_t) @ gain.T
+    return mu_delta + (z_slice - mu_t) @ _slice_gain(system).T
 
 
 def slice_conditional_variance(system: MixtureSystem) -> float:
@@ -214,17 +236,85 @@ def gaussian_condvar(cov0, cov1, t: float) -> float:
     return float(np.trace(inner)) / t ** 2
 
 
-def _rotated_copies(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
-    """g^-1 z for every group element; shape (M, n, d)."""
-    return np.einsum("mji,nj->mni", system.group.elements, z)
+@dataclass(frozen=True)
+class MemberForm:
+    """Each group element's member quantities as affine maps of the ambient
+    point z, stacked over the M elements: rows of z times an (M, d, d) slope
+    plus a shift give (M, n, d) arrays in one batched matmul.
+
+    - whitened residual L^-1 (g^T z - mu_t) = z W_g - L^-1 mu_t, with
+      W_g = (L^-1 g^T)^T and L the Cholesky factor of St; its squared norm
+      and logdet = log det St give log qt(g^T z);
+    - member mean m_g(z) = g E[Z1 - Z0 | Zt = g^T z] = z A_g^T + b_g, with
+      A_g = g K g^T and b_g = g (mu_delta - K mu_t), K the slice gain;
+    - member score g s_t(g^T z) = z B_g^T + e_g, with B_g = -g St^-1 g^T and
+      e_g = g St^-1 mu_t.
+    """
+
+    whiten: np.ndarray
+    whiten_shift: np.ndarray
+    logdet: float
+    mean: np.ndarray
+    mean_shift: np.ndarray
+    score: np.ndarray
+    score_shift: np.ndarray
+
+    @classmethod
+    def of(cls, system: MixtureSystem) -> "MemberForm":
+        g = system.group.elements
+        gt = g.transpose(0, 2, 1)
+        mu_t, s_t = slice_time_marginal(system)
+        chol = np.linalg.cholesky(s_t)
+        chol_inv = np.linalg.solve(chol, np.eye(system.dim))
+        gain = _slice_gain(system)
+        precision = np.linalg.inv(s_t)
+        mu_delta = system.q1.mean - system.q0.mean
+        return cls(
+            whiten=g @ chol_inv.T,
+            whiten_shift=chol_inv @ mu_t,
+            logdet=2.0 * np.log(np.diag(chol)).sum(),
+            mean=g @ gain.T @ gt,
+            mean_shift=g @ (mu_delta - gain @ mu_t),
+            score=-(g @ precision @ gt),
+            score_shift=g @ (precision @ mu_t),
+        )
+
+
+# Rows per piece of the posterior evaluations below. A piece holds a few
+# (M, rows, d) member arrays, at 2^14 rows 0.26 MB each for the sign flip and
+# 2.4 MB for S3, so the battery's 10^6-point sign-flip pass and its
+# 200,001-point quadrature never hold more than one piece's temporaries.
+# One-core timings of ambiguity_term on the sign flip's 10^6 points (three
+# rounds, best of five each): 67-97 ms in pieces of 2^14 rows, 91-111 ms at
+# 2^16 and 130-169 ms in one pass. Results do not depend on it beyond rounding.
+_CHUNK_ROWS = 1 << 14
+
+
+def _row_chunked(fn):
+    """fn(system, z) over consecutive _CHUNK_ROWS-row pieces of z, the results
+    joined along their first (row) axis; a piece passes straight through."""
+    @wraps(fn)
+    def chunked(system: MixtureSystem, z) -> np.ndarray:
+        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        if len(z) <= _CHUNK_ROWS:
+            return fn(system, z)
+        return np.concatenate([fn(system, z[s:s + _CHUNK_ROWS])
+                               for s in range(0, len(z), _CHUNK_ROWS)])
+    return chunked
 
 
 def _member_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
-    """log qt(g^-1 z) for every group element; shape (M, n)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    zg = _rotated_copies(system, z)
-    qt = SliceGaussian(*slice_time_marginal(system))
-    return priors.gaussian_logpdf(qt, zg.reshape(-1, system.dim)).reshape(zg.shape[:2])
+    """log qt(g^T z) for every group element; shape (M, n)."""
+    form = system.members
+    sol = z @ form.whiten - form.whiten_shift               # L^-1 (g^T z - mu_t), (M, n, d)
+    quad = (sol ** 2).sum(axis=2)
+    return -0.5 * (quad + form.logdet + system.dim * np.log(2.0 * np.pi))
+
+
+def _member_means(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
+    """m_g(z) = g E[Z1 - Z0 | Zt = g^T z] = z A_g^T + b_g; shape (M, n, d)."""
+    form = system.members
+    return z @ form.mean + form.mean_shift[:, None]
 
 
 def _log_sum_exp(logq: np.ndarray) -> np.ndarray:
@@ -241,29 +331,25 @@ def _log_sum_exp(logq: np.ndarray) -> np.ndarray:
     return np.log1p(shifted.sum(axis=0)) + peak
 
 
+@_row_chunked
 def mixture_logpdf(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
-    """Log density of the ambient time marginal (1/M) sum_g qt(g^-1 z)."""
+    """Log density of the ambient time marginal (1/M) sum_g qt(g^T z)."""
     return _log_sum_exp(_member_logpdf(system, z)) - np.log(system.group.order)
 
 
+@_row_chunked
 def posterior_responsibilities(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """P(G = g | ambient point z); shape (n, M)."""
     logq = _member_logpdf(system, z)
     return np.exp(logq - _log_sum_exp(logq)).T
 
 
+@_row_chunked
 def mixture_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
-    """Gradient of mixture_logpdf: sum_g rho_g(z) g s_t(g^-1 z)."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    mu_t, s_t = slice_time_marginal(system)
-    zg = _rotated_copies(system, z)
-    rho = posterior_responsibilities(system, z)
-    score = np.zeros_like(z)
-    for m in range(system.group.order):
-        s_slice = -np.linalg.solve(s_t, (zg[m] - mu_t).T).T
-        rotated = s_slice @ system.group.elements[m].T
-        score += rho[:, m:m + 1] * rotated
-    return score
+    """Gradient of mixture_logpdf: sum_g rho_g(z) g s_t(g^T z)."""
+    form = system.members
+    scores = z @ form.score + form.score_shift[:, None]     # g s_t(g^T z), (M, n, d)
+    return np.einsum("nm,mnd->nd", posterior_responsibilities(system, z), scores)
 
 
 def finite_difference_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
@@ -279,26 +365,16 @@ def finite_difference_score(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _member_means(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
-    """m_g(z) = g E[Z1 - Z0 | Zt = g^-1 z]; shape (M, n, d)."""
-    zg = _rotated_copies(system, z)
-    return np.stack([
-        slice_conditional_mean(system, zg[m]) @ system.group.elements[m].T
-        for m in range(system.group.order)
-    ])
-
-
+@_row_chunked
 def ambient_conditional_mean(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """Ideal ambient regression field, the responsibility-weighted member mean."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     rho = posterior_responsibilities(system, z)
-    mg = _member_means(system, z)
-    return np.einsum("nm,mnd->nd", rho, mg)
+    return np.einsum("nm,mnd->nd", rho, _member_means(system, z))
 
 
+@_row_chunked
 def ambiguity_term(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """Orbit-ambiguity variance sum_g rho_g ||m_g - m_bar||^2 at each z."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     rho = posterior_responsibilities(system, z)
     mg = _member_means(system, z)
     mbar = np.einsum("nm,mnd->nd", rho, mg)
@@ -306,6 +382,7 @@ def ambiguity_term(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     return np.einsum("nm,mn->n", rho, sq)
 
 
+@_row_chunked
 def collision_lower_bound(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     """(D^2 / 2)(1 - sum_g rho_g^2) with D the narrowest member-mean gap at z.
 
@@ -313,15 +390,12 @@ def collision_lower_bound(system: MixtureSystem, z: np.ndarray) -> np.ndarray:
     sum_{g,h} rho_g rho_h ||m_g - m_h||^2 / 2 >= D^2 (1 - sum rho^2) / 2, with
     equality for two group elements; a trivial group gives zero.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     if system.group.order == 1:
         return np.zeros(z.shape[0])
     rho = posterior_responsibilities(system, z)
     mg = _member_means(system, z)
-    diffs = mg[:, None] - mg[None, :]            # (M, M, n, d)
-    gap2 = (diffs ** 2).sum(axis=3)
-    offdiag = ~np.eye(system.group.order, dtype=bool)
-    gap2 = gap2[offdiag].min(axis=0)
+    first, second = np.triu_indices(system.group.order, 1)
+    gap2 = ((mg[first] - mg[second]) ** 2).sum(axis=2).min(axis=0)
     return 0.5 * gap2 * (1.0 - (rho ** 2).sum(axis=1))
 
 
@@ -390,6 +464,15 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return order[lo[:, None] + np.arange(k)]
 
 
+# Queries per piece of the local linear fits: a piece gathers (queries, k, d)
+# inputs and (queries, k, p) outputs, 256 x 317 x 2 floats (1.3 MB) each for
+# the battery's 2-D fits, instead of the whole (n_query, k, .) blocks. On one
+# core the fit of the battery's 1-D neighbourhoods (2000 queries, k = 1000)
+# took 42-60 ms in pieces of 64 to 256 queries against 78-84 ms in one piece;
+# every piece size gives bitwise the same per-query values.
+_CHUNK_QUERIES = 256
+
+
 def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
                               n_query: int = 2000, k: int | None = None,
                               n_boot: int = 200) -> tuple[float, float, np.ndarray]:
@@ -399,9 +482,9 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     nearest neighbours and the residual variance (dof-corrected, summed over
     output coordinates) is recorded; the estimate is the mean and the stderr
     a bootstrap over query points. Exactly unbiased when E[y|x] is affine.
-    All neighbourhoods are fit at once: with the inputs and outputs centred
-    per neighbourhood, the intercept is the output mean and the slopes solve
-    the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
+    The neighbourhoods are fit _CHUNK_QUERIES queries at a time: with the
+    inputs and outputs centred per neighbourhood, the intercept is the output
+    mean and the slopes solve the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
     a sorted-window search, ties at the k-th distance going to the lower
     values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
     differs from x's, n_query below 2 (no mean and no bootstrap spread to
@@ -433,14 +516,17 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     n_query = min(n_query, n)
     q_idx = rng.choice(n, size=n_query, replace=False)
     nbr = _nearest(x, x[q_idx], k)
-    xb = x[nbr]                                     # (q, k, d)
-    yb = y[nbr]                                     # (q, k, p)
+    per_query = np.empty(n_query)
+    for start in range(0, n_query, _CHUNK_QUERIES):
+        rows = nbr[start:start + _CHUNK_QUERIES]
+        xb = x[rows]                                # (q, k, d)
+        yb = y[rows]                                # (q, k, p)
+        xb -= xb.mean(axis=1, keepdims=True)
+        yb -= yb.mean(axis=1, keepdims=True)
+        xt = xb.transpose(0, 2, 1)
+        yb -= xb @ np.linalg.solve(xt @ xb, xt @ yb)    # residuals
+        per_query[start:start + len(rows)] = np.einsum("qkj,qkj->q", yb, yb) / dof
     del nbr
-    xb -= xb.mean(axis=1, keepdims=True)
-    yb -= yb.mean(axis=1, keepdims=True)
-    xt = xb.transpose(0, 2, 1)
-    yb -= xb @ np.linalg.solve(xt @ xb, xt @ yb)    # residuals
-    per_query = np.einsum("qkj,qkj->q", yb, yb) / dof
     estimate = float(per_query.mean())
     boot_idx = rng.integers(0, n_query, size=(n_boot, n_query))
     stderr = float(per_query[boot_idx].mean(axis=1).std(ddof=1))
@@ -476,18 +562,22 @@ def variance_decomposition(system: MixtureSystem, n: int, rng: np.random.Generat
 
     lhs is the ambient conditional variance (k-NN on the ambient pair), within
     the slice conditional variance (k-NN on the slice pair), ambiguity the
-    closed-form posterior spread averaged over the same ambient points.
+    closed-form posterior spread averaged over the same ambient points. Each
+    simulated array is dropped once nothing reads it any more, so the peak
+    holds the kept pairs and one fit's neighbourhoods.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples")
     sim = simulate(system, n, rng)
-    lhs, lhs_se, _ = knn_local_linear_variance(sim["z"], sim["velocity"], rng,
-                                               n_query=n_query, k=k)
-    within, within_se, _ = knn_local_linear_variance(sim["z_slice"], sim["u"], rng,
-                                                     n_query=n_query, k=k)
-    amb_vals = ambiguity_term(system, sim["z"])
+    del sim["z0"], sim["z1"], sim["g_idx"]
+    amb_vals = ambiguity_term(system, sim["z"])     # draws nothing from rng
     amb = float(amb_vals.mean())
     amb_se = float(amb_vals.std(ddof=1) / np.sqrt(n))
+    del amb_vals
+    lhs, lhs_se, _ = knn_local_linear_variance(sim.pop("z"), sim.pop("velocity"), rng,
+                                               n_query=n_query, k=k)
+    within, within_se, _ = knn_local_linear_variance(sim.pop("z_slice"), sim.pop("u"), rng,
+                                                     n_query=n_query, k=k)
     combined = float(np.sqrt(lhs_se ** 2 + within_se ** 2 + amb_se ** 2))
     return {
         "lhs": lhs, "lhs_stderr": lhs_se,

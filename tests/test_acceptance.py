@@ -297,3 +297,53 @@ def test_matched_prior_does_not_lower_conditional_trace_bound():
         assert matched <= isotropic + 1e-12, (
             f"t={t:.1f}: matched-prior conditional trace {matched:.6f} "
             f"exceeds isotropic {isotropic:.6f}")
+
+
+# The aligned-prior statement that does hold, for data variance a and prior
+# variance b on one axis under the product coupling: moving the data mean by
+# mu0 - mu1 moves only the transport cost, E||z1 - z0||^2 = a + b +
+# ||mu0 - mu1||^2, while the conditional trace tr Var(z1 - z0 | zt) =
+# ab / ((1 - t)^2 a + t^2 b) has no mean in it. Each side is a Monte Carlo
+# estimate held to its closed form inside a 3-sigma band.
+ALIGNED_A, ALIGNED_B, ALIGNED_T, ALIGNED_N = 2.5, 0.7, 0.4, 200_000
+
+
+def _aligned_prior_batch(shift, seed):
+    """simulate() of the 1-D pair with data N(shift, a) at t = 0 and prior
+    N(0, b) at t = 1; the trivial group leaves the slice pair as it is."""
+    system = theorylab.MixtureSystem(theorylab.trivial_group(1),
+                                     theorylab.SliceGaussian([shift], ALIGNED_A),
+                                     theorylab.SliceGaussian([0.0], ALIGNED_B), ALIGNED_T)
+    return theorylab.simulate(system, ALIGNED_N, np.random.default_rng(seed))
+
+
+def test_mean_shift_lowers_transport_cost_by_its_square():
+    costs = {}
+    for shift, seed in ((0.0, 61), (3.0, 62)):
+        sq = (_aligned_prior_batch(shift, seed)["u"] ** 2).sum(axis=1)
+        costs[shift] = (float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(ALIGNED_N)))
+        check = theorylab.equality_check(
+            f"transport_cost_shift_{shift:g}", costs[shift][0],
+            ALIGNED_A + ALIGNED_B + shift ** 2, costs[shift][1], ALIGNED_N, seed)
+        assert check.passed, check
+    aligning = theorylab.equality_check(
+        "transport_cost_drop", costs[3.0][0] - costs[0.0][0], 9.0,
+        float(np.hypot(costs[3.0][1], costs[0.0][1])), ALIGNED_N, 62)
+    assert aligning.passed, aligning
+
+
+@pytest.mark.parametrize("shift, seed", [(0.0, 63), (3.0, 64)])
+def test_mean_shift_leaves_conditional_trace_unchanged(shift, seed):
+    # E[z1 - z0 | zt] is affine for a Gaussian pair, so the residuals of one
+    # least-squares line estimate Var(z1 - z0 | zt), and their squares are
+    # independent draws with an honest standard error (the k-NN estimator's
+    # bootstrap error treats overlapping neighbourhoods as independent)
+    sim = _aligned_prior_batch(shift, seed)
+    x = sim["z_slice"][:, 0] - sim["z_slice"][:, 0].mean()
+    y = sim["u"][:, 0] - sim["u"][:, 0].mean()
+    sq = (y - x * (x @ y) / (x @ x)) ** 2
+    check = theorylab.equality_check(
+        f"conditional_trace_shift_{shift:g}", sq.sum() / (ALIGNED_N - 2),
+        theorylab.gaussian_condvar(ALIGNED_A, ALIGNED_B, ALIGNED_T),
+        float(sq.std(ddof=1) / np.sqrt(ALIGNED_N)), ALIGNED_N, seed)
+    assert check.passed, check

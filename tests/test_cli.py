@@ -295,6 +295,24 @@ def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key, classes", [
+    ("bond_classes", [1, 0, 2, 3, 4]), ("bond_classes", [0, 1, 2, 3, 9]),
+    ("atom_classes", [1, "C", 8]), ("charge_classes", [0, 0.5])],
+    ids=["bonds-swapped", "bonds-unknown-order", "atoms-text", "charges-fraction"])
+def test_sample_rejects_vocab_class_lists_at_load(trained_mol, tmp_path, capsys, key, classes):
+    # decoding maps bond class 0 to the empty diagonal, so another bond list
+    # would fail only after the whole request was integrated
+    doc = json.loads((trained_mol / "checkpoint.json").read_text())
+    doc["meta"]["vocab"][key] = classes
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "gen"
+    assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "--steps", 2,
+               "-o", out) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("group, key, value", CHECKPOINT_DAMAGE)
 def test_sample_rejects_checkpoint_that_does_not_fit(trained_mol, tmp_path, capsys,
                                                      group, key, value):

@@ -94,6 +94,36 @@ def test_mixture_log_sum_exp_matches_scipy(make):
                        np.exp(logq - logsumexp(logq, axis=0)).T, rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_affine_member_form_matches_per_element_route(seed):
+    from gaugeflow import priors
+
+    system = lab.random_gaussian_system(np.random.default_rng(seed))
+    z = 2.0 * np.random.default_rng(seed + 50).standard_normal((40, system.dim))
+    qt = lab.SliceGaussian(*lab.slice_time_marginal(system))
+    elements = system.group.elements
+    means = np.stack([lab.slice_conditional_mean(system, z @ g) @ g.T for g in elements])
+    logq = np.stack([priors.gaussian_logpdf(qt, z @ g) for g in elements])     # z @ g = g^T z
+    assert np.allclose(lab._member_means(system, z), means, rtol=0, atol=1e-12)
+    assert np.allclose(lab._member_logpdf(system, z), logq, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [lab.c4_system, lab.s3_system])
+def test_row_chunks_match_one_pass(make, monkeypatch):
+    # three whole pieces and a partial one, against one piece of all rows
+    system = make()
+    monkeypatch.setattr(lab, "_CHUNK_ROWS", 1000)
+    z = 3.0 * np.random.default_rng(21).standard_normal((3 * lab._CHUNK_ROWS + 7, system.dim))
+    fns = (lab.posterior_responsibilities, lab.ambiguity_term, lab.collision_lower_bound,
+           lab.mixture_logpdf, lab.mixture_score, lab.ambient_conditional_mean)
+    chunked = [fn(system, z) for fn in fns]
+    monkeypatch.setattr(lab, "_CHUNK_ROWS", len(z))
+    for fn, got in zip(fns, chunked):
+        want = fn(system, z)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-14, atol=0), fn.__name__
+
+
 def test_posterior_responsibilities_normalize():
     system = lab.c4_system()
     z = np.random.default_rng(7).standard_normal((30, 2)) * 3
