@@ -349,8 +349,9 @@ class FlowModel:
         weights, so its weights would silently mean another model), or whose
         top level, configs, priors or meta are not JSON objects, whose
         CanonLite meta lacks the vocab's class lists or holds a class that is
-        not an integer or bond classes other than BOND_CLASSES (decoding maps
-        bond class 0 to the empty diagonal), or whose parameter or
+        not an integer, bond classes other than BOND_CLASSES (decoding maps
+        bond class 0 to the empty diagonal) or a class list whose length is
+        not its head's class count, or whose parameter or
         EMA names, stored arrays, shapes or coordinate scale do not fit, is a
         ValueError."""
         with open(path) as fh:
@@ -389,6 +390,14 @@ class FlowModel:
                    else CanonLiteNet(CanonLiteConfig(**doc["net_config"])))
         except TypeError as exc:        # a net_config key the architecture lacks, or misses
             raise ValueError(f"checkpoint net_config does not fit {kind}: {exc}") from None
+        if kind == "canonlite":
+            heads = {"atom_classes": net.cfg.n_atom_classes,
+                     "charge_classes": net.cfg.n_charge_classes,
+                     "bond_classes": net.cfg.n_bond_classes}
+            for key, n in heads.items():
+                if len(vocab[key]) != n:
+                    raise ValueError(f"checkpoint meta vocab {key} holds {len(vocab[key])} "
+                                     f"classes, the net's head has {n}")
         coord_scale = doc.get("coord_scale")
         if not (isinstance(coord_scale, (int, float)) and 0.0 < coord_scale < np.inf):
             raise ValueError(f"checkpoint coord_scale must be a positive number, "

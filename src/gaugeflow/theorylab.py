@@ -117,8 +117,11 @@ class SlicePoint:
         return np.tile(self.point, (n, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureSystem:
+    """A group mixture over a slice pair at time t. Frozen, so the member form
+    cached on first use always describes the system's own fields."""
+
     group: FiniteGroupSpec
     q0: object                  # SliceGaussian | SlicePoint
     q1: SliceGaussian
@@ -482,11 +485,14 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     nearest neighbours and the residual variance (dof-corrected, summed over
     output coordinates) is recorded; the estimate is the mean and the stderr
     a bootstrap over query points. Exactly unbiased when E[y|x] is affine.
-    The neighbourhoods are fit _CHUNK_QUERIES queries at a time: with the
-    inputs and outputs centred per neighbourhood, the intercept is the output
-    mean and the slopes solve the (d, d) normal equations. Neighbours come from `_nearest`: for d == 1
-    a sorted-window search, ties at the k-th distance going to the lower
-    values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
+    The bootstrap treats the query points as independent, but their
+    neighbourhoods overlap, so the stderr understates the estimate's spread
+    (by 2-4x for a 1-D Gaussian pair at 2e4-2e5 samples). The neighbourhoods
+    are fit _CHUNK_QUERIES queries at a time: with the inputs and outputs
+    centred per neighbourhood, the intercept is the output mean and the
+    slopes solve the (d, d) normal equations. Neighbours come from
+    `_nearest`: for d == 1 a sorted-window search, ties at the k-th distance
+    going to the lower values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
     differs from x's, n_query below 2 (no mean and no bootstrap spread to
     read) or n_boot below 2 (one resample has no spread, so the stderr would
     be NaN) raise ValueError; the n_query and n_boot checks come before any

@@ -297,8 +297,9 @@ def test_sample_rejects_vocab_outside_valence_table(trained_mol, tmp_path, capsy
 
 @pytest.mark.parametrize("key, classes", [
     ("bond_classes", [1, 0, 2, 3, 4]), ("bond_classes", [0, 1, 2, 3, 9]),
-    ("atom_classes", [1, "C", 8]), ("charge_classes", [0, 0.5])],
-    ids=["bonds-swapped", "bonds-unknown-order", "atoms-text", "charges-fraction"])
+    ("atom_classes", [1, "C", 8]), ("charge_classes", [0, 0.5]), ("atom_classes", [1])],
+    ids=["bonds-swapped", "bonds-unknown-order", "atoms-text", "charges-fraction",
+         "atoms-fewer-than-the-head"])
 def test_sample_rejects_vocab_class_lists_at_load(trained_mol, tmp_path, capsys, key, classes):
     # decoding maps bond class 0 to the empty diagonal, so another bond list
     # would fail only after the whole request was integrated
