@@ -22,8 +22,12 @@ the Gram of the coordinate sets is a batched matmul written into the first
 layer's pair input, from_i[i] and from_j[j] are broadcast-added into that
 layer's output, SiLU runs in place, the mean over j is a sum over the j axis
 of the block, the coordinate and edge outputs are one matmul, and the
-coordinate mix is a batched matmul. No pair-row gather, concat or sparse
-product is built. Every Linear is the fused matmul-plus-bias tape.linear.
+coordinate mix is a batched matmul. The edge stream stays inside the op: the
+layer's edge_update is linear and is folded into the edge output columns, so
+the op returns the next layer's edge features with the residual added. The
+first layer gathers its edge features from edge_in's rows by bond class. No
+pair-row array is built outside the op, except the bond head's upper-triangle
+rows. Every Linear is the fused matmul-plus-bias tape.linear.
 
 The coordinate weights are bounded: the coordinate mix reads tanh of the
 coordinate message, the EGNN-family remedy, so a layer's coordinate update is
@@ -32,16 +36,18 @@ scale (the message MLP sees Gram entries, quadratic in the coordinates).
 Training feeds unit-scale coordinates (training.fit_coord_scale).
 
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
-logits for all N^2 ordered pairs (diagonal masked downstream), and a rank head
-min-max normalized to [0, 1] within each molecule.
+logits for each molecule's N (N - 1) / 2 pairs i < j only (the last edge
+features symmetrized at those rows, (e_ij + e_ji) / 2, then head_bond), and a
+rank head min-max normalized to [0, 1] within each molecule (it has no bias:
+the normalization cancels any shift).
 
 The net takes a MoleculeBatch only and runs one graph for it: the atom rows
 of all molecules are concatenated, and so are their pair rows, each
 molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout). Matmuls
-see the packed rows; only the pair stage, the pair transposition and the rank
-normalization know where molecules end, so messages never cross molecules and
-each molecule's heads equal those of its own forward up to rounding. Time, ranks
-and the PE drop are per molecule. Molecules enter as a MoleculeBatch from
+see the packed rows; only the pair stage, the bond head's upper-triangle rows
+and the rank normalization know where molecules end, so messages never cross
+molecules and each molecule's heads equal those of its own forward up to
+rounding. Time, ranks and the PE drop are per molecule. Molecules enter as a MoleculeBatch from
 training.encode_molecules and leave through training.decode_molecules.
 """
 
@@ -96,9 +102,19 @@ class Module:
         return dict(self.named_parameters())
 
 
-class Linear(Module):
+class Projection(Module):
+    """Linear map with no bias."""
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.weight = Tensor(rng.standard_normal((n_in, n_out)) / np.sqrt(n_in), requires_grad=True)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return tape.matmul(x, self.weight)
+
+
+class Linear(Projection):
+    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
+        super().__init__(n_in, n_out, rng)
         self.bias = Tensor(np.zeros(n_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -212,7 +228,8 @@ class Predictions:
     velocity: Tensor        # (nodes, 3)
     atom_logits: Tensor     # (nodes, Ca)
     charge_logits: Tensor   # (nodes, Cc)
-    bond_logits: Tensor     # (pairs, Cb), i-major pairs, symmetrized
+    bond_logits: Tensor     # (upper pairs, Cb): each molecule's i < j pairs, i-major
+                            # (PairLayout.upper), from the symmetrized edge features
     rank_pred: Tensor       # (nodes,) min-max normalized per molecule
     rank_raw: Tensor        # (nodes,) head output before normalization
 
@@ -254,7 +271,8 @@ class CanonLiteNet(Module):
         self.head_atom = Linear(c.d_model, c.n_atom_classes, rng)
         self.head_charge = Linear(c.d_model, c.n_charge_classes, rng)
         self.head_bond = Linear(c.d_edge, c.n_bond_classes, rng)
-        self.head_rank = Linear(c.d_model, 1, rng)
+        # no bias: every user min-max normalizes rank_raw per molecule, so a shift cancels
+        self.head_rank = Projection(c.d_model, 1, rng)
 
     def __call__(self, batch: MoleculeBatch, t, ranks: np.ndarray,
                  pe_dropped=False) -> Predictions:
@@ -286,7 +304,8 @@ class CanonLiteNet(Module):
         h = self.input_mlp(tape.concat([node_feats, pe], axis=1))
         r = self.rank_mlp(pe)
         cs = tape.stack_scale(Tensor(batch.coords), self.cs_weights)
-        e = self.edge_in(Tensor(_one_hot(batch.bond_idx, c.n_bond_classes)))
+        # the first pair stage gathers each pair's edge features from this table
+        e, bonds = tape.add(self.edge_in.weight, self.edge_in.bias), batch.bond_idx
 
         dp = c.d_proj
         # second message layer's output blocks are [node, coord, rank, edge]
@@ -302,10 +321,11 @@ class CanonLiteNet(Module):
                               tape.matmul(q, tape.slice_rows(w_in, 2 * dp, dp)))
             from_j = tape.add(tape.matmul(p, tape.slice_rows(w_in, dp, dp)),
                               tape.matmul(q, tape.slice_rows(w_in, 3 * dp, dp)))
-            mean_hidden, delta, m_edge = tape.pair_stage(
+            mean_hidden, delta, e = tape.pair_stage(
                 cs, e, from_i, from_j, tape.slice_rows(w_in, 4 * dp, c.n_coord_sets + c.d_edge),
                 tape.take_cols(lin_out.weight, pair_cols), tape.take_cols(lin_out.bias, pair_cols),
-                lay)
+                layer.edge_update.weight, layer.edge_update.bias, lay, bonds=bonds)
+            bonds = None
             # second layer: node and rank messages are only used as means over j
             pooled = lin_out(mean_hidden)
             m_node = tape.take_cols(pooled, slice(0, c.d_model))
@@ -313,11 +333,9 @@ class CanonLiteNet(Module):
             h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, delta)
             r = tape.add(r, layer.rank_update(m_rank))
-            e = tape.add(e, layer.edge_update(m_edge))
 
         velocity = tape.stack_mix(cs, self.head_vel)
-        e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, lay)), Tensor(0.5))
-        bond_logits = self.head_bond(e_sym)
+        bond_logits = self.head_bond(tape.upper_pairs(e, lay))
         rank_raw = tape.reshape(self.head_rank(h), (batch.n_atoms,))
         lo = tape.reduce_min(rank_raw, lay.node_start)
         hi = tape.reduce_max(rank_raw, lay.node_start)

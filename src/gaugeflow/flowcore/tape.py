@@ -9,7 +9,7 @@ broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
 reductions, SiLU, tanh, softmax cross-entropy, and a few pairwise-message
 primitives whose adjoints are cheaper written by hand than composed from
 smaller pieces. The adjoints of matmul and linear skip g @ W.T when the left
-operand needs no gradient (constant features, one-hot edges).
+operand needs no gradient (constant features).
 
 Compute dtype: every Tensor holds float32 by default. Inside
 `with precision(np.float64):` Tensors made and ops run compute in float64
@@ -30,11 +30,14 @@ array of pair rows, so a sum over j or i is a reshape-sum, a Gram or a
 coordinate mix is a batched matmul, and a node term reaches its pairs by
 broadcasting. Each block kernel (_gram, _mix and their adjoints) has one
 implementation, shared by the single primitives (pairwise_dot, coord_mix,
-block_mean_rows) and by pair_stage, CanonLite's whole pair stage as one op:
-Gram, first message layer, SiLU, mean over j, second message layer, tanh
-coordinate weights and coordinate mix, with a blockwise adjoint. pair_stage
-has three outputs; an op with several outputs hangs them on one hidden node
-(_make_many) whose backward runs once all of their gradients are in.
+block_mean_rows) and by pair_stage, CanonLite's whole pair-row pipeline as
+one op: edge input (a row gather by bond class in the first layer), Gram,
+first message layer, SiLU, mean over j, second message layer with the edge
+update folded into its edge columns, tanh coordinate weights, coordinate mix
+and the edge residual, with a blockwise adjoint. pair_stage has three outputs;
+an op with several outputs hangs them on one hidden node (_make_many) whose
+backward runs once all of their gradients are in. upper_pairs symmetrizes
+pair rows at each molecule's upper triangle, for the bond head.
 Importing this module loads numpy only.
 """
 
@@ -212,15 +215,17 @@ def square(a: Tensor) -> Tensor:
     return _make(np.square(a.data), (a,), bw)
 
 
-def _silu_into(x: np.ndarray, out: np.ndarray, slope: np.ndarray | None = None,
+def _silu_into(half: np.ndarray, out: np.ndarray, slope: np.ndarray | None = None,
                work: np.ndarray | None = None) -> None:
-    """Write silu(x) = x * sigmoid(x) to out (which may be x itself), and the
-    slope d silu / dx = sig * (1 + x * (1 - sig)) to `slope` when one is given.
-    `work` is an optional scratch array of x's shape.
+    """Write silu(x) = x * sigmoid(x) to out (which may be half itself) from
+    half = x / 2, and to `slope` when one is given the slope with respect to
+    half, d silu / d half = 2 sig * (1 + x * (1 - sig)). `work` is an optional
+    scratch array of half's shape.
 
     sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates instead of overflowing,
-    and silu(x) = (x / 2) * (1 + tanh(x / 2))."""
-    half = np.multiply(x, 0.5, out=out)
+    and silu(x) = half * (1 + tanh(half)). Callers scale by 1/2 where it is
+    cheapest (pair_stage in its node terms and weights); scaling by a power of
+    two is exact."""
     two_sig = np.tanh(half, out=work)
     two_sig += 1.0
     if slope is not None:
@@ -228,14 +233,15 @@ def _silu_into(x: np.ndarray, out: np.ndarray, slope: np.ndarray | None = None,
         slope *= half
         slope += 1.0
         slope *= two_sig
-        slope *= 0.5
     np.multiply(half, two_sig, out=out)
 
 
 def silu(a: Tensor) -> Tensor:
-    out_data = np.empty_like(a.data)
+    out_data = np.multiply(a.data, 0.5)
     slope = np.empty_like(a.data) if _recording((a,)) else None
-    _silu_into(a.data, out_data, slope)
+    _silu_into(out_data, out_data, slope)
+    if slope is not None:
+        slope *= 0.5                                # d / d half to d / dx
 
     def bw(g):
         _accum(a, g * slope)
@@ -467,11 +473,17 @@ def _gram_adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(g + g.swapaxes(-1, -2), x)
 
 
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of w (..., n, n) as (..., n, 1): a batched
+    matmul with a ones column, faster than a reduction over that short axis."""
+    return np.matmul(w, np.ones((w.shape[-1], 1), dtype=w.dtype))
+
+
 def _mix(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """delta[c, b, i] = 1/n * (sum over j of w[c, b, i, j] (x[c, b, j] - x[c, b, i]))
     for w (K, k, n, n): one batched matmul minus the row sums times x."""
     out = np.matmul(w, x)
-    out -= w.sum(axis=-1)[..., None] * x
+    out -= _row_sums(w) * x
     out *= 1 / x.shape[2]
     return out
 
@@ -480,7 +492,7 @@ def _mix_adjoint(g: np.ndarray, w: np.ndarray, x: np.ndarray):
     """(d x, d w) of sum <g, _mix(w, x)>."""
     g = g * (1 / x.shape[2])
     d_x = np.matmul(w.swapaxes(-1, -2), g)
-    d_x -= w.sum(axis=-1)[..., None] * g
+    d_x -= _row_sums(w) * g
     d_w = np.matmul(g, x.swapaxes(-1, -2))
     d_w -= np.einsum("...id,...id->...i", g, x)[..., None]
     return d_x, d_w
@@ -494,11 +506,12 @@ def _pool_j(a: np.ndarray, scale: float, out: np.ndarray) -> None:
     np.matmul(np.full((1, n), scale, dtype=a.dtype), a, out=out.reshape(k, n, 1, c))
 
 
-def _pool_i(a: np.ndarray, out: np.ndarray) -> None:
-    """Node rows out (k n, C) = sum over i of a (k, n, n, C), one
+def _pool_i(a: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """Node rows out (k n, C) = scale * (sum over i of a (k, n, n, C)), one
     (1, n) @ (n, n C) matmul per molecule."""
     k, n, _, c = a.shape
-    np.matmul(np.ones((1, n), dtype=a.dtype), a.reshape(k, n, n * c), out=out.reshape(k, 1, n * c))
+    np.matmul(np.full((1, n), scale, dtype=a.dtype), a.reshape(k, n, n * c),
+              out=out.reshape(k, 1, n * c))
 
 
 def _coords(cs: np.ndarray, k: int, n: int, nodes: slice) -> np.ndarray:
@@ -589,58 +602,73 @@ def coord_mix(cs: Tensor, w: Tensor, lay: PairLayout) -> Tensor:
 
 
 def pair_stage(cs: Tensor, e: Tensor, from_i: Tensor, from_j: Tensor, w_in: Tensor,
-               w_out: Tensor, b_out: Tensor, lay: PairLayout):
+               w_out: Tensor, b_out: Tensor, w_edge: Tensor, b_edge: Tensor,
+               lay: PairLayout, bonds: np.ndarray | None = None):
     """CanonLite's pair stage as one op, evaluated block by block.
 
-    cs (K, nodes, D) coordinate sets, e (pairs, E) edge features, from_i and
-    from_j (nodes, H) the node terms of the first message layer, w_in (K + E, H)
-    its Gram and edge rows, w_out (H, K + E) and b_out (K + E,) the second
-    layer's coordinate and edge columns. For each pair (i, j) of a molecule of
-    n atoms:
+    cs (K, nodes, D) coordinate sets; e (pairs, E) edge features, or, when
+    bonds (pairs,) class indices are given, a (classes, E) table whose row
+    bonds[(i, j)] is pair (i, j)'s features; from_i and from_j (nodes, H) the
+    node terms of the first message layer, w_in (K + E, H) its Gram and edge
+    rows, w_out (H, K + E) and b_out (K + E,) the second layer's coordinate
+    and edge columns; w_edge (E, E) and b_edge (E,) the edge update. For each
+    pair (i, j) of a molecule of n atoms:
         hidden[(i, j)] = silu(from_i[i] + from_j[j] + [<cs_i, cs_j>, e_ij] @ w_in)
         [m_coord, m_edge][(i, j)] = hidden[(i, j)] @ w_out + b_out
     Returns three tensors: the mean over j of hidden (nodes, H); the coordinate
     update (K, nodes, D), delta[c, i] = 1/n * (sum over j of
-    tanh(m_coord[(i, j), c]) (cs[c, j] - cs[c, i])); and m_edge (pairs, E).
+    tanh(m_coord[(i, j), c]) (cs[c, j] - cs[c, i])); and the next edge
+    features e_ij + m_edge[(i, j)] @ w_edge + b_edge (pairs, E).
 
+    The edge update is linear, so it is folded into the second layer's edge
+    columns (w_out_e @ w_edge, bias b_out_e @ w_edge + b_edge) and costs no
+    pass over the pair rows. The first layer runs on half its input scale
+    (w_in, from_i and from_j times 1/2, exact), which is what the SiLU reads.
     Per block of k molecules of n atoms the Gram is a batched matmul written
     straight into the first message layer's input, from_i and from_j are
     broadcast-added into that layer's output, SiLU runs in place, the mean over
     j is a batched matmul with a constant row, and the coordinate mix is a
     batched matmul. Pair-row arrays live in a few block-sized buffers reused
     by every block. Only while the tape records does the op keep, for the
-    adjoint, the hidden activation and its SiLU slope for the whole batch and
-    each block's coordinate weights; the adjoint rebuilds the layer input.
+    adjoint, the first layer's input, the hidden activation and its SiLU slope
+    for the whole batch and each block's coordinate weights.
     """
-    parents = (cs, e, from_i, from_j, w_in, w_out, b_out)
+    parents = (cs, e, from_i, from_j, w_in, w_out, b_out, w_edge, b_edge)
     record = _recording(parents)
     n_sets, n_cols = cs.data.shape[0], w_in.data.shape[0]
     width = w_in.data.shape[1]
+    half_w_in = w_in.data * 0.5
+    half_from_i, half_from_j = from_i.data * 0.5, from_j.data * 0.5
+    w_out_e, b_out_e = w_out.data[:, n_sets:], b_out.data[n_sets:]
+    w_fold = np.concatenate([w_out.data[:, :n_sets], w_out_e @ w_edge.data], axis=1)
+    b_fold = np.concatenate([b_out.data[:n_sets], b_out_e @ w_edge.data + b_edge.data])
     most = max(pairs.stop - pairs.start for *_, pairs in lay.blocks)
     kept_rows = lay.n_pairs if record else most
     hidden_buf = np.empty((kept_rows, width), dtype=_dtype)
     slope_buf = np.empty((kept_rows, width), dtype=_dtype) if record else None
-    in_buf = np.empty((most, n_cols), dtype=_dtype)
+    in_buf = np.empty((kept_rows, n_cols), dtype=_dtype)
     two_sig = np.empty((most, width), dtype=_dtype)
     m_pair_buf = np.empty((most, n_cols), dtype=_dtype)
     mean = np.empty((len(lay.row_size), width), dtype=_dtype)
     delta = np.empty_like(cs.data)
-    m_edge = np.empty_like(e.data)
+    e_next = np.empty((lay.n_pairs, e.data.shape[1]), dtype=_dtype)
     coord_w = []
     for k, n, nodes, pairs in lay.blocks:
         rows = k * n * n
         at = pairs if record else slice(0, rows)
         x = _coords(cs.data, k, n, nodes)
         hidden = hidden_buf[at]
-        np.matmul(_stage_input(x, e.data[pairs], in_buf[:rows]), w_in.data, out=hidden)
-        pre = hidden.reshape(k, n, n, width)
-        pre += from_i.data[nodes].reshape(k, n, 1, width)
-        pre += from_j.data[nodes].reshape(k, 1, n, width)
+        e_rows = e.data[pairs] if bonds is None else e.data[bonds[pairs]]
+        layer_in = _stage_input(x, e_rows, in_buf[at])
+        np.matmul(layer_in, half_w_in, out=hidden)
+        hidden4 = hidden.reshape(k, n, n, width)
+        hidden4 += half_from_i[nodes].reshape(k, n, 1, width)
+        hidden4 += half_from_j[nodes].reshape(k, 1, n, width)
         _silu_into(hidden, hidden, slope_buf[at] if record else None, two_sig[:rows])
-        _pool_j(pre, 1 / n, mean[nodes])
-        m_pair = np.matmul(hidden, w_out.data, out=m_pair_buf[:rows])
-        m_pair += b_out.data
-        m_edge[pairs] = m_pair[:, n_sets:]
+        _pool_j(hidden4, 1 / n, mean[nodes])
+        m_pair = np.matmul(hidden, w_fold, out=m_pair_buf[:rows])
+        m_pair += b_fold
+        np.add(layer_in[:, n_sets:], m_pair[:, n_sets:], out=e_next[pairs])
         w = np.tanh(m_pair[:, :n_sets].reshape(k, n, n, n_sets).transpose(3, 0, 1, 2),
                     out=np.empty((n_sets, k, n, n), dtype=_dtype))
         _coords(delta, k, n, nodes)[...] = _mix(w, x)
@@ -648,14 +676,17 @@ def pair_stage(cs: Tensor, e: Tensor, from_i: Tensor, from_j: Tensor, w_in: Tens
             coord_w.append(w)
 
     def bw(grads):
-        g_mean, g_delta, g_edge = grads
-        d_cs, d_e = np.zeros_like(cs.data), np.empty_like(e.data)
+        g_mean, g_delta, g_next = grads
+        d_cs = np.zeros_like(cs.data)
+        d_e = np.zeros_like(e.data) if bonds is not None else np.empty_like(e.data)
         d_from_i, d_from_j = np.empty_like(mean), np.empty_like(mean)
-        d_w_in, d_w_out = np.zeros_like(w_in.data), np.zeros_like(w_out.data)
-        d_b_out = np.zeros_like(b_out.data)
+        d_half_w_in, d_w_fold = np.zeros_like(w_in.data), np.zeros_like(w_fold)
+        d_b_fold = np.zeros_like(b_fold)
         d_pair_buf = np.zeros((most, n_cols), dtype=_dtype)
-        d_pre_buf = np.empty((most, width), dtype=_dtype)
+        d_half_buf = np.empty((most, width), dtype=_dtype)
         d_in_buf = np.empty((most, n_cols), dtype=_dtype)
+        ones = np.ones(most, dtype=_dtype)        # a column sum as a matmul, several times faster
+        classes = np.arange(e.data.shape[0])[:, None]
         for (k, n, nodes, pairs), w in zip(lay.blocks, coord_w):
             rows = k * n * n
             x, d_x = _coords(cs.data, k, n, nodes), _coords(d_cs, k, n, nodes)
@@ -665,25 +696,54 @@ def pair_stage(cs: Tensor, e: Tensor, from_i: Tensor, from_j: Tensor, w_in: Tens
                 d_x += d_xm
                 d_w *= 1 - np.square(w)
                 d_pair.reshape(k, n, n, n_cols)[..., :n_sets] = d_w.transpose(1, 2, 3, 0)
-            if g_edge is not None:
-                d_pair[:, n_sets:] = g_edge[pairs]
-            d_w_out += hidden_buf[pairs].T @ d_pair
-            d_b_out += d_pair.sum(axis=0)
-            d_pre = np.matmul(d_pair, w_out.data.T, out=d_pre_buf[:rows])
-            d_pre4 = d_pre.reshape(k, n, n, width)
+            if g_next is not None:
+                d_pair[:, n_sets:] = g_next[pairs]
+            d_w_fold += hidden_buf[pairs].T @ d_pair
+            d_b_fold += ones[:rows] @ d_pair
+            d_half = np.matmul(d_pair, w_fold.T, out=d_half_buf[:rows])
+            d_half4 = d_half.reshape(k, n, n, width)
             if g_mean is not None:
-                d_pre4 += (g_mean[nodes] * (1 / n)).reshape(k, n, 1, width)
-            d_pre *= slope_buf[pairs]
-            _pool_j(d_pre4, 1, d_from_i[nodes])
-            _pool_i(d_pre4, d_from_j[nodes])
-            d_w_in += _stage_input(x, e.data[pairs], in_buf[:rows]).T @ d_pre
-            d_in = np.matmul(d_pre, w_in.data.T, out=d_in_buf[:rows])
-            d_e[pairs] = d_in[:, n_sets:]
+                d_half4 += (g_mean[nodes] * (1 / n)).reshape(k, n, 1, width)
+            d_half *= slope_buf[pairs]
+            _pool_j(d_half4, 0.5, d_from_i[nodes])
+            _pool_i(d_half4, 0.5, d_from_j[nodes])
+            d_half_w_in += in_buf[pairs].T @ d_half
+            d_in = np.matmul(d_half, half_w_in.T, out=d_in_buf[:rows])
+            d_e_rows = d_in[:, n_sets:]
+            if g_next is not None:
+                d_e_rows += g_next[pairs]
+            if bonds is None:
+                d_e[pairs] = d_e_rows
+            else:
+                d_e += np.equal(classes, bonds[pairs]).astype(_dtype) @ d_e_rows
             d_gram = d_in.reshape(k, n, n, n_cols)[..., :n_sets].transpose(3, 0, 1, 2)
             d_x += _gram_adjoint(d_gram, x)
-        for t, g in zip(parents, (d_cs, d_e, d_from_i, d_from_j, d_w_in, d_w_out, d_b_out)):
+        # unfold the edge update from the second layer's edge columns
+        d_w_out_e, d_b_out_e = d_w_fold[:, n_sets:], d_b_fold[n_sets:]
+        d_w_out = np.concatenate([d_w_fold[:, :n_sets], d_w_out_e @ w_edge.data.T], axis=1)
+        d_b_out = np.concatenate([d_b_fold[:n_sets], w_edge.data @ d_b_out_e])
+        d_w_edge = w_out_e.T @ d_w_out_e + np.outer(b_out_e, d_b_out_e)
+        for t, g in zip(parents, (d_cs, d_e, d_from_i, d_from_j, d_half_w_in * 0.5,
+                                  d_w_out, d_b_out, d_w_edge, d_b_out_e)):
             _accum(t, g)
-    return _make_many((mean, delta, m_edge), parents, bw)
+    return _make_many((mean, delta, e_next), parents, bw)
+
+
+def upper_pairs(a: Tensor, lay: PairLayout) -> Tensor:
+    """(pairs, C) -> (upper pairs, C): the symmetrized rows
+    (a[(i, j)] + a[(j, i)]) / 2 at each molecule's i < j pairs (lay.upper)."""
+    upper, lower = lay.upper, lay.transpose[lay.upper]
+    out = a.data[upper]
+    out += a.data[lower]
+    out *= 0.5
+
+    def bw(g):
+        half = g * 0.5
+        full = np.zeros_like(a.data)
+        full[upper] = half
+        full[lower] = half
+        _accum(a, full)
+    return _make(out, (a,), bw)
 
 
 def stack_scale(x: Tensor, w: Tensor) -> Tensor:

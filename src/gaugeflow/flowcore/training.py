@@ -301,6 +301,11 @@ def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
+# the rank head's bias, removed: rank_raw is min-max normalized per molecule
+# by every user, so a shift cancels. Older CanonLite checkpoints still hold it.
+_DROPPED_PARAM = "head_rank.bias"
+
+
 @dataclass
 class FlowModel:
     kind: str                        # "vector_field" | "canonlite"
@@ -353,7 +358,9 @@ class FlowModel:
         bond class 0 to the empty diagonal) or a class list whose length is
         not its head's class count, or whose parameter or
         EMA names, stored arrays, shapes or coordinate scale do not fit, is a
-        ValueError."""
+        ValueError. A CanonLite checkpoint written while the rank head still
+        had a bias holds `head_rank.bias` in its parameters and EMA; that one
+        entry is ignored (the bias cancelled in every use of the head)."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -405,6 +412,9 @@ class FlowModel:
         params = net.parameters()
         stored = _doc_to_arrays("params", doc["params"])
         ema = _doc_to_arrays("ema", doc["ema"])
+        if kind == "canonlite":
+            for arrays in (stored, ema):
+                arrays.pop(_DROPPED_PARAM, None)
         for what, arrays in (("parameters", stored), ("EMA", ema)):
             odd = sorted(set(arrays) ^ set(params))
             if odd:
@@ -689,14 +699,31 @@ def draw_path(data: MoleculeBatch, priors: dict, n_bond_classes: int, cfg: Train
     return MolecularPath(data, z_t, t, coord_path.target_velocity, ranks, pe_dropped)
 
 
+def bond_loss(bond_logits: Tensor, data: MoleculeBatch) -> Tensor:
+    """Bond cross-entropy of (upper pairs, Cb) logits against data's bond
+    classes: the mean over molecules of each molecule's mean over its
+    n_b (n_b - 1) / 2 upper pairs (row weight 1 / (B n_b) over n_b - 1, then
+    renormalized). The logits are symmetric, so this equals the mean over both
+    mirrors of every off-diagonal pair. A one-atom molecule adds zero."""
+    lay = data.layout
+    n_mols = len(lay.sizes)
+    n_bonded = int((lay.sizes > 1).sum())
+    if not n_bonded:
+        return Tensor(0.0)
+    n_b = lay.row_size[lay.pair_i[lay.upper]]
+    weights = 1.0 / (n_mols * n_b) / (n_b - 1)
+    return tape.mul(Tensor(n_bonded / n_mols), tape.softmax_cross_entropy(
+        bond_logits, data.bond_idx[lay.upper], weights=weights))
+
+
 def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
     """Flow-matching loss of a drawn batch from one packed forward; returns
     (total Tensor, parts dict).
 
     Each term is the mean over molecules of the molecule's own mean (row
-    weights 1 / (B n_b), off-diagonal pair weights 1 / (B n_b (n_b - 1))), so
-    the total and the parts equal the mean of single-molecule losses. A
-    one-atom molecule has no bond to predict and adds zero bond loss.
+    weights 1 / (B n_b), upper-pair weights 1 / (B n_b (n_b - 1) / 2); see
+    bond_loss), so the total and the parts equal the mean of single-molecule
+    losses. A one-atom molecule has no bond to predict and adds zero bond loss.
     """
     data = path.data
     lay = data.layout
@@ -707,13 +734,7 @@ def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
     l_coord = tape.mse(preds.velocity, path.target_velocity, weights=row_w)
     l_type = tape.softmax_cross_entropy(preds.atom_logits, data.type_idx, weights=row_w)
     l_charge = tape.softmax_cross_entropy(preds.charge_logits, data.charge_idx, weights=row_w)
-    n_bonded = int((lay.sizes > 1).sum())
-    if n_bonded:
-        pair_w = (lay.pair_i != lay.pair_j) * (row_w / np.maximum(lay.row_size - 1, 1))[lay.pair_i]
-        l_bond = tape.mul(Tensor(n_bonded / n_mols), tape.softmax_cross_entropy(
-            preds.bond_logits, data.bond_idx, weights=pair_w))
-    else:
-        l_bond = Tensor(0.0)
+    l_bond = bond_loss(preds.bond_logits, data)
     rank_err = tape.square(tape.sub(preds.rank_pred, Tensor(index_ranks(lay.sizes))))
     l_rank = tape.tsum(tape.mul(rank_err, Tensor(row_w)))
     total = l_coord
@@ -786,7 +807,7 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
     p = (t_from - t_to) / t_from
     type_idx = _redraw(batch.type_idx, out["atom_logits"], p, rng)
     charge_idx = _redraw(batch.charge_idx, out["charge_logits"], p, rng)
-    bonds = _redraw(batch.bond_idx[lay.upper], out["bond_logits"][lay.upper], p, rng)
+    bonds = _redraw(batch.bond_idx[lay.upper], out["bond_logits"], p, rng)
     return (MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay),
             out["rank_raw"])
 

@@ -195,7 +195,7 @@ def _full_head_loss(net, batch, ranks, target_coords, target_types):
             part = tape.add(part, tape.softmax_cross_entropy(
                 preds.charge_logits, batch.charge_idx))
             part = tape.add(part, tape.softmax_cross_entropy(
-                preds.bond_logits, batch.bond_idx))
+                preds.bond_logits, batch.bond_idx[batch.layout.upper]))
             part = tape.add(part, tape.tmean(tape.square(
                 tape.sub(preds.rank_pred, Tensor(ranks)))))
             total = part if total is None else tape.add(total, part)

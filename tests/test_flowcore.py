@@ -377,6 +377,31 @@ def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, group, key, value)
         FlowModel.load(path)
 
 
+def test_checkpoint_with_the_old_rank_head_bias_loads(tmp_path):
+    # checkpoints written while the rank head had a bias hold head_rank.bias in
+    # params and EMA; that entry is ignored and nothing else loosens
+    import json
+
+    model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=1, steps_per_epoch=2,
+                                                            batch_size=2))
+    path = tmp_path / "mol.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    assert "head_rank.bias" not in doc["params"] and "head_rank.bias" not in doc["ema"]
+    for group in ("params", "ema"):
+        doc[group]["head_rank.bias"] = {"shape": [1], "data": [0.25]}
+    path.write_text(json.dumps(doc))
+    loaded = FlowModel.load(path)
+    assert loaded.parameters().keys() == model.parameters().keys() == loaded.ema.keys()
+    for k, p in model.parameters().items():
+        assert np.array_equal(loaded.parameters()[k].data, p.data)
+        assert np.array_equal(loaded.ema[k], model.ema[k])
+    del doc["params"]["head_rank.weight"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="head_rank.weight"):
+        FlowModel.load(path)
+
+
 def test_trace_to_csv(tmp_path):
     rows = [{"epoch": 0, "loss": 1.5}, {"epoch": 1, "loss": 0.5}]
     path = tmp_path / "trace.csv"

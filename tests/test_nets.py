@@ -56,10 +56,17 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         velocity=tape.stack_mix(cs, net.head_vel),
         atom_logits=net.head_atom(h),
         charge_logits=net.head_charge(h),
-        bond_logits=net.head_bond(e_sym),
+        bond_logits=upper_rows(net.head_bond(e_sym), lay),
         rank_pred=tape.div(tape.sub(rank_raw, lo), span),
         rank_raw=rank_raw,
     )
+
+
+def upper_rows(a, lay):
+    """Rows lay.upper of a pair-row Tensor, as an exact 0/1 selector matmul."""
+    pick = np.zeros((len(lay.upper), lay.n_pairs))
+    pick[np.arange(len(lay.upper)), lay.upper] = 1.0
+    return tape.matmul(Tensor(pick), a)
 
 
 def random_batch(rng, sizes, cfg):
@@ -150,7 +157,7 @@ def test_parameter_names_and_shapes_unchanged():
         ("head_atom.weight", (8, 3)), ("head_atom.bias", (3,)),
         ("head_charge.weight", (8, 2)), ("head_charge.bias", (2,)),
         ("head_bond.weight", (4, 3)), ("head_bond.bias", (3,)),
-        ("head_rank.weight", (8, 1)), ("head_rank.bias", (1,)),
+        ("head_rank.weight", (8, 1)),
     ]
 
 
@@ -235,7 +242,8 @@ def test_pe_dropped_twin_is_permutation_and_rotation_equivariant():
     got = net(moved, 0.4, ranks, pe_dropped=True)
     row_rot = np.repeat(rots, sizes, axis=0)
     want = {"velocity": np.einsum("rij,rj->ri", row_rot, base.velocity.data[nodes]),
-            "bond_logits": base.bond_logits.data[pairs]}
+            "bond_logits": np.stack([lay.symmetric(col) for col in base.bond_logits.data.T],
+                                    axis=1)[pairs][lay.upper]}
     for k in HEADS:
         expected = want.get(k, getattr(base, k).data[nodes])
         err = float(np.abs(getattr(got, k).data - expected).max())

@@ -49,6 +49,25 @@ def test_sigmoid_stable_at_extremes():
     assert np.all(np.isfinite(big.grad))
 
 
+def test_silu_keeps_its_float32_rounding():
+    # silu(x) = (x / 2) (1 + tanh(x / 2)) and its slope, pinned to one
+    # evaluation order: the toy vector field's training replays bit for bit
+    with tape.precision(np.float32):
+        rng = np.random.default_rng(5)
+        scales = [[0.1, 1, 3, 10, 30, 100, 300, 1000]]
+        x = (rng.standard_normal((64, 8)) * scales).astype(np.float32)
+        g = rng.standard_normal((64, 8)).astype(np.float32)
+        a = Tensor(x, requires_grad=True)
+        out = tape.silu(a)
+        tape.backward(tape.tsum(tape.mul(out, Tensor(g))))
+    half = x * np.float32(0.5)
+    two_sig = np.tanh(half) + np.float32(1.0)
+    slope = (((np.float32(2.0) - two_sig) * half + np.float32(1.0)) * two_sig) * np.float32(0.5)
+    assert out.data.dtype == a.grad.dtype == np.float32
+    assert np.array_equal(out.data, half * two_sig)
+    assert np.array_equal(a.grad, g * slope)
+
+
 def test_maximum_const_subgradient():
     a = Tensor(np.array([[-1.0, 0.5, 2.0]]), requires_grad=True)
     out = tape.maximum_const(a, 0.0)
@@ -291,23 +310,38 @@ def test_take_cols_gathers_and_scatters():
 MIXED_SIZES = [3, 3, 1, 4, 4, 4, 2]      # equal-size runs, singletons, a one-atom molecule
 
 
-def stage_inputs(lay, seed, k=2, d=3, e=2, h=4):
-    """Random pair_stage inputs (cs, e, from_i, from_j, w_in, w_out, b_out)."""
+def stage_inputs(lay, seed, k=2, d=3, e=2, h=4, classes=None):
+    """Random pair_stage inputs (cs, e, from_i, from_j, w_in, w_out, b_out,
+    w_edge, b_edge) and the bonds argument: None with e of pair rows, or with
+    `classes` given, random class indices and e a (classes, E) table."""
     n_nodes = int(lay.sizes.sum())
-    shapes = [(k, n_nodes, d), (lay.n_pairs, e), (n_nodes, h), (n_nodes, h),
-              (k + e, h), (h, k + e), (k + e,)]
-    return [p(shape, seed + i) for i, shape in enumerate(shapes)]
+    shapes = [(k, n_nodes, d), (lay.n_pairs if classes is None else classes, e),
+              (n_nodes, h), (n_nodes, h), (k + e, h), (h, k + e), (k + e,), (e, e), (e,)]
+    inputs = [p(shape, seed + i) for i, shape in enumerate(shapes)]
+    if classes is None:
+        return inputs, None
+    return inputs, np.random.default_rng(seed).integers(0, classes, lay.n_pairs)
 
 
-def unfused_stage(cs, e, from_i, from_j, w_in, w_out, b_out, lay):
-    """pair_stage from the single primitives."""
+STAGE_NAMES = ["cs", "e", "from_i", "from_j", "w_in", "w_out", "b_out", "w_edge", "b_edge"]
+
+
+def unfused_stage(cs, e, from_i, from_j, w_in, w_out, b_out, w_edge, b_edge, lay, bonds=None):
+    """pair_stage from the single primitives, with the edge update and its
+    residual outside."""
     k = cs.shape[0]
+    if bonds is not None:
+        one_hot = np.zeros((lay.n_pairs, e.shape[0]))
+        one_hot[np.arange(lay.n_pairs), bonds] = 1.0
+        e = tape.matmul(Tensor(one_hot), e)
     pre = tape.add(pair_sum(from_i, from_j, lay),
                    tape.matmul(tape.concat([tape.pairwise_dot(cs, lay), e], axis=1), w_in))
     hidden = tape.silu(pre)
     m_pair = tape.linear(hidden, w_out, b_out)
     delta = tape.coord_mix(cs, tape.tanh(tape.take_cols(m_pair, slice(0, k))), lay)
-    return tape.block_mean_rows(hidden, lay), delta, tape.take_cols(m_pair, slice(k, None))
+    m_edge = tape.take_cols(m_pair, slice(k, None))
+    return (tape.block_mean_rows(hidden, lay), delta,
+            tape.add(e, tape.linear(m_edge, w_edge, b_edge)))
 
 
 def stage_loss(outs, seed, used=(0, 1, 2)):
@@ -334,15 +368,14 @@ def test_layout_blocks_are_same_size_runs():
     assert cut.blocks[-1][3].stop == cut.n_pairs
 
 
-@pytest.mark.parametrize("used", [(0, 1, 2), (0,), (1,), (2,)], ids=["all", "mean", "delta", "edge"])
-def test_pair_stage_matches_unfused_primitives(used):
+def assert_stage_matches_unfused(used, classes=None):
     # an output the loss does not reach gets no gradient and adds nothing
     lay = tape.PairLayout(MIXED_SIZES)
-    inputs = stage_inputs(lay, 60)
+    inputs, bonds = stage_inputs(lay, 60, classes=classes)
     results = []
     for stage in (tape.pair_stage, unfused_stage):
         tape.zero_grads(inputs)
-        outs = stage(*inputs, lay)
+        outs = stage(*inputs, lay, bonds=bonds)
         tape.backward(stage_loss(outs, 61, used))
         results.append(([o.data.copy() for o in outs],
                         [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs]))
@@ -352,15 +385,15 @@ def test_pair_stage_matches_unfused_primitives(used):
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_pair_stage_is_the_same_for_any_block_cap(monkeypatch):
+def assert_stage_ignores_block_cap(monkeypatch, classes=None):
     # a cap that cuts every same-size run into several blocks changes nothing
-    inputs = stage_inputs(tape.PairLayout(MIXED_SIZES), 65)
+    inputs, bonds = stage_inputs(tape.PairLayout(MIXED_SIZES), 65, classes=classes)
     results = []
     for cap in (tape._BLOCK_PAIRS, 16):
         monkeypatch.setattr(tape, "_BLOCK_PAIRS", cap)
         lay = tape.PairLayout(MIXED_SIZES)
         tape.zero_grads(inputs)
-        outs = tape.pair_stage(*inputs, lay)
+        outs = tape.pair_stage(*inputs, lay, bonds=bonds)
         tape.backward(stage_loss(outs, 66))
         results.append((len(lay.blocks), [o.data.copy() for o in outs] + [t.grad.copy() for t in inputs]))
     (few, wide), (many, narrow) = results
@@ -369,16 +402,37 @@ def test_pair_stage_is_the_same_for_any_block_cap(monkeypatch):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_pair_stage_gradients_match_finite_differences():
+def check_stage_gradients(classes=None):
     lay = tape.PairLayout(MIXED_SIZES)
-    inputs = stage_inputs(lay, 70)
-    names = ["cs", "e", "from_i", "from_j", "w_in", "w_out", "b_out"]
-    check(lambda: stage_loss(tape.pair_stage(*inputs, lay), 71), dict(zip(names, inputs)))
+    inputs, bonds = stage_inputs(lay, 70, classes=classes)
+    check(lambda: stage_loss(tape.pair_stage(*inputs, lay, bonds=bonds), 71),
+          dict(zip(STAGE_NAMES, inputs)))
+
+
+@pytest.mark.parametrize("used", [(0, 1, 2), (0,), (1,), (2,)], ids=["all", "mean", "delta", "edge"])
+def test_pair_stage_matches_unfused_primitives(used):
+    assert_stage_matches_unfused(used)
+
+
+def test_pair_stage_is_the_same_for_any_block_cap(monkeypatch):
+    assert_stage_ignores_block_cap(monkeypatch)
+
+
+def test_pair_stage_gradients_match_finite_differences():
+    check_stage_gradients()
+
+
+@pytest.mark.parametrize("used", [(0, 1, 2), (2,)], ids=["all", "edge"])
+def test_pair_stage_gathers_edge_features_by_class(monkeypatch, used):
+    # e a (classes, E) table read at bonds[(i, j)]: the first layer's edge input
+    assert_stage_matches_unfused(used, classes=3)
+    assert_stage_ignores_block_cap(monkeypatch, classes=3)
+    check_stage_gradients(classes=3)
 
 
 def test_pair_stage_packed_equals_each_molecule_alone():
     lay = tape.PairLayout(MIXED_SIZES)
-    cs, e, from_i, from_j, *weights = stage_inputs(lay, 80)
+    (cs, e, from_i, from_j, *weights), _ = stage_inputs(lay, 80)
     packed = [o.data for o in tape.pair_stage(cs, e, from_i, from_j, *weights, lay)]
     node_at = np.concatenate([[0], np.cumsum(lay.sizes)])
     pair_at = np.concatenate([[0], np.cumsum(lay.sizes ** 2)])
@@ -393,7 +447,7 @@ def test_pair_stage_packed_equals_each_molecule_alone():
 
 def test_pair_stage_under_no_grad_records_nothing(monkeypatch):
     lay = tape.PairLayout(MIXED_SIZES)
-    inputs = stage_inputs(lay, 90)
+    inputs, _ = stage_inputs(lay, 90)
     slopes = []
     silu_into = tape._silu_into
 
@@ -411,3 +465,15 @@ def test_pair_stage_under_no_grad_records_nothing(monkeypatch):
         assert ref.requires_grad and ref._backward_fn is not None
         assert not out.requires_grad and out._parents == () and out._backward_fn is None
         assert np.array_equal(out.data, ref.data)
+
+
+def test_upper_pairs_symmetrizes_the_upper_triangle():
+    lay = tape.PairLayout(MIXED_SIZES)
+    a = p((lay.n_pairs, 3), 19)
+    sym = tape.mul(tape.add(a, tape.transpose_pairs(a, lay)), Tensor(0.5))
+    assert np.array_equal(tape.upper_pairs(a, lay).data, sym.data[lay.upper])
+    w = Tensor(np.random.default_rng(20).standard_normal((len(lay.upper), 3)))
+    check(lambda: tape.tsum(tape.mul(tape.upper_pairs(a, lay), w)), {"a": a})
+    tape.zero_grads([a])
+    tape.backward(tape.tsum(tape.upper_pairs(a, lay)))
+    assert np.all(a.grad[lay.pair_i == lay.pair_j] == 0.0)     # the diagonal reads nothing
