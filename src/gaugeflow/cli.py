@@ -287,12 +287,16 @@ def cmd_sample(args) -> int:
             raise molecule.UnsupportedElementError(
                 f"checkpoint vocab holds element(s) {', '.join(missing)} that the "
                 "valence table cannot score; no samples written")
+    if model.kind == "vector_field" and args.n_atoms is not None:
+        raise UsageError("--n-atoms applies to molecular checkpoints only")
     try:
         cfg = sampler.SampleConfig(
             steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
             prior=args.prior, group=HAAR_FLAGS[args.haar], seed=args.seed,
             canonicalize_mode=args.canonicalize_mode,
         )
+        if model.kind == "vector_field":
+            sampler.check_vector_config(cfg)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir = _outdir(args)

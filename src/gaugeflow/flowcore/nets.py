@@ -25,9 +25,10 @@ of the block, the coordinate and edge outputs are one matmul, and the
 coordinate mix is a batched matmul. The edge stream stays inside the op: the
 layer's edge_update is linear and is folded into the edge output columns, so
 the op returns the next layer's edge features with the residual added. The
-first layer gathers its edge features from edge_in's rows by bond class. No
-pair-row array is built outside the op, except the bond head's upper-triangle
-rows. Every Linear is the fused matmul-plus-bias tape.linear.
+first layer gathers its edge features from edge_in's rows by bond class,
+mirrored to all pair rows. No pair-row Tensor is built outside the op, except
+the bond head's upper-triangle rows. Every Linear is the fused
+matmul-plus-bias tape.linear.
 
 The coordinate weights are bounded: the coordinate mix reads tanh of the
 coordinate message, the EGNN-family remedy, so a layer's coordinate update is
@@ -43,12 +44,14 @@ the normalization cancels any shift).
 
 The net takes a MoleculeBatch only and runs one graph for it: the atom rows
 of all molecules are concatenated, and so are their pair rows, each
-molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout). Matmuls
-see the packed rows; only the pair stage, the bond head's upper-triangle rows
-and the rank normalization know where molecules end, so messages never cross
-molecules and each molecule's heads equal those of its own forward up to
-rounding. Time, ranks and the PE drop are per molecule. Molecules enter as a MoleculeBatch from
-training.encode_molecules and leave through training.decode_molecules.
+molecule's n_b^2 ordered pairs in i-major order (tape.PairLayout); its bonds
+are one class per pair i < j, like the bond head. Matmuls see the packed
+rows; only the pair stage, the bond head's upper-triangle rows and the rank
+normalization know where molecules end, so messages never cross molecules
+and each molecule's heads equal those of its own forward up to rounding.
+Time, ranks and the PE drop are per molecule. Molecules enter as a
+MoleculeBatch from training.encode_molecules and leave through
+training.decode_molecules.
 """
 
 from __future__ import annotations
@@ -187,13 +190,6 @@ class CanonLiteConfig:
         return dict(self.__dict__)
 
 
-def concat_aranges(starts, lengths) -> np.ndarray:
-    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for each k in turn."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-
-
 @dataclass
 class MoleculeBatch:
     """Molecules packed into one graph; rows follow `layout` (a tape.PairLayout).
@@ -202,7 +198,7 @@ class MoleculeBatch:
     coords: np.ndarray       # (sum N, 3)
     type_idx: np.ndarray     # (sum N,)
     charge_idx: np.ndarray   # (sum N,)
-    bond_idx: np.ndarray     # (sum N^2,) each molecule's i-major pairs, symmetric
+    bond_idx: np.ndarray     # (sum N (N - 1) / 2,) each molecule's i < j pairs (layout.upper)
     layout: tape.PairLayout
 
     @property
@@ -215,10 +211,11 @@ class MoleculeBatch:
         lay = self.layout
         idx = np.asarray(idx, dtype=np.int64)
         sizes = lay.sizes[idx]
-        nodes = concat_aranges(lay.node_start[idx], sizes)
-        pairs = concat_aranges(lay.block_start[lay.node_start[idx]], sizes ** 2)
+        n_upper = lay.sizes * (lay.sizes - 1) // 2
+        nodes = tape.concat_aranges(lay.node_start[idx], sizes)
+        upper = tape.concat_aranges((np.cumsum(n_upper) - n_upper)[idx], n_upper[idx])
         return MoleculeBatch(self.coords[nodes], self.type_idx[nodes], self.charge_idx[nodes],
-                             self.bond_idx[pairs], tape.PairLayout(sizes))
+                             self.bond_idx[upper], tape.PairLayout(sizes))
 
 
 @dataclass
@@ -305,7 +302,7 @@ class CanonLiteNet(Module):
         r = self.rank_mlp(pe)
         cs = tape.stack_scale(Tensor(batch.coords), self.cs_weights)
         # the first pair stage gathers each pair's edge features from this table
-        e, bonds = tape.add(self.edge_in.weight, self.edge_in.bias), batch.bond_idx
+        e, bonds = tape.add(self.edge_in.weight, self.edge_in.bias), lay.symmetric(batch.bond_idx)
 
         dp = c.d_proj
         # second message layer's output blocks are [node, coord, rank, edge]

@@ -36,8 +36,10 @@ first message layer, SiLU, mean over j, second message layer with the edge
 update folded into its edge columns, tanh coordinate weights, coordinate mix
 and the edge residual, with a blockwise adjoint. pair_stage has three outputs;
 an op with several outputs hangs them on one hidden node (_make_many) whose
-backward runs once all of their gradients are in. upper_pairs symmetrizes
-pair rows at each molecule's upper triangle, for the bond head.
+backward runs once all of their gradients are in. The layout's index arrays
+cover each molecule's upper triangle only: upper_pairs symmetrizes pair rows
+there, for the bond head, and PairLayout.symmetric mirrors one bond class
+per pair i < j to both of its pair rows.
 Importing this module loads numpy only.
 """
 
@@ -383,9 +385,9 @@ class PairLayout:
     Node rows: the n_b atoms of each molecule in turn (sum n_b rows). Pair
     rows: the n_b^2 ordered pairs (i, j) of each molecule in turn, i-major, so
     node row r owns the n_b consecutive pair rows starting at block_start[r].
-    pair_i / pair_j give the node rows of a pair row's i and j, `transpose`
-    maps row (i, j) to row (j, i), and `upper` lists the rows with i < j
-    (each molecule's upper triangle, i-major). `blocks` cuts the batch into
+    `upper` lists the rows with i < j (each molecule's upper triangle in
+    turn, i-major), `lower` their mirrors (j, i) and `upper_i` their i's node
+    rows; no index array is pair-row sized. `blocks` cuts the batch into
     runs of consecutive same-size molecules: (k, n, node rows, pair rows),
     whose node rows view as (k, n, .) and pair rows as (k, n, n, .) arrays.
     """
@@ -403,25 +405,29 @@ class PairLayout:
         self.node_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         self.row_size = np.repeat(sizes, sizes)                 # n_b of each node row
         self.block_start = np.concatenate([[0], np.cumsum(self.row_size)[:-1]])
-        n_nodes, n_pairs = len(self.row_size), int(self.row_size.sum())
-        first_atom = np.repeat(np.repeat(self.node_start, sizes), self.row_size)
-        self.pair_i = np.repeat(np.arange(n_nodes), self.row_size)
-        self.pair_j = first_atom + np.arange(n_pairs) - self.block_start[self.pair_i]
-        self.transpose = self.block_start[self.pair_j] + self.pair_i - first_atom
-        self.upper = np.flatnonzero(self.pair_i < self.pair_j)
+        self.n_pairs = int(self.row_size.sum())
+        pos = np.arange(len(self.row_size)) - np.repeat(self.node_start, sizes)
+        after = self.row_size - 1 - pos     # atom i at pos p: upper pairs (i, i + d), d <= after
+        self.upper_i = np.repeat(np.arange(len(pos)), after)
+        d, p = concat_aranges(np.ones_like(after), after), pos[self.upper_i]
+        self.upper = self.block_start[self.upper_i] + p + d
+        self.lower = self.block_start[self.upper_i + d] + p
         self.blocks = _same_size_runs(sizes)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pair_i)
 
     def symmetric(self, upper_values: np.ndarray) -> np.ndarray:
         """Pair-row array holding upper_values at the `upper` rows (i, j) and
         at their mirrors (j, i), zero on the diagonal."""
         out = np.zeros(self.n_pairs, dtype=np.asarray(upper_values).dtype)
         out[self.upper] = upper_values
-        out[self.transpose[self.upper]] = upper_values
+        out[self.lower] = upper_values
         return out
+
+
+def concat_aranges(starts, lengths) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for each k in turn."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
 
 
 # Pair rows per block, at most (a molecule with more pairs is a block of its
@@ -553,12 +559,11 @@ def block_mean_rows(a: Tensor, lay: PairLayout) -> Tensor:
 
 
 def transpose_pairs(a: Tensor, lay: PairLayout) -> Tensor:
-    """Swap pair roles: row (i, j) -> row (j, i). Involution."""
-    perm = lay.transpose
-
-    def bw(g):
-        _accum(a, g[perm])
-    return _make(a.data[perm], (a,), bw)
+    """Swap pair roles: row (i, j) -> row (j, i), block by block. Involution."""
+    def swap(rows):
+        return np.concatenate([rows[pairs].reshape(k, n, n, -1).swapaxes(1, 2)
+                               .reshape(rows[pairs].shape) for k, n, _, pairs in lay.blocks])
+    return _make(swap(a.data), (a,), lambda g: _accum(a, swap(g)))
 
 
 def pairwise_dot(cs: Tensor, lay: PairLayout) -> Tensor:
@@ -732,16 +737,15 @@ def pair_stage(cs: Tensor, e: Tensor, from_i: Tensor, from_j: Tensor, w_in: Tens
 def upper_pairs(a: Tensor, lay: PairLayout) -> Tensor:
     """(pairs, C) -> (upper pairs, C): the symmetrized rows
     (a[(i, j)] + a[(j, i)]) / 2 at each molecule's i < j pairs (lay.upper)."""
-    upper, lower = lay.upper, lay.transpose[lay.upper]
-    out = a.data[upper]
-    out += a.data[lower]
+    out = a.data[lay.upper]
+    out += a.data[lay.lower]
     out *= 0.5
 
     def bw(g):
         half = g * 0.5
         full = np.zeros_like(a.data)
-        full[upper] = half
-        full[lower] = half
+        full[lay.upper] = half
+        full[lay.lower] = half
         _accum(a, full)
     return _make(out, (a,), bw)
 

@@ -42,7 +42,7 @@ from .. import coupling as coupling_mod
 from .. import priors as priors_mod
 from ..molecule import MoleculeState
 from . import tape
-from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP, concat_aranges
+from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP
 from .tape import Tensor
 
 CHECKPOINT_VERSION = 3          # 3: arrays as base64 bytes; 2: coordinate scale stored,
@@ -594,27 +594,25 @@ def _class_index(classes, values: np.ndarray, what: str) -> np.ndarray:
 
 def encode_molecules(mols: list[MoleculeState], vocab: dict, coord_scale: float) -> MoleculeBatch:
     """The molecules packed into one MoleculeBatch: class indices from the
-    vocab, coordinates divided by coord_scale."""
+    vocab (bonds at each pair i < j), coordinates divided by coord_scale."""
+    lay = tape.PairLayout([m.n_atoms for m in mols])
+    bonds = np.concatenate([m.bonds.ravel() for m in mols])[lay.upper]
     return MoleculeBatch(
         np.concatenate([m.coords for m in mols]) / coord_scale,
         _class_index(vocab["atom_classes"], np.concatenate([m.atom_types for m in mols]), "atom"),
         _class_index(vocab["charge_classes"], np.concatenate([m.charges for m in mols]), "charge"),
-        _class_index(vocab["bond_classes"], np.concatenate([m.bonds.ravel() for m in mols]),
-                     "bond"),
-        tape.PairLayout([m.n_atoms for m in mols]))
+        _class_index(vocab["bond_classes"], bonds, "bond"), lay)
 
 
 def decode_molecules(batch: MoleculeBatch, vocab: dict, coord_scale: float) -> list[MoleculeState]:
     """Inverse of encode_molecules: one MoleculeState per molecule, classes
-    from the vocab, coordinates times coord_scale. The bond rows are taken as
-    they are: every MoleculeBatch builder (PairLayout.symmetric, encoding
-    checked molecules, select) writes them symmetric with an empty diagonal,
-    and MoleculeState rejects a batch that breaks that."""
+    from the vocab, coordinates times coord_scale, each bond matrix mirrored
+    from its upper triangle."""
     lay = batch.layout
     coords = batch.coords * coord_scale
     atoms = np.asarray(vocab["atom_classes"])[batch.type_idx]
     charges = np.asarray(vocab["charge_classes"])[batch.charge_idx]
-    bonds = np.asarray(vocab["bond_classes"])[batch.bond_idx]
+    bonds = np.asarray(vocab["bond_classes"])[lay.symmetric(batch.bond_idx)]
     return [MoleculeState(coords[a:a + n], atoms[a:a + n], charges[a:a + n],
                           bonds[p:p + n * n].reshape(n, n))
             for a, n, p in zip(lay.node_start, lay.sizes, lay.block_start[lay.node_start])]
@@ -623,7 +621,7 @@ def decode_molecules(batch: MoleculeBatch, vocab: dict, coord_scale: float) -> l
 def index_ranks(sizes) -> np.ndarray:
     """Ranks i/n_b of every atom row of molecules of the given sizes, packed."""
     sizes = np.asarray(sizes, dtype=np.int64)
-    return concat_aranges(np.zeros_like(sizes), sizes) / np.repeat(sizes, sizes)
+    return tape.concat_aranges(np.zeros_like(sizes), sizes) / np.repeat(sizes, sizes)
 
 
 def fit_molecular_priors(batch: MoleculeBatch, vocab: dict, cfg: TrainConfig) -> dict:
@@ -662,7 +660,7 @@ def sample_molecular_noise(sizes, priors: dict, n_bond_classes: int,
     type_idx = priors_mod.sample_positional(priors["atom"], ranks, rng)
     charge_idx = priors_mod.sample_positional(priors["charge"], ranks, rng)
     bonds = rng.integers(0, n_bond_classes, size=len(lay.upper))
-    return MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay)
+    return MoleculeBatch(coords, type_idx, charge_idx, bonds, lay)
 
 
 @dataclass
@@ -691,11 +689,10 @@ def draw_path(data: MoleculeBatch, priors: dict, n_bond_classes: int, cfg: Train
     coord_path = interpolate(data.coords, noise.coords, t_rows, cfg.coord_noise, rng)
     type_idx = mix_categorical(data.type_idx, noise.type_idx, t_rows, rng)
     charge_idx = mix_categorical(data.charge_idx, noise.charge_idx, t_rows, rng)
-    bonds = mix_categorical(data.bond_idx[lay.upper], noise.bond_idx[lay.upper],
-                            t_rows[lay.pair_i[lay.upper]], rng)
+    bonds = mix_categorical(data.bond_idx, noise.bond_idx, t_rows[lay.upper_i], rng)
     ranks = rank_noise(index_ranks(lay.sizes), t_rows, cfg.rank_noise, rng)
     pe_dropped = rng.random(len(lay.sizes)) < cfg.p_drop
-    z_t = MoleculeBatch(coord_path.z_t, type_idx, charge_idx, lay.symmetric(bonds), lay)
+    z_t = MoleculeBatch(coord_path.z_t, type_idx, charge_idx, bonds, lay)
     return MolecularPath(data, z_t, t, coord_path.target_velocity, ranks, pe_dropped)
 
 
@@ -710,10 +707,10 @@ def bond_loss(bond_logits: Tensor, data: MoleculeBatch) -> Tensor:
     n_bonded = int((lay.sizes > 1).sum())
     if not n_bonded:
         return Tensor(0.0)
-    n_b = lay.row_size[lay.pair_i[lay.upper]]
+    n_b = lay.row_size[lay.upper_i]
     weights = 1.0 / (n_mols * n_b) / (n_b - 1)
     return tape.mul(Tensor(n_bonded / n_mols), tape.softmax_cross_entropy(
-        bond_logits, data.bond_idx[lay.upper], weights=weights))
+        bond_logits, data.bond_idx, weights=weights))
 
 
 def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
@@ -798,7 +795,6 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
     """
     if not 0.0 <= t_to < t_from <= 1.0:
         raise ValueError("expected 0 <= t_to < t_from <= 1")
-    lay = batch.layout
     out = guided_forward(net, batch, t_from, ranks, cfg_scale)
     coords = batch.coords + (t_to - t_from) * out["velocity"]
     # an untrained or over-guided field can blow up the rollout; keep it finite
@@ -807,9 +803,8 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
     p = (t_from - t_to) / t_from
     type_idx = _redraw(batch.type_idx, out["atom_logits"], p, rng)
     charge_idx = _redraw(batch.charge_idx, out["charge_logits"], p, rng)
-    bonds = _redraw(batch.bond_idx[lay.upper], out["bond_logits"], p, rng)
-    return (MoleculeBatch(coords, type_idx, charge_idx, lay.symmetric(bonds), lay),
-            out["rank_raw"])
+    bonds = _redraw(batch.bond_idx, out["bond_logits"], p, rng)
+    return MoleculeBatch(coords, type_idx, charge_idx, bonds, batch.layout), out["rank_raw"]
 
 
 def _redraw(idx: np.ndarray, logits: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -27,7 +27,7 @@ samples back to the ambient space (config group: none / perm / perm_so3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -75,6 +75,21 @@ class SampleConfig:
         return asdict(self)
 
 
+# the SampleConfig fields sample_vectors reads; the rest steer molecular sampling only
+_VECTOR_SETTINGS = ("steps", "seed")
+
+
+def check_vector_config(cfg: SampleConfig) -> None:
+    """ValueError for a SampleConfig field that sample_vectors never reads
+    set away from its default."""
+    default = SampleConfig()
+    for f in fields(cfg):
+        value, usual = getattr(cfg, f.name), getattr(default, f.name)
+        if f.name not in _VECTOR_SETTINGS and value != usual:
+            raise ValueError(f"sample setting {f.name!r} = {value!r} does not apply to "
+                             f"vector_field checkpoints (default {usual!r})")
+
+
 def rank_estimate(rank_raw: np.ndarray, node_start: np.ndarray) -> np.ndarray:
     """Min-max normalize the packed rank head per molecule, whose atom rows
     start at node_start; index ranks for a molecule whose span collapses."""
@@ -93,20 +108,20 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
 
     Each run of same-size molecules (state.layout.blocks) goes through
     canonicalize_stack as one stack, in data units: coordinates times
-    coord_scale, atom and bond classes decoded through the vocab (every
-    MoleculeBatch builder writes symmetric bond rows with an empty diagonal).
-    A molecule that canonicalizes has its rows permuted and rotated to its
-    representative (coordinates back over coord_scale) and its ranks set to
-    i/N; one outside the map's domain keeps its rows and ranks. Returns
-    (state, ranks), the objects passed in, and adds to the counts `sample`
-    documents."""
+    coord_scale, atom and bond classes decoded through the vocab (bonds
+    mirrored from the upper triangle). A molecule that canonicalizes has its
+    rows permuted and rotated to its representative (coordinates back over
+    coord_scale) and its ranks set to i/N; one outside the map's domain keeps
+    its rows and ranks. Returns (state, ranks), the objects passed in, and
+    adds to the counts `sample` documents."""
     atom_classes = np.asarray(vocab["atom_classes"])
     bond_classes = np.asarray(vocab["bond_classes"])
+    full_bonds = state.layout.symmetric(state.bond_idx)
     for k, n, nodes, pairs in state.layout.blocks:
         coords = state.coords[nodes].reshape(k, n, 3)
         types = state.type_idx[nodes].reshape(k, n)
         charges = state.charge_idx[nodes].reshape(k, n)
-        bonds = state.bond_idx[pairs].reshape(k, n, n)
+        bonds = full_bonds[pairs].reshape(k, n, n)
         st = canonicalize_stack(coords * coord_scale, atom_classes[types],
                                 bond_classes[bonds], group="perm_so3")
         ok = st.failed == 0
@@ -120,6 +135,7 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
         charges[ok] = charges[ok][rows, order]
         bonds[ok] = bonds[ok][rows[:, :, None], order[:, :, None], order[:, None, :]]
         ranks[nodes].reshape(k, n)[ok] = np.arange(n) / n
+    state.bond_idx[:] = full_bonds[state.layout.upper]
     return state, ranks
 
 
@@ -196,9 +212,11 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
 
 def sample_vectors(model: FlowModel, n_samples: int, cfg: SampleConfig,
                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Integrate the toy vector field from prior draws."""
+    """Integrate the toy vector field from prior draws. Only cfg.steps and
+    cfg.seed apply; check_vector_config rejects the other settings."""
     if model.kind != "vector_field":
         raise ValueError("vector sampling needs a vector_field model")
+    check_vector_config(cfg)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     z1 = priors_mod.sample_gaussian(model.priors["noise"], n_samples, rng)

@@ -124,12 +124,12 @@ def test_pcs_step_matches_the_canonicalizer_per_molecule():
     out, out_ranks = sampler.pcs_step(state, ranks, vocab, scale, counts)
     assert out is state and out_ranks is ranks
     lay = state.layout
+    upper_at = np.concatenate([[0], np.cumsum(lay.sizes * (lay.sizes - 1) // 2)])
     want_degenerate = 0
     for b, mol in enumerate(decode_molecules(before, vocab, scale)):
         n = int(lay.sizes[b])
         nodes = slice(lay.node_start[b], lay.node_start[b] + n)
-        start = lay.block_start[lay.node_start[b]]
-        pairs = slice(start, start + n * n)
+        pairs = slice(upper_at[b], upper_at[b + 1])
         try:
             res = canonicalize(mol, group="perm_so3")
         except CanonicalizationError:

@@ -210,6 +210,19 @@ def test_sample_zero_n_writes_manifest_only(trained_vec, tmp_path):
     assert not (out / "samples.npz").exists()
 
 
+@pytest.mark.parametrize("flags, word", [
+    (["--n-atoms", 9], "--n-atoms"), (["--regime", "b"], "'regime'"),
+    (["--regime", "b", "--canonicalize-mode"], "'regime'"), (["--cfg-scale", 3], "'cfg_scale'"),
+    (["--prior", "isotropic"], "'prior'"), (["--haar", "perm-so3"], "'group'")])
+def test_vector_sample_rejects_settings_it_never_reads(trained_vec, tmp_path, capsys,
+                                                         flags, word):
+    out = tmp_path / "ignored"
+    assert run("sample", "--model", trained_vec / "checkpoint.json", "--n", 4, *flags,
+               "-o", out) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()         # nothing written, not even a manifest
+
+
 def test_sample_bad_checkpoint(tmp_path):
     assert run("sample", "--model", tmp_path / "nope.json", "-o", tmp_path) == 3
     garbage = tmp_path / "garbage.json"

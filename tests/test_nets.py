@@ -30,7 +30,7 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     h = net.input_mlp(tape.concat([node_feats, pe], axis=1))
     r = net.rank_mlp(pe)
     cs = tape.stack_scale(Tensor(z_t.coords), net.cs_weights)
-    e = net.edge_in(Tensor(_one_hot(z_t.bond_idx, c.n_bond_classes)))
+    e = net.edge_in(Tensor(_one_hot(bond_matrix(z_t.bond_idx, n).ravel(), c.n_bond_classes)))
     for layer in net.layers:
         p = layer.node_proj(h)
         q = layer.rank_proj(r)
@@ -62,6 +62,22 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     )
 
 
+def bond_matrix(upper, n):
+    """One molecule's (n, n, ...) array from its i < j entries in i-major
+    order: mirrored, zero on the diagonal."""
+    upper = np.asarray(upper)
+    out = np.zeros((n, n) + upper.shape[1:], dtype=upper.dtype)
+    i, j = np.triu_indices(n, k=1)
+    out[i, j] = upper
+    out[j, i] = upper
+    return out
+
+
+def permuted_upper(upper, n, perm):
+    """The i < j entries of a molecule whose atoms are reordered by perm."""
+    return bond_matrix(upper, n)[np.ix_(perm, perm)][np.triu_indices(n, k=1)]
+
+
 def upper_rows(a, lay):
     """Rows lay.upper of a pair-row Tensor, as an exact 0/1 selector matmul."""
     pick = np.zeros((len(lay.upper), lay.n_pairs))
@@ -73,8 +89,7 @@ def random_batch(rng, sizes, cfg):
     """Random molecules of the given sizes, drawn one molecule at a time."""
     parts = []
     for n in sizes:
-        lay = tape.PairLayout([n])
-        bonds = lay.symmetric(rng.integers(0, cfg.n_bond_classes, len(lay.upper)))
+        bonds = rng.integers(0, cfg.n_bond_classes, n * (n - 1) // 2)
         parts.append((2.0 * rng.standard_normal((n, 3)), rng.integers(0, cfg.n_atom_classes, n),
                       rng.integers(0, cfg.n_charge_classes, n), bonds))
     return MoleculeBatch(*(np.concatenate(field) for field in zip(*parts)),
@@ -227,23 +242,25 @@ def test_pe_dropped_twin_is_permutation_and_rotation_equivariant():
     batch = random_batch(rng, sizes, cfg)
     lay = batch.layout
     rots = haar_rotations(3, len(sizes), rng)
-    nodes, pairs, coords = [], [], []
-    for b, n in enumerate(sizes):
+    ranks = np.concatenate([np.arange(n) / n for n in sizes])
+    base = net(batch, 0.4, ranks, pe_dropped=True)
+    cuts = np.cumsum([n * (n - 1) // 2 for n in sizes])[:-1]
+    nodes, bonds, logits, coords = [], [], [], []
+    for b, (n, mol_bonds, mol_logits) in enumerate(
+            zip(sizes, np.split(batch.bond_idx, cuts), np.split(base.bond_logits.data, cuts))):
         perm = rng.permutation(n)
         start = lay.node_start[b]
         nodes.append(start + perm)
-        pairs.append(lay.block_start[start] + (perm[:, None] * n + perm[None, :]).ravel())
+        bonds.append(permuted_upper(mol_bonds, n, perm))
+        logits.append(permuted_upper(mol_logits, n, perm))
         coords.append(batch.coords[start + perm] @ rots[b].T)
-    nodes, pairs = np.concatenate(nodes), np.concatenate(pairs)
+    nodes = np.concatenate(nodes)
     moved = MoleculeBatch(np.concatenate(coords), batch.type_idx[nodes],
-                          batch.charge_idx[nodes], batch.bond_idx[pairs], lay)
-    ranks = np.concatenate([np.arange(n) / n for n in sizes])
-    base = net(batch, 0.4, ranks, pe_dropped=True)
+                          batch.charge_idx[nodes], np.concatenate(bonds), lay)
     got = net(moved, 0.4, ranks, pe_dropped=True)
     row_rot = np.repeat(rots, sizes, axis=0)
     want = {"velocity": np.einsum("rij,rj->ri", row_rot, base.velocity.data[nodes]),
-            "bond_logits": np.stack([lay.symmetric(col) for col in base.bond_logits.data.T],
-                                    axis=1)[pairs][lay.upper]}
+            "bond_logits": np.concatenate(logits)}
     for k in HEADS:
         expected = want.get(k, getattr(base, k).data[nodes])
         err = float(np.abs(getattr(got, k).data - expected).max())

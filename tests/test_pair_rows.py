@@ -23,14 +23,16 @@ def full_pair_bond_loss(upper_logits, data):
     n_up = len(lay.upper)
     spread = np.zeros((lay.n_pairs, n_up))        # exact 0/1 copy to (i, j) and (j, i)
     spread[lay.upper, np.arange(n_up)] = 1.0
-    spread[lay.transpose[lay.upper], np.arange(n_up)] = 1.0
+    spread += tape.transpose_pairs(Tensor(spread), lay).data
     logits = tape.matmul(Tensor(spread), upper_logits)
+    targets = (spread @ data.bond_idx).astype(np.int64)    # class 0 on the diagonal
     n_mols = len(lay.sizes)
     row_w = 1.0 / (n_mols * lay.row_size)
-    pair_w = (lay.pair_i != lay.pair_j) * (row_w / np.maximum(lay.row_size - 1, 1))[lay.pair_i]
+    off_diagonal = spread.sum(axis=1)
+    pair_w = off_diagonal * np.repeat(row_w / np.maximum(lay.row_size - 1, 1), lay.row_size)
     n_bonded = int((lay.sizes > 1).sum())
     return tape.mul(Tensor(n_bonded / n_mols),
-                    tape.softmax_cross_entropy(logits, data.bond_idx, weights=pair_w))
+                    tape.softmax_cross_entropy(logits, targets, weights=pair_w))
 
 
 def setup(seed, sizes):

@@ -172,16 +172,68 @@ def test_grad_accumulates_across_reuse():
     assert a.grad is None or np.all(a.grad == 0.0)
 
 
+def ordered_pairs(sizes):
+    """(i, j) node rows of every pair row, by a loop over the molecules."""
+    pairs, start = [], 0
+    for n in sizes:
+        pairs += [(start + i, start + j) for i in range(n) for j in range(n)]
+        start += n
+    return pairs
+
+
 def test_pair_layout_rows():
     lay = tape.PairLayout([2, 1, 3])
     assert (len(lay.row_size), lay.n_pairs) == (6, 14)
-    pairs = [(i, j) for start, n in ((0, 2), (2, 1), (3, 3))
-             for i in range(start, start + n) for j in range(start, start + n)]
-    assert list(zip(lay.pair_i, lay.pair_j)) == pairs
-    assert [pairs[r] for r in lay.transpose] == [(j, i) for i, j in pairs]
+    pairs = ordered_pairs([2, 1, 3])
+    upper = [(0, 1), (3, 4), (3, 5), (4, 5)]
+    assert [pairs[r] for r in lay.upper] == upper
+    assert [pairs[r] for r in lay.lower] == [(j, i) for i, j in upper]
+    assert lay.upper_i.tolist() == [0, 3, 3, 4]
     assert lay.block_start.tolist() == [0, 2, 4, 5, 8, 11]
     with pytest.raises(ValueError):
         tape.PairLayout([2, 0])
+
+
+def _blocks_by_loop(sizes):
+    """Runs of consecutive same-size molecules, each cut greedily so that it
+    holds at most _BLOCK_PAIRS pair rows unless it is one molecule."""
+    blocks, node, pair, b = [], 0, 0, 0
+    while b < len(sizes):
+        n, k = int(sizes[b]), 1
+        while b + k < len(sizes) and sizes[b + k] == n and (k + 1) * n * n <= tape._BLOCK_PAIRS:
+            k += 1
+        blocks.append((k, n, slice(node, node + k * n), slice(pair, pair + k * n * n)))
+        node, pair, b = node + k * n, pair + k * n * n, b + k
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_layout_matches_a_per_molecule_loop(seed):
+    # random size mixes with N = 1, N = 2 and one same-size run longer than a block
+    rng = np.random.default_rng(seed)
+    n_long = 8
+    runs = [[1], [2], [n_long] * (tape._BLOCK_PAIRS // n_long ** 2 + 3)]
+    runs += [[int(n)] * int(k) for n, k in zip(rng.integers(1, 12, 6), rng.integers(1, 4, 6))]
+    sizes = np.concatenate([runs[r] for r in rng.permutation(len(runs))])
+    lay = tape.PairLayout(sizes)
+    pairs = ordered_pairs(sizes)
+    row_of = {pair: r for r, pair in enumerate(pairs)}
+    upper = [r for r, (i, j) in enumerate(pairs) if i < j]
+    assert lay.upper.tolist() == upper
+    assert lay.lower.tolist() == [row_of[j, i] for i, j in (pairs[r] for r in upper)]
+    assert lay.upper_i.tolist() == [pairs[r][0] for r in upper]
+    values = rng.integers(1, 5, len(upper))
+    want = np.zeros(len(pairs), dtype=values.dtype)
+    for r, v in zip(upper, values):
+        i, j = pairs[r]
+        want[r] = want[row_of[j, i]] = v
+    assert np.array_equal(lay.symmetric(values), want)
+    assert lay.blocks == _blocks_by_loop(sizes)
+    # no index array has one entry per pair row
+    assert lay.n_pairs == len(pairs) == int((sizes ** 2).sum())
+    for name, value in vars(lay).items():
+        if isinstance(value, np.ndarray):
+            assert value.size != lay.n_pairs, name
 
 
 def test_pair_layout_rejects_fractional_sizes():
@@ -476,4 +528,5 @@ def test_upper_pairs_symmetrizes_the_upper_triangle():
     check(lambda: tape.tsum(tape.mul(tape.upper_pairs(a, lay), w)), {"a": a})
     tape.zero_grads([a])
     tape.backward(tape.tsum(tape.upper_pairs(a, lay)))
-    assert np.all(a.grad[lay.pair_i == lay.pair_j] == 0.0)     # the diagonal reads nothing
+    diagonal = [r for r, (i, j) in enumerate(ordered_pairs(MIXED_SIZES)) if i == j]
+    assert np.all(a.grad[diagonal] == 0.0)                      # the diagonal reads nothing
