@@ -76,7 +76,8 @@ class CanonicalStack:
     failed: np.ndarray       # (k,) int8: 0, or the _FAILURES index of the reason why
 
 
-def _check_options(group: str, ordering: str) -> None:
+def check_options(group: str, ordering: str) -> None:
+    """ValueError for a group or ordering canonicalize does not know, or a pair it cannot run."""
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if ordering not in ORDERINGS:
@@ -224,7 +225,7 @@ def canonicalize_stack(coords: np.ndarray, atom_types: np.ndarray, bonds: np.nda
     domain (see canonicalize) is flagged failed; the others are unaffected by
     it. Raises ValueError, as GroupElement does, if a frame is not a finite
     rotation."""
-    _check_options(group, ordering)
+    check_options(group, ordering)
     x = np.asarray(coords, dtype=np.float64)
     z = np.asarray(atom_types, dtype=np.int64)
     bonds = np.asarray(bonds)
@@ -262,7 +263,7 @@ def canonicalize_batch(mols: list[MoleculeState], group: str = "perm_so3",
     CanonicalResult per molecule, or the CanonicalizationError that
     canonicalize would raise for it (returned, not raised), so one molecule's
     failure stays its own."""
-    _check_options(group, ordering)
+    check_options(group, ordering)
     results: list = [None] * len(mols)
     by_size: dict[int, list[int]] = {}
     for i, m in enumerate(mols):
@@ -361,7 +362,7 @@ def canonicalize_perm(m: MoleculeState, ordering: str = "spectral") -> tuple[np.
     tiebreak orders atoms of different elements uniquely. The integer keys
     come back scaled by 1 / max(norm, 1). A single atom has the key 0.
     """
-    _check_options("perm", ordering)
+    check_options("perm", ordering)
     order, keys, degenerate, failed = _perm_stage(
         m.coords[None], m.atom_types[None], m.bonds[None], ordering,
         m.coords.mean(axis=0)[None], np.arange(1)[:, None])

@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__, molecule, sampler, theorylab
-from .canonicalizer import CanonicalizationError, canonicalize_batch
+from .canonicalizer import CanonicalizationError, canonicalize_batch, check_options
 from .flowcore import toydata, training
 from .flowcore.training import TrainConfig, trace_to_csv
 
@@ -169,6 +169,10 @@ def _canonicalize_files(paths: list[Path], group: str, ordering: str) -> tuple[l
 
 def cmd_canonicalize(args) -> int:
     group = GROUP_FLAGS[args.group]
+    try:
+        check_options(group, args.ordering)
+    except ValueError as exc:
+        raise UsageError(f"{exc}; use --group perm with --ordering {args.ordering}") from None
     paths = [Path(name) for name in args.inputs]
     mols, results = _canonicalize_files(paths, group, args.ordering)
     outdir = _outdir(args)
@@ -289,6 +293,8 @@ def cmd_sample(args) -> int:
                 "valence table cannot score; no samples written")
     if model.kind == "vector_field" and args.n_atoms is not None:
         raise UsageError("--n-atoms applies to molecular checkpoints only")
+    if model.kind == "canonlite" and args.n_atoms is None:
+        raise UsageError("--n-atoms is required for molecular checkpoints")
     try:
         cfg = sampler.SampleConfig(
             steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
@@ -321,8 +327,6 @@ def cmd_sample(args) -> int:
                 fh.write(f"{i},{vals},{np.linalg.norm(z):.8f}\n")
         print(f"wrote {len(samples)} vectors to samples.npz")
     else:
-        if args.n_atoms is None:
-            raise UsageError("--n-atoms is required for molecular checkpoints")
         mols, info = sampler.sample(model, args.n_atoms, args.n, cfg)
         sampled = time.perf_counter()
         write_one = molecule.write_sdf if args.format == "sdf" else molecule.write_xyz

@@ -39,8 +39,9 @@ Training feeds unit-scale coordinates (training.fit_coord_scale).
 Heads: coordinate velocity (mix of coordinate sets), atom/charge logits, bond
 logits for each molecule's N (N - 1) / 2 pairs i < j only (the last edge
 features symmetrized at those rows, (e_ij + e_ji) / 2, then head_bond), and a
-rank head min-max normalized to [0, 1] within each molecule (it has no bias:
-the normalization cancels any shift).
+rank head min-max normalized to [0, 1] per molecule by tape.minmax_normalize
+(no bias: the normalization cancels any shift). The rank loss and regime-b
+predict sampling both read that rank_pred.
 
 The net takes a MoleculeBatch only and runs one graph for it: the atom rows
 of all molecules are concatenated, and so are their pair rows, each
@@ -228,7 +229,6 @@ class Predictions:
     bond_logits: Tensor     # (upper pairs, Cb): each molecule's i < j pairs, i-major
                             # (PairLayout.upper), from the symmetrized edge features
     rank_pred: Tensor       # (nodes,) min-max normalized per molecule
-    rank_raw: Tensor        # (nodes,) head output before normalization
 
 
 def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
@@ -268,7 +268,7 @@ class CanonLiteNet(Module):
         self.head_atom = Linear(c.d_model, c.n_atom_classes, rng)
         self.head_charge = Linear(c.d_model, c.n_charge_classes, rng)
         self.head_bond = Linear(c.d_edge, c.n_bond_classes, rng)
-        # no bias: every user min-max normalizes rank_raw per molecule, so a shift cancels
+        # no bias: the head is min-max normalized per molecule, so a shift cancels
         self.head_rank = Projection(c.d_model, 1, rng)
 
     def __call__(self, batch: MoleculeBatch, t, ranks: np.ndarray,
@@ -333,17 +333,12 @@ class CanonLiteNet(Module):
 
         velocity = tape.stack_mix(cs, self.head_vel)
         bond_logits = self.head_bond(tape.upper_pairs(e, lay))
-        rank_raw = tape.reshape(self.head_rank(h), (batch.n_atoms,))
-        lo = tape.reduce_min(rank_raw, lay.node_start)
-        hi = tape.reduce_max(rank_raw, lay.node_start)
-        span = tape.maximum_const(tape.sub(hi, lo), 1e-6)
-        rank_pred = tape.div(tape.sub(rank_raw, tape.repeat_rows(lo, lay.sizes)),
-                             tape.repeat_rows(span, lay.sizes))
+        rank_pred = tape.minmax_normalize(tape.reshape(self.head_rank(h), (batch.n_atoms,)),
+                                          lay.node_start)
         return Predictions(
             velocity=velocity,
             atom_logits=self.head_atom(h),
             charge_logits=self.head_charge(h),
             bond_logits=bond_logits,
             rank_pred=rank_pred,
-            rank_raw=rank_raw,
         )

@@ -6,9 +6,10 @@ graph in reverse topological order and accumulates gradients on every tensor
 that requires them. Inside `with no_grad():` ops record nothing, so inference
 keeps no graph alive. The ops are the ones the networks here call:
 broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
-reductions, SiLU, tanh, softmax cross-entropy, and a few pairwise-message
-primitives whose adjoints are cheaper written by hand than composed from
-smaller pieces. The adjoints of matmul and linear skip g @ W.T when the left
+sums, SiLU, tanh, softmax cross-entropy, and ops whose adjoints are cheaper
+written by hand than composed from smaller pieces: the rank head's
+per-molecule min-max normalization (minmax_normalize) and a few
+pairwise-message primitives. The adjoints of matmul and linear skip g @ W.T when the left
 operand needs no gradient (constant features).
 
 Compute dtype: every Tensor holds float32 by default. Inside
@@ -204,13 +205,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
-    return _make(a.data / b.data, (a, b), bw)
-
-
 def square(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g * 2.0 * a.data)
@@ -256,14 +250,6 @@ def tanh(a: Tensor) -> Tensor:
     def bw(g):
         _accum(a, g * (1.0 - np.square(out_data)))
     return _make(out_data, (a,), bw)
-
-
-def maximum_const(a: Tensor, c: float) -> Tensor:
-    mask = a.data > c
-
-    def bw(g):
-        _accum(a, g * mask)
-    return _make(np.maximum(a.data, c), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -347,32 +333,28 @@ def tmean(a: Tensor) -> Tensor:
     return _make(a.data.mean(), (a,), bw)
 
 
-def _reduce_extreme(a: Tensor, starts, ufunc) -> Tensor:
-    flat = a.data.reshape(-1)
-    bounds = np.asarray(starts)
-    value = ufunc.reduceat(flat, bounds)
-    lengths = np.diff(np.append(bounds, flat.size))
-    # first position holding its segment's extreme, as np.argmin/np.argmax pick
-    # (a NaN is the extreme of its segment)
-    hit = (flat == np.repeat(value, lengths)) | np.isnan(flat)
-    idx = np.minimum.reduceat(np.where(hit, np.arange(flat.size), flat.size), bounds)
+def minmax_normalize(a: Tensor, starts) -> Tensor:
+    """Each segment a[starts[s]:starts[s+1]] of the 1-D a as (a - lo) /
+    max(hi - lo, 1e-6), with lo and hi its min and max: per molecule, the
+    rank head scaled to [0, 1]. lo's and hi's gradients go to the first entry
+    holding each, as np.argmin/np.argmax pick (a NaN is its segment's extreme)."""
+    sizes = np.diff(np.append(starts, a.data.size))
+    lo, hi = np.minimum.reduceat(a.data, starts), np.maximum.reduceat(a.data, starts)
+    span = np.repeat(np.maximum(hi - lo, 1e-6), sizes)
+    shifted = a.data - np.repeat(lo, sizes)
+
+    def first(value):
+        hit = (a.data == np.repeat(value, sizes)) | np.isnan(a.data)
+        return np.minimum.reduceat(np.where(hit, np.arange(a.data.size), a.data.size), starts)
 
     def bw(g):
-        full = np.zeros_like(flat)
-        full[idx] = np.reshape(g, -1)
-        _accum(a, full.reshape(a.data.shape))
-    return _make(value, (a,), bw)
-
-
-def reduce_min(a: Tensor, starts) -> Tensor:
-    """Min over each segment flat[starts[s]:starts[s+1]] of the flattened
-    entries (shape (S,)); the gradient goes to the first minimum."""
-    return _reduce_extreme(a, starts, np.minimum)
-
-
-def reduce_max(a: Tensor, starts) -> Tensor:
-    """Max counterpart of reduce_min."""
-    return _reduce_extreme(a, starts, np.maximum)
+        g_shifted = g / span
+        g_width = np.add.reduceat(-g * shifted / span ** 2, starts) * (hi - lo > 1e-6)
+        full = np.zeros_like(a.data)
+        full[first(lo)] = np.add.reduceat(-g_shifted, starts) - g_width
+        full[first(hi)] += g_width
+        _accum(a, g_shifted + full)
+    return _make(shifted / span, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -301,9 +301,41 @@ def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
     return arrays
 
 
-# the rank head's bias, removed: rank_raw is min-max normalized per molecule
-# by every user, so a shift cancels. Older CanonLite checkpoints still hold it.
+# the rank head's bias, removed: tape.minmax_normalize cancels any shift of the
+# head. Older CanonLite checkpoints still hold it.
 _DROPPED_PARAM = "head_rank.bias"
+
+
+def _load_priors(kind: str, doc: dict, net, vocab: dict | None) -> dict:
+    """A checkpoint's priors, exactly the ones its kind samples from: noise, a
+    gaussian of the net's dimension; or coord, a rank_gaussian of 3-D means
+    and stds > 0, and atom and charge, positional tables of the vocab's class
+    counts with non-negative rows (and base) of positive sum. All finite, over
+    at least one rank bin; a ValueError names the key that does not fit."""
+    table = priors_mod.PositionalCategoricalPrior
+    need = ({"noise": (priors_mod.GaussianPrior, net.dim)} if kind == "vector_field" else
+            {"coord": (priors_mod.RankBinnedGaussianPrior, 3),
+             **{k: (table, len(vocab[f"{k}_classes"])) for k in ("atom", "charge")}})
+    if sorted(doc) != sorted(need):
+        raise ValueError(f"checkpoint priors must be exactly {', '.join(need)}, got {sorted(doc)}")
+    out = {}
+    for key, (cls, width) in need.items():
+        try:
+            p = out[key] = priors_mod.prior_from_dict(doc[key])
+        except (AttributeError, KeyError, TypeError, ValueError):   # not an object, or malformed
+            p = None
+        fits = isinstance(p, cls) and all(np.isfinite(v).all() for v in vars(p).values())
+        if fits and cls is table:
+            rows = np.vstack([p.bin_probs, p.base])
+            fits = p.n_bins > 0 and p.n_classes == width and (rows >= 0).all() and all(rows.sum(1))
+        elif fits and cls is priors_mod.RankBinnedGaussianPrior:
+            fits = p.n_bins > 0 and p.bin_means.shape[1] == width and (p.bin_stds > 0).all()
+        elif fits:
+            fits = p.mean.shape == (width,) and p.cov.shape == p.sqrt.shape == (width, width)
+        if not fits:
+            raise ValueError(f"checkpoint prior {key} must be a finite {cls.__name__} of width "
+                             f"{width}, with stds > 0 or class rows non-negative of positive sum")
+    return out
 
 
 @dataclass
@@ -356,11 +388,11 @@ class FlowModel:
         CanonLite meta lacks the vocab's class lists or holds a class that is
         not an integer, bond classes other than BOND_CLASSES (decoding maps
         bond class 0 to the empty diagonal) or a class list whose length is
-        not its head's class count, or whose parameter or
-        EMA names, stored arrays, shapes or coordinate scale do not fit, is a
-        ValueError. A CanonLite checkpoint written while the rank head still
-        had a bias holds `head_rank.bias` in its parameters and EMA; that one
-        entry is ignored (the bias cancelled in every use of the head)."""
+        not its head's class count, or whose parameter or EMA names, stored
+        arrays, shapes, coordinate scale or priors (_load_priors) do not fit,
+        is a ValueError. A CanonLite checkpoint written while the rank head
+        still had a bias holds `head_rank.bias` in its parameters and EMA;
+        that one entry is ignored (the bias cancelled in every use of it)."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -430,7 +462,7 @@ class FlowModel:
             kind=kind,
             net=net,
             train_config=TrainConfig.from_dict(doc["train_config"]),
-            priors={k: priors_mod.prior_from_dict(v) for k, v in doc["priors"].items()},
+            priors=_load_priors(kind, doc.get("priors", {}), net, meta.get("vocab")),
             ema=ema,
             meta=meta,
             step=int(doc.get("step", 0)),
@@ -750,7 +782,7 @@ def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
 # Molecular Euler rollout, shared by the sampler and the training preview
 
 
-_HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_raw")
+_HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -765,7 +797,7 @@ def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.
 
     The unconditional copy drops the PE; w = 1 runs the conditional copy only,
     w = 0 the unconditional one only, and any other w runs both copies as one
-    packed forward. rank_raw comes from the conditional copy when one runs.
+    packed forward. rank_pred comes from the conditional copy when one runs.
     """
     with tape.no_grad():
         if w == 1.0 or w == 0.0:
@@ -778,7 +810,7 @@ def guided_forward(net: CanonLiteNet, batch: MoleculeBatch, t: float, ranks: np.
     out = {}
     for k in _HEADS:
         cond, unc = np.split(getattr(preds, k).data.astype(np.float64), 2)
-        out[k] = cond if k == "rank_raw" else unc + w * (cond - unc)
+        out[k] = cond if k == "rank_pred" else unc + w * (cond - unc)
     return out
 
 
@@ -786,7 +818,7 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
                ranks: np.ndarray, cfg_scale: float, rng: np.random.Generator):
     """One molecular Euler step of a MoleculeBatch.
 
-    Returns the new MoleculeBatch and the raw rank scores.
+    Returns the new MoleculeBatch and guided_forward's normalized rank_pred.
     Coordinates follow the guided velocity, clipped to +-COORD_CLIP; each
     categorical entry is redrawn from its predicted class distribution with
     probability (t_from - t_to) / t_from. Draws come in the order: atom-type
@@ -804,7 +836,7 @@ def euler_step(net: CanonLiteNet, batch: MoleculeBatch, t_from: float, t_to: flo
     type_idx = _redraw(batch.type_idx, out["atom_logits"], p, rng)
     charge_idx = _redraw(batch.charge_idx, out["charge_logits"], p, rng)
     bonds = _redraw(batch.bond_idx, out["bond_logits"], p, rng)
-    return MoleculeBatch(coords, type_idx, charge_idx, bonds, batch.layout), out["rank_raw"]
+    return MoleculeBatch(coords, type_idx, charge_idx, bonds, batch.layout), out["rank_pred"]
 
 
 def _redraw(idx: np.ndarray, logits: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:

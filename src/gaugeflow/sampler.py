@@ -10,9 +10,10 @@ Regimes:
   "a"  ranks frozen at i/N for the whole trajectory; the aligned noise prior
        is rank-indexed, so index ranks are exact at t = 1 and the
        canonicalizer is never invoked during integration.
-  "b"  ranks refreshed after every step. Default is predict mode (rank head,
-       min-max normalized); canonicalize_mode=True instead re-canonicalizes
-       the intermediate state and reads ranks off the new ordering.
+  "b"  ranks refreshed after every step. Default is predict mode (the
+       conditional copy's rank_pred, which the rank loss also reads);
+       canonicalize_mode=True instead re-canonicalizes the intermediate
+       state and reads ranks off the new ordering.
 
 Integration runs on the net's unit-scale coordinates, all samples of a
 request as one MoleculeBatch from one noise draw; finished samples are
@@ -39,8 +40,6 @@ from .flowcore.nets import MoleculeBatch
 from .flowcore.training import (COORD_CLIP, FlowModel, decode_molecules, euler_step,
                                 index_ranks, sample_molecular_noise)
 from .molecule import MoleculeState
-
-RANK_SPAN_TOL = 1e-6
 
 REGIMES = ("a", "b")
 HAAR_GROUPS = ("none", "perm", "perm_so3")
@@ -88,18 +87,6 @@ def check_vector_config(cfg: SampleConfig) -> None:
         if f.name not in _VECTOR_SETTINGS and value != usual:
             raise ValueError(f"sample setting {f.name!r} = {value!r} does not apply to "
                              f"vector_field checkpoints (default {usual!r})")
-
-
-def rank_estimate(rank_raw: np.ndarray, node_start: np.ndarray) -> np.ndarray:
-    """Min-max normalize the packed rank head per molecule, whose atom rows
-    start at node_start; index ranks for a molecule whose span collapses."""
-    rank_raw = np.asarray(rank_raw, dtype=np.float64)
-    sizes = np.diff(node_start, append=len(rank_raw))
-    low = np.repeat(np.minimum.reduceat(rank_raw, node_start), sizes)
-    span = np.repeat(np.maximum.reduceat(rank_raw, node_start), sizes) - low
-    collapsed = span < RANK_SPAN_TOL
-    return np.where(collapsed, index_ranks(sizes),
-                    (rank_raw - low) / np.where(collapsed, 1.0, span))
 
 
 def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
@@ -195,15 +182,13 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
         state = sample_molecular_noise(sizes, priors, n_bond, rng)
         ranks = index_ranks(sizes)
         for k in range(cfg.steps, 0, -1):
-            state, rank_raw = euler_step(net, state, k / cfg.steps, (k - 1) / cfg.steps,
-                                         ranks, cfg.cfg_scale, rng)
+            state, rank_pred = euler_step(net, state, k / cfg.steps, (k - 1) / cfg.steps,
+                                          ranks, cfg.cfg_scale, rng)
             counts["clipped_coords"] += int((np.abs(state.coords) == COORD_CLIP).sum())
-            if cfg.regime != "b":
-                continue
-            if cfg.canonicalize_mode:
+            if cfg.regime == "b" and cfg.canonicalize_mode:
                 state, ranks = pcs_step(state, ranks, vocab, model.coord_scale, counts)
-            else:
-                ranks = rank_estimate(rank_raw, state.layout.node_start)
+            elif cfg.regime == "b":
+                ranks = rank_pred
         mols = decode_molecules(state, vocab, model.coord_scale)
     mols = haar_randomize(mols, cfg.group, rng)
     info = dict(counts, regime=cfg.regime, steps=cfg.steps, haar_group=cfg.group)

@@ -32,6 +32,22 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
     return MoleculeState(coords, types, charges, bonds)
 
 
+def minmax_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One molecule's rank head min-max normalized, (x - min) / max(max - min,
+    1e-6), and its Jacobian, with the min's and the max's derivative at their
+    first entries (np.argmin, np.argmax)."""
+    lo, hi = np.argmin(x), np.argmax(x)
+    width = x[hi] - x[lo]
+    span = np.maximum(width, 1e-6)
+    shifted = x - x[lo]
+    jac = np.eye(len(x)) / span
+    jac[:, lo] -= 1 / span
+    if width > 1e-6:
+        jac[:, hi] -= shifted / span ** 2
+        jac[:, lo] += shifted / span ** 2
+    return shifted / span, jac
+
+
 @pytest.fixture
 def float64_tape():
     """Run the test on the float64 tape: central differences and 1e-10
@@ -77,18 +93,34 @@ CHECKPOINT_DAMAGE = [
     ("meta", "vocab", None),
     ("meta", "vocab", []),
     ("meta", "vocab", {"atom_classes": [6, 8], "charge_classes": [0]}),   # no bond_classes
+    # the priors the sampler draws from: exactly coord, atom and charge, of the
+    # kind, shape and values it reads (a function edits the stored entry)
+    ("priors", "coord", None),
+    ("priors", "atom", None),
+    ("priors", "noise", {"kind": "gaussian", "mean": [0.0], "cov": [[1.0]], "sqrt": [[1.0]]}),
+    ("priors", "charge", []),
+    ("priors", "coord", {"kind": "positional_categorical", "bin_probs": [[1.0]], "base": [1.0],
+                         "beta": 0.1}),
+    ("priors", "atom", lambda p: dict(p, bin_probs=[r + [0.5] for r in p["bin_probs"]],
+                                      base=p["base"] + [0.5])),           # a class too many
+    ("priors", "coord", lambda p: dict(p, bin_means=[r[:2] for r in p["bin_means"]],
+                                       bin_stds=[r[:2] for r in p["bin_stds"]])),  # 2-D
+    ("priors", "coord", lambda p: dict(p, bin_means=[[float("nan")] * 3] + p["bin_means"][1:])),
+    ("priors", "coord", lambda p: dict(p, bin_stds=[[-s for s in r] for r in p["bin_stds"]])),
+    ("priors", "charge", lambda p: dict(p, bin_probs=[[0.0] * len(r) for r in p["bin_probs"]])),
 ]
 
 
 def damage_checkpoint(doc: dict, group: str | None, key: str, value) -> dict:
     """Apply one CHECKPOINT_DAMAGE edit: doc[group][key] = value (a top-level
     entry when group is None; the whole document when key is "top level"),
-    deleting the entry when value is None."""
+    deleting the entry when value is None and storing value(entry) when
+    value is a function."""
     if key == "top level":
         return value
     target = doc if group is None else doc[group]
     if value is None:
         del target[key]
     else:
-        target[key] = value
+        target[key] = value(target[key]) if callable(value) else value
     return doc

@@ -86,6 +86,20 @@ def test_canonicalize_error_codes(tmp_path):
     assert run("canonicalize", txt, "-o", tmp_path) == 2
 
 
+@pytest.mark.parametrize("ordering", ["multihop", "atomic"])
+def test_canonicalize_rotation_gauge_needs_spectral_ordering(tmp_path, capsys, ordering):
+    # rejected before any input is read: the input need not even exist
+    out = tmp_path / "out"
+    assert run("canonicalize", tmp_path / "missing.xyz", "--ordering", ordering, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "spectral ordering only" in err and "--group perm" in err
+    assert not out.exists()
+    src = write_xyz(tmp_path / "mol.xyz", nondegenerate_molecule(np.random.default_rng(4), 7))
+    assert run("canonicalize", src, "--group", "perm", "--ordering", ordering, "-o", out) == 0
+    assert {p.name for p in out.iterdir()} == {"mol.canonical.xyz", "mol.ranks.csv",
+                                               "manifest.json"}
+
+
 @pytest.mark.parametrize("bad, text, code, error", [
     ("bad.xyz", "not a count\nxx\n", 3, "line 1: expected atom count"),
     ("flat.xyz", "3\ncoincident\nC 0.5 0.5 0.5\nC 0.5 0.5 0.5\nO 0.5 0.5 0.5\n", 1,
@@ -264,9 +278,15 @@ def test_molecular_sample_outputs(trained_mol, tmp_path):
                    {"load_s", "sample_s", "write_s"})
 
 
-def test_molecular_sample_needs_n_atoms(trained_mol, tmp_path):
-    assert run("sample", "--model", trained_mol / "checkpoint.json",
-               "--n", 1, "-o", tmp_path) == 2
+def test_molecular_sample_needs_n_atoms(trained_mol, tmp_path, capsys):
+    # checked before the output directory exists: nothing is written, not
+    # even a manifest for --n 0
+    for n in (3, 0):
+        out = tmp_path / f"gen{n}"
+        assert run("sample", "--model", trained_mol / "checkpoint.json",
+                   "--n", n, "-o", out) == 2
+        assert "--n-atoms" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("n_atoms", [0, -3])

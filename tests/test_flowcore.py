@@ -377,6 +377,27 @@ def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, group, key, value)
         FlowModel.load(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda priors: priors.pop("noise"),
+    lambda priors: priors.update(coord=priors["noise"]),
+    lambda priors: priors.update(noise=[]),
+    lambda priors: priors["noise"].update(mean=[0.0, 0.0, 0.0]),          # 3-D, the net is 2-D
+    lambda priors: priors["noise"].update(sqrt=[[float("nan"), 0.0], [0.0, 1.0]]),
+    lambda priors: priors["noise"].update(kind="rank_gaussian")],
+    ids=["missing", "extra", "not-an-object", "wrong-dimension", "nan", "wrong-kind"])
+def test_vector_checkpoint_needs_exactly_its_noise_prior(tmp_path, edit):
+    import json
+
+    model, _ = train(np.random.default_rng(13).standard_normal((64, 2)), tiny_cfg(epochs=0))
+    path = tmp_path / "model.json"
+    model.save(path)
+    doc = json.loads(path.read_text())
+    edit(doc["priors"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="noise"):
+        FlowModel.load(path)
+
+
 def test_checkpoint_with_the_old_rank_head_bias_loads(tmp_path):
     # checkpoints written while the rank head had a bias hold head_rank.bias in
     # params and EMA; that entry is ignored and nothing else loosens

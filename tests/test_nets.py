@@ -4,13 +4,14 @@ form run one molecule at a time."""
 import numpy as np
 import pytest
 
+from conftest import minmax_reference
 from gaugeflow.flowcore import tape
 from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, MoleculeBatch,
                                      Predictions, canonical_pe, _one_hot)
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.symgroup import haar_rotations
 
-HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred", "rank_raw")
+HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred")
 
 
 def concat_forward(net, z_t, t, ranks, pe_dropped=False):
@@ -50,15 +51,16 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         e = tape.add(e, layer.edge_update(m_edge))
     e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, lay)), Tensor(0.5))
     rank_raw = tape.reshape(net.head_rank(h), (n,))
-    lo, hi = tape.reduce_min(rank_raw, [0]), tape.reduce_max(rank_raw, [0])
-    span = tape.maximum_const(tape.sub(hi, lo), 1e-6)
+    # the normalization in numpy: its value plus its Jacobian times the exact
+    # zero rank_raw - rank_raw.data, so the adjoint is the hand-derived one
+    value, jac = minmax_reference(rank_raw.data)
+    step = tape.reshape(tape.sub(rank_raw, Tensor(rank_raw.data)), (n, 1))
     return Predictions(
         velocity=tape.stack_mix(cs, net.head_vel),
         atom_logits=net.head_atom(h),
         charge_logits=net.head_charge(h),
         bond_logits=upper_rows(net.head_bond(e_sym), lay),
-        rank_pred=tape.div(tape.sub(rank_raw, lo), span),
-        rank_raw=rank_raw,
+        rank_pred=tape.add(Tensor(value), tape.reshape(tape.matmul(Tensor(jac), step), (n,))),
     )
 
 

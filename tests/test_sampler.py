@@ -203,7 +203,7 @@ def test_packed_guided_heads_equal_single_forwards(mol_model, w):
             one = batch.select([b])
             cond = getattr(net(one, 0.7, r), k).data
             unc = getattr(net(one, 0.7, r, pe_dropped=True), k).data
-            if k == "rank_raw":      # the conditional copy's, when one runs
+            if k == "rank_pred":     # the conditional copy's, when one runs
                 want.append(unc if w == 0.0 else cond)
             else:
                 want.append(unc + w * (cond - unc))
@@ -226,28 +226,26 @@ def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
     assert info["degenerate_steps"] == 0
 
 
-def _rank_estimate_loop(raw):
-    """Reference: one molecule's min-max normalization, index ranks if collapsed."""
-    raw = np.asarray(raw, dtype=np.float64)
-    span = raw.max() - raw.min()
-    if span < sampler.RANK_SPAN_TOL:
-        return np.arange(len(raw)) / len(raw)
-    return (raw - raw.min()) / span
+@pytest.mark.usefixtures("float64_tape")
+def test_predict_mode_feeds_back_the_conditional_rank_pred(mol_model, monkeypatch):
+    # in regime b predict mode, step k + 1 reads step k's conditional-copy
+    # rank_pred: the rank head as the net normalizes it, with no second rule
+    calls = []
+    real = sampler.euler_step
 
-
-def test_rank_estimate_normalization():
-    raw = np.array([3.0, 1.0, 2.0])
-    assert np.allclose(sampler.rank_estimate(raw, np.array([0])), [1.0, 0.0, 0.5])
-    flat = np.full(4, 2.0)
-    assert np.allclose(sampler.rank_estimate(flat, np.array([0])), np.arange(4) / 4)
-    # packed: a collapsed molecule and a 1-atom molecule among ordinary ones
-    sizes = [3, 4, 1, 5, 2]
-    rng = np.random.default_rng(40)
-    raw = rng.standard_normal(sum(sizes)).astype(np.float32)
-    raw[3:7] = 0.25 + np.float32(1e-8) * np.arange(4)
-    node_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    want = np.concatenate([_rank_estimate_loop(r) for r in np.split(raw, node_start[1:])])
-    assert np.array_equal(sampler.rank_estimate(raw, node_start), want)
+    def spy(net, batch, t_from, t_to, ranks, cfg_scale, rng):
+        stepped, rank_pred = real(net, batch, t_from, t_to, ranks, cfg_scale, rng)
+        calls.append((batch, t_from, ranks.copy(), rank_pred))
+        return stepped, rank_pred
+    monkeypatch.setattr(sampler, "euler_step", spy)
+    sampler.sample(mol_model, [1, 5, 8], 3, SampleConfig(steps=4, regime="b", cfg_scale=2.0,
+                                                         seed=6))
+    assert len(calls) == 4
+    assert np.array_equal(calls[0][2], np.concatenate([[0.0], np.arange(5) / 5, np.arange(8) / 8]))
+    for (batch, t, ranks, rank_pred), after in zip(calls, calls[1:]):
+        assert np.array_equal(after[2], rank_pred)
+        cond = mol_model.net(batch, t, ranks).rank_pred.data
+        assert np.abs(rank_pred - cond).max() <= 1e-10
 
 
 def test_euler_step_coords_and_structure(mol_model):
