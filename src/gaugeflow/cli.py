@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import platform
@@ -23,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__, molecule, sampler, theorylab
-from .canonicalizer import CanonicalizationError, canonicalize_batch, check_options
+from .canonicalizer import ORDERINGS, CanonicalizationError, canonicalize_batch, check_options
 from .flowcore import toydata, training
 from .flowcore.training import TrainConfig, trace_to_csv
 
@@ -298,8 +297,7 @@ def cmd_sample(args) -> int:
     try:
         cfg = sampler.SampleConfig(
             steps=args.steps, regime=args.regime, cfg_scale=args.cfg_scale,
-            prior=args.prior, group=HAAR_FLAGS[args.haar], seed=args.seed,
-            canonicalize_mode=args.canonicalize_mode,
+            group=HAAR_FLAGS[args.haar], canonicalize_mode=args.canonicalize_mode,
         )
         if model.kind == "vector_field":
             sampler.check_vector_config(cfg)
@@ -309,13 +307,14 @@ def cmd_sample(args) -> int:
     model.load_ema()
     timings = {"load_s": loaded - start, "sample_s": 0.0, "write_s": 0.0}
     if args.n == 0:
-        _write_manifest(outdir, "sample", args, seed=args.seed,
-                        config=dataclasses.asdict(cfg), timings=timings)
+        _write_manifest(outdir, "sample", args, seed=args.seed, config=cfg.to_dict(),
+                        timings=timings)
         print("n=0: wrote manifest only")
         return EXIT_OK
+    rng = np.random.default_rng(args.seed)
     sampling = time.perf_counter()
     if model.kind == "vector_field":
-        samples = sampler.sample_vectors(model, args.n, cfg)
+        samples = sampler.sample_vectors(model, args.n, cfg, rng)
         sampled = time.perf_counter()
         np.savez(outdir / "samples.npz", samples=samples)
         with open(outdir / "sample_metrics.csv", "w") as fh:
@@ -327,7 +326,7 @@ def cmd_sample(args) -> int:
                 fh.write(f"{i},{vals},{np.linalg.norm(z):.8f}\n")
         print(f"wrote {len(samples)} vectors to samples.npz")
     else:
-        mols, info = sampler.sample(model, args.n_atoms, args.n, cfg)
+        mols, info = sampler.sample(model, args.n_atoms, args.n, cfg, rng)
         sampled = time.perf_counter()
         write_one = molecule.write_sdf if args.format == "sdf" else molecule.write_xyz
         for i, m in enumerate(mols):
@@ -345,8 +344,8 @@ def cmd_sample(args) -> int:
               f"{info['degenerate_steps']}, degenerate orderings: "
               f"{info['degenerate_orderings']}, clipped coordinates: {info['clipped_coords']}")
     timings.update(sample_s=sampled - sampling, write_s=time.perf_counter() - sampled)
-    _write_manifest(outdir, "sample", args, seed=args.seed,
-                    config=dataclasses.asdict(cfg), timings=timings)
+    _write_manifest(outdir, "sample", args, seed=args.seed, config=cfg.to_dict(),
+                    timings=timings)
     return EXIT_OK
 
 
@@ -365,9 +364,7 @@ def cmd_verify(args) -> int:
     battery_done = time.perf_counter()
     for line in report.summary_lines():
         print(line)
-    report_path = Path(args.out) if args.out else outdir / "theory_report.json"
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report.to_json(report_path)
+    report.to_json(outdir / "theory_report.json")
     timings = {"battery_s": battery_done - start,
                "write_s": time.perf_counter() - battery_done}
     _write_manifest(outdir, "verify-theory", args, seed=args.seed, timings=timings)
@@ -438,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canonicalize", help="map molecules to canonical form")
     p.add_argument("inputs", nargs="+", help=".xyz or .sdf files")
     p.add_argument("--group", default="perm-so3", choices=sorted(GROUP_FLAGS))
-    p.add_argument("--ordering", default="spectral",
-                   choices=["spectral", "multihop", "atomic"])
+    p.add_argument("--ordering", default="spectral", choices=ORDERINGS)
     p.add_argument("-o", "--outdir", default=None)
     p.set_defaults(func=cmd_canonicalize)
 
@@ -463,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--cfg-scale", type=float, default=1.0)
     p.add_argument("--regime", default="a", choices=sampler.REGIMES)
-    p.add_argument("--prior", default="aligned", choices=sampler.PRIOR_CHOICES)
     p.add_argument("--haar", default="off", choices=sorted(HAAR_FLAGS),
                    help="post-hoc group randomization of the samples")
     p.add_argument("--canonicalize-mode", action="store_true",
@@ -474,12 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify-theory", help="run the Monte Carlo check battery")
-    p.add_argument("--system", default="all",
-                   choices=["signflip", "c4", "s3", "all"])
+    p.add_argument("--system", default="all", choices=[*theorylab.ALL_SYSTEMS, "all"])
     p.add_argument("--n", default=None,
                    help="Monte Carlo sample count, e.g. 1e6")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="report JSON path")
     p.add_argument("-o", "--outdir", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -15,6 +15,8 @@ Regimes:
        canonicalize_mode=True instead re-canonicalizes the intermediate
        state and reads ranks off the new ordering.
 
+The noise is drawn from the checkpoint's priors, the ones training fitted
+and trained against, and every draw comes from the caller's generator.
 Integration runs on the net's unit-scale coordinates, all samples of a
 request as one MoleculeBatch from one noise draw; finished samples are
 decoded with the checkpoint's coord_scale. A regime-b canonicalization
@@ -43,7 +45,6 @@ from .molecule import MoleculeState
 
 REGIMES = ("a", "b")
 HAAR_GROUPS = ("none", "perm", "perm_so3")
-PRIOR_CHOICES = ("isotropic", "aligned")
 
 
 @dataclass
@@ -51,9 +52,7 @@ class SampleConfig:
     steps: int = 10
     regime: str = "a"
     cfg_scale: float = 1.0          # v = v_u + w (v_c - v_u); 1 = conditional only
-    prior: str = "aligned"
     group: str = "none"             # final Haar randomization
-    seed: int = 0
     canonicalize_mode: bool = False  # regime b only; predict mode is the default
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class SampleConfig:
             raise ValueError(f"regime must be one of {REGIMES}")
         if self.group not in HAAR_GROUPS:
             raise ValueError(f"group must be one of {HAAR_GROUPS}")
-        if self.prior not in PRIOR_CHOICES:
-            raise ValueError(f"prior must be one of {PRIOR_CHOICES}")
         if self.canonicalize_mode and self.regime != "b":
             raise ValueError("canonicalize_mode applies to regime 'b' only")
 
@@ -75,7 +72,7 @@ class SampleConfig:
 
 
 # the SampleConfig fields sample_vectors reads; the rest steer molecular sampling only
-_VECTOR_SETTINGS = ("steps", "seed")
+_VECTOR_SETTINGS = ("steps",)
 
 
 def check_vector_config(cfg: SampleConfig) -> None:
@@ -95,22 +92,23 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
 
     Each run of same-size molecules (state.layout.blocks) goes through
     canonicalize_stack as one stack, in data units: coordinates times
-    coord_scale, atom and bond classes decoded through the vocab (bonds
-    mirrored from the upper triangle). A molecule that canonicalizes has its
-    rows permuted and rotated to its representative (coordinates back over
-    coord_scale) and its ranks set to i/N; one outside the map's domain keeps
-    its rows and ranks. Returns (state, ranks), the objects passed in, and
-    adds to the counts `sample` documents."""
+    coord_scale, atom classes decoded through the vocab, and the bond class
+    indices mirrored from the upper triangle as they are (a vocab's bond
+    classes are training.BOND_CLASSES, the indices themselves). A molecule
+    that canonicalizes has its rows permuted and rotated to its
+    representative (coordinates back over coord_scale) and its ranks set to
+    i/N; one outside the map's domain keeps its rows and ranks. Returns
+    (state, ranks), the objects passed in, and adds to the counts `sample`
+    documents."""
     atom_classes = np.asarray(vocab["atom_classes"])
-    bond_classes = np.asarray(vocab["bond_classes"])
     full_bonds = state.layout.symmetric(state.bond_idx)
     for k, n, nodes, pairs in state.layout.blocks:
         coords = state.coords[nodes].reshape(k, n, 3)
         types = state.type_idx[nodes].reshape(k, n)
         charges = state.charge_idx[nodes].reshape(k, n)
         bonds = full_bonds[pairs].reshape(k, n, n)
-        st = canonicalize_stack(coords * coord_scale, atom_classes[types],
-                                bond_classes[bonds], group="perm_so3")
+        st = canonicalize_stack(coords * coord_scale, atom_classes[types], bonds,
+                                group="perm_so3")
         ok = st.failed == 0
         counts["canonicalize_calls"] += k
         counts["degenerate_steps"] += k - int(ok.sum())
@@ -126,23 +124,15 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
     return state, ranks
 
 
-def _isotropic_coord_prior(aligned: priors_mod.RankBinnedGaussianPrior
-                           ) -> priors_mod.RankBinnedGaussianPrior:
-    """Zero-mean prior with one pooled scale, for the mismatch ablation."""
-    scale = float(np.sqrt((aligned.bin_stds ** 2).mean()))
-    return priors_mod.RankBinnedGaussianPrior(
-        np.zeros_like(aligned.bin_means), np.full_like(aligned.bin_stds, scale))
-
-
 def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
-           rng: np.random.Generator | None = None,
-           priors: dict | None = None) -> tuple[list[MoleculeState], dict]:
+           rng: np.random.Generator) -> tuple[list[MoleculeState], dict]:
     """Draw molecules from a trained canonical model.
 
     All samples are integrated together: each Euler step is one packed
     forward over the request (training.euler_step). n_atoms: an int (all
-    samples share a size) or a sequence of per-sample sizes. priors overrides
-    the checkpoint's fitted priors. Returns (molecules, info). info counts:
+    samples share a size) or a sequence of per-sample sizes. The noise comes
+    from the checkpoint's priors (model.priors, the ones training fitted) and
+    every draw from rng. Returns (molecules, info). info counts:
       canonicalize_calls    canonicalizer invocations during integration
                             (zero in regime "a");
       degenerate_steps      regime-b steps whose state could not be
@@ -159,18 +149,11 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
     """
     if model.kind != "canonlite":
         raise ValueError("molecular sampling needs a canonlite model")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     sizes = np.full(n_samples, n_atoms) if np.isscalar(n_atoms) else np.asarray(n_atoms)
     if len(sizes) != n_samples:
         raise ValueError("n_atoms sequence length must equal n_samples")
     if (sizes < 1).any():
         raise ValueError(f"molecule sizes must be >= 1, got {sizes[sizes < 1][0]}")
-    if priors is None:
-        priors = model.priors
-    if cfg.prior == "isotropic":
-        priors = dict(priors)
-        priors["coord"] = _isotropic_coord_prior(priors["coord"])
     vocab = model.meta["vocab"]
     net = model.net
     n_bond = net.cfg.n_bond_classes
@@ -179,7 +162,7 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
                             "degenerate_orderings", "clipped_coords"), 0)
     mols = []
     if n_samples:
-        state = sample_molecular_noise(sizes, priors, n_bond, rng)
+        state = sample_molecular_noise(sizes, model.priors, n_bond, rng)
         ranks = index_ranks(sizes)
         for k in range(cfg.steps, 0, -1):
             state, rank_pred = euler_step(net, state, k / cfg.steps, (k - 1) / cfg.steps,
@@ -196,14 +179,13 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
 
 
 def sample_vectors(model: FlowModel, n_samples: int, cfg: SampleConfig,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Integrate the toy vector field from prior draws. Only cfg.steps and
-    cfg.seed apply; check_vector_config rejects the other settings."""
+                   rng: np.random.Generator) -> np.ndarray:
+    """Integrate the toy vector field from the checkpoint's prior, drawn with
+    rng. Only cfg.steps applies; check_vector_config rejects the other
+    settings."""
     if model.kind != "vector_field":
         raise ValueError("vector sampling needs a vector_field model")
     check_vector_config(cfg)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     z1 = priors_mod.sample_gaussian(model.priors["noise"], n_samples, rng)
     return training.integrate_vector_field(model.net, z1, cfg.steps)
 

@@ -114,20 +114,16 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
 
 
 def haar_rotations(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent uniform rotations (n, d, d): an angle for SO(2), a unit
-    quaternion for SO(3), QR otherwise. All draws come in one call, in the
-    stream order of n single draws."""
+    """n independent uniform rotations (n, d, d) for d = 2 (an angle) or
+    d = 3 (a unit quaternion); any other d is a ValueError. All draws come in
+    one call, in the stream order of n single draws."""
     if d == 2:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
         c, s = np.cos(theta), np.sin(theta)
         return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     if d == 3:
         return rotation_from_quaternion(rng.standard_normal((n, 4)))
-    # Mezzadri construction: QR of a Gaussian matrix with sign-fixed R diagonal
-    q, r = np.linalg.qr(rng.standard_normal((n, d, d)))
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    return q
+    raise ValueError(f"Haar rotations are drawn for d = 2 or 3, got {d}")
 
 
 def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,7 +190,7 @@ class FiniteGroupSpec:
 
 @dataclass
 class RotationGroup:
-    """SO(d) acting on R^d point states, drawn from the Haar measure."""
+    """SO(d), d = 2 or 3, acting on R^d point states, drawn from the Haar measure."""
 
     dim: int
 

@@ -242,7 +242,8 @@ def test_canonical_slice_training_beats_invariant_mixture():
         for arm, arm_data in (("canonical", toydata.sector_canonicalize(data)[0]),
                               ("invariant", data)):
             model, trace = train(arm_data, cfg)
-            gen = sample_vectors(model, 2000, SampleConfig(steps=10, seed=seed + 7))
+            gen = sample_vectors(model, 2000, SampleConfig(steps=10),
+                                 np.random.default_rng(seed + 7))
             if arm == "canonical":
                 gen = finite_group_randomize(gen, symgroup.c4_group(),
                                              np.random.default_rng([seed, 102]))

@@ -2,15 +2,18 @@
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, nondegenerate_molecule,
                       random_molecule)
-from gaugeflow import molecule, sampler, symgroup, theorylab
+from gaugeflow import canonicalizer, molecule, sampler, symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
-from gaugeflow.cli import build_parser, main
+from gaugeflow.cli import GROUP_FLAGS, HAAR_FLAGS, build_parser, main
 from gaugeflow.flowcore import training
 
 
@@ -211,7 +214,10 @@ def test_sample_vectors_roundtrip(trained_vec, tmp_path):
     assert rows[0] == "index,z0,z1,norm"
     assert len(rows) == 13
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["steps"] == 4
+    # the config is the integration settings; the seed is recorded once, at the top
+    assert manifest["config"] == {"steps": 4, "regime": "a", "cfg_scale": 1.0, "group": "none",
+                                  "canonicalize_mode": False}
+    assert manifest["seed"] == 0
     assert_timings(manifest, {"load_s", "sample_s", "write_s"})
 
 
@@ -227,7 +233,7 @@ def test_sample_zero_n_writes_manifest_only(trained_vec, tmp_path):
 @pytest.mark.parametrize("flags, word", [
     (["--n-atoms", 9], "--n-atoms"), (["--regime", "b"], "'regime'"),
     (["--regime", "b", "--canonicalize-mode"], "'regime'"), (["--cfg-scale", 3], "'cfg_scale'"),
-    (["--prior", "isotropic"], "'prior'"), (["--haar", "perm-so3"], "'group'")])
+    (["--haar", "perm"], "'group'"), (["--haar", "perm-so3"], "'group'")])
 def test_vector_sample_rejects_settings_it_never_reads(trained_vec, tmp_path, capsys,
                                                          flags, word):
     out = tmp_path / "ignored"
@@ -235,6 +241,17 @@ def test_vector_sample_rejects_settings_it_never_reads(trained_vec, tmp_path, ca
                "-o", out) == 2
     assert word in capsys.readouterr().err
     assert not out.exists()         # nothing written, not even a manifest
+
+
+def test_sample_prior_is_an_unknown_flag(trained_vec, tmp_path, capsys):
+    # the noise prior is the checkpoint's; no flag swaps it
+    out = tmp_path / "ignored"
+    with pytest.raises(SystemExit) as exc:
+        run("sample", "--model", trained_vec / "checkpoint.json", "--n", 4,
+            "--prior", "isotropic", "-o", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prior isotropic" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sample_bad_checkpoint(tmp_path):
@@ -475,7 +492,36 @@ def test_cli_choice_lists_are_the_library_constants():
 
     assert choices("train", "--ot") == [*training.OT_MODES, "anneal"]
     assert choices("sample", "--regime") == list(sampler.REGIMES)
-    assert choices("sample", "--prior") == list(sampler.PRIOR_CHOICES)
+    assert choices("canonicalize", "--ordering") == list(canonicalizer.ORDERINGS)
+    assert choices("verify-theory", "--system") == [*theorylab.ALL_SYSTEMS, "all"]
+    assert sorted(GROUP_FLAGS[c] for c in choices("canonicalize", "--group")) == sorted(
+        canonicalizer.GROUPS)
+    assert sorted(HAAR_FLAGS[c] for c in choices("sample", "--haar")) == sorted(
+        sampler.HAAR_GROUPS)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every `gaugeflow ...` line in the README's shell
+    blocks, backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```(?:sh|bash|console)\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gaugeflow"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse_and_write_where_they_say():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"canonicalize", "train", "sample",
+                                               "verify-theory", "metrics"}
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        for flag in ("--out", "-o"):
+            if flag in argv:
+                assert args.outdir == argv[argv.index(flag) + 1], argv
 
 
 BAD_NPZ_DATA = {"1-D": np.zeros(5), "3-D": np.zeros((4, 2, 2)), "empty": np.zeros((0, 2)),
@@ -545,12 +591,13 @@ def test_verify_theory_failure_exit(tmp_path, monkeypatch):
     assert doc["all_passed"] is False
 
 
-def test_verify_theory_custom_report_path(tmp_path):
-    report = tmp_path / "deep" / "report.json"
-    code = run("verify-theory", "--system", "signflip", "--n", "2e4",
-               "--out", report, "-o", tmp_path)
-    assert code == 0
-    assert report.exists()
+def test_verify_theory_out_is_the_output_directory(tmp_path):
+    # --out abbreviates --outdir here as on every other command
+    out = tmp_path / "deep" / "theory"
+    assert run("verify-theory", "--system", "c4", "--n", "1000", "--out", out) == 0
+    assert json.loads((out / "theory_report.json").read_text())["all_passed"] is True
+    assert json.loads((out / "manifest.json").read_text())["command"] == "verify-theory"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "theory_report.json"]
 
 
 def test_metrics_on_molecules_and_trace(trained_vec, tmp_path):

@@ -47,5 +47,6 @@ def test_angstrom_scale_training_converges_and_samples_unclipped():
                for row in trace)
 
     model.load_ema()
-    _, info = sampler.sample(model, 16, 8, sampler.SampleConfig(steps=10, seed=3))
+    _, info = sampler.sample(model, 16, 8, sampler.SampleConfig(steps=10),
+                             np.random.default_rng(3))
     assert info["clipped_coords"] == 0

@@ -9,8 +9,8 @@ from scipy.stats import ks_2samp
 from conftest import random_molecule
 from gaugeflow import priors as priors_mod
 from gaugeflow import sampler, symgroup
-from gaugeflow.flowcore.training import (TrainConfig, guided_forward, sample_molecular_noise,
-                                         train)
+from gaugeflow.flowcore.training import (FlowModel, TrainConfig, encode_molecules, guided_forward,
+                                         sample_molecular_noise, train)
 from gaugeflow.sampler import SampleConfig
 
 
@@ -44,27 +44,25 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(group="o3")
     with pytest.raises(ValueError):
-        SampleConfig(prior="laplace")
-    with pytest.raises(ValueError):
         SampleConfig(regime="a", canonicalize_mode=True)
     assert SampleConfig().to_dict()["regime"] == "a"
 
 
 def test_regime_a_never_canonicalizes(mol_model):
-    cfg = SampleConfig(steps=3, regime="a", seed=5)
-    mols, info = sampler.sample(mol_model, 4, 4, cfg)
+    cfg = SampleConfig(steps=3, regime="a")
+    mols, info = sampler.sample(mol_model, 4, 4, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 0
     assert len(mols) == 4
     assert all(m.n_atoms == 4 for m in mols)
 
 
 def test_regime_b_canonicalize_mode_counts_calls(mol_model):
-    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
-    _, info = sampler.sample(mol_model, 5, 2, cfg)
+    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True)
+    _, info = sampler.sample(mol_model, 5, 2, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 2 * 3
     # predict mode keeps the canonicalizer out of the loop
-    cfg = SampleConfig(steps=3, regime="b", seed=5)
-    _, info = sampler.sample(mol_model, 5, 2, cfg)
+    cfg = SampleConfig(steps=3, regime="b")
+    _, info = sampler.sample(mol_model, 5, 2, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 0
 
 
@@ -77,10 +75,10 @@ def test_regime_b_keeps_a_collapsed_state(mol_model):
     model = copy.deepcopy(mol_model)
     model.net.head_vel.data[:] = 0.0
     coord = model.priors["coord"]
-    flat = priors_mod.RankBinnedGaussianPrior(np.zeros_like(coord.bin_means),
-                                              np.zeros_like(coord.bin_stds))
-    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
-    mols, info = sampler.sample(model, 5, 2, cfg, priors=dict(model.priors, coord=flat))
+    model.priors["coord"] = priors_mod.RankBinnedGaussianPrior(np.zeros_like(coord.bin_means),
+                                                               np.zeros_like(coord.bin_stds))
+    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True)
+    mols, info = sampler.sample(model, 5, 2, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 2 * 3
     assert info["degenerate_steps"] == 2 * 3
     assert info["clipped_coords"] == 0
@@ -93,8 +91,7 @@ def test_clipped_coordinates_are_counted(mol_model):
 
     model = copy.deepcopy(mol_model)
     model.net.head_vel.data *= 1e9
-    cfg = SampleConfig(steps=1, seed=6)
-    mols, info = sampler.sample(model, 6, 3, cfg)
+    mols, info = sampler.sample(model, 6, 3, SampleConfig(steps=1), np.random.default_rng(6))
     # the clip acts on the net's unit-scale coordinates; samples come back scaled
     bound = sampler.COORD_CLIP * model.coord_scale
     at_bound = sum(int((np.abs(m.coords) == bound).sum()) for m in mols)
@@ -131,9 +128,9 @@ def test_euler_step_draws_stay_in_range_at_the_top_edge(mol_model):
 
 
 def test_sampling_deterministic_under_seed(mol_model):
-    cfg = SampleConfig(steps=4, seed=9)
-    a, _ = sampler.sample(mol_model, 5, 3, cfg)
-    b, _ = sampler.sample(mol_model, 5, 3, cfg)
+    cfg = SampleConfig(steps=4)
+    a, _ = sampler.sample(mol_model, 5, 3, cfg, np.random.default_rng(9))
+    b, _ = sampler.sample(mol_model, 5, 3, cfg, np.random.default_rng(9))
     for ma, mb in zip(a, b):
         assert np.array_equal(ma.coords, mb.coords)
         assert np.array_equal(ma.atom_types, mb.atom_types)
@@ -141,31 +138,31 @@ def test_sampling_deterministic_under_seed(mol_model):
 
 
 def test_per_sample_sizes(mol_model):
-    cfg = SampleConfig(steps=2, seed=3)
-    mols, _ = sampler.sample(mol_model, [4, 6, 8], 3, cfg)
+    cfg = SampleConfig(steps=2)
+    mols, _ = sampler.sample(mol_model, [4, 6, 8], 3, cfg, np.random.default_rng(3))
     assert [m.n_atoms for m in mols] == [4, 6, 8]
     with pytest.raises(ValueError):
-        sampler.sample(mol_model, [4, 6], 3, cfg)
+        sampler.sample(mol_model, [4, 6], 3, cfg, np.random.default_rng(3))
     for sizes in (0, [4, 0, 6]):
         with pytest.raises(ValueError, match="got 0"):
-            sampler.sample(mol_model, sizes, 3, cfg)
+            sampler.sample(mol_model, sizes, 3, cfg, np.random.default_rng(3))
 
 
 def test_fractional_sizes_fail_loudly(mol_model):
-    cfg = SampleConfig(steps=2, seed=3)
+    cfg = SampleConfig(steps=2)
     with pytest.raises(ValueError, match="whole numbers, got 8.7"):
-        sampler.sample(mol_model, 8.7, 2, cfg)
+        sampler.sample(mol_model, 8.7, 2, cfg, np.random.default_rng(3))
     with pytest.raises(ValueError, match="whole numbers, got 6.9"):
-        sampler.sample(mol_model, [6.9, 7.2], 2, cfg)
-    mols, _ = sampler.sample(mol_model, 8.0, 2, cfg)
+        sampler.sample(mol_model, [6.9, 7.2], 2, cfg, np.random.default_rng(3))
+    mols, _ = sampler.sample(mol_model, 8.0, 2, cfg, np.random.default_rng(3))
     assert [m.n_atoms for m in mols] == [8, 8]
 
 
 def test_model_kind_guards(mol_model, vec_model):
     with pytest.raises(ValueError):
-        sampler.sample(vec_model, 5, 1, SampleConfig())
+        sampler.sample(vec_model, 5, 1, SampleConfig(), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sampler.sample_vectors(mol_model, 4, SampleConfig())
+        sampler.sample_vectors(mol_model, 4, SampleConfig(), np.random.default_rng(0))
 
 
 def test_guidance_endpoints_and_mixing(mol_model):
@@ -219,8 +216,8 @@ def test_degenerate_orderings_are_counted(mol_model, monkeypatch):
         stack = real(*args, **kwargs)
         return dataclasses.replace(stack, degenerate=np.ones_like(stack.degenerate))
     monkeypatch.setattr(sampler, "canonicalize_stack", flagged)
-    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True, seed=5)
-    _, info = sampler.sample(mol_model, 5, 4, cfg)
+    cfg = SampleConfig(steps=3, regime="b", canonicalize_mode=True)
+    _, info = sampler.sample(mol_model, 5, 4, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 3 * 4
     assert info["degenerate_orderings"] + info["degenerate_steps"] == 3 * 4
     assert info["degenerate_steps"] == 0
@@ -238,8 +235,8 @@ def test_predict_mode_feeds_back_the_conditional_rank_pred(mol_model, monkeypatc
         calls.append((batch, t_from, ranks.copy(), rank_pred))
         return stepped, rank_pred
     monkeypatch.setattr(sampler, "euler_step", spy)
-    sampler.sample(mol_model, [1, 5, 8], 3, SampleConfig(steps=4, regime="b", cfg_scale=2.0,
-                                                         seed=6))
+    sampler.sample(mol_model, [1, 5, 8], 3, SampleConfig(steps=4, regime="b", cfg_scale=2.0),
+                   np.random.default_rng(6))
     assert len(calls) == 4
     assert np.array_equal(calls[0][2], np.concatenate([[0.0], np.arange(5) / 5, np.arange(8) / 8]))
     for (batch, t, ranks, rank_pred), after in zip(calls, calls[1:]):
@@ -273,8 +270,8 @@ def test_zero_field_single_step_reproduces_prior(mol_model):
 
     model = copy.deepcopy(mol_model)
     model.net.head_vel.data[:] = 0.0
-    cfg = SampleConfig(steps=1, regime="a", seed=17)
-    mols, _ = sampler.sample(model, 6, 60, cfg)
+    mols, _ = sampler.sample(model, 6, 60, SampleConfig(steps=1, regime="a"),
+                             np.random.default_rng(17))
     pooled = np.concatenate([m.coords for m in mols]).ravel()
 
     rng = np.random.default_rng(1234)
@@ -286,22 +283,31 @@ def test_zero_field_single_step_reproduces_prior(mol_model):
     assert ks_2samp(pooled, direct).pvalue > 0.001
 
 
-def test_isotropic_prior_override(mol_model):
-    cfg = SampleConfig(steps=1, prior="isotropic", seed=8)
-    mols, _ = sampler.sample(mol_model, 6, 2, cfg)
-    assert len(mols) == 2
-    iso = sampler._isotropic_coord_prior(mol_model.priors["coord"])
-    assert np.allclose(iso.bin_means, 0.0)
-    assert np.allclose(iso.bin_stds, iso.bin_stds.ravel()[0])
-    pooled_var = float((mol_model.priors["coord"].bin_stds ** 2).mean())
-    assert abs(iso.bin_stds.ravel()[0] ** 2 - pooled_var) < 1e-12
+def test_isotropic_checkpoint_noise_is_zero_mean_at_its_scale(tmp_path):
+    # an isotropic-trained checkpoint carries its own prior: one data-std
+    # scale and zero means in every rank bin, which sampling draws from as is
+    rng = np.random.default_rng(23)
+    mols = [random_molecule(rng, 6) for _ in range(8)]
+    model, _ = train(mols, TrainConfig(epochs=1, steps_per_epoch=2, batch_size=2, seed=1,
+                                       prior_mode="isotropic"))
+    model.save(tmp_path / "checkpoint.json")
+    model = FlowModel.load(tmp_path / "checkpoint.json")
+    coord = model.priors["coord"]
+    scale = encode_molecules(mols, model.meta["vocab"], model.coord_scale).coords.std()
+    assert np.all(coord.bin_means == 0.0)
+    assert np.allclose(coord.bin_stds, scale, rtol=1e-12, atol=0.0)
+
+    model.net.head_vel.data[:] = 0.0      # one Euler step then leaves the noise as drawn
+    out, _ = sampler.sample(model, 6, 200, SampleConfig(steps=1), np.random.default_rng(8))
+    noise = np.concatenate([m.coords for m in out]).ravel() / model.coord_scale
+    assert abs(noise.mean()) < 4 * scale / np.sqrt(noise.size)
+    assert noise.std() == pytest.approx(scale, rel=0.05)
 
 
 def test_sample_vectors_matches_manual_integration(vec_model):
     from gaugeflow.flowcore.training import integrate_vector_field
 
-    cfg = SampleConfig(steps=6, seed=13)
-    out = sampler.sample_vectors(vec_model, 20, cfg)
+    out = sampler.sample_vectors(vec_model, 20, SampleConfig(steps=6), np.random.default_rng(13))
     rng = np.random.default_rng(13)
     z1 = priors_mod.sample_gaussian(vec_model.priors["noise"], 20, rng)
     assert np.array_equal(out, integrate_vector_field(vec_model.net, z1, 6))
@@ -309,12 +315,13 @@ def test_sample_vectors_matches_manual_integration(vec_model):
 
 @pytest.mark.parametrize("settings", [
     {"regime": "b"}, {"regime": "b", "canonicalize_mode": True}, {"cfg_scale": 3.0},
-    {"prior": "isotropic"}, {"group": "perm_so3"}])
+    {"group": "perm"}, {"group": "perm_so3"}])
 def test_sample_vectors_rejects_settings_it_never_reads(vec_model, settings):
-    # only steps and seed steer a vector field's rollout
+    # only steps (and the caller's generator) steer a vector field's rollout
+    rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match=f"sample setting '{next(iter(settings))}' = "):
-        sampler.sample_vectors(vec_model, 4, SampleConfig(steps=2, seed=3, **settings))
-    assert sampler.sample_vectors(vec_model, 4, SampleConfig(steps=2, seed=3)).shape == (4, 2)
+        sampler.sample_vectors(vec_model, 4, SampleConfig(steps=2, **settings), rng)
+    assert sampler.sample_vectors(vec_model, 4, SampleConfig(steps=2), rng).shape == (4, 2)
 
 
 def test_haar_randomize_none_is_identity():

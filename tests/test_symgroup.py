@@ -106,13 +106,24 @@ def test_group_element_validation():
         GroupElement(np.arange(3), refl, np.zeros(3))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3])
 def test_haar_rotation_is_special_orthogonal(d):
     rng = np.random.default_rng(3)
     for _ in range(20):
         r = haar_rotation(d, rng)
         assert np.allclose(r @ r.T, np.eye(d), atol=1e-10)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_haar_rotation_is_drawn_in_two_and_three_dimensions_only():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for d in (1, 5):
+        with pytest.raises(ValueError, match=f"d = 2 or 3, got {d}"):
+            symgroup.haar_rotations(d, 4, rng)
+        with pytest.raises(ValueError, match=f"d = 2 or 3, got {d}"):
+            symgroup.RotationGroup(d).randomize(rng, np.zeros((4, d)))
+    assert rng.bit_generator.state == state       # nothing drawn
 
 
 def test_haar_rotation_spreads_directions():
