@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,13 @@ def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None 
 
 
 def _load_train_config(path) -> TrainConfig:
+    """The TrainConfig a JSON file holds; a file that is not JSON is an
+    OSError naming it."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:       # not JSON, or not UTF-8 text
+            raise OSError(f"{path}: not valid JSON: {exc}") from None
     try:
         return TrainConfig.from_dict(doc)
     except ValueError as exc:
@@ -207,6 +213,9 @@ def _load_training_data(data_arg: str, seed: int):
         return blobs, None
     path = Path(data_arg)
     if path.suffix == ".npz":
+        with open(path, "rb") as fh:
+            if not zipfile.is_zipfile(fh):      # text, or a bare .npy array
+                raise OSError(f"{path}: not an .npz archive")
         with np.load(path) as doc:
             try:
                 data = doc["data"]
@@ -236,12 +245,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.ot is not None:
-        if args.ot == "anneal":
-            cfg.ot_mode = "exact"
-            cfg.ot_anneal = True
-        else:
-            cfg.ot_mode = args.ot
-            cfg.ot_anneal = False
+        cfg.ot_mode = args.ot
     start = time.perf_counter()
     data, counters = _load_training_data(args.data, cfg.seed)
     loaded = time.perf_counter()
@@ -387,28 +391,36 @@ def _collect_metric_inputs(inputs) -> tuple[list, list]:
     return mol_paths, trace_paths
 
 
-def cmd_metrics(args) -> int:
-    outdir = _outdir(args)
-    mol_paths, trace_paths = _collect_metric_inputs(args.inputs)
+def _read_trace(path: Path) -> tuple[list, dict]:
+    """(epochs, series) of a trace CSV, an empty cell NaN; a file with no rows,
+    or a cell that is not a number, is an OSError naming the file (and line)."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:      # a cell past the header's columns is a list under None
+            try:
+                rows.append({k: np.nan if v in ("", None) else float(v) for k, v in row.items()})
+            except (TypeError, ValueError):
+                raise OSError(f"{path.name}: line {reader.line_num}: "
+                              "a cell is not a number") from None
+    if not rows:
+        raise OSError(f"{path} holds no rows")
+    series = {key: [r[key] for r in rows] for key in rows[0] if key != "epoch"}
+    return [r.get("epoch", i) for i, r in enumerate(rows)], series
 
-    for trace_path in trace_paths:
-        with open(trace_path) as fh:
-            rows = list(csv.DictReader(fh))
-        if not rows:
-            raise OSError(f"{trace_path} holds no rows")
-        xs = [float(r.get("epoch", i)) for i, r in enumerate(rows)]
-        series = {}
-        for key in rows[0]:
-            if key == "epoch":
-                continue
-            series[key] = [float(r[key]) if r[key] not in ("", None) else np.nan
-                           for r in rows]
+
+def cmd_metrics(args) -> int:
+    mol_paths, trace_paths = _collect_metric_inputs(args.inputs)
+    traces = [_read_trace(path) for path in trace_paths]
+    mols = [_read_molecule(path) for path in mol_paths]
+    outdir = _outdir(args)
+
+    for trace_path, (xs, series) in zip(trace_paths, traces):
         svg_path = outdir / f"{trace_path.stem}.svg"
         svg_line_plot(xs, series, svg_path, title=trace_path.stem)
         print(f"{trace_path.name} -> {svg_path.name}")
 
-    if mol_paths:
-        mols = [_read_molecule(p) for p in mol_paths]
+    if mols:
         report = molecule.compute_metrics(mols, molecule.ValenceTable())
         doc = report.to_dict()
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -446,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="TrainConfig JSON")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ot", default=None, choices=[*training.OT_MODES, "anneal"],
+    p.add_argument("--ot", default=None, choices=training.OT_MODES,
                    help="slice coupling: exact OT pairs each batch; anneal ramps "
                         "its probability from 1 to 0")
     p.add_argument("-o", "--outdir", default=None)

@@ -49,10 +49,16 @@ CHECKPOINT_VERSION = 3          # 3: arrays as base64 bytes; 2: coordinate scale
                                 # bounded coordinate weights (still loads: same model)
 ARRAY_DTYPES = ("<f4", "<f8")   # the dtypes a stored array may declare
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
-OT_MODES = ("none", "exact")    # TrainConfig.ot_mode values
-TIME_DISTS = ("beta", "uniform")        # TrainConfig.time_dist values
+OT_MODES = ("none", "exact", "anneal")  # TrainConfig.ot_mode values
 PRIOR_MODES = ("aligned", "isotropic")  # TrainConfig.prior_mode values
 BOND_CLASSES = (0, 1, 2, 3, 4)  # a CanonLite vocab's bond orders; class 0, no bond, is the diagonal
+
+# fixed training hyperparameters; path times are always Beta(2, 1) (sample_times)
+ADAM_BETAS = (0.9, 0.999)
+EMA_DECAY = 0.999
+COORD_NOISE = 0.2               # coordinate path noise sigma
+RANK_NOISE = 0.05               # rank noise sigma at t = 0
+LAMBDA_TYPE, LAMBDA_BOND, LAMBDA_CHARGE = 0.2, 1.0, 1.0    # categorical loss weights
 
 
 class TrainingDiverged(RuntimeError):
@@ -60,13 +66,14 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A TrainConfig key is set away from its default for data that never reads
-    it, holds a value outside the range training can use, or holds an OT
-    setting training cannot run."""
+    """A config document holds a key TrainConfig does not have or a value not
+    of its field's type, or a TrainConfig key is set away from its default
+    for data that never reads it or holds a value outside the range training
+    can use."""
 
 
 # TrainConfig field annotation -> the JSON value types from_dict accepts for it
-_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -76,19 +83,9 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 3e-4
     warmup_steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    ema_decay: float = 0.999
-    time_dist: str = "beta"          # Beta(2,1), or "uniform"
-    coord_noise: float = 0.2
-    rank_noise: float = 0.05
     p_drop: float = 0.1              # PE-drop probability
-    lambda_type: float = 0.2
-    lambda_bond: float = 1.0
-    lambda_charge: float = 1.0
     lambda_rank: float = 0.1
     ot_mode: str = "none"            # one of OT_MODES
-    ot_anneal: bool = False
     prior_mode: str = "aligned"      # molecular coordinate prior: "aligned" | "isotropic"
     n_rank_bins: int = 8
     seed: int = 0
@@ -98,17 +95,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """The config a dict holds. A key TrainConfig does not have, or a value
-        not of its field's type, is a ValueError; an int passes for a float
-        field, a bool for no numeric field."""
+        """The config a dict holds. A document that is not a dict, a key
+        TrainConfig does not have, or a value not of its field's type, is a
+        ConfigError; an int passes for a float field, a bool for no field."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         types = {f.name: f.type for f in fields(cls)}
         unknown = sorted(set(doc) - set(types))
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
             allowed = _CONFIG_TYPES[types[key]]
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-                raise ValueError(f"config key {key} must be {types[key]}, got {value!r}")
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                raise ConfigError(f"config key {key} must be {types[key]}, got {value!r}")
         return cls(**doc)
 
 
@@ -117,12 +116,11 @@ class TrainConfig:
 
 
 class Adam:
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, warmup_steps: int = 0):
+    """Adam with betas ADAM_BETAS and a linear learning-rate warmup."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4, warmup_steps: int = 0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.warmup_steps = warmup_steps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -133,7 +131,7 @@ class Adam:
         lr_t = self.lr
         if self.warmup_steps > 0:
             lr_t *= min(1.0, self.t / self.warmup_steps)   # linear warmup, then constant
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETAS
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -148,7 +146,7 @@ class EMA:
     """Shadow weights; update t (from 0) uses the warm-up decay
     min(decay, (1 + t) / (10 + t)), so a short run's shadow is not the init."""
 
-    def __init__(self, params: dict[str, Tensor], decay: float = 0.999):
+    def __init__(self, params: dict[str, Tensor], decay: float):
         self.decay = decay
         self.t = 0
         self.shadow = {k: p.data.copy() for k, p in params.items()}
@@ -174,12 +172,9 @@ class PathSample:
     target_velocity: np.ndarray
 
 
-def sample_times(n: int, dist: str, rng: np.random.Generator) -> np.ndarray:
-    if dist == "beta":
-        return rng.beta(2.0, 1.0, size=n)
-    if dist == "uniform":
-        return rng.uniform(0.0, 1.0, size=n)
-    raise ValueError(f"unknown time distribution {dist!r}")
+def sample_times(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n path times from Beta(2, 1), which weights times near the noise end."""
+    return rng.beta(2.0, 1.0, size=n)
 
 
 def interpolate(z0: np.ndarray, z1: np.ndarray, t: np.ndarray, sigma: float,
@@ -305,6 +300,11 @@ def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
 # head. Older CanonLite checkpoints still hold it.
 _DROPPED_PARAM = "head_rank.bias"
 
+# TrainConfig keys older checkpoints store: nine are fixed constants now, and
+# ot_anneal = true is ot_mode "anneal"
+_RETIRED_KEYS = ("beta1", "beta2", "ema_decay", "time_dist", "coord_noise", "rank_noise",
+                 "lambda_type", "lambda_bond", "lambda_charge", "ot_anneal")
+
 
 def _load_priors(kind: str, doc: dict, net, vocab: dict | None) -> dict:
     """A checkpoint's priors, exactly the ones its kind samples from: noise, a
@@ -392,7 +392,10 @@ class FlowModel:
         arrays, shapes, coordinate scale or priors (_load_priors) do not fit,
         is a ValueError. A CanonLite checkpoint written while the rank head
         still had a bias holds `head_rank.bias` in its parameters and EMA;
-        that one entry is ignored (the bias cancelled in every use of it)."""
+        that one entry is ignored (the bias cancelled in every use of it).
+        So are _RETIRED_KEYS in train_config, whatever their values, since
+        train_config steers no sampling; a stored ot_anneal true reads as
+        ot_mode "anneal"."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -458,10 +461,13 @@ class FlowModel:
                                      f"the architecture needs {params[k].data.shape}")
         for k, arr in stored.items():
             params[k].data = arr
+        train_config = {k: v for k, v in doc["train_config"].items() if k not in _RETIRED_KEYS}
+        if doc["train_config"].get("ot_anneal") is True:
+            train_config["ot_mode"] = "anneal"
         return cls(
             kind=kind,
             net=net,
-            train_config=TrainConfig.from_dict(doc["train_config"]),
+            train_config=TrainConfig.from_dict(train_config),
             priors=_load_priors(kind, doc.get("priors", {}), net, meta.get("vocab")),
             ema=ema,
             meta=meta,
@@ -485,11 +491,9 @@ def trace_to_csv(trace: list[dict], path) -> None:
 
 
 def _ot_prob(cfg: TrainConfig, epoch: int) -> float:
-    if cfg.ot_mode == "none":
-        return 0.0
-    if cfg.ot_anneal:
+    if cfg.ot_mode == "anneal":
         return coupling_mod.ot_probability(epoch, cfg.epochs)
-    return 1.0
+    return 1.0 if cfg.ot_mode == "exact" else 0.0
 
 
 def _check_finite(value: float, parts: dict, epoch: int, step: int) -> None:
@@ -520,9 +524,8 @@ def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict
     grad_norm (the epoch mean), the validation columns, then the parts.
     """
     params = net.parameters()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               warmup_steps=cfg.warmup_steps)
-    ema = EMA(params, cfg.ema_decay)
+    opt = Adam(params, lr=cfg.lr, warmup_steps=cfg.warmup_steps)
+    ema = EMA(params, EMA_DECAY)
     trace = []
     for epoch in range(cfg.epochs):
         losses, norms, part_sums = [], [], {}
@@ -565,8 +568,8 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig):
     # frozen validation path set: reused every epoch so rows are comparable
     val_rng = np.random.default_rng([cfg.seed, 2])
     v_noise = priors_mod.sample_gaussian(prior, len(val_data), val_rng)
-    v_t = sample_times(len(val_data), cfg.time_dist, val_rng)
-    v_path = interpolate(val_data, v_noise, v_t, cfg.coord_noise, val_rng)
+    v_t = sample_times(len(val_data), val_rng)
+    v_path = interpolate(val_data, v_noise, v_t, COORD_NOISE, val_rng)
 
     def step_loss(epoch):
         p_ot = _ot_prob(cfg, epoch)
@@ -575,8 +578,8 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig):
         z1 = priors_mod.sample_gaussian(prior, cfg.batch_size, rng)
         if p_ot > 0 and rng.random() < p_ot:
             z1 = z1[coupling_mod.ot_pair(z0, z1)]
-        t = sample_times(cfg.batch_size, cfg.time_dist, rng)
-        path = interpolate(z0, z1, t, cfg.coord_noise, rng)
+        t = sample_times(cfg.batch_size, rng)
+        path = interpolate(z0, z1, t, COORD_NOISE, rng)
         return tape.mse(net(path.z_t, path.t), path.target_velocity), {}
 
     def epoch_stats(epoch):
@@ -716,13 +719,13 @@ def draw_path(data: MoleculeBatch, priors: dict, n_bond_classes: int, cfg: Train
     noise, at each molecule's time on its rows."""
     lay = data.layout
     noise = sample_molecular_noise(lay.sizes, priors, n_bond_classes, rng)
-    t = sample_times(len(lay.sizes), cfg.time_dist, rng)
+    t = sample_times(len(lay.sizes), rng)
     t_rows = np.repeat(t, lay.sizes)
-    coord_path = interpolate(data.coords, noise.coords, t_rows, cfg.coord_noise, rng)
+    coord_path = interpolate(data.coords, noise.coords, t_rows, COORD_NOISE, rng)
     type_idx = mix_categorical(data.type_idx, noise.type_idx, t_rows, rng)
     charge_idx = mix_categorical(data.charge_idx, noise.charge_idx, t_rows, rng)
     bonds = mix_categorical(data.bond_idx, noise.bond_idx, t_rows[lay.upper_i], rng)
-    ranks = rank_noise(index_ranks(lay.sizes), t_rows, cfg.rank_noise, rng)
+    ranks = rank_noise(index_ranks(lay.sizes), t_rows, RANK_NOISE, rng)
     pe_dropped = rng.random(len(lay.sizes)) < cfg.p_drop
     z_t = MoleculeBatch(coord_path.z_t, type_idx, charge_idx, bonds, lay)
     return MolecularPath(data, z_t, t, coord_path.target_velocity, ranks, pe_dropped)
@@ -767,8 +770,8 @@ def molecular_fm_loss(net: CanonLiteNet, path: MolecularPath, cfg: TrainConfig):
     rank_err = tape.square(tape.sub(preds.rank_pred, Tensor(index_ranks(lay.sizes))))
     l_rank = tape.tsum(tape.mul(rank_err, Tensor(row_w)))
     total = l_coord
-    for lam, term in ((cfg.lambda_type, l_type), (cfg.lambda_bond, l_bond),
-                      (cfg.lambda_charge, l_charge), (cfg.lambda_rank, l_rank)):
+    for lam, term in ((LAMBDA_TYPE, l_type), (LAMBDA_BOND, l_bond),
+                      (LAMBDA_CHARGE, l_charge), (cfg.lambda_rank, l_rank)):
         total = tape.add(total, tape.mul(Tensor(lam), term))
     parts = {
         "loss_coord": l_coord.item(), "loss_type": l_type.item(),
@@ -904,9 +907,8 @@ def _train_molecules(mols: list[MoleculeState], cfg: TrainConfig):
 
 
 # TrainConfig keys that only one kind of data reads
-_VECTOR_ONLY = ("ot_mode", "ot_anneal")
-_MOLECULE_ONLY = ("prior_mode", "lambda_type", "lambda_bond", "lambda_charge",
-                  "lambda_rank", "p_drop", "rank_noise", "n_rank_bins")
+_VECTOR_ONLY = ("ot_mode",)
+_MOLECULE_ONLY = ("prior_mode", "lambda_rank", "p_drop", "n_rank_bins")
 
 
 def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
@@ -919,40 +921,26 @@ def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
 
 
 def _reject_out_of_range(cfg: TrainConfig) -> None:
-    """ConfigError for the first key outside its range or its set of values;
-    the chained comparisons are False for NaN, so NaN is out of every range."""
+    """ConfigError for the first key outside its range or its set of values,
+    then for OT over more than coupling.MAX_EXACT rows; the chained
+    comparisons are False for NaN, so NaN is out of every range."""
     inf = float("inf")
     ranges = (
-        ("time_dist", cfg.time_dist in TIME_DISTS, f"one of {TIME_DISTS}"),
+        ("ot_mode", cfg.ot_mode in OT_MODES, f"one of {OT_MODES}"),
         ("prior_mode", cfg.prior_mode in PRIOR_MODES, f"one of {PRIOR_MODES}"),
         ("epochs", 0 <= cfg.epochs, ">= 0"),
         ("steps_per_epoch", 1 <= cfg.steps_per_epoch, ">= 1"),
         ("batch_size", 1 <= cfg.batch_size, ">= 1"),
         ("lr", 0 < cfg.lr < inf, "finite and > 0"),
         ("warmup_steps", 0 <= cfg.warmup_steps, ">= 0"),
-        ("beta1", 0 <= cfg.beta1 < 1, "in [0, 1)"),
-        ("beta2", 0 <= cfg.beta2 < 1, "in [0, 1)"),
-        ("ema_decay", 0 <= cfg.ema_decay <= 1, "in [0, 1]"),
-        ("coord_noise", 0 <= cfg.coord_noise < inf, "finite and >= 0"),
-        ("rank_noise", 0 <= cfg.rank_noise < inf, "finite and >= 0"),
         ("p_drop", 0 <= cfg.p_drop <= 1, "in [0, 1]"),
-        ("lambda_type", 0 <= cfg.lambda_type < inf, "finite and >= 0"),
-        ("lambda_bond", 0 <= cfg.lambda_bond < inf, "finite and >= 0"),
-        ("lambda_charge", 0 <= cfg.lambda_charge < inf, "finite and >= 0"),
         ("lambda_rank", 0 <= cfg.lambda_rank < inf, "finite and >= 0"),
         ("n_rank_bins", 1 <= cfg.n_rank_bins, ">= 1"),
     )
     for key, ok, rule in ranges:
         if not ok:
             raise ConfigError(f"config key {key!r} = {getattr(cfg, key)!r} must be {rule}")
-
-
-def _reject_bad_ot(cfg: TrainConfig) -> None:
-    if cfg.ot_mode not in OT_MODES:
-        raise ConfigError(f"config key 'ot_mode' = {cfg.ot_mode!r} must be one of {OT_MODES}")
-    if cfg.ot_anneal and cfg.ot_mode == "none":
-        raise ConfigError("config key 'ot_anneal' = True anneals OT, but ot_mode is 'none'")
-    if cfg.ot_mode == "exact" and cfg.batch_size > coupling_mod.MAX_EXACT:
+    if cfg.ot_mode != "none" and cfg.batch_size > coupling_mod.MAX_EXACT:
         raise ConfigError(f"config key 'batch_size' = {cfg.batch_size} exceeds exact OT's "
                           f"limit of {coupling_mod.MAX_EXACT} rows")
 
@@ -967,16 +955,14 @@ def train(data, cfg: TrainConfig):
     validates on its own last tenth (at least 16 vectors or one molecule).
     Identical seeds give identical traces and checkpoints. A config value
     outside its range or set (epochs below 0, steps_per_epoch or batch_size
-    below 1, a non-finite or non-positive lr, a time_dist outside TIME_DISTS,
-    ...), a config key the data kind does not read set away from its
-    default, or an OT setting outside OT_MODES, annealing with ot_mode
-    "none", or exact OT over more than coupling.MAX_EXACT rows, raises
+    below 1, a non-finite or non-positive lr, an ot_mode outside OT_MODES,
+    ...), OT, exact or annealed, over more than coupling.MAX_EXACT rows, or a
+    config key the data kind does not read set away from its default, raises
     ConfigError before any work is done.
     """
     _reject_out_of_range(cfg)
     if isinstance(data, np.ndarray):
         _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
-        _reject_bad_ot(cfg)
         return _train_vectors(data, cfg)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
         _reject_unused_keys(cfg, _VECTOR_ONLY, "molecule")

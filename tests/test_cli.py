@@ -1,5 +1,6 @@
 """End-to-end command line runs against temporary directories."""
 
+import dataclasses
 import json
 import math
 import re
@@ -193,6 +194,39 @@ def test_train_unknown_config_key(tmp_path):
     cfg.write_text(json.dumps({"epochs": 1, "learning_rate": 0.1}))
     assert main(["train", "--data", "c4", "--config", str(cfg),
                  "-o", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text, code, word", [
+    ("{bad", 3, "cfg.json: not valid JSON"),
+    ("[]", 2, "config must be a JSON object")], ids=["not-json", "not-an-object"])
+def test_train_malformed_config_fails_before_any_output(tmp_path, capsys, text, code, word):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    assert run("train", "--data", "c4", "--config", cfg, "-o", out) == code
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["text", "bare-npy"])
+def test_train_npz_that_is_not_an_archive_exits_3(tmp_path, capsys, kind):
+    data = tmp_path / "f.npz"
+    if kind == "text":
+        data.write_text("epoch,loss\n0,1.0\n")
+    else:
+        with open(data, "wb") as fh:
+            np.save(fh, np.zeros((20, 2)))
+    out = tmp_path / "run"
+    assert run("train", "--data", data, "-o", out) == 3
+    assert "f.npz: not an .npz archive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_ot_anneal_is_recorded_as_its_ot_mode(tmp_path):
+    out = tmp_path / "run"
+    assert run("train", "--data", "c4-canonical", "--epochs", 1, "--ot", "anneal", "-o", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["ot_mode"] == "anneal"
+    assert json.loads((out / "checkpoint.json").read_text())["train_config"]["ot_mode"] == "anneal"
 
 
 def test_train_zero_epochs(tmp_path, capsys):
@@ -490,7 +524,7 @@ def test_cli_choice_lists_are_the_library_constants():
         return list(next(a for a in sub.choices[command]._actions
                          if flag in a.option_strings).choices)
 
-    assert choices("train", "--ot") == [*training.OT_MODES, "anneal"]
+    assert choices("train", "--ot") == list(training.OT_MODES)
     assert choices("sample", "--regime") == list(sampler.REGIMES)
     assert choices("canonicalize", "--ordering") == list(canonicalizer.ORDERINGS)
     assert choices("verify-theory", "--system") == [*theorylab.ALL_SYSTEMS, "all"]
@@ -522,6 +556,18 @@ def test_readme_commands_parse_and_write_where_they_say():
         for flag in ("--out", "-o"):
             if flag in argv:
                 assert args.outdir == argv[argv.index(flag) + 1], argv
+
+
+def test_readme_config_table_matches_train_config():
+    """The README's --config table lists every TrainConfig key once, in field
+    order, with its default and the data kind that reads it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| (\w+) \|", text, re.M)
+    kinds = {**dict.fromkeys(training._VECTOR_ONLY, "vectors"),
+             **dict.fromkeys(training._MOLECULE_ONLY, "molecules")}
+    want = [(f.name, f.default, kinds.get(f.name, "both"))
+            for f in dataclasses.fields(training.TrainConfig)]
+    assert [(key, json.loads(default), kind) for key, default, kind in rows] == want
 
 
 BAD_NPZ_DATA = {"1-D": np.zeros(5), "3-D": np.zeros((4, 2, 2)), "empty": np.zeros((0, 2)),
@@ -612,6 +658,27 @@ def test_metrics_on_molecules_and_trace(trained_vec, tmp_path):
     header, row = (out / "metrics.csv").read_text().strip().splitlines()
     assert len(header.split(",")) == len(row.split(","))
     assert (out / "trace.svg").exists()
+
+
+def test_metrics_reads_every_input_before_writing(trained_vec, tmp_path, capsys):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text("not a count\n")
+    out = tmp_path / "metrics"
+    assert run("metrics", trained_vec / "trace.csv", bad, "-o", out) == 3
+    assert "bad.xyz: line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_metrics_trace_with_a_bad_cell_exits_3(trained_vec, tmp_path, capsys):
+    lines = (trained_vec / "trace.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "oops"
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+    out = tmp_path / "metrics"
+    assert run("metrics", trace, "-o", out) == 3
+    assert "trace.csv: line 3: a cell is not a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_metrics_empty_dir_fails(tmp_path):

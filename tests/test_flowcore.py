@@ -1,5 +1,7 @@
 """Path construction, training loop determinism, checkpoints, toy data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +32,11 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def tiny_cfg(**kw):
+    """A small config, read through TrainConfig.from_dict as a --config file
+    is, so a key TrainConfig lacks is a ConfigError naming it."""
     base = dict(epochs=2, steps_per_epoch=4, batch_size=32, warmup_steps=5, seed=0)
     base.update(kw)
-    return TrainConfig(**base)
+    return TrainConfig.from_dict(base)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +74,10 @@ def test_interpolate_noise_scale(seed):
 
 def test_sample_times_ranges():
     rng = np.random.default_rng(1)
-    for dist in ("beta", "uniform"):
-        t = sample_times(5000, dist, rng)
-        assert t.min() >= 0.0 and t.max() <= 1.0
+    t = sample_times(5000, rng)
+    assert t.min() >= 0.0 and t.max() <= 1.0
     # Beta(2,1) has mean 2/3, which separates it from uniform
-    assert abs(sample_times(20000, "beta", rng).mean() - 2 / 3) < 0.02
-    with pytest.raises(ValueError):
-        sample_times(3, "cauchy", rng)
+    assert abs(sample_times(20000, rng).mean() - 2 / 3) < 0.02
 
 
 def test_mix_categorical_keep_rates():
@@ -663,7 +664,76 @@ def test_single_atom_molecules_train():
     assert all(np.isfinite(v) for row in trace for v in row.values())
 
 
-@pytest.mark.parametrize("key, value", [("ot_mode", "exact"), ("ot_anneal", True)])
+# keys retired from TrainConfig, at the defaults older checkpoints store: nine
+# are fixed constants now, and ot_anneal = true is ot_mode "anneal". A config
+# that sets one is refused as an unknown key.
+RETIRED = {"beta1": 0.9, "beta2": 0.999, "ema_decay": 0.999, "time_dist": "beta",
+           "coord_noise": 0.2, "rank_noise": 0.05, "lambda_type": 0.2, "lambda_bond": 1.0,
+           "lambda_charge": 1.0, "ot_anneal": False}
+
+
+def test_retired_keys_are_constants_at_their_old_defaults():
+    assert training.ADAM_BETAS == (RETIRED["beta1"], RETIRED["beta2"])
+    assert training.EMA_DECAY == RETIRED["ema_decay"]
+    assert (training.COORD_NOISE, training.RANK_NOISE) == (RETIRED["coord_noise"],
+                                                           RETIRED["rank_noise"])
+    assert (training.LAMBDA_TYPE, training.LAMBDA_BOND, training.LAMBDA_CHARGE) == (
+        RETIRED["lambda_type"], RETIRED["lambda_bond"], RETIRED["lambda_charge"])
+    assert not set(RETIRED) & {f.name for f in dataclasses.fields(TrainConfig)}
+    assert training.OT_MODES == ("none", "exact", "anneal")
+
+
+def test_annealed_ot_pairs_every_first_epoch_batch_then_fewer(monkeypatch):
+    # ot_probability: 1 in epoch 0, 0.5 in epoch 1 of 2
+    steps, epochs, paired = 16, [], []
+    ot_prob, ot_pair = training._ot_prob, coupling.ot_pair
+
+    def recording_prob(cfg, epoch):
+        epochs.append(epoch)
+        return ot_prob(cfg, epoch)
+
+    def counted_pair(z0, z1):
+        paired.append(epochs[-1])
+        return ot_pair(z0, z1)
+
+    monkeypatch.setattr(training, "_ot_prob", recording_prob)
+    monkeypatch.setattr(coupling, "ot_pair", counted_pair)
+    data = np.random.default_rng(47).standard_normal((64, 2))
+    model, _ = train(data, tiny_cfg(ot_mode="anneal", steps_per_epoch=steps))
+    assert epochs == [0] * steps + [1] * steps
+    assert paired.count(0) == steps
+    assert 0 < paired.count(1) < steps
+    assert model.train_config.ot_mode == "anneal"
+
+
+def test_checkpoint_with_retired_keys_loads_and_samples_the_same(tmp_path):
+    # older checkpoints store all retired keys; annealing was ot_mode "exact"
+    # with ot_anneal true
+    import json
+
+    data = np.random.default_rng(48).standard_normal((64, 2))
+    model, _ = train(data, tiny_cfg(ot_mode="anneal", epochs=1))
+    new = tmp_path / "new.json"
+    model.save(new)
+    doc = json.loads(new.read_text())
+    doc["train_config"].update(RETIRED, ot_mode="exact", ot_anneal=True)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    got = {}
+    for name, path in (("new", new), ("old", old)):
+        loaded = FlowModel.load(path)
+        assert loaded.train_config == model.train_config
+        loaded.load_ema()
+        got[name] = sampler.sample_vectors(loaded, 32, sampler.SampleConfig(steps=3),
+                                           np.random.default_rng(5))
+    assert np.array_equal(got["new"], got["old"])
+    doc["train_config"]["ot_anneal"] = False
+    old.write_text(json.dumps(doc))
+    assert FlowModel.load(old).train_config.ot_mode == "exact"
+
+
+@pytest.mark.parametrize("key, value", [("ot_mode", "exact"), ("ot_mode", "anneal"),
+                                        ("ot_anneal", True)])
 def test_molecule_training_rejects_vector_only_keys(key, value):
     with pytest.raises(training.ConfigError, match=key):
         train(mol_set(), tiny_cfg(**{key: value}))
@@ -693,21 +763,26 @@ def test_vector_training_rejects_ot_settings_it_would_misread(kw, key):
 
 
 OUT_OF_RANGE = {
-    "time-dist-unknown": {"time_dist": "gamma"}, "prior-mode-unknown": {"prior_mode": "bogus"},
+    "prior-mode-unknown": {"prior_mode": "bogus"}, "ot-mode-unknown": {"ot_mode": "Anneal"},
     "epochs-negative": {"epochs": -3}, "steps-zero": {"steps_per_epoch": 0},
     "batch-zero": {"batch_size": 0}, "lr-nan": {"lr": float("nan")},
     "lr-inf": {"lr": float("inf")}, "lr-zero": {"lr": 0.0},
-    "warmup-negative": {"warmup_steps": -1}, "beta1-one": {"beta1": 1.0},
-    "beta2-nan": {"beta2": float("nan")}, "ema-above-one": {"ema_decay": 1.5},
-    "coord-noise-negative": {"coord_noise": -0.1}, "rank-noise-inf": {"rank_noise": float("inf")},
-    "p-drop-above-one": {"p_drop": 1.5}, "lambda-type-nan": {"lambda_type": float("nan")},
-    "lambda-bond-negative": {"lambda_bond": -1.0}, "lambda-charge-inf": {"lambda_charge": float("inf")},
+    "warmup-negative": {"warmup_steps": -1}, "p-drop-above-one": {"p_drop": 1.5},
     "lambda-rank-negative": {"lambda_rank": -0.1}, "rank-bins-zero": {"n_rank_bins": 0},
 }
+# out-of-range values of the retired keys, which tiny_cfg now refuses as unknown keys
+RETIRED_OUT_OF_RANGE = {
+    "time-dist-unknown": {"time_dist": "gamma"}, "beta1-one": {"beta1": 1.0},
+    "beta2-nan": {"beta2": float("nan")}, "ema-above-one": {"ema_decay": 1.5},
+    "coord-noise-negative": {"coord_noise": -0.1}, "rank-noise-inf": {"rank_noise": float("inf")},
+    "lambda-type-nan": {"lambda_type": float("nan")}, "lambda-bond-negative": {"lambda_bond": -1.0},
+    "lambda-charge-inf": {"lambda_charge": float("inf")},
+}
+BAD_VALUES = {**OUT_OF_RANGE, **RETIRED_OUT_OF_RANGE}
 
 
 @pytest.mark.parametrize("kind", ["vector", "molecule"])
-@pytest.mark.parametrize("kw", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+@pytest.mark.parametrize("kw", BAD_VALUES.values(), ids=BAD_VALUES.keys())
 def test_training_rejects_out_of_range_values_before_any_work(monkeypatch, kw, kind):
     def no_work(*args):
         raise AssertionError("training started")
