@@ -212,7 +212,7 @@ def _load_training_data(data_arg: str, seed: int):
             blobs = toydata.sector_canonicalize(blobs)[0]
         return blobs, None
     path = Path(data_arg)
-    if path.suffix == ".npz":
+    if path.suffix.lower() == ".npz":
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):      # text, or a bare .npy array
                 raise OSError(f"{path}: not an .npz archive")

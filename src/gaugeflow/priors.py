@@ -55,8 +55,21 @@ def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
 
 def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix; negative eigenvalues count as 0."""
+    return power_psd(cov, 0.5, np.inf)
+
+
+def power_psd(cov: np.ndarray, p: float, cond: float) -> np.ndarray:
+    """cov ** p for a symmetric PSD matrix, by one eigendecomposition.
+
+    Eigenvalues are first raised to at least (largest eigenvalue) / cond, and
+    negative ones to at least 0, so with a finite cond the result is symmetric
+    positive definite with condition number at most cond ** |p|; cond = inf
+    only zeroes negative eigenvalues. A negative p needs a finite cond and a
+    nonzero cov.
+    """
     vals, vecs = np.linalg.eigh(cov)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+    vals = np.maximum(vals, vals.max(initial=0.0) / cond)
+    return (vecs * vals ** p) @ vecs.T
 
 
 def sample_gaussian(prior, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -222,6 +222,15 @@ def test_train_npz_that_is_not_an_archive_exits_3(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_train_reads_an_npz_suffix_in_any_case(tmp_path):
+    data = tmp_path / "up.NPZ"
+    with open(data, "wb") as fh:     # np.savez would append ".npz" to this name
+        np.savez(fh, data=np.random.default_rng(0).standard_normal((40, 2)))
+    out = tmp_path / "run"
+    assert run("train", "--data", data, "--epochs", 1, "-o", out) == 0
+    assert (out / "checkpoint.json").exists()
+
+
 def test_train_ot_anneal_is_recorded_as_its_ot_mode(tmp_path):
     out = tmp_path / "run"
     assert run("train", "--data", "c4-canonical", "--epochs", 1, "--ot", "anneal", "-o", out) == 0

@@ -1,13 +1,16 @@
 """Batch pairing: OT assignment, rigid alignment, group-aligned lift."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.stats import special_ortho_group
 
 from gaugeflow import coupling, symgroup
+from gaugeflow.flowcore import toydata
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -39,6 +42,87 @@ def test_ot_pair_validation():
     with pytest.raises(ValueError):
         coupling.ot_pair(np.zeros((coupling.MAX_EXACT + 1, 1)),
                          np.zeros((coupling.MAX_EXACT + 1, 1)))
+
+
+def plain_lsa(data, noise):
+    """The reference: the assignment solved on the unshifted cost."""
+    return linear_sum_assignment(((data[:, None, :] - noise[None, :, :]) ** 2).sum(-1))[1]
+
+
+def total_cost(data, noise, perm):
+    return ((data - noise[perm]) ** 2).sum()
+
+
+def _batch(kind, rng):
+    """(data, noise) for one edge case of the shifted-cost solve; noise is N(0, I)."""
+    n, d = {"n-le-d": (4, 6), "n-1": (1, 3), "n-2": (2, 3), "d-1": (64, 1),
+            "d-36": (128, 36)}.get(kind, (64, 3))
+    data = rng.standard_normal((n, d))
+    noise = rng.standard_normal((n, d))
+    if kind == "shifted":
+        data += 3.0
+    elif kind == "anisotropic":
+        data *= np.array([1e4, 1e-4, 1.0])
+    elif kind == "collinear":
+        data = rng.standard_normal((n, 1)) * rng.standard_normal(d)
+    elif kind == "identical":
+        data = np.tile(rng.standard_normal(d), (n, 1))
+    elif kind == "duplicated":
+        data = data[rng.integers(0, 8, n)]
+    elif kind == "scale-1e6":
+        data *= 1e6
+    return data, noise
+
+
+EDGE_CASES = ["shifted", "anisotropic", "collinear", "identical", "duplicated", "n-le-d",
+              "n-1", "n-2", "d-1", "d-36", "scale-1e6"]
+
+
+@pytest.mark.parametrize("kind", EDGE_CASES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shifted_cost_keeps_the_optimal_total(kind, seed):
+    data, noise = _batch(kind, np.random.default_rng(seed))
+    perm = coupling.ot_pair(data, noise)
+    assert perm.dtype.kind == "i"
+    assert sorted(perm.tolist()) == list(range(len(data)))
+    want = total_cost(data, noise, plain_lsa(data, noise))
+    assert abs(total_cost(data, noise, perm) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_toy_canonical_batches_keep_plain_lsa_pairs(seed):
+    # training draws data rows with replacement, so identical rows occur and
+    # only the set of (data, noise) pairs is the same, not the permutation
+    rng = np.random.default_rng(seed)
+    pool = toydata.sector_canonicalize(toydata.c4_blobs(2000, rng))[0]
+    data = pool[rng.integers(0, len(pool), 256)]
+    noise = rng.standard_normal((256, 2))
+
+    def pairs(perm):
+        return sorted(map(tuple, np.hstack([data, noise[perm]])))
+
+    assert pairs(coupling.ot_pair(data, noise)) == pairs(plain_lsa(data, noise))
+
+
+@pytest.mark.parametrize("data, noise, word", [
+    (np.zeros(4), np.zeros(4), "2-D"),
+    (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), "2-D"),
+    (np.zeros((3, 2)), np.zeros(6), "2-D"),
+    (np.zeros((3, 2)), np.zeros((3, 3)), "shape mismatch"),
+    (np.full((3, 2), np.inf), np.zeros((3, 2)), "finite"),
+    (np.zeros((3, 2)), np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), "finite"),
+], ids=["1-d", "3-d", "one-flat", "mismatch", "inf-data", "nan-noise"])
+def test_ot_pair_names_malformed_input(data, noise, word):
+    with pytest.raises(ValueError, match=word):
+        coupling.ot_pair(data, noise)
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_ot_pair_on_an_empty_batch(d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perm = coupling.ot_pair(np.zeros((0, d)), np.zeros((0, d)))
+    assert perm.shape == (0,) and perm.dtype.kind == "i"
 
 
 @settings(max_examples=30, deadline=None)

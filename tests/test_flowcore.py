@@ -1,6 +1,7 @@
 """Path construction, training loop determinism, checkpoints, toy data."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -178,6 +179,27 @@ def test_vector_training_is_bitwise_deterministic():
         assert np.array_equal(pa[k].data, pb[k].data)
     assert {"epoch", "loss", "val_loss", "val_energy_distance"} <= set(trace_a[0])
     assert model_a.step == tiny_cfg().epochs * tiny_cfg().steps_per_epoch
+
+
+def _digest(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for k in sorted(arrays):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(arrays[k]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_exact_ot_training_is_bitwise_deterministic(seed):
+    # batches of canonical data drawn with replacement hold identical rows,
+    # the ties the OT solve must break the same way on every run
+    data = toydata.sector_canonicalize(toydata.c4_blobs(400, np.random.default_rng(seed)))[0]
+    cfg = dict(ot_mode="exact", seed=seed, batch_size=128)
+    runs = [train(data, tiny_cfg(**cfg))[0] for _ in range(2)]
+    params = [_digest({k: p.data for k, p in m.parameters().items()}) for m in runs]
+    emas = [_digest(m.ema) for m in runs]
+    assert params[0] == params[1]
+    assert emas[0] == emas[1]
 
 
 def test_vector_loss_decreases_on_easy_target():

@@ -70,3 +70,19 @@ def test_each_deferred_import_is_taken_on_first_call():
     assert "scipy.optimize" in new["ot_pair"]
     assert new["lift_given_noise"] == set()        # no KS test without the normal reference
     assert "scipy.stats" in new["lift_normal_reference"]
+
+
+def test_ot_pair_rejects_malformed_input_before_loading_scipy():
+    doc = fresh_python(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from gaugeflow import coupling\n"
+        "errors = []\n"
+        "for bad in (np.zeros(3), np.full((3, 2), np.inf)):\n"
+        "    try:\n"
+        "        coupling.ot_pair(bad, bad)\n"
+        "    except ValueError as exc:\n"
+        "        errors.append(str(exc))\n"
+        f"print(json.dumps({{'errors': errors, 'loaded': {LOADED}}}))\n")
+    assert len(doc["errors"]) == 2
+    assert doc["loaded"] == []

@@ -35,6 +35,20 @@ def test_fit_gaussian_floors_rank_deficient_cov():
     assert np.all(np.isfinite(priors.gaussian_logpdf(p, x[:10])))
 
 
+@settings(max_examples=20, deadline=None)
+@given(seeds, st.integers(min_value=1, max_value=6))
+def test_power_psd_floors_and_inverts(seed, d):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, max(d - 2, 1)))          # rank-deficient for d > 3
+    cov = a @ a.T
+    vals, vecs = np.linalg.eigh(cov)
+    # the square root is the eigenvalue formula it has always been, bit for bit
+    assert np.array_equal(priors.sqrt_psd(cov), (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
+    root, inv_root = priors.power_psd(cov, 0.5, 1e4), priors.power_psd(cov, -0.5, 1e4)
+    assert np.allclose(root @ inv_root, np.eye(d), atol=1e-10)
+    assert np.linalg.cond(root) <= 100.0 * (1 + 1e-8)
+
+
 def test_fit_gaussian_input_validation():
     with pytest.raises(ValueError):
         priors.fit_gaussian(np.zeros((1, 3)))
