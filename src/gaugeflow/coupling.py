@@ -80,15 +80,15 @@ def ot_pair(data: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def _monge_roots(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A^1/2, A^-1/2) for the Gaussian Monge map A from centred x to centred
     y, with the floors and clamp of `ot_pair`; identities when either set has
-    no spread (or a spread that overflows)."""
+    no spread (or a spread that overflows). Three eigendecompositions: one
+    gives Sx^1/2 and Sx^-1/2, one the inner square root, one A^1/2 and A^-1/2."""
     sx, sy = x.T @ x, y.T @ y              # a common 1/n cancels in A
     if not all(0.0 < np.trace(s) < np.inf for s in (sx, sy)):
         eye = np.eye(x.shape[1])
         return eye, eye
-    rx = power_psd(sx, 0.5, COND_CAP)
-    rx_inv = power_psd(sx, -0.5, COND_CAP)
+    rx, rx_inv = power_psd(sx, (0.5, -0.5), COND_CAP)
     a = rx_inv @ sqrt_psd(rx @ sy @ rx) @ rx_inv
-    return power_psd(a, 0.5, COND_CAP), power_psd(a, -0.5, COND_CAP)
+    return power_psd(a, (0.5, -0.5), COND_CAP)
 
 
 def kabsch_align(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

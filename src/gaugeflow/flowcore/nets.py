@@ -1,5 +1,7 @@
 """Networks on the tape: a plain MLP vector field for low-dimensional toys and
 CanonLite, a three-stream message-passing net over canonicalized molecules.
+Each of the two packs its parameters into one ParamBuffer when it is built,
+so the optimizer and the EMA work on whole vectors.
 
 CanonLite keeps separate node (H), coordinate-set (CS) and rank (R) streams.
 Every layer builds a message for each ordered pair (i, j) with a two-layer MLP
@@ -106,6 +108,48 @@ class Module:
         return dict(self.named_parameters())
 
 
+class ParamBuffer:
+    """Named parameters packed into one contiguous vector `data` of the
+    compute dtype, in the dict's order, with a gradient vector `grad` of the
+    same layout beside it.
+
+    Packing copies each parameter into its slice of `data` and binds p.data
+    to that slice's view, once. From then on code writes into the views
+    (p.data[...] = ...) and never rebinds p.data, so a whole-vector pass over
+    `data` (Adam, the EMA) moves every parameter."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.slices, start = {}, 0
+        for k, p in params.items():
+            self.slices[k] = slice(start, start + p.data.size)
+            start += p.data.size
+        self.data = np.empty(start, dtype=tape.compute_dtype())
+        self.grad = np.zeros_like(self.data)
+        self.unreached: list[slice] = []
+        for view, p in zip(self.views(self.data).values(), params.values()):
+            view[...] = p.data
+            p.data = view
+        self._grad_views = list(self.views(self.grad).values())
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view, in its shape, into `flat`, a vector of this layout."""
+        return {k: flat[s].reshape(self.params[k].data.shape) for k, s in self.slices.items()}
+
+    def collect_grads(self) -> list[np.ndarray]:
+        """Copy each parameter's tape gradient into its view of `grad` and
+        return those views. A parameter the backward pass did not reach
+        (grad None) gets zeros there, and its slice is listed in `unreached`."""
+        self.unreached = []
+        for (k, p), g in zip(self.params.items(), self._grad_views):
+            if p.grad is None:
+                g[...] = 0.0
+                self.unreached.append(self.slices[k])
+            else:
+                g[...] = p.grad
+        return self._grad_views
+
+
 class Projection(Module):
     """Linear map with no bias."""
 
@@ -126,17 +170,14 @@ class Linear(Projection):
 
 
 class MLP(Module):
-    """Linear stack with SiLU between layers."""
+    """Linear stack with SiLU between layers, run as one tape op (tape.mlp)."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator):
         self.layers = [Linear(a, b, rng) for a, b in zip(sizes[:-1], sizes[1:])]
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = tape.silu(x)
-        return x
+        return tape.mlp(x, [layer.weight for layer in self.layers],
+                        [layer.bias for layer in self.layers])
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +195,7 @@ class VectorFieldMLP(Module):
         self.depth = depth
         sizes = [dim + 3] + [width] * depth + [dim]
         self.net = MLP(sizes, rng)
+        self.buffer = ParamBuffer(self.parameters())
 
     def __call__(self, z: np.ndarray, t: np.ndarray) -> Tensor:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
@@ -270,6 +312,7 @@ class CanonLiteNet(Module):
         self.head_bond = Linear(c.d_edge, c.n_bond_classes, rng)
         # no bias: the head is min-max normalized per molecule, so a shift cancels
         self.head_rank = Projection(c.d_model, 1, rng)
+        self.buffer = ParamBuffer(self.parameters())
 
     def __call__(self, batch: MoleculeBatch, t, ranks: np.ndarray,
                  pe_dropped=False) -> Predictions:

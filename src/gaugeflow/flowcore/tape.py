@@ -7,10 +7,13 @@ that requires them. Inside `with no_grad():` ops record nothing, so inference
 keeps no graph alive. The ops are the ones the networks here call:
 broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
 sums, SiLU, tanh, softmax cross-entropy, and ops whose adjoints are cheaper
-written by hand than composed from smaller pieces: the rank head's
-per-molecule min-max normalization (minmax_normalize) and a few
-pairwise-message primitives. The adjoints of matmul and linear skip g @ W.T when the left
-operand needs no gradient (constant features).
+written by hand than composed from smaller pieces: a whole MLP (mlp, linear
+layers with SiLU between them), the squared-error loss (mse), the rank
+head's per-molecule min-max normalization (minmax_normalize) and a few
+pairwise-message primitives. mlp and mse give bitwise the values and
+gradients of the single ops they fuse. The adjoints of matmul,
+linear and mlp skip g @ W.T when the left operand needs no gradient
+(constant features).
 
 Compute dtype: every Tensor holds float32 by default. Inside
 `with precision(np.float64):` Tensors made and ops run compute in float64
@@ -265,6 +268,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
     return _make(a.data @ b.data, (a, b), bw)
+
+
+def mlp(x: Tensor, weights: list, biases: list) -> Tensor:
+    """A stack of linear layers x @ w + b with SiLU between them, as one op.
+
+    Each layer runs linear's matmul and in-place bias add, and each SiLU
+    runs silu's steps on the pre-activation in place (halve it, then
+    _silu_into), so the output and every gradient round as the composition
+    of linear and silu does. The adjoint walks the layers back with each
+    layer's input and SiLU slope, and skips g @ W.T of the first layer when
+    x needs no gradient."""
+    if x.data.ndim != 2:
+        raise ValueError("mlp is 2-D only")
+    parents = (x, *weights, *biases)
+    record = _recording(parents)
+    inputs, slopes = [], []
+    h = x.data
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        inputs.append(h)
+        h = h @ w.data
+        h += b.data
+        if i < len(weights) - 1:
+            h *= 0.5                                # silu's half = x / 2
+            slope = np.empty_like(h) if record else None
+            _silu_into(h, h, slope)
+            if record:
+                slope *= 0.5                        # d / d half to d / dx
+                slopes.append(slope)
+
+    def bw(g):
+        for i in range(len(weights) - 1, -1, -1):
+            _accum(weights[i], inputs[i].T @ g)
+            _accum(biases[i], g.sum(axis=0))
+            if i > 0:
+                g = g @ weights[i].data.T
+                g *= slopes[i - 1]
+            elif x.requires_grad:
+                _accum(x, g @ weights[0].data.T)
+    return _make(h, parents, bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -781,13 +823,21 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray,
 
 def mse(pred: Tensor, target: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
     """Mean over rows of the squared-norm residual; optional per-row weights,
-    renormalized to sum to 1."""
-    diff = sub(pred, Tensor(target))
-    per_row = tsum(square(diff), axis=1)
+    renormalized to sum to 1. One op whose value and gradient round as the
+    composition of sub, square, a row sum and a mean (or a weighted sum) does."""
+    diff = pred.data - np.asarray(target, dtype=_dtype)
+    per_row = np.square(diff).sum(axis=1)
     if weights is None:
-        return tmean(per_row)
-    weights = np.asarray(weights, dtype=np.float64)
-    return tsum(mul(per_row, Tensor(weights / weights.sum())))
+        loss = per_row.mean()
+    else:
+        weights = np.asarray(weights, dtype=np.float64)
+        weights = (weights / weights.sum()).astype(_dtype)
+        loss = (per_row * weights).sum()
+
+    def bw(g):
+        row = g / per_row.size if weights is None else (g * weights)[:, None]
+        _accum(pred, row * 2.0 * diff)
+    return _make(loss, (pred,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .. import coupling as coupling_mod
 from .. import priors as priors_mod
 from ..molecule import MoleculeState
 from . import tape
-from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, VectorFieldMLP
+from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, ParamBuffer, VectorFieldMLP
 from .tape import Tensor
 
 CHECKPOINT_VERSION = 3          # 3: arrays as base64 bytes; 2: coordinate scale stored,
@@ -116,15 +116,23 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with betas ADAM_BETAS and a linear learning-rate warmup."""
+    """Adam (Kingma & Ba 2015) with betas ADAM_BETAS and a linear
+    learning-rate warmup, over a ParamBuffer: m and v are vectors of the
+    buffer's layout, and a step is a fixed number of in-place passes over
+    whole vectors, through two preallocated scratch vectors. It reads the
+    gradients ParamBuffer.collect_grads left in the buffer; a parameter the
+    backward pass did not reach (ParamBuffer.unreached) keeps its value, m
+    and v bit for bit."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 3e-4, warmup_steps: int = 0):
-        self.params = params
+    def __init__(self, buffer: ParamBuffer, lr: float = 3e-4, warmup_steps: int = 0):
+        self.buffer = buffer
         self.lr = lr
         self.warmup_steps = warmup_steps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = np.zeros_like(buffer.data)
+        self.v = np.zeros_like(buffer.data)
+        self._step = np.empty_like(buffer.data)
+        self._scale = np.empty_like(buffer.data)
 
     def step(self) -> None:
         self.t += 1
@@ -132,33 +140,49 @@ class Adam:
         if self.warmup_steps > 0:
             lr_t *= min(1.0, self.t / self.warmup_steps)   # linear warmup, then constant
         b1, b2 = ADAM_BETAS
-        for k, p in self.params.items():
-            if p.grad is None:
-                continue
-            self.m[k] = b1 * self.m[k] + (1 - b1) * p.grad
-            self.v[k] = b2 * self.v[k] + (1 - b2) * p.grad ** 2
-            mhat = self.m[k] / (1 - b1 ** self.t)
-            vhat = self.v[k] / (1 - b2 ** self.t)
-            p.data -= lr_t * mhat / (np.sqrt(vhat) + 1e-8)
+        data, g, m, v, step, scale = (self.buffer.data, self.buffer.grad, self.m, self.v,
+                                      self._step, self._scale)
+        kept = [(s, data[s].copy(), m[s].copy(), v[s].copy()) for s in self.buffer.unreached]
+        m *= b1                                     # m = b1 m + (1 - b1) g
+        np.multiply(g, 1 - b1, out=step)
+        m += step
+        v *= b2                                     # v = b2 v + (1 - b2) g^2
+        np.square(g, out=step)
+        step *= 1 - b2
+        v += step
+        np.divide(m, 1 - b1 ** self.t, out=step)    # lr_t mhat / (sqrt(vhat) + 1e-8)
+        step *= lr_t
+        np.divide(v, 1 - b2 ** self.t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += 1e-8
+        step /= scale
+        data -= step
+        for s, value, m_s, v_s in kept:
+            data[s], m[s], v[s] = value, m_s, v_s
 
 
 class EMA:
-    """Shadow weights; update t (from 0) uses the warm-up decay
-    min(decay, (1 + t) / (10 + t)), so a short run's shadow is not the init."""
+    """Shadow weights: one vector of a ParamBuffer's layout. Update t (from 0)
+    uses the warm-up decay min(decay, (1 + t) / (10 + t)), so a short run's
+    shadow is not the init, and makes three in-place whole-vector passes."""
 
-    def __init__(self, params: dict[str, Tensor], decay: float):
+    def __init__(self, buffer: ParamBuffer, decay: float):
+        self.buffer = buffer
         self.decay = decay
         self.t = 0
-        self.shadow = {k: p.data.copy() for k, p in params.items()}
+        self.shadow = buffer.data.copy()
+        self._scratch = np.empty_like(buffer.data)
 
-    def update(self, params: dict[str, Tensor]) -> None:
+    def update(self) -> None:
         d = min(self.decay, (1 + self.t) / (10 + self.t))
         self.t += 1
-        for k, p in params.items():
-            self.shadow[k] = d * self.shadow[k] + (1 - d) * p.data
+        self.shadow *= d
+        np.multiply(self.buffer.data, 1 - d, out=self._scratch)
+        self.shadow += self._scratch
 
     def state(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.shadow.items()}
+        """The shadow as one array per parameter name, copied."""
+        return {k: v.copy() for k, v in self.buffer.views(self.shadow).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +233,13 @@ def rank_noise(ranks: np.ndarray, t, sigma_r: float,
 
 
 def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Statistical energy distance 2 E||x-y|| - E||x-x'|| - E||y-y'||."""
+    """Statistical energy distance 2 E||x-y|| - E||x-x'|| - E||y-y'||, from
+    scipy's pairwise Euclidean distances."""
+    from scipy.spatial.distance import cdist
+
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-
-    def mean_cross(x, y):
-        return float(np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(-1)).mean())
-
-    return 2.0 * mean_cross(a, b) - mean_cross(a, a) - mean_cross(b, b)
+    return 2.0 * float(cdist(a, b).mean()) - float(cdist(a, a).mean()) - float(cdist(b, b).mean())
 
 
 def integrate_vector_field(net: VectorFieldMLP, z_start: np.ndarray, n_steps: int) -> np.ndarray:
@@ -353,10 +376,11 @@ class FlowModel:
         return self.net.parameters()
 
     def load_ema(self) -> None:
-        """Overwrite live weights with the EMA shadow (inference setting)."""
+        """Overwrite live weights with the EMA shadow (inference setting),
+        in place in the net's ParamBuffer."""
         params = self.net.parameters()
         for k, v in self.ema.items():
-            params[k].data = v.copy()
+            params[k].data[...] = v
 
     def save(self, path) -> None:
         if self.kind == "vector_field":
@@ -460,7 +484,7 @@ class FlowModel:
                     raise ValueError(f"checkpoint {what} {k} has shape {arr.shape}, "
                                      f"the architecture needs {params[k].data.shape}")
         for k, arr in stored.items():
-            params[k].data = arr
+            params[k].data[...] = arr
         train_config = {k: v for k, v in doc["train_config"].items() if k not in _RETIRED_KEYS}
         if doc["train_config"].get("ot_anneal") is True:
             train_config["ot_mode"] = "anneal"
@@ -504,12 +528,13 @@ def _check_finite(value: float, parts: dict, epoch: int, step: int) -> None:
         )
 
 
-def _grad_norm(params: dict[str, Tensor]) -> float:
-    """Global L2 norm of the parameter gradients. Each parameter's square sum
-    is taken in its gradient's dtype, so a gradient whose square would
-    overflow Adam's second moment reads inf here too."""
-    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad))
-                             for p in params.values() if p.grad is not None)))
+def _grad_norm(grads: list[np.ndarray]) -> float:
+    """Global L2 norm of the parameter gradients (ParamBuffer.collect_grads's
+    views). Each view's square sum is one dot product in the gradient's dtype,
+    so a gradient whose square would overflow Adam's second moment reads inf
+    here too; the sum runs per parameter because one float32 dot over the
+    whole vector rounds differently."""
+    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
 
 
 def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict]]:
@@ -523,25 +548,25 @@ def _fit(net, cfg: TrainConfig, step_loss, epoch_stats) -> tuple[dict, list[dict
     no_grad. Returns (EMA state, trace), one trace row per epoch: epoch, loss,
     grad_norm (the epoch mean), the validation columns, then the parts.
     """
-    params = net.parameters()
-    opt = Adam(params, lr=cfg.lr, warmup_steps=cfg.warmup_steps)
-    ema = EMA(params, EMA_DECAY)
+    buffer = net.buffer
+    opt = Adam(buffer, lr=cfg.lr, warmup_steps=cfg.warmup_steps)
+    ema = EMA(buffer, EMA_DECAY)
     trace = []
     for epoch in range(cfg.epochs):
         losses, norms, part_sums = [], [], {}
         for step in range(cfg.steps_per_epoch):
-            tape.zero_grads(params)
+            tape.zero_grads(buffer.params)
             loss, parts = step_loss(epoch)
             loss_val = loss.item()
             _check_finite(loss_val, {"loss": loss_val, **parts}, epoch, step)
             tape.backward(loss)
             del loss            # release the recorded graph before the next forward
-            norm = _grad_norm(params)
+            norm = _grad_norm(buffer.collect_grads())
             if not np.isfinite(norm):
                 raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} "
                                        f"step {step}: grad_norm={norm:.4g}")
             opt.step()
-            ema.update(params)
+            ema.update()
             losses.append(loss_val)
             norms.append(norm)
             for k, v in parts.items():

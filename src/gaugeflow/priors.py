@@ -58,8 +58,10 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     return power_psd(cov, 0.5, np.inf)
 
 
-def power_psd(cov: np.ndarray, p: float, cond: float) -> np.ndarray:
-    """cov ** p for a symmetric PSD matrix, by one eigendecomposition.
+def power_psd(cov: np.ndarray, p, cond: float):
+    """cov ** p for a symmetric PSD matrix, by one eigendecomposition; p a
+    float, or a tuple of floats for a tuple of powers from that one
+    decomposition.
 
     Eigenvalues are first raised to at least (largest eigenvalue) / cond, and
     negative ones to at least 0, so with a finite cond the result is symmetric
@@ -69,6 +71,8 @@ def power_psd(cov: np.ndarray, p: float, cond: float) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(cov)
     vals = np.maximum(vals, vals.max(initial=0.0) / cond)
+    if isinstance(p, tuple):
+        return tuple((vecs * vals ** q) @ vecs.T for q in p)
     return (vecs * vals ** p) @ vecs.T
 
 

@@ -89,6 +89,35 @@ def test_shifted_cost_keeps_the_optimal_total(kind, seed):
     assert abs(total_cost(data, noise, perm) - want) <= 1e-12 * want
 
 
+def five_eigh_roots(x, y):
+    """The Monge roots with one eigendecomposition per matrix power."""
+    from gaugeflow.priors import power_psd, sqrt_psd
+
+    sx, sy = x.T @ x, y.T @ y
+    rx, rx_inv = power_psd(sx, 0.5, coupling.COND_CAP), power_psd(sx, -0.5, coupling.COND_CAP)
+    a = rx_inv @ sqrt_psd(rx @ sy @ rx) @ rx_inv
+    return power_psd(a, 0.5, coupling.COND_CAP), power_psd(a, -0.5, coupling.COND_CAP)
+
+
+@pytest.mark.parametrize("kind", ["plain", "anisotropic", "collinear", "n-le-d", "d-36"])
+def test_monge_roots_share_decompositions_bitwise(kind, monkeypatch):
+    # each pair of inverse roots comes from one eigh: three calls instead of
+    # five, with the cost matrix and the pairing of five separate calls
+    from scipy.spatial.distance import cdist
+
+    data, noise = _batch(kind, np.random.default_rng(7))
+    x, y = data - data.mean(axis=0), noise - noise.mean(axis=0)
+    root, inv_root = five_eigh_roots(x, y)
+    want = cdist(x @ root, y @ inv_root, "sqeuclidean")
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    got = coupling._monge_roots(x, y)
+    assert len(calls) == 3
+    assert cdist(x @ got[0], y @ got[1], "sqeuclidean").tobytes() == want.tobytes()
+    assert np.array_equal(coupling.ot_pair(data, noise), linear_sum_assignment(want)[1])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_toy_canonical_batches_keep_plain_lsa_pairs(seed):
     # training draws data rows with replacement, so identical rows occur and

@@ -11,7 +11,7 @@ from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
 from gaugeflow import coupling, sampler
 from gaugeflow.priors import prior_to_dict
 from gaugeflow.flowcore import tape, toydata, training
-from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, VectorFieldMLP
+from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, ParamBuffer, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import (
     EMA,
@@ -135,7 +135,9 @@ def test_integrate_vector_field_matches_manual_euler():
 def test_adam_warmup_scales_first_step():
     p = Tensor(np.zeros(1), requires_grad=True)
     p.grad = np.ones(1)
-    opt = Adam({"p": p}, lr=0.1, warmup_steps=10)
+    buffer = ParamBuffer({"p": p})
+    buffer.collect_grads()
+    opt = Adam(buffer, lr=0.1, warmup_steps=10)
     opt.step()
     # with a constant gradient, mhat / sqrt(vhat) = 1, so the move is lr_t
     assert abs(abs(p.data[0]) - 0.01) < 1e-6
@@ -144,11 +146,11 @@ def test_adam_warmup_scales_first_step():
 def test_ema_shadow_update():
     # update t (from 0) uses the decay min(decay, (1 + t) / (10 + t))
     p = Tensor(np.array([1.0]), requires_grad=True)
-    ema = EMA({"p": p}, decay=0.9)
+    ema = EMA(ParamBuffer({"p": p}), decay=0.9)
     want = 1.0
     for t, value in enumerate(np.linspace(2.0, 3.0, 100)):
-        p.data = np.array([value])
-        ema.update({"p": p})
+        p.data[...] = value
+        ema.update()
         d = min(0.9, (1 + t) / (10 + t))
         want = d * want + (1 - d) * value
         assert np.allclose(ema.state()["p"], want)
@@ -158,11 +160,65 @@ def test_ema_follows_a_short_run():
     # without a warm-up the shadow of a weight moved from 0 to 1 would read
     # 1 - 0.999^10 = 0.01 after ten updates at the default decay
     p = Tensor(np.zeros(1), requires_grad=True)
-    ema = EMA({"p": p}, decay=0.999)
-    p.data = np.ones(1)
+    ema = EMA(ParamBuffer({"p": p}), decay=0.999)
+    p.data[...] = 1.0
     for _ in range(10):
-        ema.update({"p": p})
+        ema.update()
     assert ema.state()["p"][0] >= 0.5
+
+
+def test_adam_keeps_an_unreached_parameter_bitwise():
+    # a parameter the backward pass did not reach (CanonLite's fake_pe in a
+    # batch that drops no PE) keeps its value and both moments
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(4), requires_grad=True)
+    buffer = ParamBuffer({"a": a, "b": b})
+    opt = Adam(buffer, lr=0.1)
+    for _ in range(2):
+        a.grad, b.grad = rng.standard_normal((3, 2)), rng.standard_normal(4)
+        buffer.collect_grads()
+        opt.step()
+    m, v = buffer.views(opt.m), buffer.views(opt.v)
+    before = [x.copy() for x in (b.data, m["b"], v["b"], a.data, m["a"])]
+    a.grad, b.grad = rng.standard_normal((3, 2)), None
+    buffer.collect_grads()
+    opt.step()
+    assert buffer.unreached == [buffer.slices["b"]]
+    assert np.all(buffer.views(buffer.grad)["b"] == 0.0)
+    for got, want in zip((b.data, m["b"], v["b"]), before):
+        assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(a.data, before[3]) and not np.array_equal(m["a"], before[4])
+
+
+def assert_packed(net):
+    """Every parameter is a view into the net's one buffer, and they tile it."""
+    buffer, params = net.buffer, net.parameters()
+    assert buffer.params.keys() == params.keys()
+    assert sum(p.data.size for p in params.values()) == buffer.data.size
+    for k, p in params.items():
+        assert p.data.base is buffer.data and np.shares_memory(p.data, buffer.data)
+        assert p.data.dtype == buffer.data.dtype == tape.compute_dtype()
+    start = 0
+    for p in params.values():
+        assert p.data.ctypes.data == buffer.data[start:].ctypes.data
+        start += p.data.size
+
+
+def test_parameters_stay_in_one_buffer(tmp_path):
+    vec, _ = train(np.random.default_rng(12).standard_normal((64, 2)), tiny_cfg())
+    mol, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=1, batch_size=2))
+    for model in (vec, mol):
+        assert_packed(model.net)
+        model.save(tmp_path / "m.json")
+        loaded = FlowModel.load(tmp_path / "m.json")
+        assert_packed(loaded.net)
+        model.load_ema()
+        assert_packed(model.net)
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.data, model.ema[k])
+        loaded.load_ema()
+        assert_packed(loaded.net)
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,82 @@ def test_linear_matches_matmul_plus_bias():
     assert const.grad is None
 
 
+def mlp_params(sizes, seed):
+    return ([p((a, b), seed + i, scale=1.5) for i, (a, b) in enumerate(zip(sizes, sizes[1:]))],
+            [p((b,), seed + 10 + i) for i, b in enumerate(sizes[1:])])
+
+
+def composed_mlp(x, weights, biases):
+    """The reference stack: linear, then silu between layers."""
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = tape.linear(x, w, b)
+        if i < len(weights) - 1:
+            x = tape.silu(x)
+    return x
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("x_grad", [True, False])
+def test_mlp_gradients_match_finite_differences(depth, x_grad):
+    sizes = [3, 5, 4, 2][:depth] + [2]
+    weights, biases = mlp_params(sizes, 50)
+    x = p((6, 3), 49) if x_grad else Tensor(np.random.default_rng(49).standard_normal((6, 3)))
+    params = {f"w{i}": w for i, w in enumerate(weights)}
+    params.update({f"b{i}": b for i, b in enumerate(biases)})
+    if x_grad:
+        params["x"] = x
+    check(lambda: tape.tsum(tape.square(tape.mlp(x, weights, biases))), params)
+    assert np.allclose(tape.mlp(x, weights, biases).data, composed_mlp(x, weights, biases).data,
+                       rtol=0, atol=1e-12)
+
+
+def test_mlp_rounds_as_linear_and_silu_do():
+    # the fused op keeps every matmul, bias add and SiLU step of the
+    # composition, in order: float32 outputs and gradients are bitwise equal
+    with tape.precision(np.float32):
+        sizes = [5, 16, 16, 2]
+        g = Tensor(np.random.default_rng(60).standard_normal((32, 2)))
+        runs = []
+        for op in (tape.mlp, composed_mlp):
+            weights, biases = mlp_params(sizes, 61)
+            x = p((32, 5), 62, scale=3.0)
+            out = op(x, weights, biases)
+            tape.backward(tape.tsum(tape.mul(out, g)))
+            runs.append([out.data, x.grad] + [t.grad for t in weights + biases])
+    for got, want in zip(*runs):
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+    with tape.no_grad():
+        free = tape.mlp(x, weights, biases)
+    assert not free.requires_grad and np.array_equal(free.data, runs[0][0])
+
+
+def composed_mse(pred, target, weights=None):
+    """The squared-norm residual's mean (or weighted sum) from single ops."""
+    per_row = tape.tsum(tape.square(tape.sub(pred, Tensor(target))), axis=1)
+    if weights is None:
+        return tape.tmean(per_row)
+    return tape.tsum(tape.mul(per_row, Tensor(weights / weights.sum())))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mse_rounds_as_its_composition(weighted):
+    rng = np.random.default_rng(63)
+    target = rng.standard_normal((40, 3)) * 3.0
+    weights = rng.uniform(0.1, 2.0, 40) if weighted else None
+    for dtype in (np.float32, np.float64):
+        with tape.precision(dtype):
+            runs = []
+            for op in (tape.mse, composed_mse):
+                pred = Tensor(np.random.default_rng(64).standard_normal((40, 3)), requires_grad=True)
+                loss = tape.mul(op(pred, target, weights), Tensor(1.7))
+                tape.backward(loss)
+                runs.append((loss.data, pred.grad))
+        for got, want in zip(*runs):
+            assert got.dtype == dtype and np.array_equal(got, want)
+    pred = p((40, 3), 65)
+    check(lambda: tape.mse(pred, target, weights), {"pred": pred})
+
+
 def test_take_cols_gathers_and_scatters():
     a, v = p((4, 6), 43), p((6,), 44)
     cols = np.array([1, 2, 4, 5])
