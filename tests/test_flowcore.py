@@ -115,6 +115,20 @@ def test_energy_distance_properties():
     assert energy_distance(a, c) < 0.1
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_energy_distance_rounds_as_the_broadcast(d):
+    # the reference builds the (n, m, d) difference array and sums its squares
+    # over the last axis; below 8 dimensions the values are bitwise equal
+    def mean_cross(x, y):
+        return float(np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(-1)).mean())
+
+    rng = np.random.default_rng(d)
+    scale = 10.0 ** rng.uniform(-4, 4, d)
+    a, b = rng.standard_normal((70, d)) * scale, rng.standard_normal((50, d)) * scale + 1.0
+    want = 2.0 * mean_cross(a, b) - mean_cross(a, a) - mean_cross(b, b)
+    assert energy_distance(a, b) == want
+
+
 def test_integrate_vector_field_matches_manual_euler():
     net = VectorFieldMLP(2, rng=np.random.default_rng(5))
     z1 = np.random.default_rng(6).standard_normal((10, 2))
