@@ -59,6 +59,7 @@ training.decode_molecules.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,21 @@ class ParamBuffer:
             view[...] = p.data
             p.data = view
         self._grad_views = list(self.views(self.grad).values())
+
+    def __deepcopy__(self, memo) -> ParamBuffer:
+        """A copy that stays packed: `data` and `grad` are copied once and the
+        copied parameters (the same objects the copied net holds, through
+        memo) are re-bound to views of the copied `data`, so Adam and the EMA
+        on the copy move the copy's weights and never the original's."""
+        new = copy.copy(self)
+        memo[id(self)] = new
+        new.params = copy.deepcopy(self.params, memo)
+        new.data, new.grad = self.data.copy(), self.grad.copy()
+        new.unreached = list(self.unreached)
+        for view, p in zip(new.views(new.data).values(), new.params.values()):
+            p.data = view
+        new._grad_views = list(new.views(new.grad).values())
+        return new
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's view, in its shape, into `flat`, a vector of this layout."""

@@ -253,15 +253,18 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def integrate_vector_field(net: VectorFieldMLP, z_start: np.ndarray, n_steps: int) -> np.ndarray:
-    """Euler integration from t = 1 (noise) to t = 0 (data) on a uniform grid."""
+    """Euler integration from t = 1 (noise) to t = 0 (data) on a uniform grid,
+    with the tape off: the net records no backward closures and keeps no
+    layer inputs or SiLU slopes."""
     if n_steps < 1:
         raise ValueError("need at least one step")
     z = np.asarray(z_start, dtype=np.float64).copy()
-    for k in range(n_steps, 0, -1):
-        t_from = k / n_steps
-        t_to = (k - 1) / n_steps
-        v = net(z, np.full(z.shape[0], t_from)).data
-        z = z + (t_to - t_from) * v
+    with tape.no_grad():
+        for k in range(n_steps, 0, -1):
+            t_from = k / n_steps
+            t_to = (k - 1) / n_steps
+            v = net(z, np.full(z.shape[0], t_from)).data
+            z = z + (t_to - t_from) * v
     return z
 
 

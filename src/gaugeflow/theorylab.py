@@ -446,14 +446,21 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     than the one the next window adds on the right). That difference is
     non-increasing in s, so one bisection over all queries finds every start
     in about log2(n) rounds. Ties at the k-th distance go to the lower values.
-    d >= 2: a k-d tree query. Non-finite points in x raise ValueError.
+    d >= 2: a k-d tree query. The tree is built unbalanced, by scipy's
+    sliding-midpoint rule (Maneewongvatana and Mount 1999) instead of median
+    splits, with node boxes not shrunk to their points: that build takes about
+    half as long (15-17 ms against 28-31 ms on 1e5 points in 2-D or 3-D), the
+    queries take as long, and the exact neighbours are the same; only the
+    order of points tied at one distance may differ.
+    Non-finite points in x raise ValueError.
     """
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if x.shape[1] > 1:
         from scipy.spatial import cKDTree
 
-        return cKDTree(x).query(queries, k=k, workers=-1)[1]
+        tree = cKDTree(x, balanced_tree=False, compact_nodes=False)
+        return tree.query(queries, k=k, workers=-1)[1]
     order = np.argsort(x[:, 0])
     xs = np.append(x[order, 0], np.inf)         # the last window, s = n - k, always qualifies
     q = queries[:, 0]
@@ -467,12 +474,26 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return order[lo[:, None] + np.arange(k)]
 
 
+def _neighbour_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of gathered neighbourhoods (..., k, p) over their k axis, kept as a
+    length-1 axis, rounding exactly as a.sum(axis=-2) and so as the means and
+    variances numpy builds on it. For p >= 2 that axis is strided: numpy then
+    adds the k rows one after another, and so does the einsum, about 5x
+    faster. For p == 1 it is contiguous: numpy sums it pairwise, which the
+    einsum does not, so there the sum stays numpy's."""
+    if a.shape[-1] == 1:
+        return a.sum(axis=-2, keepdims=True)
+    return np.einsum("...kp->...p", a)[..., None, :]
+
+
 # Queries per piece of the local linear fits: a piece gathers (queries, k, d)
 # inputs and (queries, k, p) outputs, 256 x 317 x 2 floats (1.3 MB) each for
-# the battery's 2-D fits, instead of the whole (n_query, k, .) blocks. On one
-# core the fit of the battery's 1-D neighbourhoods (2000 queries, k = 1000)
-# took 42-60 ms in pieces of 64 to 256 queries against 78-84 ms in one piece;
-# every piece size gives bitwise the same per-query values.
+# the battery's 2-D fits, instead of the whole (n_query, k, .) blocks. One-core
+# timings of one battery fit of 2000 queries, tree query excluded, in pieces
+# of 64 / 256 / 1024 / 2000 queries: 1-D (k = 1000) 27-28 / 30 / 31-32 /
+# 39-42 ms, 2-D (k = 317) 22 / 21-22 / 21-22 / 22-23 ms, 3-D (k = 317) 31-37 /
+# 30 / 31-33 / 39-44 ms. Every piece size gives bitwise the same per-query
+# values.
 _CHUNK_QUERIES = 256
 
 
@@ -525,10 +546,10 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     per_query = np.empty(n_query)
     for start in range(0, n_query, _CHUNK_QUERIES):
         rows = nbr[start:start + _CHUNK_QUERIES]
-        xb = x[rows]                                # (q, k, d)
-        yb = y[rows]                                # (q, k, p)
-        xb -= xb.mean(axis=1, keepdims=True)
-        yb -= yb.mean(axis=1, keepdims=True)
+        xb = np.take(x, rows, axis=0)               # (q, k, d)
+        yb = np.take(y, rows, axis=0)               # (q, k, p)
+        xb -= _neighbour_sum(xb) / k
+        yb -= _neighbour_sum(yb) / k
         xt = xb.transpose(0, 2, 1)
         yb -= xb @ np.linalg.solve(xt @ xb, xt @ yb)    # residuals
         per_query[start:start + len(rows)] = np.einsum("qkj,qkj->q", yb, yb) / dof
@@ -673,8 +694,11 @@ def bayes_equivariance_check(system: MixtureSystem, n: int, rng: np.random.Gener
     zq = x[rng.choice(n, size=n_query, replace=False)]
     elements = system.group.elements
     queries = np.concatenate([zq, *(zq @ g for g in elements)])     # zq, then g^-1 zq
-    vals = y[_nearest(x, queries, k)].reshape(len(elements) + 1, n_query, k, -1)
-    means, variances = vals.mean(axis=2), vals.var(axis=2, ddof=1) / k
+    vals = np.take(y, _nearest(x, queries, k), axis=0).reshape(len(elements) + 1, n_query, k, -1)
+    means = _neighbour_sum(vals) / k                # np.var's steps, ddof=1
+    vals -= means
+    vals *= vals
+    means, variances = means[:, :, 0], _neighbour_sum(vals)[:, :, 0] / (k - 1) / k
 
     base_mean, base_var = means[0], variances[0]
     max_ratio = 0.0

@@ -1,5 +1,6 @@
 """Path construction, training loop determinism, checkpoints, toy data."""
 
+import copy
 import dataclasses
 import hashlib
 
@@ -233,6 +234,28 @@ def test_parameters_stay_in_one_buffer(tmp_path):
             assert np.array_equal(p.data, model.ema[k])
         loaded.load_ema()
         assert_packed(loaded.net)
+
+
+def test_deepcopy_keeps_the_buffer_packed():
+    # the copied parameters are views of the copy's own buffer, so Adam on the
+    # copy moves the copy's weights and leaves the original's bits alone
+    vec, _ = train(np.random.default_rng(12).standard_normal((64, 2)), tiny_cfg())
+    mol, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=1, batch_size=2))
+    for model in (vec, mol):
+        before = {k: p.data.copy() for k, p in model.parameters().items()}
+        dup = copy.deepcopy(model)
+        assert_packed(dup.net)
+        assert dup.net.buffer.params.keys() == before.keys()
+        assert not np.shares_memory(dup.net.buffer.data, model.net.buffer.data)
+        for p in dup.parameters().values():
+            p.grad = np.ones_like(p.data)
+        dup.net.buffer.collect_grads()
+        Adam(dup.net.buffer, lr=0.1).step()
+        for k, p in dup.parameters().items():
+            assert not np.array_equal(p.data, before[k])
+        for k, p in model.parameters().items():
+            assert p.data.tobytes() == before[k].tobytes()
+        assert_packed(model.net)
 
 
 # ---------------------------------------------------------------------------

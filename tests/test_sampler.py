@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 from conftest import random_molecule
 from gaugeflow import priors as priors_mod
 from gaugeflow import sampler, symgroup
+from gaugeflow.flowcore import tape
 from gaugeflow.flowcore.training import (FlowModel, TrainConfig, encode_molecules, guided_forward,
                                          sample_molecular_noise, train)
 from gaugeflow.sampler import SampleConfig
@@ -311,6 +312,21 @@ def test_sample_vectors_matches_manual_integration(vec_model):
     rng = np.random.default_rng(13)
     z1 = priors_mod.sample_gaussian(vec_model.priors["noise"], 20, rng)
     assert np.array_equal(out, integrate_vector_field(vec_model.net, z1, 6))
+
+
+def test_sample_vectors_records_no_tape_node(vec_model, monkeypatch):
+    # the rollout runs with the tape off and gives the values of the same
+    # Euler steps run with the tape recording
+    z = priors_mod.sample_gaussian(vec_model.priors["noise"], 20, np.random.default_rng(13))
+    for k in range(6, 0, -1):
+        v = vec_model.net(z, np.full(20, k / 6))
+        assert v.requires_grad
+        z = z + ((k - 1) / 6 - k / 6) * v.data
+    recorded, real = [], tape._recording
+    monkeypatch.setattr(tape, "_recording", lambda parents: recorded.append(real(parents)) or recorded[-1])
+    out = sampler.sample_vectors(vec_model, 20, SampleConfig(steps=6), np.random.default_rng(13))
+    assert recorded and not any(recorded)
+    assert np.array_equal(out, z)
 
 
 @pytest.mark.parametrize("settings", [

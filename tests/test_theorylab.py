@@ -281,6 +281,91 @@ def test_sorted_window_search_matches_tree(case):
     assert np.array_equal(_window_distances(x, queries, k), _tree_distances(x, queries, k))
 
 
+@pytest.mark.parametrize("k", [25, 400])
+def test_unbalanced_tree_ties_match_default_tree(k):
+    # on an integer grid many points tie at the k-th distance: the unbalanced
+    # tree may keep other tied rows than the default tree, but its k rows are
+    # distinct and their sorted distances (exact here) are the same
+    rng = np.random.default_rng(20)
+    x = rng.integers(-6, 7, size=(400, 2)).astype(np.float64)
+    queries = np.concatenate([x[:40], rng.integers(-16, 17, size=(40, 2)) / 2.0])
+    nbr = lab._nearest(x, queries, k)
+    assert nbr.shape == (len(queries), k)
+    assert all(len(set(row)) == k for row in nbr.tolist())
+    dist = np.sqrt(((x[nbr] - queries[:, None]) ** 2).sum(axis=2))
+    assert np.array_equal(np.sort(dist, axis=1), _tree_distances(x, queries, k))
+
+
+def _numpy_mean_local_linear_variance(x, y, rng, n_query, k):
+    """Reference: the batched fit with fancy-index gathers and numpy means."""
+    q_idx = rng.choice(x.shape[0], size=n_query, replace=False)
+    nbr = lab._nearest(x, x[q_idx], k)
+    out = np.empty(n_query)
+    for start in range(0, n_query, lab._CHUNK_QUERIES):
+        rows = nbr[start:start + lab._CHUNK_QUERIES]
+        xb, yb = x[rows], y[rows]
+        xb -= xb.mean(axis=1, keepdims=True)
+        yb -= yb.mean(axis=1, keepdims=True)
+        xt = xb.transpose(0, 2, 1)
+        yb -= xb @ np.linalg.solve(xt @ xb, xt @ yb)
+        out[start:start + len(rows)] = np.einsum("qkj,qkj->q", yb, yb) / (k - x.shape[1] - 1)
+    return out
+
+
+@pytest.mark.parametrize("k", [40, 142, 317])
+@pytest.mark.parametrize("d, p", [(1, 1), (2, 2), (3, 3), (1, 2), (3, 1)])
+def test_knn_neighbour_sums_round_as_numpy_means(d, p, k):
+    # the gathers and neighbourhood sums may be rewritten for speed, but every
+    # per-query value keeps numpy's rounding bit for bit
+    rng = np.random.default_rng(30 + d)
+    x = rng.standard_normal((6000, d))
+    y = np.sin(x @ rng.standard_normal((d, p))) + 0.1 * rng.standard_normal((6000, p))
+    _, _, per_query = lab.knn_local_linear_variance(x, y, np.random.default_rng(31),
+                                                    n_query=300, k=k)
+    ref = _numpy_mean_local_linear_variance(x, y, np.random.default_rng(31), 300, k)
+    assert np.array_equal(per_query, ref)
+
+
+def _numpy_moments_bayes_check(system, n, rng, break_coupling):
+    """Reference: bayes_equivariance_check with a fancy-index gather and
+    np.mean / np.var over the neighbours."""
+    sim = lab.simulate(system, n, rng)
+    x = sim["z"]
+    y = sim["u"] if break_coupling else sim["velocity"]
+    k = int(np.ceil(np.sqrt(n)))
+    n_query = min(200, n)
+    zq = x[rng.choice(n, size=n_query, replace=False)]
+    elements = system.group.elements
+    queries = np.concatenate([zq, *(zq @ g for g in elements)])
+    vals = y[lab._nearest(x, queries, k)].reshape(len(elements) + 1, n_query, k, -1)
+    means, variances = np.mean(vals, axis=2), np.var(vals, axis=2, ddof=1) / k
+    ratios, gaps = [], []
+    for g, mean_g, var_g in zip(elements, means[1:], variances[1:]):
+        gap = np.linalg.norm(mean_g @ g.T - means[0], axis=1)
+        se = np.sqrt((variances[0] + var_g @ (g ** 2).T).sum(axis=1))
+        ratios.append(gap / np.maximum(se, 1e-12))
+        gaps.append(gap)
+    max_ratio = max(0.0, *(float(r.max()) for r in ratios))
+    return {
+        "max_ratio": max_ratio,
+        "mean_ratio": float(np.concatenate(ratios).mean()),
+        "max_violation": max(0.0, *(float(gp.max()) for gp in gaps)),
+        "ratio_bound": 5.0,
+        "equivariant": max_ratio < 5.0,
+        "k": k, "n_query": n_query, "n": n,
+        "break_coupling": break_coupling,
+    }
+
+
+@pytest.mark.parametrize("break_coupling", [False, True])
+@pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
+def test_bayes_check_moments_round_as_numpy(make, break_coupling):
+    got = lab.bayes_equivariance_check(make(), 20_000, np.random.default_rng(32),
+                                       break_coupling=break_coupling)
+    want = _numpy_moments_bayes_check(make(), 20_000, np.random.default_rng(32), break_coupling)
+    assert got == want
+
+
 def _lstsq_local_linear_variance(x, y, rng, n_query, k):
     """Reference: one least-squares fit per query point."""
     n = x.shape[0]
