@@ -16,9 +16,17 @@ squared field slope across the neighborhood.
 Both k-NN users find neighbours through one search. In one dimension the k
 nearest points of a query are one contiguous window of the sorted values, so
 the search sorts once and bisects every query's window start at once; in two
-or more dimensions it queries a k-d tree. The neighbour sets are the same
-except for points tied at the k-th distance, where the window keeps the lower
-values; the sorted distances to the k neighbours are identical either way.
+or more dimensions it queries a k-d tree, built unbalanced (sliding-midpoint
+splits) because that build is about twice as fast and finds the same exact
+neighbours. The window's neighbour sets are the tree's except for points tied
+at the k-th distance, where the window keeps the lower values; the sorted
+distances to the k neighbours are identical either way.
+Both users gather neighbourhoods with np.take and sum them over the
+neighbour axis through `_neighbour_sum`: an einsum where that axis is strided
+(two or more coordinates), which adds the rows in numpy's order several times
+faster, and numpy's own pairwise sum for one coordinate, where an einsum would
+round differently. So every estimate is bitwise what numpy's mean and var
+would give.
 
 Each system's members are computed once, in affine form (`MemberForm`,
 cached as `MixtureSystem.members`): for every group element g the whitened
@@ -449,7 +457,7 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     d >= 2: a k-d tree query. The tree is built unbalanced, by scipy's
     sliding-midpoint rule (Maneewongvatana and Mount 1999) instead of median
     splits, with node boxes not shrunk to their points: that build takes about
-    half as long (15-17 ms against 28-31 ms on 1e5 points in 2-D or 3-D), the
+    half as long (15-18 ms against 29-31 ms on 1e5 points in 2-D or 3-D), the
     queries take as long, and the exact neighbours are the same; only the
     order of points tied at one distance may differ.
     Non-finite points in x raise ValueError.
@@ -511,7 +519,10 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     (by 2-4x for a 1-D Gaussian pair at 2e4-2e5 samples). The neighbourhoods
     are fit _CHUNK_QUERIES queries at a time: with the inputs and outputs
     centred per neighbourhood, the intercept is the output mean and the
-    slopes solve the (d, d) normal equations. Neighbours come from
+    slopes solve the (d, d) normal equations. The centring means are
+    `_neighbour_sum` / k, bitwise mean(axis=1): an einsum for two or more
+    coordinates, numpy's pairwise sum for one (the 1-D fits), since an einsum
+    there rounds differently. Neighbours come from
     `_nearest`: for d == 1 a sorted-window search, ties at the k-th distance
     going to the lower values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
     differs from x's, n_query below 2 (no mean and no bootstrap spread to
