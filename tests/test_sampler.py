@@ -323,7 +323,11 @@ def test_sample_vectors_records_no_tape_node(vec_model, monkeypatch):
         assert v.requires_grad
         z = z + ((k - 1) / 6 - k / 6) * v.data
     recorded, real = [], tape._recording
-    monkeypatch.setattr(tape, "_recording", lambda parents: recorded.append(real(parents)) or recorded[-1])
+
+    def spy(parents):
+        recorded.append(real(parents))
+        return recorded[-1]
+    monkeypatch.setattr(tape, "_recording", spy)
     out = sampler.sample_vectors(vec_model, 20, SampleConfig(steps=6), np.random.default_rng(13))
     assert recorded and not any(recorded)
     assert np.array_equal(out, z)
