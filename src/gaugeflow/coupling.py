@@ -1,5 +1,5 @@
 """Pairing of data and noise batches: exact optimal transport on squared
-Euclidean cost, rigid alignment, and the linear OT-probability anneal.
+Euclidean cost and the linear OT-probability anneal.
 
 `ot_pair` solves the assignment problem on a shifted cost. With x and y a
 data and a noise row, mx and my the means of their sets, and A any symmetric
@@ -89,23 +89,6 @@ def _monge_roots(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rx, rx_inv = power_psd(sx, (0.5, -0.5), COND_CAP)
     a = rx_inv @ sqrt_psd(rx @ sy @ rx) @ rx_inv
     return power_psd(a, (0.5, -0.5), COND_CAP)
-
-
-def kabsch_align(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best rotation R (det +1) minimizing ||target - source @ R.T||_F.
-
-    Returns (R, aligned) with aligned = source @ R.T. Both inputs are used
-    as-is; center them first when translation should not leak into R.
-    """
-    target = np.asarray(target, dtype=np.float64)
-    source = np.asarray(source, dtype=np.float64)
-    if target.shape != source.shape:
-        raise ValueError("shape mismatch")
-    m = target.T @ source               # maximize tr(R m)
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    r = u @ np.diag([1.0] * (m.shape[0] - 1) + [d]) @ vt
-    return r, source @ r.T
 
 
 def ot_probability(epoch: int, max_epochs: int) -> float:

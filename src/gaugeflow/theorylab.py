@@ -15,12 +15,14 @@ squared field slope across the neighborhood.
 
 Both k-NN users find neighbours through one search. In one dimension the k
 nearest points of a query are one contiguous window of the sorted values, so
-the search sorts once and bisects every query's window start at once; in two
-or more dimensions it queries a k-d tree, built unbalanced (sliding-midpoint
-splits) because that build is about twice as fast and finds the same exact
-neighbours. The window's neighbour sets are the tree's except for points tied
-at the k-th distance, where the window keeps the lower values; the sorted
-distances to the k neighbours are identical either way.
+the search sorts once and bisects every query's window start at once
+(`_window_starts`), and the local linear fit reads its windows straight from
+sorted copies of its inputs; in two or more dimensions it queries a k-d
+tree, built unbalanced (sliding-midpoint splits) because that build is about
+twice as fast and finds the same exact neighbours. The window's neighbour
+sets are the tree's except for points tied at the k-th distance, where the
+window keeps the lower values; the sorted distances to the k neighbours are
+identical either way.
 Both users gather neighbourhoods with np.take and sum them over the
 neighbour axis through `_neighbour_sum`: an einsum where that axis is strided
 (two or more coordinates), which adds the rows in numpy's order several times
@@ -35,10 +37,10 @@ g E[Z1 - Z0 | Zt = g^T z] and the member score g s_t(g^T z) are a (d, d)
 slope and a shift, so each is one batched matmul of the ambient points with no
 per-element loop or solve. The posterior functions evaluate their points in
 fixed pieces of _CHUNK_ROWS rows, and the k-NN fits their neighbourhoods in
-pieces of _CHUNK_QUERIES queries; `variance_decomposition` drops each
-simulated array once nothing reads it. Memory therefore scales with the kept
-simulation arrays only, not with the posterior temporaries or the gathered
-neighbourhoods.
+pieces of _CHUNK_QUERIES queries; `simulate` keeps only the four arrays its
+callers read, and `variance_decomposition` drops each once nothing reads it.
+Memory therefore scales with the kept simulation arrays only, not with the
+posterior temporaries or the gathered neighbourhoods.
 
 Importing the lab loads numpy only. The two scipy submodules it uses load on
 first use, inside the branch that needs them: `scipy.spatial` for the k-d tree
@@ -427,33 +429,56 @@ def collision_bound(system: MixtureSystem, n_mc: int,
 
 
 def simulate(system: MixtureSystem, n: int, rng: np.random.Generator) -> dict:
-    """Draw the full generative batch under the product coupling.
+    """Draw the generative batch under the product coupling.
 
-    Returns z0/z1/z_slice/u on the slice, uniform element indices g_idx, and
-    the ambient pair z = G z_slice, velocity = G u.
+    Draws Z0 ~ q0, then Z1 ~ q1, then one uniform group element G per row
+    (the group's `randomize`). Returns the slice pair z_slice = Zt and
+    u = Z1 - Z0, and the ambient pair z = G z_slice, velocity = G u. The
+    endpoints and element indices are not kept: no caller reads them, and
+    dropping the endpoints before the group draw lowers the peak.
     """
     z0 = system.q0.draw(n, rng)
     z1 = system.q1.draw(n, rng)
     z_slice = (1.0 - system.t) * z0 + system.t * z1
     u = z1 - z0
-    g_idx, z, velocity = system.group.randomize(rng, z_slice, u)
-    return {"g_idx": g_idx, "z0": z0, "z1": z1, "z_slice": z_slice, "u": u,
-            "z": z, "velocity": velocity}
+    del z0, z1
+    _, z, velocity = system.group.randomize(rng, z_slice, u)
+    return {"z_slice": z_slice, "u": u, "z": z, "velocity": velocity}
 
 
 # ---------------------------------------------------------------------------
 # Nonparametric estimators
 
 
+def _window_starts(xs: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
+    """Start of each query's k-nearest window in the sorted values xs.
+
+    The k nearest points of q are xs[s:s + k] for the smallest start s in
+    [0, n - k] with q - xs[s] <= xs[s + k] - q (the point dropped from the
+    left is no nearer than the one the next window adds on the right), the
+    last start n - k qualifying always. That difference is non-increasing in
+    s, so one bisection over all queries finds every start in about log2(n)
+    rounds. Ties at the k-th distance go to the lower values.
+    """
+    n = len(xs)
+    lo = np.zeros(len(q), dtype=np.int64)
+    hi = np.full(len(q), n - k, dtype=np.int64)
+    while (lo < hi).any():                      # the start lies in [lo, hi] and qualifies
+        mid = (lo + hi) // 2
+        end = mid + k                           # == n only where lo == hi == n - k
+        left = (end == n) | (q - xs[mid] <= np.take(xs, end, mode="clip") - q)
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid + 1)
+    return lo
+
+
 def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Row indices into x of the k nearest points to each query; shape (q, k).
 
-    d == 1: with the values sorted, the k nearest points of q are the window
-    xs[s:s + k] for the smallest start s in [0, n - k] with
-    q - xs[s] <= xs[s + k] - q (the point dropped from the left is no nearer
-    than the one the next window adds on the right). That difference is
-    non-increasing in s, so one bisection over all queries finds every start
-    in about log2(n) rounds. Ties at the k-th distance go to the lower values.
+    d == 1: the k nearest points of a query are one window of the sorted
+    values, found by `_window_starts`; ties at the k-th distance go to the
+    lower values. `knn_local_linear_variance` reads its 1-D windows from
+    sorted copies instead of through these index rows.
     d >= 2: a k-d tree query. The tree is built unbalanced, by scipy's
     sliding-midpoint rule (Maneewongvatana and Mount 1999) instead of median
     splits, with node boxes not shrunk to their points: that build takes about
@@ -470,16 +495,8 @@ def _nearest(x: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
         tree = cKDTree(x, balanced_tree=False, compact_nodes=False)
         return tree.query(queries, k=k, workers=-1)[1]
     order = np.argsort(x[:, 0])
-    xs = np.append(x[order, 0], np.inf)         # the last window, s = n - k, always qualifies
-    q = queries[:, 0]
-    lo = np.zeros(len(q), dtype=np.int64)
-    hi = np.full(len(q), len(order) - k, dtype=np.int64)
-    while (lo < hi).any():                      # the start lies in [lo, hi] and qualifies
-        mid = (lo + hi) // 2
-        left = q - xs[mid] <= xs[mid + k] - q
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid + 1)
-    return order[lo[:, None] + np.arange(k)]
+    starts = _window_starts(x[order, 0], queries[:, 0], k)
+    return order[starts[:, None] + np.arange(k)]
 
 
 def _neighbour_sum(a: np.ndarray) -> np.ndarray:
@@ -522,13 +539,18 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
     slopes solve the (d, d) normal equations. The centring means are
     `_neighbour_sum` / k, bitwise mean(axis=1): an einsum for two or more
     coordinates, numpy's pairwise sum for one (the 1-D fits), since an einsum
-    there rounds differently. Neighbours come from
-    `_nearest`: for d == 1 a sorted-window search, ties at the k-th distance
-    going to the lower values; for d >= 2 a k-d tree. Non-finite x or y, a y whose row count
-    differs from x's, n_query below 2 (no mean and no bootstrap spread to
-    read) or n_boot below 2 (one resample has no spread, so the stderr would
-    be NaN) raise ValueError; the n_query and n_boot checks come before any
-    draw from rng.
+    there rounds differently. For d == 1 the neighbourhoods are windows of
+    sorted copies of x and y: the queries are read first, x and y are
+    rebound to the sorted copies (so inputs the caller holds no other
+    reference to are freed), and each query's window start comes from
+    `_window_starts`, ties at the k-th distance going to the lower values.
+    These are the values, in the order, that gathering `_nearest`'s index
+    rows from the unsorted arrays reads, without its (n_query, k) index
+    matrix. For d >= 2 the neighbours come from `_nearest`'s k-d tree.
+    Non-finite x or y, a y whose row count differs from x's, n_query below 2
+    (no mean and no bootstrap spread to read) or n_boot below 2 (one resample
+    has no spread, so the stderr would be NaN) raise ValueError; the n_query
+    and n_boot checks come before any draw from rng.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -553,10 +575,23 @@ def knn_local_linear_variance(x: np.ndarray, y: np.ndarray, rng: np.random.Gener
         raise ValueError("neighbourhood too small for a linear fit")
     n_query = min(n_query, n)
     q_idx = rng.choice(n, size=n_query, replace=False)
-    nbr = _nearest(x, x[q_idx], k)
+    if d == 1:
+        if not np.isfinite(x).all():
+            raise ValueError("x must be finite")
+        queries = x[q_idx, 0]
+        order = np.argsort(x[:, 0])
+        x = np.take(x, order, axis=0)               # rebound, so unshared inputs are freed
+        y = np.take(y, order, axis=0)
+        del order
+        nbr = _window_starts(x[:, 0], queries, k)[:, None]
+        window = np.arange(k)
+    else:
+        nbr = _nearest(x, x[q_idx], k)
     per_query = np.empty(n_query)
     for start in range(0, n_query, _CHUNK_QUERIES):
         rows = nbr[start:start + _CHUNK_QUERIES]
+        if d == 1:
+            rows = rows + window                    # rows of the sorted copies
         xb = np.take(x, rows, axis=0)               # (q, k, d)
         yb = np.take(y, rows, axis=0)               # (q, k, p)
         xb -= _neighbour_sum(xb) / k
@@ -601,13 +636,13 @@ def variance_decomposition(system: MixtureSystem, n: int, rng: np.random.Generat
     lhs is the ambient conditional variance (k-NN on the ambient pair), within
     the slice conditional variance (k-NN on the slice pair), ambiguity the
     closed-form posterior spread averaged over the same ambient points. Each
-    simulated array is dropped once nothing reads it any more, so the peak
-    holds the kept pairs and one fit's neighbourhoods.
+    simulated array is popped as it is handed to its fit, so nothing holds it
+    once the fit is done (and a 1-D fit frees it as soon as it has made its
+    sorted copy); the peak holds the kept pairs and one fit's working set.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} Monte Carlo samples")
     sim = simulate(system, n, rng)
-    del sim["z0"], sim["z1"], sim["g_idx"]
     amb_vals = ambiguity_term(system, sim["z"])     # draws nothing from rng
     amb = float(amb_vals.mean())
     amb_se = float(amb_vals.std(ddof=1) / np.sqrt(n))

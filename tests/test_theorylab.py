@@ -180,12 +180,16 @@ def test_simulate_consistency(seed):
     rng = np.random.default_rng(seed)
     system = lab.c4_system()
     sim = lab.simulate(system, 200, rng)
-    mats = system.group.elements[sim["g_idx"]]
+    assert sorted(sim) == ["u", "velocity", "z", "z_slice"]
+    # the same draws, made directly: q0, then q1, then one element per row
+    replay = np.random.default_rng(seed)
+    z0 = system.q0.draw(200, replay)
+    z1 = system.q1.draw(200, replay)
+    mats = system.group.elements[replay.integers(0, system.group.order, 200)]
     assert np.allclose(sim["z"], np.einsum("nij,nj->ni", mats, sim["z_slice"]))
     assert np.allclose(sim["velocity"], np.einsum("nij,nj->ni", mats, sim["u"]))
-    assert np.allclose(sim["z_slice"],
-                       (1 - system.t) * sim["z0"] + system.t * sim["z1"])
-    assert np.allclose(sim["u"], sim["z1"] - sim["z0"])
+    assert np.allclose(sim["z_slice"], (1 - system.t) * z0 + system.t * z1)
+    assert np.allclose(sim["u"], z1 - z0)
 
 
 def test_knn_estimator_on_linear_oracle():
@@ -323,6 +327,31 @@ def test_knn_neighbour_sums_round_as_numpy_means(d, p, k):
     _, _, per_query = lab.knn_local_linear_variance(x, y, np.random.default_rng(31),
                                                     n_query=300, k=k)
     ref = _numpy_mean_local_linear_variance(x, y, np.random.default_rng(31), 300, k)
+    assert np.array_equal(per_query, ref)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("case", ["continuous", "integer-ties", "k-equals-n"])
+def test_knn_sorted_windows_match_index_rows(case, p):
+    # the 1-D fit gathers windows of sorted copies; every per-query value is
+    # bitwise the fit over _nearest's index rows into the unsorted arrays
+    rng = np.random.default_rng(40)
+    n, k = 300, 40
+    x = rng.standard_normal((n, 1))
+    if case == "integer-ties":
+        x = rng.integers(-5, 6, size=(n, 1)).astype(np.float64)
+    elif case == "k-equals-n":
+        k = n
+    y = np.sin(3.0 * x @ rng.standard_normal((1, p))) + 0.1 * rng.standard_normal((n, p))
+    # every point is a query below, so windows start at 0 and at n - k
+    starts = lab._window_starts(np.sort(x[:, 0]), x[:, 0], k)
+    assert starts.min() == 0 and starts.max() == n - k
+    if case == "integer-ties":
+        dist = np.sort(np.abs(x - x.T), axis=1)
+        assert (dist[:, k - 1] == dist[:, k]).any()     # ties at the k-th distance
+    _, _, per_query = lab.knn_local_linear_variance(x, y, np.random.default_rng(41),
+                                                    n_query=n, k=k)
+    ref = _numpy_mean_local_linear_variance(x, y, np.random.default_rng(41), n, k)
     assert np.array_equal(per_query, ref)
 
 
