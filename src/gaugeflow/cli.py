@@ -77,6 +77,11 @@ def _write_manifest(outdir: Path, command: str, args, seed, config: dict | None 
         doc["counters"] = counters
     if timings is not None:
         doc["timings"] = timings
+    import resource     # here, so that importing the cli loads no more modules
+
+    # the process's peak resident memory so far; ru_maxrss is in KiB on Linux,
+    # so this is the MB figure perfbench reports
+    doc["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 

@@ -139,6 +139,17 @@ def haar_sample(n_atoms: int, rng: np.random.Generator) -> GroupElement:
 # ---------------------------------------------------------------------------
 # Finite matrix groups acting on R^d point states (theory-lab side)
 
+_PIECE_ROWS = 2 ** 16       # rows per piece in FiniteGroupSpec.randomize
+
+
+def _shared_rows(dim: int, batches) -> int:
+    """The n of batches that are all (n, dim); ValueError otherwise."""
+    shapes = [np.shape(b) for b in batches]
+    if not shapes or len(shapes[0]) != 2 or any(s != (shapes[0][0], dim) for s in shapes):
+        raise ValueError(f"randomize needs one or more (n, {dim}) batches with one n, "
+                         f"got shapes {shapes}")
+    return shapes[0][0]
+
 
 @dataclass
 class FiniteGroupSpec:
@@ -180,12 +191,23 @@ class FiniteGroupSpec:
     def randomize(self, rng: np.random.Generator, *batches: np.ndarray) -> tuple:
         """Apply one uniform random element per row, the same one in every batch.
 
-        Each batch is (n, d). Returns (element indices, acted batches...);
-        draws rng.integers(0, order, n) once.
+        Each batch is (n, d), all with one n; anything else is a ValueError,
+        raised before anything is drawn. Returns (element indices, acted
+        batches...); draws rng.integers(0, order, n) once. The elements are
+        gathered and applied over pieces of _PIECE_ROWS rows, so no (n, d, d)
+        element array is held; each row is the same einsum as over the whole
+        batch and rounds the same.
         """
-        idx = rng.integers(0, self.order, len(batches[0]))
-        mats = self.elements[idx]
-        return (idx, *(np.einsum("nij,nj->ni", mats, b) for b in batches))
+        batches = [np.asarray(b) for b in batches]
+        n = _shared_rows(self.dim, batches)
+        idx = rng.integers(0, self.order, n)
+        outs = [np.empty((n, self.dim), np.result_type(self.elements, b)) for b in batches]
+        for start in range(0, n, _PIECE_ROWS):
+            piece = slice(start, start + _PIECE_ROWS)
+            mats = self.elements[idx[piece]]
+            for b, out in zip(batches, outs):
+                np.einsum("nij,nj->ni", mats, b[piece], out=out[piece])
+        return (idx, *outs)
 
 
 @dataclass
@@ -197,10 +219,11 @@ class RotationGroup:
     def randomize(self, rng: np.random.Generator, *batches: np.ndarray) -> tuple:
         """Apply one Haar-random rotation per row, the same one in every batch.
 
-        Each batch is (n, d). Returns (rotations (n, d, d), acted batches...);
-        draws haar_rotations(dim, n) once.
+        Each batch is (n, d), all with one n; anything else is a ValueError,
+        raised before anything is drawn. Returns (rotations (n, d, d), acted
+        batches...); draws haar_rotations(dim, n) once.
         """
-        mats = haar_rotations(self.dim, len(batches[0]), rng)
+        mats = haar_rotations(self.dim, _shared_rows(self.dim, batches), rng)
         return (mats, *(np.einsum("nij,nj->ni", mats, b) for b in batches))
 
 

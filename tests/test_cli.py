@@ -624,6 +624,14 @@ def test_verify_theory_manifest_records_timings(tmp_path):
     assert_timings(json.loads((out / "manifest.json").read_text()), {"battery_s", "write_s"})
 
 
+def test_manifests_record_peak_memory_outside_the_timings(trained_vec, tmp_path):
+    out = tmp_path / "verify"
+    assert run("verify-theory", "--system", "c4", "--n", "1000", "-o", out) == 0
+    for path in (trained_vec / "manifest.json", out / "manifest.json"):
+        peak = json.loads(path.read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and math.isfinite(peak) and peak > 0
+
+
 @pytest.mark.parametrize("system", ["c4", "s3"])
 def test_verify_theory_small_n_runs_where_the_sample_count_is_floored(tmp_path, system):
     # c4 and s3 floor their Monte Carlo count at MIN_MC_SAMPLES, so --n below it still runs

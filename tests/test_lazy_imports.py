@@ -35,8 +35,8 @@ def test_package_import_loads_no_scipy_submodule():
 
 
 # (step, code) in call order; a pair layout loads no scipy submodule, and
-# scipy.stats loads optimize and spatial, so each step's own module is new
-# only in this order
+# the k-d tree and the OT solver load scipy.special, which the KS test of the
+# normal reference then finds loaded
 STEPS = [
     ("pair_layout", "tape.PairLayout([3, 2])"),
     ("mixture_logpdf", "theorylab.mixture_logpdf(theorylab.c4_system(), rng.standard_normal((4, 2)))"),
@@ -69,7 +69,29 @@ def test_each_deferred_import_is_taken_on_first_call():
     assert "scipy.spatial" in new["nearest_2d"]
     assert "scipy.optimize" in new["ot_pair"]
     assert new["lift_given_noise"] == set()        # no KS test without the normal reference
-    assert "scipy.stats" in new["lift_normal_reference"]
+    assert new["lift_normal_reference"] == set()   # scipy.special only, not scipy.stats
+
+
+def test_ks_test_loads_scipy_special_and_not_scipy_stats():
+    doc = fresh_python(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from gaugeflow import symgroup, theorylab\n"
+        "q0 = theorylab.SliceGaussian(np.zeros(2), np.eye(2))\n"
+        "theorylab.lift_independence(q0, 200, symgroup.c4_group(), np.random.default_rng(0))\n"
+        f"print(json.dumps({LOADED}))\n")
+    assert "scipy.special" in doc
+    assert "scipy.stats" not in doc
+
+
+def test_default_battery_leaves_scipy_stats_unloaded():
+    doc = fresh_python(
+        "import json, sys\n"
+        "from gaugeflow import theorylab\n"
+        "theorylab.run_default_suite(seed=0, n_mc=20_000)\n"
+        f"print(json.dumps({LOADED}))\n")
+    assert "scipy.spatial" in doc                 # the battery did search in 2-D
+    assert "scipy.stats" not in doc
 
 
 def test_ot_pair_rejects_malformed_input_before_loading_scipy():

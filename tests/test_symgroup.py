@@ -189,6 +189,39 @@ def test_finite_group_randomize_applies_drawn_elements():
         assert np.allclose(b[i], finite_act(spec, idx[i], z1[i]))
 
 
+@pytest.mark.parametrize("group", [c4_group(), symgroup.RotationGroup(2)], ids=["c4", "so2"])
+def test_randomize_rejects_mismatched_batches_before_drawing(group):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for batches in ([np.zeros((5, 2)), np.zeros((1, 2))],   # one row would be broadcast
+                    [],                                       # no batch at all
+                    [np.zeros((5, 3))],                       # wrong width
+                    [np.zeros(2)]):                           # one vector, not a batch
+        with pytest.raises(ValueError, match=r"\(n, 2\) batches with one n"):
+            group.randomize(rng, *batches)
+    assert rng.bit_generator.state == state       # nothing drawn
+
+
+@pytest.mark.parametrize("make", [sign_flip_group, c4_group, lambda: permutation_matrix_group(3)],
+                         ids=["signflip", "c4", "s3"])
+@pytest.mark.parametrize("piece, n", [(7, 7 * 4 + 3), (symgroup._PIECE_ROWS,
+                                                       symgroup._PIECE_ROWS * 5 // 2)],
+                         ids=["piece-7", "default-piece"])
+def test_finite_randomize_in_row_pieces_matches_the_whole_batch_bitwise(monkeypatch, make,
+                                                                         piece, n):
+    monkeypatch.setattr(symgroup, "_PIECE_ROWS", piece)
+    spec = make()
+    z0, z1 = np.random.default_rng(8).standard_normal((2, n, spec.dim))
+    rng = np.random.default_rng(9)
+    idx, a, b = spec.randomize(rng, z0, z1)
+    replay = np.random.default_rng(9)
+    assert np.array_equal(idx, replay.integers(0, spec.order, n))
+    assert rng.bit_generator.state == replay.bit_generator.state
+    mats = spec.elements[idx]
+    assert np.array_equal(a, np.einsum("nij,nj->ni", mats, z0))
+    assert np.array_equal(b, np.einsum("nij,nj->ni", mats, z1))
+
+
 def test_finite_act_batch_matches_single():
     spec = c4_group()
     rng = np.random.default_rng(6)

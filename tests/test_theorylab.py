@@ -438,6 +438,15 @@ def test_quadrature_matches_mc():
         lab.ambient_condvar_quadrature(lab.c4_system())
 
 
+@pytest.mark.parametrize("n", [200, 30_000, 100_000])
+def test_ks_pvalue_is_scipys_asymptotic_one_bitwise(n):
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), 1.02 * rng.standard_normal(n) + 0.01):
+        assert lab._ks_normal_pvalue(x) == stats.kstest(x, "norm", method="asymp").pvalue
+
+
 def test_lift_independence_isotropic_vs_anisotropic():
     rng = np.random.default_rng(13)
     q0 = lab.SliceGaussian(np.array([2.0, 0.0]), 0.09 * np.eye(2))

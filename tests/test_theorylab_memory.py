@@ -2,8 +2,10 @@
 
 `variance_decomposition` releases the simulated arrays it no longer reads,
 fits the k-NN neighbourhoods in query pieces and, in one dimension, reads them
-as windows of sorted copies of the fit's inputs; these tests bound its traced
-allocation peak, pin the random stream it leaves behind and pin the stock
+as windows of sorted copies of the fit's inputs; `simulate` applies its group
+elements through `FiniteGroupSpec.randomize`, which gathers them one row piece
+at a time. These tests bound the traced allocation peaks of both, pin the
+random stream `variance_decomposition` leaves behind and pin the stock
 battery's check list.
 """
 
@@ -38,6 +40,23 @@ def test_variance_decomposition_peak_memory(make, n, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peak {peak / MIB:.1f} MiB"
+
+
+# simulate's tracemalloc peak on S_3 at n = 2e5 (the returned arrays alone
+# take 18.3 MiB): 33.6 MiB when randomize gathered an (n, 3, 3) element array
+# for the whole batch, 28.8 MiB with the elements gathered in row pieces
+SIMULATE_BOUND = 31 * MIB
+
+
+def test_simulate_peak_memory():
+    system = lab.s3_system()
+    tracemalloc.start()
+    try:
+        lab.simulate(system, 200_000, np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SIMULATE_BOUND, f"peak {peak / MIB:.1f} MiB"
 
 
 # the next rng.integers(0, 2**62) after variance_decomposition(make(), 5000,
