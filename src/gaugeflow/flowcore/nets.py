@@ -7,7 +7,9 @@ CanonLite keeps separate node (H), coordinate-set (CS) and rank (R) streams.
 Every layer builds a message for each ordered pair (i, j) with a two-layer MLP
 over [p_i, p_j, q_i, q_j, <cs_i, cs_j>, e_ij] (p, q: projected node and rank
 features; Gram entries per coordinate set; edge features), aggregates it by
-mean over j (no attention), and applies residual updates to all streams.
+mean over j (no attention), and applies residual updates to all streams. No
+head reads R, so the last layer updates only H, CS and the edges: it has no
+rank_update, and its message MLP has no rank outputs.
 
 The message MLP is evaluated in factorized form, as in the EGNN edge function
 (Satorras et al. 2021): the first layer's p and q row blocks act on the N node
@@ -296,16 +298,27 @@ def _one_hot(idx: np.ndarray, n: int) -> np.ndarray:
 
 
 class _CanonLiteLayer(Module):
-    def __init__(self, cfg: CanonLiteConfig, rng: np.random.Generator):
+    """One message-passing layer. The last layer's rank update would feed no
+    head, so it has no rank_update and its message MLP no rank outputs."""
+
+    def __init__(self, cfg: CanonLiteConfig, rng: np.random.Generator, last: bool):
         c = cfg
         self.node_proj = Linear(c.d_model, c.d_proj, rng)
         self.rank_proj = Linear(c.d_rank, c.d_proj, rng)
         msg_in = 4 * c.d_proj + c.n_coord_sets + c.d_edge
-        msg_out = c.d_model + c.n_coord_sets + c.d_rank + c.d_edge
-        self.msg_mlp = MLP([msg_in, c.d_msg_hidden, msg_out], rng)
+        rank_at = c.d_model + c.n_coord_sets
+        self.msg_mlp = MLP([msg_in, c.d_msg_hidden, rank_at + c.d_rank + c.d_edge], rng)
         self.node_update = MLP([c.d_model, c.d_model, c.d_model], rng)
         self.rank_update = Linear(c.d_rank, c.d_rank, rng)
         self.edge_update = Linear(c.d_edge, c.d_edge, rng)
+        if last:
+            # drawn as a rank-updating layer and then cut, so a seed gives the
+            # live weights it gave while the last layer still held rank weights
+            lin_out = self.msg_mlp.layers[1]
+            keep = np.r_[0:rank_at, rank_at + c.d_rank:rank_at + c.d_rank + c.d_edge]
+            lin_out.weight = Tensor(lin_out.weight.data[:, keep], requires_grad=True)
+            lin_out.bias = Tensor(lin_out.bias.data[keep], requires_grad=True)
+            self.rank_update = None
 
 
 class CanonLiteNet(Module):
@@ -318,7 +331,8 @@ class CanonLiteNet(Module):
         self.rank_mlp = MLP([c.d_pe, c.d_rank, c.d_rank], rng)
         self.cs_weights = Tensor(rng.standard_normal(c.n_coord_sets), requires_grad=True)
         self.edge_in = Linear(c.n_bond_classes, c.d_edge, rng)
-        self.layers = [_CanonLiteLayer(c, rng) for _ in range(c.n_layers)]
+        self.layers = [_CanonLiteLayer(c, rng, last=k == c.n_layers - 1)
+                       for k in range(c.n_layers)]
         # learned stand-ins for dropped positional information
         self.fake_pe = Tensor(rng.standard_normal((1, c.d_pe)) * 0.1, requires_grad=True)
         self.head_vel = Tensor(rng.standard_normal(c.n_coord_sets) / np.sqrt(c.n_coord_sets),
@@ -364,12 +378,14 @@ class CanonLiteNet(Module):
         e, bonds = tape.add(self.edge_in.weight, self.edge_in.bias), lay.symmetric(batch.bond_idx)
 
         dp = c.d_proj
-        # second message layer's output blocks are [node, coord, rank, edge]
         coord_at, rank_at = c.d_model, c.d_model + c.n_coord_sets
-        pair_cols = np.r_[coord_at:rank_at, rank_at + c.d_rank:rank_at + c.d_rank + c.d_edge]
         for layer in self.layers:
             lin_in, lin_out = layer.msg_mlp.layers
             w_in = lin_in.weight
+            # second message layer's output blocks are [node, coord, rank, edge];
+            # the last layer has no rank block
+            edge_at = lin_out.bias.data.shape[0] - c.d_edge
+            pair_cols = np.r_[coord_at:rank_at, edge_at:edge_at + c.d_edge]
             p = layer.node_proj(h)
             q = layer.rank_proj(r)
             # first message layer by input row block [p_i, p_j, q_i, q_j, dots, e]
@@ -385,10 +401,10 @@ class CanonLiteNet(Module):
             # second layer: node and rank messages are only used as means over j
             pooled = lin_out(mean_hidden)
             m_node = tape.take_cols(pooled, slice(0, c.d_model))
-            m_rank = tape.take_cols(pooled, slice(rank_at, rank_at + c.d_rank))
             h = tape.add(h, layer.node_update(m_node))
             cs = tape.add(cs, delta)
-            r = tape.add(r, layer.rank_update(m_rank))
+            if layer.rank_update is not None:
+                r = tape.add(r, layer.rank_update(tape.take_cols(pooled, slice(rank_at, edge_at))))
 
         velocity = tape.stack_mix(cs, self.head_vel)
         bond_logits = self.head_bond(tape.upper_pairs(e, lay))

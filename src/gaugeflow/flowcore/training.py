@@ -16,11 +16,10 @@ decode_molecules multiplies back, and the priors, the loss, the preview and
 the Euler rollout all see scaled coordinates. The scale is stored in the
 checkpoint next to the priors.
 
-A checkpoint (format_version 3) is one JSON document. Configs, vocab, priors
+A checkpoint (format_version 4) is one JSON document. Configs, vocab, priors
 and the coordinate scale are plain JSON; each parameter and EMA array is
 {"shape", "dtype", "data"}, with data its little-endian bytes in base64 and
-dtype "<f4" or "<f8", the array's own. Version-2 files, whose arrays are
-decimal lists, still load.
+dtype "<f4" or "<f8", the array's own. FlowModel.load reads this format only.
 
 The nets run on the tape's compute dtype (float32 unless inside
 tape.precision); this module's own state (data, priors, rollout coordinates)
@@ -45,8 +44,8 @@ from . import tape
 from .nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch, ParamBuffer, VectorFieldMLP
 from .tape import Tensor
 
-CHECKPOINT_VERSION = 3          # 3: arrays as base64 bytes; 2: coordinate scale stored,
-                                # bounded coordinate weights (still loads: same model)
+CHECKPOINT_VERSION = 4          # the only format load reads; 4: CanonLite's last layer
+                                # has no rank weights (3 stored them)
 ARRAY_DTYPES = ("<f4", "<f8")   # the dtypes a stored array may declare
 COORD_CLIP = 1e3                # molecular Euler steps clip coordinates to +-COORD_CLIP
 OT_MODES = ("none", "exact", "anneal")  # TrainConfig.ot_mode values
@@ -282,11 +281,10 @@ def _arrays_to_doc(arrays: dict[str, np.ndarray]) -> dict:
 
 
 def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
-    """Stored arrays in the tape's compute dtype. An entry's data is either a
-    base64 string of little-endian bytes of its dtype (version 3) or a list of
-    numbers (version 2); an entry that is neither, whose data does not fill
-    its shape, or that holds a value not finite in the compute dtype, is a
-    ValueError naming the group and the key."""
+    """Stored arrays in the tape's compute dtype. An entry's data is a base64
+    string of little-endian bytes of its dtype; an entry whose data is not,
+    does not fill its shape, or holds a value not finite in the compute dtype,
+    is a ValueError naming the group and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {group} must map names to arrays")
     arrays = {}
@@ -297,49 +295,28 @@ def _doc_to_arrays(group: str, doc: dict) -> dict[str, np.ndarray]:
         shape = entry.get("shape")
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"{where} needs a shape, a list of sizes; got {shape!r}")
-        n = int(np.prod(shape, dtype=np.int64))
         data = entry.get("data")
-        if isinstance(data, str):
-            dtype = entry.get("dtype")
-            if dtype not in ARRAY_DTYPES:
-                raise ValueError(f"{where} dtype must be one of {', '.join(ARRAY_DTYPES)}, "
-                                 f"got {dtype!r}")
-            try:    # a2b_base64 skips characters outside base64; the length test catches them
-                raw = binascii.a2b_base64(data)
-            except binascii.Error as exc:
-                raise ValueError(f"{where} data is not base64: {exc}") from None
-            need = n * np.dtype(dtype).itemsize
-            if len(raw) != need or len(data) != 4 * -(-need // 3):
-                raise ValueError(f"{where} holds {len(raw)} bytes in {len(data)} base64 "
-                                 f"characters, its shape {shape} needs {need} bytes")
-            flat = np.frombuffer(raw, dtype=dtype)
-        elif isinstance(data, list):
-            try:
-                flat = np.array(data, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"{where} data must be a list of numbers") from None
-            if flat.shape != (n,):
-                raise ValueError(f"{where} holds {len(data)} values, its shape {shape} "
-                                 f"needs {n}")
-        else:
-            raise ValueError(f"{where} data must be a base64 string or a list of numbers, "
-                             f"got {type(data).__name__}")
+        if not isinstance(data, str):
+            raise ValueError(f"{where} data must be a base64 string, got {type(data).__name__}")
+        dtype = entry.get("dtype")
+        if dtype not in ARRAY_DTYPES:
+            raise ValueError(f"{where} dtype must be one of {', '.join(ARRAY_DTYPES)}, "
+                             f"got {dtype!r}")
+        try:    # a2b_base64 skips characters outside base64; the length test catches them
+            raw = binascii.a2b_base64(data)
+        except binascii.Error as exc:
+            raise ValueError(f"{where} data is not base64: {exc}") from None
+        need = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        if len(raw) != need or len(data) != 4 * -(-need // 3):
+            raise ValueError(f"{where} holds {len(raw)} bytes in {len(data)} base64 "
+                             f"characters, its shape {shape} needs {need} bytes")
+        flat = np.frombuffer(raw, dtype=dtype)
         with np.errstate(over="ignore"):    # values past the dtype's range become inf
             arr = flat.astype(tape.compute_dtype())
         if not np.isfinite(arr).all():      # training never saves one; sampling would fail late
             raise ValueError(f"{where} holds values that are not finite in {arr.dtype}")
         arrays[k] = arr.reshape(shape)
     return arrays
-
-
-# the rank head's bias, removed: tape.minmax_normalize cancels any shift of the
-# head. Older CanonLite checkpoints still hold it.
-_DROPPED_PARAM = "head_rank.bias"
-
-# TrainConfig keys older checkpoints store: nine are fixed constants now, and
-# ot_anneal = true is ot_mode "anneal"
-_RETIRED_KEYS = ("beta1", "beta2", "ema_decay", "time_dist", "coord_noise", "rank_noise",
-                 "lambda_type", "lambda_bond", "lambda_charge", "ot_anneal")
 
 
 def _load_priors(kind: str, doc: dict, net, vocab: dict | None) -> dict:
@@ -417,22 +394,17 @@ class FlowModel:
 
     @classmethod
     def load(cls, path) -> "FlowModel":
-        """Read a checkpoint of format version 3 or 2; parameters and EMA come
-        back in the tape's compute dtype. A file of another format version
-        (version 1 predates the coordinate scale and the bounded coordinate
-        weights, so its weights would silently mean another model), or whose
-        top level, configs, priors or meta are not JSON objects, whose
-        CanonLite meta lacks the vocab's class lists or holds a class that is
-        not an integer, bond classes other than BOND_CLASSES (decoding maps
-        bond class 0 to the empty diagonal) or a class list whose length is
-        not its head's class count, or whose parameter or EMA names, stored
-        arrays, shapes, coordinate scale or priors (_load_priors) do not fit,
-        is a ValueError. A CanonLite checkpoint written while the rank head
-        still had a bias holds `head_rank.bias` in its parameters and EMA;
-        that one entry is ignored (the bias cancelled in every use of it).
-        So are _RETIRED_KEYS in train_config, whatever their values, since
-        train_config steers no sampling; a stored ot_anneal true reads as
-        ot_mode "anneal"."""
+        """Read a checkpoint of format version CHECKPOINT_VERSION; parameters
+        and EMA come back in the tape's compute dtype. A file of any other
+        format version (older ones store parameters this architecture lacks,
+        or weights that would mean another model), or whose top level,
+        configs, priors or meta are not JSON objects, whose CanonLite meta
+        lacks the vocab's class lists or holds a class that is not an integer,
+        bond classes other than BOND_CLASSES (decoding maps bond class 0 to
+        the empty diagonal) or a class list whose length is not its head's
+        class count, or whose parameter or EMA names, stored arrays, shapes,
+        coordinate scale, train_config keys or priors (_load_priors) do not
+        fit, is a ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -443,8 +415,9 @@ class FlowModel:
                 raise ValueError(f"checkpoint {key} must be a JSON object, "
                                  f"got {type(doc[key]).__name__}")
         version = doc.get("format_version")
-        if version not in (2, CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {version!r}")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}: this gaugeflow "
+                             f"reads version {CHECKPOINT_VERSION} only")
         kind = doc["kind"]
         if kind not in ("vector_field", "canonlite"):
             raise ValueError(f"unknown model kind {kind!r}")
@@ -484,9 +457,6 @@ class FlowModel:
         params = net.parameters()
         stored = _doc_to_arrays("params", doc["params"])
         ema = _doc_to_arrays("ema", doc["ema"])
-        if kind == "canonlite":
-            for arrays in (stored, ema):
-                arrays.pop(_DROPPED_PARAM, None)
         for what, arrays in (("parameters", stored), ("EMA", ema)):
             odd = sorted(set(arrays) ^ set(params))
             if odd:
@@ -498,13 +468,10 @@ class FlowModel:
                                      f"the architecture needs {params[k].data.shape}")
         for k, arr in stored.items():
             params[k].data[...] = arr
-        train_config = {k: v for k, v in doc["train_config"].items() if k not in _RETIRED_KEYS}
-        if doc["train_config"].get("ot_anneal") is True:
-            train_config["ot_mode"] = "anneal"
         return cls(
             kind=kind,
             net=net,
-            train_config=TrainConfig.from_dict(train_config),
+            train_config=TrainConfig.from_dict(doc["train_config"]),
             priors=_load_priors(kind, doc.get("priors", {}), net, meta.get("vocab")),
             ema=ema,
             meta=meta,

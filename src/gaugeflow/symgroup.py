@@ -92,15 +92,6 @@ def act(g: GroupElement, z: MoleculeState) -> MoleculeState:
     )
 
 
-def centroid(z: MoleculeState) -> np.ndarray:
-    return z.coords.mean(axis=0)
-
-
-def center(z: MoleculeState) -> MoleculeState:
-    """Subtract the coordinate centroid; features untouched. Idempotent."""
-    return z.with_coords(z.coords - centroid(z))
-
-
 def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a quaternion (w, x, y, z); (..., 4) -> (..., 3, 3)."""
     q = np.asarray(q, dtype=np.float64)

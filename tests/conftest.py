@@ -1,5 +1,7 @@
 """Shared random-structure generators and fixtures for the suite."""
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -65,24 +67,30 @@ def nondegenerate_molecule(rng: np.random.Generator, n_atoms: int,
     raise RuntimeError(f"no non-degenerate molecule found at N={n_atoms}")
 
 
+def b64_entry(values, shape: list, dtype: str = "<f4") -> dict:
+    """A checkpoint's stored array: the values' little-endian bytes in base64."""
+    raw = np.asarray(values, dtype=dtype).tobytes()
+    return {"shape": shape, "dtype": dtype, "data": base64.b64encode(raw).decode("ascii")}
+
+
 # (group, key, value) edits that make a checkpoint not fit its architecture;
 # value None deletes the entry
 CHECKPOINT_DAMAGE = [
-    ("params", "head_atom.bias", {"shape": [1], "data": [0.0]}),   # would broadcast silently
+    ("params", "head_atom.bias", b64_entry([0.0], [1])),           # would broadcast silently
     ("ema", "head_vel", None),                                      # load_ema would skip it
-    ("ema", "cs_weights", {"shape": [2], "data": [0.0, 0.0]}),
+    ("ema", "cs_weights", b64_entry([0.0, 0.0], [2])),
     ("net_config", "d_hidden", 8),
     ("train_config", "learning_rate", 0.1),
     ("train_config", "epochs", "1"),                                # would fail in range()
     # stored arrays that cannot be read
-    ("params", "head_charge.bias", {"shape": [1], "data": {"0": 0.0}}),      # neither list nor string
+    ("params", "head_charge.bias", {"shape": [1], "data": {"0": 0.0}}),      # not a string
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "not base64!"}),
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "AA!AA AA=="}),  # junk
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": "AAAA"}),  # 3 bytes
-    ("ema", "fake_pe", {"shape": [1, 16], "data": [0.0] * 15}),
+    ("ema", "fake_pe", b64_entry([0.0] * 15, [1, 16])),                    # 60 bytes of 64
     ("ema", "head_charge.bias", {"dtype": "<f4", "data": "AAAAAA=="}),     # no shape
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<i4", "data": "AAAAAA=="}),
-    ("ema", "head_charge.bias", {"shape": [1], "data": [float("nan")]}),  # would fail in decode
+    ("ema", "head_charge.bias", b64_entry([float("nan")], [1])),          # would fail in decode
     # top-level entries that are not JSON objects, and the whole document
     (None, "top level", []),
     (None, "top level", "x"),
@@ -108,6 +116,8 @@ CHECKPOINT_DAMAGE = [
     ("priors", "coord", lambda p: dict(p, bin_means=[[float("nan")] * 3] + p["bin_means"][1:])),
     ("priors", "coord", lambda p: dict(p, bin_stds=[[-s for s in r] for r in p["bin_stds"]])),
     ("priors", "charge", lambda p: dict(p, bin_probs=[[0.0] * len(r) for r in p["bin_probs"]])),
+    # decimal lists, as format 2 stored arrays
+    ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": [0.0]}),
 ]
 
 

@@ -419,17 +419,19 @@ def test_sample_rejects_checkpoint_that_does_not_fit(trained_mol, tmp_path, caps
     assert not out.exists()
 
 
-def test_sample_refuses_version_1_checkpoint(trained_mol, tmp_path, capsys):
-    # version 1 predates the coordinate scale and the bounded coordinate
-    # weights: its weights would mean another model, so it is not loaded
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_sample_refuses_older_version_checkpoints(trained_mol, tmp_path, capsys, version):
+    # older formats store weights this net would misread (version 1 predates
+    # the coordinate scale) or parameters it lacks, so they are not loaded
     doc = json.loads((trained_mol / "checkpoint.json").read_text())
-    doc["format_version"] = 1
-    del doc["coord_scale"]
+    doc["format_version"] = version
+    if version == 1:
+        del doc["coord_scale"]
     ckpt = tmp_path / "checkpoint.json"
     ckpt.write_text(json.dumps(doc))
     out = tmp_path / "gen"
     assert run("sample", "--model", ckpt, "--n", 2, "--n-atoms", 5, "-o", out) == 3
-    assert "version 1" in capsys.readouterr().err
+    assert f"version {version}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
 from gaugeflow import coupling, sampler
-from gaugeflow.priors import prior_to_dict
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, ParamBuffer, VectorFieldMLP
 from gaugeflow.flowcore.tape import Tensor
@@ -353,19 +352,24 @@ def test_checkpoint_rejects_bad_version(tmp_path):
         FlowModel.load(path)
 
 
-def test_checkpoint_refuses_version_1(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_checkpoint_refuses_older_versions(tmp_path, version):
+    # version 1 predates the coordinate scale and the bounded coordinate
+    # weights, 2 stored arrays as decimal lists and 3 the last CanonLite
+    # layer's rank weights; only the current format loads
     import json
 
     model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=0))
     path = tmp_path / "mol.json"
     model.save(path)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == training.CHECKPOINT_VERSION
+    assert doc["format_version"] == training.CHECKPOINT_VERSION == 4
     assert doc["coord_scale"] == model.coord_scale
-    doc["format_version"] = 1
-    del doc["coord_scale"]
+    doc["format_version"] = version
+    if version == 1:
+        del doc["coord_scale"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version 1"):
+    with pytest.raises(ValueError, match=f"version {version}: .* reads version 4 only"):
         FlowModel.load(path)
 
 
@@ -402,38 +406,6 @@ def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
         assert p.data.dtype == got.dtype == loaded.ema[k].dtype == dtype
         assert np.array_equal(got, p.data)
         assert np.array_equal(loaded.ema[k], model.ema[k])
-
-
-def test_version_2_checkpoint_loads_the_same_model(tmp_path):
-    # version 2 stored every array as a list of decimal numbers; the same
-    # weights written that way load bit-equal to the version-3 bytes
-    import base64
-    import json
-
-    model, _ = train(mol_set(n_mols=4, n_atoms=5), tiny_cfg(epochs=1, steps_per_epoch=2,
-                                                            batch_size=2))
-    v3 = tmp_path / "v3.json"
-    model.save(v3)
-    doc = json.loads(v3.read_text())
-    assert doc["format_version"] == 3
-    for group in ("params", "ema"):
-        for entry in doc[group].values():
-            assert entry.pop("dtype") == "<f4"
-            entry["data"] = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f4").tolist()
-    doc["format_version"] = 2
-    v2 = tmp_path / "v2.json"
-    v2.write_text(json.dumps(doc))
-    new, old = FlowModel.load(v3), FlowModel.load(v2)
-    for k, p in model.parameters().items():
-        assert np.array_equal(new.parameters()[k].data, p.data)
-        assert np.array_equal(old.parameters()[k].data, p.data)
-        assert np.array_equal(new.ema[k], model.ema[k])
-        assert np.array_equal(old.ema[k], model.ema[k])
-    assert set(old.priors) == set(new.priors) == set(model.priors)
-    for k, prior in model.priors.items():
-        want = json.dumps(prior_to_dict(prior), sort_keys=True)
-        for got in (new, old):
-            assert json.dumps(prior_to_dict(got.priors[k]), sort_keys=True) == want
 
 
 def test_coordinates_enter_the_net_at_unit_scale():
@@ -511,31 +483,6 @@ def test_vector_checkpoint_needs_exactly_its_noise_prior(tmp_path, edit):
     edit(doc["priors"])
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="noise"):
-        FlowModel.load(path)
-
-
-def test_checkpoint_with_the_old_rank_head_bias_loads(tmp_path):
-    # checkpoints written while the rank head had a bias hold head_rank.bias in
-    # params and EMA; that entry is ignored and nothing else loosens
-    import json
-
-    model, _ = train(mol_set(n_mols=3, n_atoms=4), tiny_cfg(epochs=1, steps_per_epoch=2,
-                                                            batch_size=2))
-    path = tmp_path / "mol.json"
-    model.save(path)
-    doc = json.loads(path.read_text())
-    assert "head_rank.bias" not in doc["params"] and "head_rank.bias" not in doc["ema"]
-    for group in ("params", "ema"):
-        doc[group]["head_rank.bias"] = {"shape": [1], "data": [0.25]}
-    path.write_text(json.dumps(doc))
-    loaded = FlowModel.load(path)
-    assert loaded.parameters().keys() == model.parameters().keys() == loaded.ema.keys()
-    for k, p in model.parameters().items():
-        assert np.array_equal(loaded.parameters()[k].data, p.data)
-        assert np.array_equal(loaded.ema[k], model.ema[k])
-    del doc["params"]["head_rank.weight"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="head_rank.weight"):
         FlowModel.load(path)
 
 
@@ -779,9 +726,9 @@ def test_single_atom_molecules_train():
     assert all(np.isfinite(v) for row in trace for v in row.values())
 
 
-# keys retired from TrainConfig, at the defaults older checkpoints store: nine
-# are fixed constants now, and ot_anneal = true is ot_mode "anneal". A config
-# that sets one is refused as an unknown key.
+# keys retired from TrainConfig, at their old defaults: nine are fixed
+# constants now, and ot_anneal = true is ot_mode "anneal". A config that sets
+# one is refused as an unknown key.
 RETIRED = {"beta1": 0.9, "beta2": 0.999, "ema_decay": 0.999, "time_dist": "beta",
            "coord_noise": 0.2, "rank_noise": 0.05, "lambda_type": 0.2, "lambda_bond": 1.0,
            "lambda_charge": 1.0, "ot_anneal": False}
@@ -819,32 +766,6 @@ def test_annealed_ot_pairs_every_first_epoch_batch_then_fewer(monkeypatch):
     assert paired.count(0) == steps
     assert 0 < paired.count(1) < steps
     assert model.train_config.ot_mode == "anneal"
-
-
-def test_checkpoint_with_retired_keys_loads_and_samples_the_same(tmp_path):
-    # older checkpoints store all retired keys; annealing was ot_mode "exact"
-    # with ot_anneal true
-    import json
-
-    data = np.random.default_rng(48).standard_normal((64, 2))
-    model, _ = train(data, tiny_cfg(ot_mode="anneal", epochs=1))
-    new = tmp_path / "new.json"
-    model.save(new)
-    doc = json.loads(new.read_text())
-    doc["train_config"].update(RETIRED, ot_mode="exact", ot_anneal=True)
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps(doc))
-    got = {}
-    for name, path in (("new", new), ("old", old)):
-        loaded = FlowModel.load(path)
-        assert loaded.train_config == model.train_config
-        loaded.load_ema()
-        got[name] = sampler.sample_vectors(loaded, 32, sampler.SampleConfig(steps=3),
-                                           np.random.default_rng(5))
-    assert np.array_equal(got["new"], got["old"])
-    doc["train_config"]["ot_anneal"] = False
-    old.write_text(json.dumps(doc))
-    assert FlowModel.load(old).train_config.ot_mode == "exact"
 
 
 @pytest.mark.parametrize("key, value", [("ot_mode", "exact"), ("ot_mode", "anneal"),

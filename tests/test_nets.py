@@ -1,14 +1,17 @@
 """CanonLite's factorized, packed message block against the plain concatenated
 form run one molecule at a time."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import minmax_reference
-from gaugeflow.flowcore import tape
+from conftest import minmax_reference, random_molecule
+from gaugeflow.flowcore import tape, training
 from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, MoleculeBatch,
                                      Predictions, canonical_pe, _one_hot)
 from gaugeflow.flowcore.tape import Tensor
+from gaugeflow.flowcore.training import TrainConfig
 from gaugeflow.symgroup import haar_rotations
 
 HEADS = ("velocity", "atom_logits", "charge_logits", "bond_logits", "rank_pred")
@@ -32,7 +35,9 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
     r = net.rank_mlp(pe)
     cs = tape.stack_scale(Tensor(z_t.coords), net.cs_weights)
     e = net.edge_in(Tensor(_one_hot(bond_matrix(z_t.bond_idx, n).ravel(), c.n_bond_classes)))
-    for layer in net.layers:
+    for k, layer in enumerate(net.layers):
+        # the last layer's rank stream would feed no head: it has no rank outputs
+        last = k == len(net.layers) - 1
         p = layer.node_proj(h)
         q = layer.rank_proj(r)
         msg = layer.msg_mlp(tape.concat([
@@ -41,13 +46,15 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
             tape.pairwise_dot(cs, lay), e,
         ], axis=1))
         rank_at = c.d_model + c.n_coord_sets
+        edge_at = rank_at if last else rank_at + c.d_rank
         m_node = tape.take_cols(msg, slice(0, c.d_model))
         m_coord = tape.tanh(tape.take_cols(msg, slice(c.d_model, rank_at)))
-        m_rank = tape.take_cols(msg, slice(rank_at, rank_at + c.d_rank))
-        m_edge = tape.take_cols(msg, slice(rank_at + c.d_rank, rank_at + c.d_rank + c.d_edge))
+        m_edge = tape.take_cols(msg, slice(edge_at, edge_at + c.d_edge))
         h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, lay)))
         cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
-        r = tape.add(r, layer.rank_update(tape.block_mean_rows(m_rank, lay)))
+        if not last:
+            m_rank = tape.take_cols(msg, slice(rank_at, edge_at))
+            r = tape.add(r, layer.rank_update(tape.block_mean_rows(m_rank, lay)))
         e = tape.add(e, layer.edge_update(m_edge))
     e_sym = tape.mul(tape.add(e, tape.transpose_pairs(e, lay)), Tensor(0.5))
     rank_raw = tape.reshape(net.head_rank(h), (n,))
@@ -145,7 +152,8 @@ def test_factorized_messages_match_concat_form(n, pe_dropped):
 
 
 def test_parameter_names_and_shapes_unchanged():
-    # the layout checkpoints are written in; a factorized forward must not move it
+    # the layout checkpoints are written in; a factorized forward must not move it.
+    # The one layer is the last: no rank_update, no rank outputs (8 + 2 + 4 columns)
     cfg = CanonLiteConfig(n_atom_classes=3, n_charge_classes=2, n_bond_classes=3,
                           d_model=8, n_coord_sets=2, d_rank=4, n_layers=1,
                           d_pe=4, d_proj=4, d_msg_hidden=8, d_edge=4)
@@ -161,13 +169,12 @@ def test_parameter_names_and_shapes_unchanged():
         ("layers.0.rank_proj.weight", (4, 4)), ("layers.0.rank_proj.bias", (4,)),
         ("layers.0.msg_mlp.layers.0.weight", (22, 8)),
         ("layers.0.msg_mlp.layers.0.bias", (8,)),
-        ("layers.0.msg_mlp.layers.1.weight", (8, 18)),
-        ("layers.0.msg_mlp.layers.1.bias", (18,)),
+        ("layers.0.msg_mlp.layers.1.weight", (8, 14)),
+        ("layers.0.msg_mlp.layers.1.bias", (14,)),
         ("layers.0.node_update.layers.0.weight", (8, 8)),
         ("layers.0.node_update.layers.0.bias", (8,)),
         ("layers.0.node_update.layers.1.weight", (8, 8)),
         ("layers.0.node_update.layers.1.bias", (8,)),
-        ("layers.0.rank_update.weight", (4, 4)), ("layers.0.rank_update.bias", (4,)),
         ("layers.0.edge_update.weight", (4, 4)), ("layers.0.edge_update.bias", (4,)),
         ("fake_pe", (1, 4)),
         ("head_vel", (2,)),
@@ -176,6 +183,29 @@ def test_parameter_names_and_shapes_unchanged():
         ("head_bond.weight", (4, 3)), ("head_bond.bias", (3,)),
         ("head_rank.weight", (8, 1)),
     ]
+
+
+def test_a_mixed_pe_step_reaches_every_parameter():
+    # one training step on PE-dropped and PE-kept molecules: every parameter
+    # gets a gradient and no message output column reads only zeros, so the
+    # net holds no weight its heads cannot see
+    rng = np.random.default_rng(61)
+    mols = [random_molecule(rng, n, charged=True) for n in (3, 6, 4, 5)]
+    vocab = training.build_vocab(mols)
+    batch = training.encode_molecules(mols, vocab, training.fit_coord_scale(mols))
+    cfg = TrainConfig()
+    net = CanonLiteNet(CanonLiteConfig(n_atom_classes=len(vocab["atom_classes"]),
+                                       n_charge_classes=len(vocab["charge_classes"])), rng)
+    path = training.draw_path(batch, training.fit_molecular_priors(batch, vocab, cfg),
+                              net.cfg.n_bond_classes, cfg, rng)
+    path = dataclasses.replace(path, pe_dropped=np.array([True, False, True, False]))
+    tape.zero_grads(net.buffer.params)
+    tape.backward(training.molecular_fm_loss(net, path, cfg)[0])
+    net.buffer.collect_grads()
+    assert [k for k, s in net.buffer.slices.items() if s in net.buffer.unreached] == []
+    for k, g in net.buffer.views(net.buffer.grad).items():
+        if k.endswith("msg_mlp.layers.1.weight"):
+            assert (np.abs(g).max(axis=0) > 0.0).all(), k
 
 
 @pytest.mark.usefixtures("float64_tape")

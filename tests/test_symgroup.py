@@ -14,8 +14,6 @@ from gaugeflow.symgroup import (
     act,
     act_coords,
     c4_group,
-    center,
-    centroid,
     compose,
     cyclic_rotation_group,
     finite_act,
@@ -131,14 +129,6 @@ def test_haar_rotation_spreads_directions():
     rng = np.random.default_rng(4)
     imgs = np.stack([haar_rotation(3, rng)[:, 0] for _ in range(4000)])
     assert np.linalg.norm(imgs.mean(axis=0)) < 4.0 / np.sqrt(4000) * np.sqrt(3)
-
-
-def test_center_is_idempotent_and_zeroes_centroid():
-    rng = np.random.default_rng(5)
-    m = random_molecule(rng, 7)
-    c = center(m)
-    assert np.allclose(centroid(c), 0.0, atol=1e-12)
-    assert np.allclose(center(c).coords, c.coords)
 
 
 def test_finite_groups_orders():
