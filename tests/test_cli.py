@@ -517,7 +517,8 @@ def test_train_rejects_ot_mode_it_would_misread(tmp_path, capsys):
 
 
 def test_sample_loads_checkpoint_trained_with_sinkhorn(trained_vec, tmp_path):
-    # "sinkhorn" is no longer a training choice; checkpoints that hold it still sample
+    # "sinkhorn" is no longer a training choice; load does not check ot_mode,
+    # which steers no sampling, so a file that holds it still samples
     doc = json.loads((trained_vec / "checkpoint.json").read_text())
     doc["train_config"]["ot_mode"] = "sinkhorn"
     ckpt = tmp_path / "old.json"
