@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -245,12 +246,11 @@ def _load_training_data(data_arg: str, seed: int):
 
 def cmd_train(args) -> int:
     cfg = _load_train_config(args.config) if args.config else TrainConfig()
-    if args.epochs is not None:
-        cfg.epochs = args.epochs
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.ot is not None:
-        cfg.ot_mode = args.ot
+    flags = {"epochs": args.epochs, "seed": args.seed, "ot_mode": args.ot}
+    try:
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    except training.ConfigError as exc:
+        raise UsageError(str(exc)) from exc
     start = time.perf_counter()
     data, counters = _load_training_data(args.data, cfg.seed)
     loaded = time.perf_counter()
@@ -309,7 +309,8 @@ def cmd_sample(args) -> int:
             group=HAAR_FLAGS[args.haar], canonicalize_mode=args.canonicalize_mode,
         )
         if model.kind == "vector_field":
-            sampler.check_vector_config(cfg)
+            training.reject_unread(cfg, sampler.VECTOR_UNREAD, "sample setting",
+                                   "vector_field checkpoints")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     outdir = _outdir(args)

@@ -62,7 +62,7 @@ training.decode_molecules.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -75,9 +75,8 @@ def canonical_pe(ranks: np.ndarray, d_pe: int, scale: float = 10000.0) -> np.nda
 
     PE(r, 2k) = sin(r * scale / scale^(2k/d_pe)), PE(r, 2k+1) = cos(same).
     Distinct ranks on grids i/N stay collision-free for d_pe >= 4 up to N=256.
+    d_pe is even and positive, as CanonLiteConfig checks.
     """
-    if d_pe % 2 != 0 or d_pe < 2:
-        raise ValueError("d_pe must be even and >= 2")
     ranks = np.asarray(ranks, dtype=np.float64)
     out = np.zeros((ranks.shape[0], d_pe))
     for k in range(d_pe // 2):
@@ -232,8 +231,12 @@ class VectorFieldMLP(Module):
 # CanonLite
 
 
-@dataclass
+@dataclass(frozen=True)
 class CanonLiteConfig:
+    """CanonLite's sizes, checked when built: every size a positive int
+    (a bool is none), pe_scale a finite number > 0 and d_pe even; a
+    ValueError names the first field that is not."""
+
     n_atom_classes: int
     n_charge_classes: int
     n_bond_classes: int = 5
@@ -247,8 +250,18 @@ class CanonLiteConfig:
     d_msg_hidden: int = 96
     d_edge: int = 16
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int, float) if f.type == "float" else (int,)
+            if isinstance(value, bool) or not (isinstance(value, kinds) and 0 < value < np.inf):
+                rule = "a finite number > 0" if f.type == "float" else "a positive int"
+                raise ValueError(f"net_config {f.name} must be {rule}, got {value!r}")
+        if self.d_pe % 2:
+            raise ValueError(f"net_config d_pe must be even, got {self.d_pe}")
+
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return asdict(self)
 
 
 @dataclass

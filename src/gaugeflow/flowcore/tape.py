@@ -6,7 +6,7 @@ graph in reverse topological order and accumulates gradients on every tensor
 that requires them. Inside `with no_grad():` ops record nothing, so inference
 keeps no graph alive. The ops are the ones the networks here call:
 broadcasting arithmetic, 2-D matmul and the fused matmul-plus-bias `linear`,
-sums, SiLU, tanh, softmax cross-entropy, and ops whose adjoints are cheaper
+sums, SiLU, softmax cross-entropy, and ops whose adjoints are cheaper
 written by hand than composed from smaller pieces: a whole MLP (mlp, linear
 layers with SiLU between them), the squared-error loss (mse), the rank
 head's per-molecule min-max normalization (minmax_normalize) and a few
@@ -247,14 +247,6 @@ def silu(a: Tensor) -> Tensor:
     return _make(out_data, (a,), bw)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        _accum(a, g * (1.0 - np.square(out_data)))
-    return _make(out_data, (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape
 
@@ -366,13 +358,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
         gg = g if axis is None else np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.data.shape).copy())
     return _make(a.data.sum(axis=axis), (a,), bw)
-
-
-def tmean(a: Tensor) -> Tensor:
-    """Mean of all entries, a scalar."""
-    def bw(g):
-        _accum(a, np.broadcast_to(g / a.data.size, a.data.shape).copy())
-    return _make(a.data.mean(), (a,), bw)
 
 
 def minmax_normalize(a: Tensor, starts) -> Tensor:

@@ -65,18 +65,22 @@ class TrainingDiverged(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A config document holds a key TrainConfig does not have or a value not
-    of its field's type, or a TrainConfig key is set away from its default
-    for data that never reads it or holds a value outside the range training
-    can use."""
+    """A config holds a key it does not have, a value not of its field's type
+    or outside the range training can use, or a key set away from its
+    default for data that never reads it."""
 
 
-# TrainConfig field annotation -> the JSON value types from_dict accepts for it
+# TrainConfig field annotation -> the value types it accepts
 _CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built: a value not of its field's type
+    (an int passes for a float field, a bool for no field), outside its range
+    or set, or OT, exact or annealed, over more than coupling.MAX_EXACT rows,
+    is a ConfigError naming the key. NaN is out of every range."""
+
     epochs: int = 10
     steps_per_epoch: int = 50
     batch_size: int = 128
@@ -89,25 +93,57 @@ class TrainConfig:
     n_rank_bins: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _CONFIG_TYPES[f.type]) or isinstance(value, bool):
+                raise ConfigError(f"config key {f.name} must be {f.type}, got {value!r}")
+        inf = float("inf")
+        ranges = (
+            ("ot_mode", self.ot_mode in OT_MODES, f"one of {OT_MODES}"),
+            ("prior_mode", self.prior_mode in PRIOR_MODES, f"one of {PRIOR_MODES}"),
+            ("epochs", 0 <= self.epochs, ">= 0"),
+            ("steps_per_epoch", 1 <= self.steps_per_epoch, ">= 1"),
+            ("batch_size", 1 <= self.batch_size, ">= 1"),
+            ("lr", 0 < self.lr < inf, "finite and > 0"),
+            ("warmup_steps", 0 <= self.warmup_steps, ">= 0"),
+            ("p_drop", 0 <= self.p_drop <= 1, "in [0, 1]"),
+            ("lambda_rank", 0 <= self.lambda_rank < inf, "finite and >= 0"),
+            ("n_rank_bins", 1 <= self.n_rank_bins, ">= 1"),
+        )
+        for key, ok, rule in ranges:
+            if not ok:
+                raise ConfigError(f"config key {key!r} = {getattr(self, key)!r} must be {rule}")
+        if self.ot_mode != "none" and self.batch_size > coupling_mod.MAX_EXACT:
+            raise ConfigError(f"config key 'batch_size' = {self.batch_size} exceeds exact OT's "
+                              f"limit of {coupling_mod.MAX_EXACT} rows")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        """The config a dict holds. A document that is not a dict, a key
-        TrainConfig does not have, or a value not of its field's type, is a
-        ConfigError; an int passes for a float field, a bool for no field."""
+        """The config a dict holds. A document that is not a dict, or a key
+        TrainConfig does not have, is a ConfigError; so is any value the
+        constructor refuses."""
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(doc) - set(types))
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in doc.items():
-            allowed = _CONFIG_TYPES[types[key]]
-            if not isinstance(value, allowed) or isinstance(value, bool):
-                raise ConfigError(f"config key {key} must be {types[key]}, got {value!r}")
         return cls(**doc)
+
+
+def reject_unread(cfg, keys: tuple, what: str, where: str) -> None:
+    """ConfigError naming the first of keys that cfg sets away from its
+    type's default: a setting `where` never reads. what names a key in the
+    message ("config key", "sample setting")."""
+    default = type(cfg)()
+    for key in keys:
+        value, usual = getattr(cfg, key), getattr(default, key)
+        if value != usual:
+            raise ConfigError(f"{what} {key!r} = {value!r} does not apply to {where} "
+                              f"(default {usual!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +438,10 @@ class FlowModel:
         lacks the vocab's class lists or holds a class that is not an integer,
         bond classes other than BOND_CLASSES (decoding maps bond class 0 to
         the empty diagonal) or a class list whose length is not its head's
-        class count, or whose parameter or EMA names, stored arrays, shapes,
-        coordinate scale, train_config keys or priors (_load_priors) do not
-        fit, is a ValueError."""
+        class count, whose train_config or net_config its config class
+        refuses (TrainConfig, CanonLiteConfig), or whose parameter or EMA
+        names, stored arrays, shapes, coordinate scale or priors
+        (_load_priors) do not fit, is a ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -672,12 +709,10 @@ def fit_molecular_priors(batch: MoleculeBatch, vocab: dict, cfg: TrainConfig) ->
     k = cfg.n_rank_bins
     if cfg.prior_mode == "aligned":
         coord_prior = priors_mod.fit_rank_gaussian(ranks, batch.coords, k)
-    elif cfg.prior_mode == "isotropic":
+    else:                       # "isotropic"
         scale = float(batch.coords.std())
         coord_prior = priors_mod.RankBinnedGaussianPrior(
             np.zeros((k, 3)), np.full((k, 3), max(scale, 1e-4)))
-    else:
-        raise ValueError(f"unknown prior_mode {cfg.prior_mode!r}")
     return {
         "coord": coord_prior,
         "atom": priors_mod.fit_positional(ranks, batch.type_idx, k, len(vocab["atom_classes"])),
@@ -916,40 +951,6 @@ _VECTOR_ONLY = ("ot_mode",)
 _MOLECULE_ONLY = ("prior_mode", "lambda_rank", "p_drop", "n_rank_bins")
 
 
-def _reject_unused_keys(cfg: TrainConfig, keys: tuple, kind: str) -> None:
-    default = TrainConfig()
-    for key in keys:
-        value = getattr(cfg, key)
-        if value != getattr(default, key):
-            raise ConfigError(f"config key {key!r} = {value!r} does not apply to "
-                              f"{kind} data (default {getattr(default, key)!r})")
-
-
-def _reject_out_of_range(cfg: TrainConfig) -> None:
-    """ConfigError for the first key outside its range or its set of values,
-    then for OT over more than coupling.MAX_EXACT rows; the chained
-    comparisons are False for NaN, so NaN is out of every range."""
-    inf = float("inf")
-    ranges = (
-        ("ot_mode", cfg.ot_mode in OT_MODES, f"one of {OT_MODES}"),
-        ("prior_mode", cfg.prior_mode in PRIOR_MODES, f"one of {PRIOR_MODES}"),
-        ("epochs", 0 <= cfg.epochs, ">= 0"),
-        ("steps_per_epoch", 1 <= cfg.steps_per_epoch, ">= 1"),
-        ("batch_size", 1 <= cfg.batch_size, ">= 1"),
-        ("lr", 0 < cfg.lr < inf, "finite and > 0"),
-        ("warmup_steps", 0 <= cfg.warmup_steps, ">= 0"),
-        ("p_drop", 0 <= cfg.p_drop <= 1, "in [0, 1]"),
-        ("lambda_rank", 0 <= cfg.lambda_rank < inf, "finite and >= 0"),
-        ("n_rank_bins", 1 <= cfg.n_rank_bins, ">= 1"),
-    )
-    for key, ok, rule in ranges:
-        if not ok:
-            raise ConfigError(f"config key {key!r} = {getattr(cfg, key)!r} must be {rule}")
-    if cfg.ot_mode != "none" and cfg.batch_size > coupling_mod.MAX_EXACT:
-        raise ConfigError(f"config key 'batch_size' = {cfg.batch_size} exceeds exact OT's "
-                          f"limit of {coupling_mod.MAX_EXACT} rows")
-
-
 def train(data, cfg: TrainConfig):
     """Train a flow model on canonical states.
 
@@ -958,18 +959,14 @@ def train(data, cfg: TrainConfig):
     Vector data train against the isotropic N(0, I) prior and molecules under
     the default CanonLiteConfig sized to the data's vocab; either kind
     validates on its own last tenth (at least 16 vectors or one molecule).
-    Identical seeds give identical traces and checkpoints. A config value
-    outside its range or set (epochs below 0, steps_per_epoch or batch_size
-    below 1, a non-finite or non-positive lr, an ot_mode outside OT_MODES,
-    ...), OT, exact or annealed, over more than coupling.MAX_EXACT rows, or a
-    config key the data kind does not read set away from its default, raises
-    ConfigError before any work is done.
+    Identical seeds give identical traces and checkpoints. cfg checked its
+    own values when it was built (TrainConfig); a key the data kind does not
+    read set away from its default raises ConfigError before any work is done.
     """
-    _reject_out_of_range(cfg)
     if isinstance(data, np.ndarray):
-        _reject_unused_keys(cfg, _MOLECULE_ONLY, "vector")
+        reject_unread(cfg, _MOLECULE_ONLY, "config key", "vector data")
         return _train_vectors(data, cfg)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
-        _reject_unused_keys(cfg, _VECTOR_ONLY, "molecule")
+        reject_unread(cfg, _VECTOR_ONLY, "config key", "molecule data")
         return _train_molecules(list(data), cfg)
     raise TypeError("data must be an (n, d) array or a list of MoleculeState")

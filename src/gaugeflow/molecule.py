@@ -14,8 +14,8 @@ from Python scalars (.tolist()) and take the bonds from the upper triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -285,13 +285,11 @@ _DEFAULT_ALLOWED: dict[int, dict[int, frozenset[int]]] = {
 }
 
 
-@dataclass(frozen=True)
 class ValenceTable:
-    """Charge-resolved allowed valence sets per element."""
+    """Charge-resolved allowed valence sets per element: `allowed` maps an
+    atomic number to its charges and each charge to its valence totals."""
 
-    allowed: Mapping[int, Mapping[int, frozenset[int]]] = field(
-        default_factory=lambda: _DEFAULT_ALLOWED
-    )
+    allowed = _DEFAULT_ALLOWED
 
     def allowed_valences(self, atomic_number: int, charge: int) -> frozenset[int]:
         """Allowed totals for (element, charge); empty set when the charge state is unlisted."""

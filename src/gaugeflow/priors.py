@@ -287,17 +287,25 @@ def prior_to_dict(prior) -> dict:
     raise TypeError(f"unknown prior type {type(prior).__name__}")
 
 
+# prior kind -> the keys prior_to_dict writes besides "kind"
+_PRIOR_KEYS = {"gaussian": ("mean", "cov", "sqrt"),
+               "positional_categorical": ("bin_probs", "base", "beta"),
+               "rank_gaussian": ("bin_means", "bin_stds")}
+
+
 def prior_from_dict(doc: dict):
-    """Inverse of prior_to_dict. Older files also carry a Gaussian's
-    "isotropic" flag and a rank Gaussian's "beta", which nothing reads; they
-    are ignored."""
+    """Inverse of prior_to_dict. A kind it does not write, or a key that
+    kind does not have, is a ValueError."""
     kind = doc.get("kind")
+    if kind not in _PRIOR_KEYS:
+        raise ValueError(f"unknown prior kind {kind!r}")
+    extra = sorted(set(doc) - {"kind", *_PRIOR_KEYS[kind]})
+    if extra:
+        raise ValueError(f"a {kind} prior has no keys {', '.join(extra)}")
     if kind == "gaussian":
         return GaussianPrior(np.array(doc["mean"]), np.array(doc["cov"]), np.array(doc["sqrt"]))
     if kind == "positional_categorical":
         return PositionalCategoricalPrior(
             np.array(doc["bin_probs"]), np.array(doc["base"]), float(doc["beta"]),
         )
-    if kind == "rank_gaussian":
-        return RankBinnedGaussianPrior(np.array(doc["bin_means"]), np.array(doc["bin_stds"]))
-    raise ValueError(f"unknown prior kind {kind!r}")
+    return RankBinnedGaussianPrior(np.array(doc["bin_means"]), np.array(doc["bin_stds"]))

@@ -10,10 +10,11 @@ Regimes:
   "a"  ranks frozen at i/N for the whole trajectory; the aligned noise prior
        is rank-indexed, so index ranks are exact at t = 1 and the
        canonicalizer is never invoked during integration.
-  "b"  ranks refreshed after every step. Default is predict mode (the
-       conditional copy's rank_pred, which the rank loss also reads);
-       canonicalize_mode=True instead re-canonicalizes the intermediate
-       state and reads ranks off the new ordering.
+  "b"  the state or its ranks refreshed after every step. Default is
+       predict mode: the ranks become the conditional copy's rank_pred,
+       which the rank loss also reads. canonicalize_mode=True instead
+       re-canonicalizes the intermediate state, so its rows stay in
+       canonical order and the index ranks i/N stay exact.
 
 The noise is drawn from the checkpoint's priors, the ones training fitted
 and trained against, and every draw comes from the caller's generator.
@@ -30,7 +31,7 @@ samples back to the ambient space (config group: none / perm / perm_so3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -47,7 +48,7 @@ REGIMES = ("a", "b")
 HAAR_GROUPS = ("none", "perm", "perm_so3")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleConfig:
     steps: int = 10
     regime: str = "a"
@@ -56,8 +57,8 @@ class SampleConfig:
     canonicalize_mode: bool = False  # regime b only; predict mode is the default
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
+            raise ValueError(f"steps must be an int >= 1, got {self.steps!r}")
         if not 0 <= self.cfg_scale < float("inf"):     # False for NaN too
             raise ValueError("cfg_scale must be finite and >= 0")
         if self.regime not in REGIMES:
@@ -71,23 +72,12 @@ class SampleConfig:
         return asdict(self)
 
 
-# the SampleConfig fields sample_vectors reads; the rest steer molecular sampling only
-_VECTOR_SETTINGS = ("steps",)
+# the SampleConfig fields sample_vectors never reads; they steer molecular sampling only
+VECTOR_UNREAD = ("regime", "cfg_scale", "group", "canonicalize_mode")
 
 
-def check_vector_config(cfg: SampleConfig) -> None:
-    """ValueError for a SampleConfig field that sample_vectors never reads
-    set away from its default."""
-    default = SampleConfig()
-    for f in fields(cfg):
-        value, usual = getattr(cfg, f.name), getattr(default, f.name)
-        if f.name not in _VECTOR_SETTINGS and value != usual:
-            raise ValueError(f"sample setting {f.name!r} = {value!r} does not apply to "
-                             f"vector_field checkpoints (default {usual!r})")
-
-
-def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: float,
-             counts: dict) -> tuple[MoleculeBatch, np.ndarray]:
+def pcs_step(state: MoleculeBatch, vocab: dict, coord_scale: float,
+             counts: dict) -> MoleculeBatch:
     """Regime-b re-canonicalization of the packed state, in place.
 
     Each run of same-size molecules (state.layout.blocks) goes through
@@ -96,10 +86,10 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
     indices mirrored from the upper triangle as they are (a vocab's bond
     classes are training.BOND_CLASSES, the indices themselves). A molecule
     that canonicalizes has its rows permuted and rotated to its
-    representative (coordinates back over coord_scale) and its ranks set to
-    i/N; one outside the map's domain keeps its rows and ranks. Returns
-    (state, ranks), the objects passed in, and adds to the counts `sample`
-    documents."""
+    representative (coordinates back over coord_scale); one outside the
+    map's domain keeps its rows. Either way the caller's index ranks i/N
+    stay as they are. Returns state, the object passed in, and adds to the
+    counts `sample` documents."""
     atom_classes = np.asarray(vocab["atom_classes"])
     full_bonds = state.layout.symmetric(state.bond_idx)
     for k, n, nodes, pairs in state.layout.blocks:
@@ -119,9 +109,8 @@ def pcs_step(state: MoleculeBatch, ranks: np.ndarray, vocab: dict, coord_scale: 
         types[ok] = types[ok][rows, order]
         charges[ok] = charges[ok][rows, order]
         bonds[ok] = bonds[ok][rows[:, :, None], order[:, :, None], order[:, None, :]]
-        ranks[nodes].reshape(k, n)[ok] = np.arange(n) / n
     state.bond_idx[:] = full_bonds[state.layout.upper]
-    return state, ranks
+    return state
 
 
 def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
@@ -169,7 +158,7 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
                                           ranks, cfg.cfg_scale, rng)
             counts["clipped_coords"] += int((np.abs(state.coords) == COORD_CLIP).sum())
             if cfg.regime == "b" and cfg.canonicalize_mode:
-                state, ranks = pcs_step(state, ranks, vocab, model.coord_scale, counts)
+                state = pcs_step(state, vocab, model.coord_scale, counts)
             elif cfg.regime == "b":
                 ranks = rank_pred
         mols = decode_molecules(state, vocab, model.coord_scale)
@@ -181,11 +170,11 @@ def sample(model: FlowModel, n_atoms, n_samples: int, cfg: SampleConfig,
 def sample_vectors(model: FlowModel, n_samples: int, cfg: SampleConfig,
                    rng: np.random.Generator) -> np.ndarray:
     """Integrate the toy vector field from the checkpoint's prior, drawn with
-    rng. Only cfg.steps applies; check_vector_config rejects the other
-    settings."""
+    rng. Only cfg.steps applies; a VECTOR_UNREAD setting away from its
+    default is a training.ConfigError (a ValueError)."""
     if model.kind != "vector_field":
         raise ValueError("vector sampling needs a vector_field model")
-    check_vector_config(cfg)
+    training.reject_unread(cfg, VECTOR_UNREAD, "sample setting", "vector_field checkpoints")
     z1 = priors_mod.sample_gaussian(model.priors["noise"], n_samples, rng)
     return training.integrate_vector_field(model.net, z1, cfg.steps)
 

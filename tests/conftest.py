@@ -1,6 +1,7 @@
 """Shared random-structure generators and fixtures for the suite."""
 
 import base64
+import dataclasses
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ def minmax_reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         jac[:, hi] -= shifted / span ** 2
         jac[:, lo] += shifted / span ** 2
     return shifted / span, jac
+
+
+def tanh(a: tape.Tensor) -> tape.Tensor:
+    """tanh as a tape op, for references composed from single ops (the nets
+    apply tanh only inside tape.pair_stage)."""
+    out = np.tanh(a.data)
+    return tape._make(out, (a,), lambda g: tape._accum(a, g * (1.0 - np.square(out))))
+
+
+def assert_frozen(cfg) -> None:
+    """Assigning to any field of the config raises: a config is checked once,
+    when it is built, so it may not change afterwards."""
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
 
 
 @pytest.fixture
@@ -118,6 +134,13 @@ CHECKPOINT_DAMAGE = [
     ("priors", "charge", lambda p: dict(p, bin_probs=[[0.0] * len(r) for r in p["bin_probs"]])),
     # decimal lists, as format 2 stored arrays
     ("params", "head_charge.bias", {"shape": [1], "dtype": "<f4", "data": [0.0]}),
+    # configs their own classes refuse, and a prior key the kind lacks
+    ("train_config", "ot_mode", "sinkhorn"),                        # no longer a choice
+    ("train_config", "lr", -5.0),
+    ("net_config", "d_pe", 3),                                      # would fail in the forward
+    ("net_config", "pe_scale", 0.0),                                # a PE of NaN
+    ("net_config", "d_edge", 0),
+    ("priors", "coord", lambda p: dict(p, beta=0.0)),               # format 3 carried it
 ]
 
 

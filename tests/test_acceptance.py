@@ -19,7 +19,6 @@ from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.coupling import ot_pair
 from gaugeflow.flowcore import tape, toydata
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, MoleculeBatch
-from gaugeflow.flowcore.tape import Tensor
 from gaugeflow.flowcore.training import TrainConfig, energy_distance, train
 from gaugeflow.sampler import (SampleConfig, finite_group_randomize,
                                haar_randomize, sample_vectors)
@@ -183,8 +182,8 @@ def _full_head_loss(net, batch, ranks, target_coords, target_types):
                 preds.charge_logits, batch.charge_idx))
             part = tape.add(part, tape.softmax_cross_entropy(
                 preds.bond_logits, batch.bond_idx))
-            part = tape.add(part, tape.tmean(tape.square(
-                tape.sub(preds.rank_pred, Tensor(ranks)))))
+            part = tape.add(part, tape.mse(tape.reshape(preds.rank_pred, (len(ranks), 1)),
+                                           ranks[:, None]))
             total = part if total is None else tape.add(total, part)
         return total
     return fn

@@ -118,11 +118,8 @@ def test_pcs_step_matches_the_canonicalizer_per_molecule():
     scale = 1.7
     state = encode_molecules(mols, vocab, scale)
     before = encode_molecules(mols, vocab, scale)
-    ranks = rng.random(state.n_atoms)
-    incoming = ranks.copy()
     counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps", "degenerate_orderings"), 0)
-    out, out_ranks = sampler.pcs_step(state, ranks, vocab, scale, counts)
-    assert out is state and out_ranks is ranks
+    assert sampler.pcs_step(state, vocab, scale, counts) is state
     lay = state.layout
     upper_at = np.concatenate([[0], np.cumsum(lay.sizes * (lay.sizes - 1) // 2)])
     want_degenerate = 0
@@ -133,18 +130,18 @@ def test_pcs_step_matches_the_canonicalizer_per_molecule():
         try:
             res = canonicalize(mol, group="perm_so3")
         except CanonicalizationError:
-            # outside the map's domain: rows and ranks stay as they were
+            # outside the map's domain: rows stay as they were
             for field in ("coords", "type_idx", "charge_idx"):
                 assert np.array_equal(getattr(state, field)[nodes], getattr(before, field)[nodes])
             assert np.array_equal(state.bond_idx[pairs], before.bond_idx[pairs])
-            assert np.array_equal(ranks[nodes], incoming[nodes])
             continue
         want = encode_molecules([res.representative], vocab, scale)
         assert state.coords[nodes].tobytes() == want.coords.tobytes()
         for field in ("type_idx", "charge_idx"):
             assert np.array_equal(getattr(state, field)[nodes], getattr(want, field))
         assert np.array_equal(state.bond_idx[pairs], want.bond_idx)
-        assert ranks[nodes].tobytes() == res.ranks.tobytes()
+        # the representative's ranks are the index ranks the sampler keeps
+        assert res.ranks.tobytes() == (np.arange(n) / n).tobytes()
         want_degenerate += int(res.degenerate)
     assert counts == {"canonicalize_calls": len(sizes), "degenerate_steps": 1,
                       "degenerate_orderings": want_degenerate}

@@ -491,15 +491,26 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
     ([], {"steps_per_epoch": 0}, "steps_per_epoch"),
     ([], {"batch_size": 0}, "batch_size"),
     ([], {"epochs": 1, "steps_per_epoch": 1, "lr": math.nan}, "lr"),
-    ([], {"epochs": 1, "steps_per_epoch": 1, "time_dist": "gamma"}, "time_dist")],
-    ids=["epochs-negative", "steps-zero", "batch-zero", "lr-nan", "time-dist-unknown"])
+    ([], {"epochs": 1, "steps_per_epoch": 1, "time_dist": "gamma"}, "time_dist"),
+    (["--data", "MOLECULES", "--epochs", -3], None, "epochs")],
+    ids=["epochs-negative", "steps-zero", "batch-zero", "lr-nan", "time-dist-unknown",
+         "epochs-negative-molecules"])
 def test_train_rejects_out_of_range_config_values(tmp_path, capsys, flags, doc, key):
     if doc is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         flags = [*flags, "--config", tmp_path / "cfg.json"]
+    if "MOLECULES" in flags:        # refused before the directory is read
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(38)
+        for i in range(3):
+            write_xyz(data / f"m{i}.xyz", random_molecule(rng, 5))
+        flags = [data if f == "MOLECULES" else f for f in flags]
     out = tmp_path / "run"
     assert run("train", "--data", "c4", *flags, "-o", out) == 2
-    assert key in capsys.readouterr().err
+    streams = capsys.readouterr()
+    assert key in streams.err
+    assert "canonicalized" not in streams.out
     assert not out.exists()
 
 
@@ -516,17 +527,17 @@ def test_train_rejects_ot_mode_it_would_misread(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sample_loads_checkpoint_trained_with_sinkhorn(trained_vec, tmp_path):
-    # "sinkhorn" is no longer a training choice; load does not check ot_mode,
-    # which steers no sampling, so a file that holds it still samples
+def test_sample_refuses_checkpoint_trained_with_sinkhorn(trained_vec, tmp_path, capsys):
+    # "sinkhorn" is no longer a training choice, so no run writes it; a file
+    # that holds it is refused at load like any other out-of-range value
     doc = json.loads((trained_vec / "checkpoint.json").read_text())
     doc["train_config"]["ot_mode"] = "sinkhorn"
     ckpt = tmp_path / "old.json"
     ckpt.write_text(json.dumps(doc))
     out = tmp_path / "gen"
-    assert run("sample", "--model", ckpt, "--n", 4, "--steps", 2, "-o", out) == 0
-    with np.load(out / "samples.npz") as samples:
-        assert samples["samples"].shape == (4, 2)
+    assert run("sample", "--model", ckpt, "--n", 4, "--steps", 2, "-o", out) == 3
+    assert "ot_mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_choice_lists_are_the_library_constants():

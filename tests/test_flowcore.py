@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CHECKPOINT_DAMAGE, damage_checkpoint, random_molecule
+from conftest import CHECKPOINT_DAMAGE, assert_frozen, damage_checkpoint, random_molecule
 from gaugeflow import coupling, sampler
 from gaugeflow.flowcore import tape, toydata, training
 from gaugeflow.flowcore.nets import CanonLiteConfig, CanonLiteNet, ParamBuffer, VectorFieldMLP
@@ -543,8 +543,6 @@ def test_molecular_priors_and_noise_shapes():
     assert noise.coords.shape == (10, 3)
     assert noise.bond_idx.shape == (21 + 3,)
     assert np.any(noise.bond_idx != 0)
-    with pytest.raises(ValueError):
-        training.fit_molecular_priors(encoded, vocab, tiny_cfg(prior_mode="banana"))
 
 
 BUILDERS = ["sample_molecular_noise", "draw_path", "euler_step_cfg0", "euler_step_cfg1",
@@ -577,7 +575,7 @@ def test_batch_builders_write_symmetric_bonds_with_empty_diagonal(builder):
     elif builder == "pcs_step":
         counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps",
                                 "degenerate_orderings"), 0)
-        batch, _ = sampler.pcs_step(noise, ranks, vocab, 1.3, counts)
+        batch = sampler.pcs_step(noise, vocab, 1.3, counts)
         assert counts["canonicalize_calls"] == 4
     else:
         batch = encoded.select([2, 0, 2])
@@ -798,6 +796,9 @@ def test_vector_training_rejects_ot_settings_it_would_misread(kw, key):
         train(data, tiny_cfg(**kw))
 
 
+# values not of their field's type
+WRONG_TYPE = {"epochs-fraction": {"epochs": 1.5}, "lr-bool": {"lr": True},
+              "ot-mode-none": {"ot_mode": None}}
 OUT_OF_RANGE = {
     "prior-mode-unknown": {"prior_mode": "bogus"}, "ot-mode-unknown": {"ot_mode": "Anneal"},
     "epochs-negative": {"epochs": -3}, "steps-zero": {"steps_per_epoch": 0},
@@ -814,21 +815,34 @@ RETIRED_OUT_OF_RANGE = {
     "lambda-type-nan": {"lambda_type": float("nan")}, "lambda-bond-negative": {"lambda_bond": -1.0},
     "lambda-charge-inf": {"lambda_charge": float("inf")},
 }
-BAD_VALUES = {**OUT_OF_RANGE, **RETIRED_OUT_OF_RANGE}
+BAD_VALUES = {**OUT_OF_RANGE, **WRONG_TYPE, **RETIRED_OUT_OF_RANGE}
+# a --config document (tiny_cfg) for either data kind takes every bad value;
+# the constructor and dataclasses.replace take those of TrainConfig's own keys
+ENTRY_CASES = [pytest.param(kw, kind, id=f"{name}-{kind}")
+               for kinds, table in ((("molecule", "vector"), BAD_VALUES),
+                                    (("constructor", "replace"), {**OUT_OF_RANGE, **WRONG_TYPE}))
+               for name, kw in table.items() for kind in kinds]
 
 
-@pytest.mark.parametrize("kind", ["vector", "molecule"])
-@pytest.mark.parametrize("kw", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("kw, kind", ENTRY_CASES)
 def test_training_rejects_out_of_range_values_before_any_work(monkeypatch, kw, kind):
     def no_work(*args):
         raise AssertionError("training started")
 
     monkeypatch.setattr(training, "_train_vectors", no_work)
     monkeypatch.setattr(training, "_train_molecules", no_work)
-    data = np.random.default_rng(46).standard_normal((64, 2)) if kind == "vector" else mol_set()
     (key,) = kw
     with pytest.raises(training.ConfigError, match=key):
-        train(data, tiny_cfg(**kw))
+        if kind == "constructor":
+            TrainConfig(**kw)
+        elif kind == "replace":
+            cfg = tiny_cfg()
+            assert_frozen(cfg)
+            dataclasses.replace(cfg, **kw)
+        else:
+            data = (np.random.default_rng(46).standard_normal((64, 2)) if kind == "vector"
+                    else mol_set())
+            train(data, tiny_cfg(**kw))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from gaugeflow import sampler, symgroup
 from gaugeflow.canonicalizer import canonicalize
-from gaugeflow.flowcore.training import build_vocab, encode_molecules
+from gaugeflow.flowcore.training import build_vocab, encode_molecules, index_ranks
 from gaugeflow.molecule import MoleculeState
 
 N_GAUGES = 40
@@ -100,11 +100,10 @@ def test_gauge_contract_at_the_edges(name, jitter):
         _assert_same_molecule(symgroup.act(res.gauge, res.representative), moved)
         counts = dict.fromkeys(("canonicalize_calls", "degenerate_steps",
                                 "degenerate_orderings"), 0)
-        state, ranks = sampler.pcs_step(encode_molecules([moved], vocab, 1.0),
-                                        np.zeros(m.n_atoms), vocab, 1.0, counts)
+        state = sampler.pcs_step(encode_molecules([moved], vocab, 1.0), vocab, 1.0, counts)
         assert counts == {"canonicalize_calls": 1, "degenerate_steps": 0,
                           "degenerate_orderings": int(res.degenerate)}
-        assert np.array_equal(ranks, res.ranks)
+        assert np.array_equal(index_ranks([m.n_atoms]), res.ranks)
         assert np.array_equal(state.coords, res.representative.coords)
         if not res.degenerate:
             reps.append(res.representative)

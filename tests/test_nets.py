@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import minmax_reference, random_molecule
+from conftest import assert_frozen, minmax_reference, random_molecule, tanh
 from gaugeflow.flowcore import tape, training
 from gaugeflow.flowcore.nets import (CanonLiteConfig, CanonLiteNet, MoleculeBatch,
                                      Predictions, canonical_pe, _one_hot)
@@ -48,7 +48,7 @@ def concat_forward(net, z_t, t, ranks, pe_dropped=False):
         rank_at = c.d_model + c.n_coord_sets
         edge_at = rank_at if last else rank_at + c.d_rank
         m_node = tape.take_cols(msg, slice(0, c.d_model))
-        m_coord = tape.tanh(tape.take_cols(msg, slice(c.d_model, rank_at)))
+        m_coord = tanh(tape.take_cols(msg, slice(c.d_model, rank_at)))
         m_edge = tape.take_cols(msg, slice(edge_at, edge_at + c.d_edge))
         h = tape.add(h, layer.node_update(tape.block_mean_rows(m_node, lay)))
         cs = tape.add(cs, tape.coord_mix(cs, m_coord, lay))
@@ -157,6 +157,7 @@ def test_parameter_names_and_shapes_unchanged():
     cfg = CanonLiteConfig(n_atom_classes=3, n_charge_classes=2, n_bond_classes=3,
                           d_model=8, n_coord_sets=2, d_rank=4, n_layers=1,
                           d_pe=4, d_proj=4, d_msg_hidden=8, d_edge=4)
+    assert_frozen(cfg)
     got = [(k, v.shape) for k, v in CanonLiteNet(cfg).named_parameters()]
     assert got == [
         ("input_mlp.layers.0.weight", (10, 8)), ("input_mlp.layers.0.bias", (8,)),

@@ -6,7 +6,9 @@ needs it.
 
 Calls are matched to definitions by name (a method by its attribute name, a
 constructor by its class name), so a call to any function of that name counts;
-an instance is called under any name, so every call counts for __call__.
+an instance is called under any name, so every call counts for __call__, and
+`cls(...)` in a classmethod is a call of its class. A dataclass's defaulted
+fields are parameters of its constructor, at their place among its fields.
 A call sets a parameter by keyword, by position (after self for a method or
 constructor) or through * or ** arguments. The closure idiom
 `def store(g, index=index)`, which binds a loop variable rather than offering
@@ -38,6 +40,19 @@ def _defaulted(fn: ast.FunctionDef, skip: int, closure: bool) -> list[tuple[str,
             if not (closure and isinstance(d, ast.Name) and d.id == a.arg)]
 
 
+def _decorated(node, name: str) -> bool:
+    """Whether node carries the decorator `name` or `name(...)`."""
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == name
+               for d in node.decorator_list)
+
+
+def _fields(cls: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of a dataclass's fields, in order: its annotated
+    class attributes (the package has no ClassVar or init=False field)."""
+    return [(stmt.target.id, stmt.value is not None) for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
 def _definitions() -> list[tuple[str, str, str, int | None]]:
     """(where, callee name, parameter, positional index) of every defaulted
     parameter defined in the package."""
@@ -46,10 +61,14 @@ def _definitions() -> list[tuple[str, str, str, int | None]]:
     def visit(node, module, owner, in_function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _decorated(child, "dataclass"):
+                    for index, (name, default) in enumerate(_fields(child)):
+                        if default:
+                            found.append((f"{module}:{child.lineno} {child.name}",
+                                          child.name, name, index))
                 visit(child, module, child, in_function)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                             for d in child.decorator_list)
+                static = _decorated(child, "staticmethod")
                 method = owner is not None and not static
                 name = owner.name if method and child.name == "__init__" else child.name
                 where = f"{module}:{child.lineno} {name}"
@@ -76,18 +95,26 @@ def _calls() -> dict[str, list[tuple[int, bool, set[str], bool]]]:
     """Per callee name: (positional count, has * argument, keywords, has **
     argument) of every call in the scanned trees."""
     calls: dict = {}
+
+    def record(name, node):
+        args = node.args
+        star = any(isinstance(a, ast.Starred) for a in args)
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        double_star = any(k.arg is None for k in node.keywords)
+        calls.setdefault(name, []).append((len(args), star, keywords, double_star))
+
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(_parse(path)):
-                if not isinstance(node, ast.Call):
-                    continue
-                name, args = _callee(node.func), node.args
-                if name is None:
-                    continue
-                star = any(isinstance(a, ast.Starred) for a in args)
-                keywords = {k.arg for k in node.keywords if k.arg is not None}
-                double_star = any(k.arg is None for k in node.keywords)
-                calls.setdefault(name, []).append((len(args), star, keywords, double_star))
+                if isinstance(node, ast.Call) and _callee(node.func) is not None:
+                    record(_callee(node.func), node)
+                if isinstance(node, ast.ClassDef):
+                    for method in node.body:
+                        if (isinstance(method, ast.FunctionDef)
+                                and _decorated(method, "classmethod")):
+                            for call in ast.walk(method):
+                                if isinstance(call, ast.Call) and _callee(call.func) == "cls":
+                                    record(node.name, call)
     return calls
 
 

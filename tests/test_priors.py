@@ -278,14 +278,18 @@ def test_save_load_roundtrip(make):
         assert priors.prior_to_dict(q)[k] == v
 
 
-def test_prior_dict_reads_fields_older_files_carry():
-    # files written before the unused Gaussian "isotropic" flag and rank
-    # Gaussian "beta" were dropped still load
+def test_prior_dict_refuses_keys_its_kind_lacks():
+    # the Gaussian "isotropic" flag and the rank Gaussian "beta" that format
+    # 2 and 3 files carried, and a key no kind has
     old_gaussian = dict(priors.prior_to_dict(priors.isotropic_prior(2)), isotropic=True)
-    assert np.array_equal(priors.prior_from_dict(old_gaussian).cov, np.eye(2))
+    with pytest.raises(ValueError, match="gaussian prior has no keys isotropic"):
+        priors.prior_from_dict(old_gaussian)
     ranked = priors.fit_rank_gaussian(np.linspace(0, 1, 8), np.ones((8, 3)), 2)
-    old_ranked = dict(priors.prior_to_dict(ranked), beta=0.0)
-    assert np.array_equal(priors.prior_from_dict(old_ranked).bin_means, ranked.bin_means)
+    with pytest.raises(ValueError, match="rank_gaussian prior has no keys beta"):
+        priors.prior_from_dict(dict(priors.prior_to_dict(ranked), beta=0.0))
+    table = priors.prior_to_dict(priors.fit_positional([0.2, 0.8], [0, 1], 3, 2))
+    with pytest.raises(ValueError, match="has no keys extra, smoothing"):
+        priors.prior_from_dict(dict(table, smoothing=1.0, extra=None))
 
 
 def test_prior_dict_rejects_unknown():

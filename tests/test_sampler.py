@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from conftest import random_molecule
+from conftest import assert_frozen, random_molecule
 from gaugeflow import priors as priors_mod
 from gaugeflow import sampler, symgroup
 from gaugeflow.flowcore import tape
 from gaugeflow.flowcore.training import (FlowModel, TrainConfig, encode_molecules, guided_forward,
-                                         sample_molecular_noise, train)
+                                         index_ranks, sample_molecular_noise, train)
 from gaugeflow.sampler import SampleConfig
 
 
@@ -33,8 +33,9 @@ def vec_model():
 
 
 def test_sample_config_validation():
-    with pytest.raises(ValueError):
-        SampleConfig(steps=0)
+    for steps in (0, 2.5, True):        # a fractional count would fail in range()
+        with pytest.raises(ValueError, match="steps"):
+            SampleConfig(steps=steps)
     with pytest.raises(ValueError):
         SampleConfig(cfg_scale=-0.5)
     for scale in (np.nan, np.inf, -np.inf):
@@ -47,6 +48,7 @@ def test_sample_config_validation():
     with pytest.raises(ValueError):
         SampleConfig(regime="a", canonicalize_mode=True)
     assert SampleConfig().to_dict()["regime"] == "a"
+    assert_frozen(SampleConfig())
 
 
 def test_regime_a_never_canonicalizes(mol_model):
@@ -65,6 +67,23 @@ def test_regime_b_canonicalize_mode_counts_calls(mol_model):
     cfg = SampleConfig(steps=3, regime="b")
     _, info = sampler.sample(mol_model, 5, 2, cfg, np.random.default_rng(5))
     assert info["canonicalize_calls"] == 0
+
+
+def test_regime_b_canonicalize_mode_feeds_index_ranks(mol_model, monkeypatch):
+    # each re-canonicalized state sits in canonical order, so its ranks are
+    # the index ranks i/N at every step, bit for bit
+    seen, real = [], sampler.euler_step
+
+    def spy(net, batch, t_from, t_to, ranks, cfg_scale, rng):
+        seen.append(ranks.copy())
+        return real(net, batch, t_from, t_to, ranks, cfg_scale, rng)
+    monkeypatch.setattr(sampler, "euler_step", spy)
+    sizes = [3, 5, 5, 8]
+    cfg = SampleConfig(steps=4, regime="b", canonicalize_mode=True)
+    _, info = sampler.sample(mol_model, sizes, 4, cfg, np.random.default_rng(7))
+    assert info["canonicalize_calls"] == 4 * 4 and len(seen) == 4
+    want = index_ranks(sizes).tobytes()
+    assert all(ranks.tobytes() == want for ranks in seen)
 
 
 def test_regime_b_keeps_a_collapsed_state(mol_model):
