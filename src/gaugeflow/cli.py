@@ -95,10 +95,7 @@ def _load_train_config(path) -> TrainConfig:
             doc = json.load(fh)
         except ValueError as exc:       # not JSON, or not UTF-8 text
             raise OSError(f"{path}: not valid JSON: {exc}") from None
-    try:
-        return TrainConfig.from_dict(doc)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return TrainConfig.from_dict(doc)
 
 
 def _read_molecule(path: Path) -> molecule.MoleculeState:
@@ -209,16 +206,19 @@ def cmd_canonicalize(args) -> int:
     return EXIT_OK
 
 
-def _load_training_data(data_arg: str, seed: int):
-    """Returns (data, counters); counters are filled for molecule directories."""
+def _load_training_data(data_arg: str, cfg: TrainConfig):
+    """Returns (data, counters); counters are filled for molecule directories.
+    A cfg key the kind of data never reads is refused before they are read."""
     if data_arg in ("c4", "c4-canonical"):
-        rng = np.random.default_rng([seed, 9])
+        training.check_data_kind(cfg, molecules=False)
+        rng = np.random.default_rng([cfg.seed, 9])
         blobs = toydata.c4_blobs(2000, rng)
         if data_arg == "c4-canonical":
             blobs = toydata.sector_canonicalize(blobs)[0]
         return blobs, None
     path = Path(data_arg)
     if path.suffix.lower() == ".npz":
+        training.check_data_kind(cfg, molecules=False)
         with open(path, "rb") as fh:
             if not zipfile.is_zipfile(fh):      # text, or a bare .npy array
                 raise OSError(f"{path}: not an .npz archive")
@@ -232,6 +232,7 @@ def _load_training_data(data_arg: str, seed: int):
             raise UsageError("npz input must hold 'data': a non-empty 2-D array of finite numbers")
         return data.astype(np.float64), None
     if path.is_dir():
+        training.check_data_kind(cfg, molecules=True)
         files = sorted(list(path.glob("*.sdf")) + list(path.glob("*.xyz")))
         if not files:
             raise UsageError(f"no .sdf or .xyz files under {path}")
@@ -247,17 +248,11 @@ def _load_training_data(data_arg: str, seed: int):
 def cmd_train(args) -> int:
     cfg = _load_train_config(args.config) if args.config else TrainConfig()
     flags = {"epochs": args.epochs, "seed": args.seed, "ot_mode": args.ot}
-    try:
-        cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
-    except training.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     start = time.perf_counter()
-    data, counters = _load_training_data(args.data, cfg.seed)
+    data, counters = _load_training_data(args.data, cfg)
     loaded = time.perf_counter()
-    try:
-        model, trace = training.train(data, cfg)
-    except training.ConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    model, trace = training.train(data, cfg)
     trained = time.perf_counter()
     outdir = _outdir(args)
     model.save(outdir / "checkpoint.json")
@@ -361,9 +356,12 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        n_mc = None if args.n is None else int(float(args.n))
-    except (ValueError, OverflowError):
+        n = 1.0 if args.n is None else float(args.n)
+    except ValueError:
         raise UsageError(f"--n must be a number, got {args.n!r}") from None
+    if not (n >= 1 and n.is_integer()):             # NaN and inf fail too
+        raise UsageError(f"--n must be a whole number >= 1, got {args.n}")
+    n_mc = None if args.n is None else int(n)
     signflip = args.system in ("all", "signflip")    # c4 and s3 floor --n at MIN_MC_SAMPLES
     if signflip and n_mc is not None and n_mc < theorylab.MIN_MC_SAMPLES:
         raise UsageError(f"--n must be at least {theorylab.MIN_MC_SAMPLES}, got {args.n}")
@@ -508,7 +506,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, training.ConfigError) as exc:    # a --config value or flag refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CanonicalizationError as exc:

@@ -371,7 +371,9 @@ def _load_priors(kind: str, doc: dict, net, vocab: dict | None) -> dict:
     for key, (cls, width) in need.items():
         try:
             p = out[key] = priors_mod.prior_from_dict(doc[key])
-        except (AttributeError, KeyError, TypeError, ValueError):   # not an object, or malformed
+        except ValueError as exc:           # a rule the prior's own type states
+            raise ValueError(f"checkpoint prior {key}: {exc}") from None
+        except (AttributeError, KeyError, TypeError):   # not an object, or malformed
             p = None
         fits = isinstance(p, cls) and all(np.isfinite(v).all() for v in vars(p).values())
         if fits and cls is table:
@@ -380,7 +382,7 @@ def _load_priors(kind: str, doc: dict, net, vocab: dict | None) -> dict:
         elif fits and cls is priors_mod.RankBinnedGaussianPrior:
             fits = p.n_bins > 0 and p.bin_means.shape[1] == width and (p.bin_stds > 0).all()
         elif fits:
-            fits = p.mean.shape == (width,) and p.cov.shape == p.sqrt.shape == (width, width)
+            fits = p.dim == width
         if not fits:
             raise ValueError(f"checkpoint prior {key} must be a finite {cls.__name__} of width "
                              f"{width}, with stds > 0 or class rows non-negative of positive sum")
@@ -439,9 +441,9 @@ class FlowModel:
         bond classes other than BOND_CLASSES (decoding maps bond class 0 to
         the empty diagonal) or a class list whose length is not its head's
         class count, whose train_config or net_config its config class
-        refuses (TrainConfig, CanonLiteConfig), or whose parameter or EMA
-        names, stored arrays, shapes, coordinate scale or priors
-        (_load_priors) do not fit, is a ValueError."""
+        refuses (TrainConfig, CanonLiteConfig), whose step is not an int >= 0
+        or coordinate scale not a positive number (a bool is neither), or whose
+        parameter or EMA names, arrays, shapes or priors do not fit, is a ValueError."""
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
@@ -488,9 +490,12 @@ class FlowModel:
                     raise ValueError(f"checkpoint meta vocab {key} holds {len(vocab[key])} "
                                      f"classes, the net's head has {n}")
         coord_scale = doc.get("coord_scale")
-        if not (isinstance(coord_scale, (int, float)) and 0.0 < coord_scale < np.inf):
+        if not (type(coord_scale) in (int, float) and 0.0 < coord_scale < np.inf):
             raise ValueError(f"checkpoint coord_scale must be a positive number, "
                              f"got {coord_scale!r}")
+        step = doc.get("step")
+        if not (type(step) is int and step >= 0):
+            raise ValueError(f"checkpoint step must be an integer >= 0, got {step!r}")
         params = net.parameters()
         stored = _doc_to_arrays("params", doc["params"])
         ema = _doc_to_arrays("ema", doc["ema"])
@@ -512,7 +517,7 @@ class FlowModel:
             priors=_load_priors(kind, doc.get("priors", {}), net, meta.get("vocab")),
             ema=ema,
             meta=meta,
-            step=int(doc.get("step", 0)),
+            step=step,
             coord_scale=float(coord_scale),
         )
 
@@ -601,7 +606,7 @@ def _train_vectors(data: np.ndarray, cfg: TrainConfig):
     data = np.asarray(data, dtype=np.float64)
     n, dim = data.shape
     rng = np.random.default_rng(cfg.seed)
-    prior = priors_mod.isotropic_prior(dim)
+    prior = priors_mod.GaussianPrior(np.zeros(dim), np.eye(dim))
     n_val = max(16, n // 10)
     val_data = data[-n_val:]
     data = data[:-n_val] if n - n_val >= 2 else data
@@ -951,6 +956,12 @@ _VECTOR_ONLY = ("ot_mode",)
 _MOLECULE_ONLY = ("prior_mode", "lambda_rank", "p_drop", "n_rank_bins")
 
 
+def check_data_kind(cfg: TrainConfig, molecules: bool) -> None:
+    """ConfigError naming a key cfg sets away from its default that the data kind never reads."""
+    reject_unread(cfg, _VECTOR_ONLY if molecules else _MOLECULE_ONLY, "config key",
+                  "molecule data" if molecules else "vector data")
+
+
 def train(data, cfg: TrainConfig):
     """Train a flow model on canonical states.
 
@@ -964,9 +975,9 @@ def train(data, cfg: TrainConfig):
     read set away from its default raises ConfigError before any work is done.
     """
     if isinstance(data, np.ndarray):
-        reject_unread(cfg, _MOLECULE_ONLY, "config key", "vector data")
+        check_data_kind(cfg, molecules=False)
         return _train_vectors(data, cfg)
     if isinstance(data, (list, tuple)) and data and isinstance(data[0], MoleculeState):
-        reject_unread(cfg, _VECTOR_ONLY, "config key", "molecule data")
+        check_data_kind(cfg, molecules=True)
         return _train_molecules(list(data), cfg)
     raise TypeError("data must be an (n, d) array or a list of MoleculeState")

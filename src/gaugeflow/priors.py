@@ -1,9 +1,10 @@
 """Noise priors for the canonical slice.
 
-Two families: moment-matched Gaussians over flattened continuous states (the
+Two families: GaussianPrior over flattened continuous states (the vector
+trainer's noise, the theory lab's slice pairs, and the moment-matched fit, the
 KL-optimal Gaussian approximation of the slice marginal), and rank-conditioned
-categorical tables for discrete per-atom features. Rank bins partition [0, 1);
-evaluation interpolates linearly between adjacent bins.
+tables for per-atom features. Rank bins partition [0, 1); evaluation
+interpolates linearly between adjacent bins.
 """
 
 from __future__ import annotations
@@ -15,24 +16,37 @@ import numpy as np
 EIG_FLOOR = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianPrior:
+    """N(mean, cov), checked when built: mean finite and (d,), cov finite,
+    (d, d) (a scalar means that times I) and positive definite. cov is stored
+    symmetrized and its square root derived once, all three read-only."""
+
     mean: np.ndarray
     cov: np.ndarray
-    sqrt: np.ndarray
+    sqrt: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.cov = np.asarray(self.cov, dtype=np.float64)
-        self.sqrt = np.asarray(self.sqrt, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64)
+        if mean.ndim != 1 or not mean.size or not np.isfinite(mean).all():
+            raise ValueError(f"mean must be a finite (d,) vector, d >= 1, got {mean.shape}")
+        cov, d = np.asarray(self.cov, dtype=np.float64), len(mean)
+        cov = np.diag(np.full(d, float(cov))) if cov.ndim == 0 else cov
+        if cov.shape != (d, d) or not np.isfinite(cov).all():
+            raise ValueError(f"cov must be a finite ({d}, {d}) matrix, got {cov.shape}")
+        cov = 0.5 * (cov + cov.T)
+        if np.linalg.eigvalsh(cov).min() <= 0:
+            raise ValueError("cov must be positive definite")
+        for name, value in (("mean", mean), ("cov", cov), ("sqrt", sqrt_psd(cov))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-
-def isotropic_prior(dim: int, scale: float = 1.0) -> GaussianPrior:
-    return GaussianPrior(np.zeros(dim), scale ** 2 * np.eye(dim), scale * np.eye(dim))
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return sample_gaussian(self, n, rng)
 
 
 def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
@@ -50,7 +64,7 @@ def fit_gaussian(samples: np.ndarray) -> GaussianPrior:
     cov = centered.T @ centered / samples.shape[0]
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, EIG_FLOOR)) @ vecs.T
-    return GaussianPrior(mean, cov, sqrt_psd(cov))
+    return GaussianPrior(mean, cov)
 
 
 def sqrt_psd(cov: np.ndarray) -> np.ndarray:
@@ -76,14 +90,14 @@ def power_psd(cov: np.ndarray, p, cond: float):
     return (vecs * vals ** p) @ vecs.T
 
 
-def sample_gaussian(prior, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws mean + eps @ sqrt; prior is anything with .mean, .sqrt and .dim."""
+def sample_gaussian(prior: GaussianPrior, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws mean + eps @ sqrt."""
     eps = rng.standard_normal((n, prior.dim))
     return prior.mean + eps @ prior.sqrt      # sqrt is symmetric
 
 
-def gaussian_logpdf(prior, x: np.ndarray) -> np.ndarray:
-    """Log density at the rows of x; prior is anything with .mean, .cov and .dim."""
+def gaussian_logpdf(prior: GaussianPrior, x: np.ndarray) -> np.ndarray:
+    """Log density at the rows of x."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = prior.dim
     diff = x - prior.mean
@@ -294,8 +308,8 @@ _PRIOR_KEYS = {"gaussian": ("mean", "cov", "sqrt"),
 
 
 def prior_from_dict(doc: dict):
-    """Inverse of prior_to_dict. A kind it does not write, or a key that
-    kind does not have, is a ValueError."""
+    """Inverse of prior_to_dict. A kind it does not write, a key that kind
+    does not have, or a Gaussian's sqrt that is not its cov's, is a ValueError."""
     kind = doc.get("kind")
     if kind not in _PRIOR_KEYS:
         raise ValueError(f"unknown prior kind {kind!r}")
@@ -303,7 +317,11 @@ def prior_from_dict(doc: dict):
     if extra:
         raise ValueError(f"a {kind} prior has no keys {', '.join(extra)}")
     if kind == "gaussian":
-        return GaussianPrior(np.array(doc["mean"]), np.array(doc["cov"]), np.array(doc["sqrt"]))
+        prior = GaussianPrior(np.array(doc["mean"]), np.array(doc["cov"]))
+        sqrt, root = np.array(doc["sqrt"], dtype=np.float64), prior.sqrt
+        if sqrt.shape != root.shape or not abs(sqrt - root).max() <= 1e-9 * abs(root).max():
+            raise ValueError("a gaussian prior's sqrt must be the square root of its cov")
+        return prior
     if kind == "positional_categorical":
         return PositionalCategoricalPrior(
             np.array(doc["bin_probs"]), np.array(doc["base"]), float(doc["beta"]),

@@ -6,7 +6,8 @@ coupling), the slice interpolant is Zt = (1 - t) Z0 + t Z1, and the ambient
 observation is G Zt with regression target G (Z1 - Z0). Conditioning on the
 ambient point splits the target variance into a within-slice part and an
 orbit-ambiguity part; the lab estimates each side of that identity from the
-same simulated batch and checks closed forms against the estimates.
+same simulated batch and checks closed forms against the estimates. A
+Gaussian slice distribution is a priors.GaussianPrior, the trainer's noise type.
 
 The slice conditional mean of a Gaussian-slice system is globally linear in
 the interpolant, so the k-NN estimator fits a local linear model and reads
@@ -70,39 +71,6 @@ MIN_MC_SAMPLES = 1000           # fewest samples a k-NN variance estimate runs o
 # Systems
 
 
-def _as_spd(cov, dim: int) -> np.ndarray:
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(dim)
-    if cov.shape != (dim, dim):
-        raise ValueError(f"covariance must be ({dim}, {dim})")
-    cov = 0.5 * (cov + cov.T)
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise ValueError("covariance must be positive definite")
-    return cov
-
-
-@dataclass
-class SliceGaussian:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        self.cov = _as_spd(self.cov, len(self.mean))
-
-    @property
-    def dim(self) -> int:
-        return len(self.mean)
-
-    @property
-    def sqrt(self) -> np.ndarray:
-        return priors.sqrt_psd(self.cov)
-
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return priors.sample_gaussian(self, n, rng)
-
-
 @dataclass
 class SlicePoint:
     """Degenerate slice data distribution concentrated at one point."""
@@ -135,15 +103,15 @@ class MixtureSystem:
     cached on first use always describes the system's own fields."""
 
     group: FiniteGroupSpec
-    q0: object                  # SliceGaussian | SlicePoint
-    q1: SliceGaussian
+    q0: object                  # priors.GaussianPrior | SlicePoint
+    q1: priors.GaussianPrior
     t: float
 
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
             raise ValueError("t must lie in (0, 1]")
-        if not isinstance(self.q1, SliceGaussian):
-            raise TypeError("q1 must be a SliceGaussian")
+        if not isinstance(self.q1, priors.GaussianPrior):
+            raise TypeError("q1 must be a priors.GaussianPrior")
         if not (self.group.dim == self.q0.dim == self.q1.dim):
             raise ValueError("group and distribution dimensions disagree")
 
@@ -164,21 +132,21 @@ def trivial_group(dim: int) -> FiniteGroupSpec:
 def signflip_system(t: float = 0.5) -> MixtureSystem:
     """1-D two-copy system: point data at +1, standard normal noise."""
     return MixtureSystem(symgroup.sign_flip_group(), SlicePoint([1.0]),
-                         SliceGaussian(np.zeros(1), np.eye(1)), t)
+                         priors.GaussianPrior(np.zeros(1), np.eye(1)), t)
 
 
 def c4_system() -> MixtureSystem:
     """C4 system on R^2 at t = 0.5 with the slice blob N((2, 0), 0.3^2 I)."""
     return MixtureSystem(symgroup.c4_group(),
-                         SliceGaussian(np.asarray((2.0, 0.0)), 0.3 ** 2 * np.eye(2)),
-                         SliceGaussian(np.zeros(2), np.eye(2)), 0.5)
+                         priors.GaussianPrior(np.asarray((2.0, 0.0)), 0.3 ** 2 * np.eye(2)),
+                         priors.GaussianPrior(np.zeros(2), np.eye(2)), 0.5)
 
 
 def s3_system() -> MixtureSystem:
     """Coordinate-permutation system on R^3 at t = 0.5, asymmetric slice blob."""
     return MixtureSystem(symgroup.permutation_matrix_group(3),
-                         SliceGaussian(np.array([1.2, 0.3, -1.5]), 0.09 * np.eye(3)),
-                         SliceGaussian(np.zeros(3), np.eye(3)), 0.5)
+                         priors.GaussianPrior(np.array([1.2, 0.3, -1.5]), 0.09 * np.eye(3)),
+                         priors.GaussianPrior(np.zeros(3), np.eye(3)), 0.5)
 
 
 def random_gaussian_system(rng: np.random.Generator) -> MixtureSystem:
@@ -193,8 +161,8 @@ def random_gaussian_system(rng: np.random.Generator) -> MixtureSystem:
 
     return MixtureSystem(
         group,
-        SliceGaussian(rng.normal(0.0, 2.0, d), spd()),
-        SliceGaussian(rng.normal(0.0, 1.0, d), spd()),
+        priors.GaussianPrior(rng.normal(0.0, 2.0, d), spd()),
+        priors.GaussianPrior(rng.normal(0.0, 1.0, d), spd()),
         float(rng.uniform(0.2, 0.8)),
     )
 
@@ -689,12 +657,12 @@ def _ks_normal_pvalue(x: np.ndarray) -> float:
 
 
 def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
-                      noise: SliceGaussian | None = None) -> dict:
+                      noise: priors.GaussianPrior | None = None) -> dict:
     """Simulate a group-aligned lift and test the pair for dependence.
 
-    q0 is the slice data distribution (SliceGaussian or SlicePoint); noise
-    defaults to the standard normal, and group is a FiniteGroupSpec or a
-    RotationGroup: its randomize applies one shared element per pair. Checks
+    q0 is the slice data distribution (priors.GaussianPrior or SlicePoint);
+    noise (a GaussianPrior) defaults to N(0, I); group is a FiniteGroupSpec or
+    a RotationGroup: its randomize applies one shared element per pair. Checks
     every linear coordinate correlation plus one quadratic direction
     statistic (difference of squared coordinates), which is what picks up the
     dependence a shared rotation induces when the noise is anisotropic; raw
@@ -708,7 +676,7 @@ def lift_independence(q0, n_mc: int, group, rng: np.random.Generator,
     d = q0.dim
     normal_reference = noise is None
     if noise is None:
-        noise = SliceGaussian(np.zeros(d), np.eye(d))
+        noise = priors.GaussianPrior(np.zeros(d), np.eye(d))
     _, z0, z1 = group.randomize(rng, q0.draw(n_mc, rng), noise.draw(n_mc, rng))
     n = n_mc
     threshold = 4.0 / np.sqrt(n)
@@ -889,8 +857,11 @@ def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> T
     """Run the stock verification battery.
 
     systems selects a subset of ("signflip", "c4", "s3"); n_mc is the large
-    Monte Carlo sample count (default 1,000,000).
+    Monte Carlo sample count, at least 1 (default 1,000,000; c4 and s3 use
+    n_mc // 10, floored at MIN_MC_SAMPLES).
     """
+    if n_mc is not None and n_mc < 1:
+        raise ValueError(f"n_mc must be at least 1, got {n_mc}")
     if systems is None:
         systems = ALL_SYSTEMS
     unknown = set(systems) - set(ALL_SYSTEMS)
@@ -952,7 +923,7 @@ def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> T
 
     if "c4" in systems:
         n_lift = n_mid
-        q0 = SliceGaussian(np.array([2.0, 0.0]), 0.09 * np.eye(2))
+        q0 = priors.GaussianPrior(np.array([2.0, 0.0]), 0.09 * np.eye(2))
         lift = symgroup.RotationGroup(2)
         iso = lift_independence(q0, n_lift, lift, rng)
         checks.append(CheckResult(
@@ -961,7 +932,7 @@ def run_default_suite(seed: int = 0, systems=None, n_mc: int | None = None) -> T
             stderr=1.0 / np.sqrt(n_lift), tolerance=iso["threshold"],
             passed=iso["independent"], n_samples=n_lift, seed=seed, detail=iso))
         aniso = lift_independence(q0, n_lift, lift, rng,
-                                  noise=SliceGaussian(np.zeros(2), np.diag([9.0, 1.0])))
+                                  noise=priors.GaussianPrior(np.zeros(2), np.diag([9.0, 1.0])))
         checks.append(CheckResult(
             "lift_dependence_flagged_anisotropic", estimate=aniso["quadratic_corr"],
             reference=0.0, stderr=1.0 / np.sqrt(n_lift), tolerance=aniso["threshold"],

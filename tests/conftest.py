@@ -141,6 +141,14 @@ CHECKPOINT_DAMAGE = [
     ("net_config", "pe_scale", 0.0),                                # a PE of NaN
     ("net_config", "d_edge", 0),
     ("priors", "coord", lambda p: dict(p, beta=0.0)),               # format 3 carried it
+    # a step that is not an integer >= 0 (every checkpoint writes one), and a
+    # bool coordinate scale
+    (None, "step", 1.5),
+    (None, "step", "7"),
+    (None, "step", True),
+    (None, "step", -3),
+    (None, "step", None),
+    (None, "coord_scale", True),
 ]
 
 

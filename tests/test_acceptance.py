@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from conftest import nondegenerate_molecule
-from gaugeflow import symgroup, theorylab
+from gaugeflow import priors, symgroup, theorylab
 from gaugeflow.canonicalizer import canonicalize
 from gaugeflow.coupling import ot_pair
 from gaugeflow.flowcore import tape, toydata
@@ -124,8 +124,8 @@ def test_gaussian_conditional_variance_closed_form():
         t = float(rng.uniform(0.25, 0.75))
         system = theorylab.MixtureSystem(
             theorylab.trivial_group(d),
-            theorylab.SliceGaussian(rng.normal(0.0, 1.0, d), cov0),
-            theorylab.SliceGaussian(rng.normal(0.0, 1.0, d), cov1), t)
+            priors.GaussianPrior(rng.normal(0.0, 1.0, d), cov0),
+            priors.GaussianPrior(rng.normal(0.0, 1.0, d), cov1), t)
         reference = theorylab.gaussian_condvar(cov0, cov1, t)
         sim = theorylab.simulate(system, 1_000_000, rng)
         est, se, _ = theorylab.knn_local_linear_variance(
@@ -139,7 +139,7 @@ def test_group_aligned_lift_preserves_noise_independence():
     # (all correlations under 4/sqrt(n), noise marginal stays N(0,1));
     # anisotropic noise is the counterexample and must be flagged.
     t0 = time.time()
-    q0 = theorylab.SliceGaussian(np.array([2.0, 0.5]), 0.25 * np.eye(2))
+    q0 = priors.GaussianPrior(np.array([2.0, 0.5]), 0.25 * np.eye(2))
     iso = theorylab.lift_independence(q0, 100_000, symgroup.c4_group(),
                                       np.random.default_rng(60))
     bound = 4.0 / np.sqrt(100_000)
@@ -149,7 +149,7 @@ def test_group_aligned_lift_preserves_noise_independence():
     assert min(iso["ks_pvalues"]) > 0.001
     aniso = theorylab.lift_independence(
         q0, 100_000, symgroup.c4_group(), np.random.default_rng(61),
-        noise=theorylab.SliceGaussian(np.zeros(2), np.diag([4.0, 0.25])))
+        noise=priors.GaussianPrior(np.zeros(2), np.diag([4.0, 0.25])))
     assert not aniso["independent"]
     assert time.time() - t0 < 60.0
 
@@ -296,8 +296,8 @@ def _aligned_prior_batch(shift, seed):
     """simulate() of the 1-D pair with data N(shift, a) at t = 0 and prior
     N(0, b) at t = 1; the trivial group leaves the slice pair as it is."""
     system = theorylab.MixtureSystem(theorylab.trivial_group(1),
-                                     theorylab.SliceGaussian([shift], ALIGNED_A),
-                                     theorylab.SliceGaussian([0.0], ALIGNED_B), ALIGNED_T)
+                                     priors.GaussianPrior([shift], ALIGNED_A),
+                                     priors.GaussianPrior([0.0], ALIGNED_B), ALIGNED_T)
     return theorylab.simulate(system, ALIGNED_N, np.random.default_rng(seed))
 
 

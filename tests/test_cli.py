@@ -492,9 +492,10 @@ def test_train_rejects_config_value_of_wrong_type(tmp_path, capsys):
     ([], {"batch_size": 0}, "batch_size"),
     ([], {"epochs": 1, "steps_per_epoch": 1, "lr": math.nan}, "lr"),
     ([], {"epochs": 1, "steps_per_epoch": 1, "time_dist": "gamma"}, "time_dist"),
-    (["--data", "MOLECULES", "--epochs", -3], None, "epochs")],
+    (["--data", "MOLECULES", "--epochs", -3], None, "epochs"),
+    (["--data", "MOLECULES", "--ot", "exact"], None, "ot_mode")],
     ids=["epochs-negative", "steps-zero", "batch-zero", "lr-nan", "time-dist-unknown",
-         "epochs-negative-molecules"])
+         "epochs-negative-molecules", "ot-mode-molecules"])
 def test_train_rejects_out_of_range_config_values(tmp_path, capsys, flags, doc, key):
     if doc is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -537,6 +538,18 @@ def test_sample_refuses_checkpoint_trained_with_sinkhorn(trained_vec, tmp_path, 
     out = tmp_path / "gen"
     assert run("sample", "--model", ckpt, "--n", 4, "--steps", 2, "-o", out) == 3
     assert "ot_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_refuses_noise_prior_whose_sqrt_is_not_its_covs(trained_vec, tmp_path, capsys):
+    # sampling reads the stored sqrt; a cov edited apart from it is refused
+    doc = json.loads((trained_vec / "checkpoint.json").read_text())
+    doc["priors"]["noise"]["cov"] = [[100.0, 0.0], [0.0, 100.0]]
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "gen"
+    assert run("sample", "--model", ckpt, "--n", 4, "--steps", 2, "-o", out) == 3
+    assert "sqrt must be the square root of its cov" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -603,9 +616,12 @@ BAD_NPZ_DATA = {"1-D": np.zeros(5), "3-D": np.zeros((4, 2, 2)), "empty": np.zero
     (["verify-theory", "--n", "10"], "--n must be at least 1000"),
     (["sample", "--model", "CHECKPOINT", "--n", "-3"], "--n must be at least 0"),
 ] + [(["train", "--data", f"NPZ:{name}"], "non-empty 2-D array of finite numbers")
-     for name in BAD_NPZ_DATA],
+     for name in BAD_NPZ_DATA] + [
+    (["verify-theory", "--system", "c4", "--n", "-5"], "--n must be a whole number >= 1"),
+    (["verify-theory", "--system", "c4", "--n", "1000.7"], "--n must be a whole number >= 1")],
     ids=["verify-n-not-a-number", "verify-n-below-1000", "sample-n-negative"]
-    + [f"train-npz-{name}" for name in BAD_NPZ_DATA])
+    + [f"train-npz-{name}" for name in BAD_NPZ_DATA]
+    + ["verify-n-negative", "verify-n-fraction"])
 def test_bad_arguments_exit_2_before_anything_runs(trained_vec, tmp_path, capsys, argv, word):
     def resolve(arg):
         if arg == "CHECKPOINT":

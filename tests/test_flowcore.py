@@ -471,8 +471,12 @@ def test_checkpoint_rejects_entries_that_do_not_fit(tmp_path, group, key, value)
     lambda priors: priors.update(noise=[]),
     lambda priors: priors["noise"].update(mean=[0.0, 0.0, 0.0]),          # 3-D, the net is 2-D
     lambda priors: priors["noise"].update(sqrt=[[float("nan"), 0.0], [0.0, 1.0]]),
-    lambda priors: priors["noise"].update(kind="rank_gaussian")],
-    ids=["missing", "extra", "not-an-object", "wrong-dimension", "nan", "wrong-kind"])
+    lambda priors: priors["noise"].update(kind="rank_gaussian"),
+    lambda priors: priors["noise"].update(cov=[[100.0, 0.0], [0.0, 100.0]]),   # sqrt stays I
+    lambda priors: priors["noise"].update(cov=[[1.0, 2.0], [2.0, 1.0]]),
+    lambda priors: priors["noise"].update(cov=[[1.0, 0.0, 0.0]] * 3)],
+    ids=["missing", "extra", "not-an-object", "wrong-dimension", "nan", "wrong-kind",
+         "cov-disagrees-with-sqrt", "cov-not-positive-definite", "cov-wrong-shape"])
 def test_vector_checkpoint_needs_exactly_its_noise_prior(tmp_path, edit):
     import json
 

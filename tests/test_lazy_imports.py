@@ -44,7 +44,7 @@ STEPS = [
     ("nearest_2d", "theorylab._nearest(rng.standard_normal((20, 2)), rng.standard_normal((3, 2)), 4)"),
     ("ot_pair", "coupling.ot_pair(rng.standard_normal((5, 2)), rng.standard_normal((5, 2)))"),
     ("lift_given_noise", "theorylab.lift_independence(q0, 200, symgroup.RotationGroup(2), rng, "
-                         "noise=theorylab.SliceGaussian(np.zeros(2), np.eye(2)))"),
+                         "noise=priors.GaussianPrior(np.zeros(2), np.eye(2)))"),
     ("lift_normal_reference", "theorylab.lift_independence(q0, 200, symgroup.RotationGroup(2), rng)"),
 ]
 
@@ -53,10 +53,10 @@ def test_each_deferred_import_is_taken_on_first_call():
     doc = fresh_python(
         "import json, sys\n"
         "import numpy as np\n"
-        "from gaugeflow import coupling, symgroup, theorylab\n"
+        "from gaugeflow import coupling, priors, symgroup, theorylab\n"
         "from gaugeflow.flowcore import tape\n"
         "rng = np.random.default_rng(0)\n"
-        "q0 = theorylab.SliceGaussian(np.zeros(2), np.eye(2))\n"
+        "q0 = priors.GaussianPrior(np.zeros(2), np.eye(2))\n"
         f"loaded = {{'import': {LOADED}}}\n"
         + "".join(f"{code}\nloaded[{step!r}] = {LOADED}\n" for step, code in STEPS)
         + "print(json.dumps(loaded))\n")
@@ -76,8 +76,8 @@ def test_ks_test_loads_scipy_special_and_not_scipy_stats():
     doc = fresh_python(
         "import json, sys\n"
         "import numpy as np\n"
-        "from gaugeflow import symgroup, theorylab\n"
-        "q0 = theorylab.SliceGaussian(np.zeros(2), np.eye(2))\n"
+        "from gaugeflow import priors, symgroup, theorylab\n"
+        "q0 = priors.GaussianPrior(np.zeros(2), np.eye(2))\n"
         "theorylab.lift_independence(q0, 200, symgroup.c4_group(), np.random.default_rng(0))\n"
         f"print(json.dumps({LOADED}))\n")
     assert "scipy.special" in doc

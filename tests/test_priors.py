@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assert_frozen
 from gaugeflow import priors
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -63,7 +64,8 @@ def test_sample_gaussian_roundtrip(seed):
     mean = np.array([1.0, -2.0])
     cov = np.array([[2.0, 0.6], [0.6, 0.5]])
     vals, vecs = np.linalg.eigh(cov)
-    p = priors.GaussianPrior(mean, cov, (vecs * np.sqrt(vals)) @ vecs.T)
+    p = priors.GaussianPrior(mean, cov)
+    assert np.array_equal(p.sqrt, (vecs * np.sqrt(vals)) @ vecs.T)
     x = priors.sample_gaussian(p, 60_000, rng)
     assert np.allclose(x.mean(axis=0), mean, atol=0.05)
     assert np.allclose(np.cov(x.T, bias=True), cov, atol=0.08)
@@ -80,10 +82,50 @@ def test_gaussian_logpdf_against_scipy():
 
 
 def test_isotropic_prior_shape():
-    p = priors.isotropic_prior(4, scale=2.0)
-    assert np.allclose(p.cov, 4.0 * np.eye(4))
+    p = priors.GaussianPrior(np.zeros(4), 4.0)          # a scalar cov is that multiple of I
+    assert np.array_equal(p.cov, 4.0 * np.eye(4))
+    assert np.array_equal(p.sqrt, 2.0 * np.eye(4))
     lp = priors.gaussian_logpdf(p, np.zeros(4))
     assert np.allclose(lp, -0.5 * 4 * (np.log(2 * np.pi) + np.log(4.0)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 36])
+def test_identity_prior_has_identity_square_root(d):
+    # the trainer's N(0, I) noise is mean + eps exactly
+    assert np.array_equal(priors.GaussianPrior(np.zeros(d), np.eye(d)).sqrt, np.eye(d))
+
+
+def test_gaussian_prior_is_symmetrized_and_frozen():
+    cov = np.array([[2.0, 0.6], [0.5, 0.5]])
+    q = priors.GaussianPrior([1.0, -2.0], cov)
+    assert np.array_equal(q.cov, q.cov.T) and q.cov[0, 1] == 0.55
+    assert np.array_equal(q.sqrt, priors.sqrt_psd(q.cov))
+    assert q.mean.dtype == np.float64 and q.dim == 2
+    assert_frozen(q)
+    for arr in (q.mean, q.cov, q.sqrt):         # read-only copies of what was checked
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 9.0
+    cov[0, 0] = -1.0                            # the caller's arrays stay theirs
+    assert q.cov[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("mean, cov, match", [
+    (np.zeros(2), np.diag([1.0, 0.0]), "positive definite"),
+    (np.zeros(2), np.diag([1.0, -1.0]), "positive definite"),
+    (np.zeros(2), -1.0, "positive definite"),
+    (np.zeros(2), np.eye(3), r"\(2, 2\) matrix"),
+    (np.zeros(2), np.ones(2), r"\(2, 2\) matrix"),
+    (np.zeros(2), [[1.0, 0.0], [0.0, np.nan]], "finite"),
+    (np.zeros(2), np.inf, "finite"),
+    (np.zeros((1, 2)), np.eye(2), r"\(d,\) vector"),
+    (1.0, np.eye(1), r"\(d,\) vector"),
+    (np.zeros(0), np.zeros((0, 0)), r"\(d,\) vector"),
+    ([0.0, np.inf], np.eye(2), "finite"),
+], ids=["singular", "indefinite", "negative-scalar", "wrong-size", "vector-cov", "nan-cov",
+        "inf-scalar", "2-D-mean", "scalar-mean", "empty-mean", "inf-mean"])
+def test_gaussian_prior_refuses_what_it_cannot_sample(mean, cov, match):
+    with pytest.raises(ValueError, match=match):
+        priors.GaussianPrior(mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +323,8 @@ def test_save_load_roundtrip(make):
 def test_prior_dict_refuses_keys_its_kind_lacks():
     # the Gaussian "isotropic" flag and the rank Gaussian "beta" that format
     # 2 and 3 files carried, and a key no kind has
-    old_gaussian = dict(priors.prior_to_dict(priors.isotropic_prior(2)), isotropic=True)
+    old_gaussian = dict(priors.prior_to_dict(priors.GaussianPrior(np.zeros(2), np.eye(2))),
+                        isotropic=True)
     with pytest.raises(ValueError, match="gaussian prior has no keys isotropic"):
         priors.prior_from_dict(old_gaussian)
     ranked = priors.fit_rank_gaussian(np.linspace(0, 1, 8), np.ones((8, 3)), 2)
@@ -290,6 +333,15 @@ def test_prior_dict_refuses_keys_its_kind_lacks():
     table = priors.prior_to_dict(priors.fit_positional([0.2, 0.8], [0, 1], 3, 2))
     with pytest.raises(ValueError, match="has no keys extra, smoothing"):
         priors.prior_from_dict(dict(table, smoothing=1.0, extra=None))
+
+
+def test_prior_dict_checks_the_stored_square_root():
+    doc = priors.prior_to_dict(priors.GaussianPrior(np.zeros(2), [[2.0, 0.6], [0.6, 0.5]]))
+    nudged = (np.array(doc["sqrt"]) * (1 + 1e-13)).tolist()           # rounding
+    assert priors.prior_from_dict(dict(doc, sqrt=nudged)).sqrt.tolist() == doc["sqrt"]
+    for sqrt in (np.eye(2).tolist(), [[1.0]], [1.0, 1.0], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="sqrt must be the square root of its cov"):
+            priors.prior_from_dict(dict(doc, sqrt=sqrt))
 
 
 def test_prior_dict_rejects_unknown():

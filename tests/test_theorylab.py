@@ -98,7 +98,7 @@ def test_mixture_log_sum_exp_matches_scipy(make):
 def test_affine_member_form_matches_per_element_route(seed):
     system = lab.random_gaussian_system(np.random.default_rng(seed))
     z = 2.0 * np.random.default_rng(seed + 50).standard_normal((40, system.dim))
-    qt = lab.SliceGaussian(*lab.slice_time_marginal(system))
+    qt = priors.GaussianPrior(*lab.slice_time_marginal(system))
     elements = system.group.elements
     means = np.stack([lab.slice_conditional_mean(system, z @ g) @ g.T for g in elements])
     logq = np.stack([priors.gaussian_logpdf(qt, z @ g) for g in elements])     # z @ g = g^T z
@@ -151,7 +151,7 @@ def test_ambiguity_term_limits():
     mid = lab.ambiguity_term(sf, np.zeros((1, 1)))
     assert mid[0] > 1.0
     trivial = lab.MixtureSystem(lab.trivial_group(1), lab.SlicePoint([1.0]),
-                                lab.SliceGaussian(np.zeros(1), np.eye(1)), 0.5)
+                                priors.GaussianPrior(np.zeros(1), np.eye(1)), 0.5)
     z = np.linspace(-3, 3, 20)[:, None]
     assert np.allclose(lab.ambiguity_term(trivial, z), 0.0)
     assert np.allclose(lab.collision_lower_bound(trivial, z), 0.0)
@@ -449,13 +449,13 @@ def test_ks_pvalue_is_scipys_asymptotic_one_bitwise(n):
 
 def test_lift_independence_isotropic_vs_anisotropic():
     rng = np.random.default_rng(13)
-    q0 = lab.SliceGaussian(np.array([2.0, 0.0]), 0.09 * np.eye(2))
+    q0 = priors.GaussianPrior(np.array([2.0, 0.0]), 0.09 * np.eye(2))
     iso = lab.lift_independence(q0, 30_000, symgroup.RotationGroup(2), rng)
     assert iso["independent"]
     assert all(p > 0.001 for p in iso["ks_pvalues"])
     aniso = lab.lift_independence(
         q0, 30_000, symgroup.RotationGroup(2), rng,
-        noise=lab.SliceGaussian(np.zeros(2), np.diag([9.0, 1.0])))
+        noise=priors.GaussianPrior(np.zeros(2), np.diag([9.0, 1.0])))
     assert not aniso["independent"]
     assert aniso["quadratic_corr"] > aniso["threshold"]
     assert aniso["ks_pvalues"] == []
@@ -524,3 +524,9 @@ def test_default_suite_signflip_subset():
 def test_default_suite_rejects_unknown_systems():
     with pytest.raises(ValueError):
         lab.run_default_suite(systems=("signflip", "d8"))
+
+
+@pytest.mark.parametrize("n_mc", [0, -5])
+def test_default_suite_rejects_sample_counts_below_1(n_mc):
+    with pytest.raises(ValueError, match="n_mc must be at least 1"):
+        lab.run_default_suite(systems=("c4",), n_mc=n_mc)
