@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from conftest import assert_frozen
 from gaugeflow import theorylab as lab
 from gaugeflow import priors, symgroup
 
@@ -157,6 +158,22 @@ def test_ambiguity_term_limits():
     assert np.allclose(lab.collision_lower_bound(trivial, z), 0.0)
 
 
+def test_slice_point_is_frozen_with_a_read_only_copy():
+    # the system caches its member form on first use, so its point may not move
+    sf = lab.signflip_system()
+    assert lab.mixture_logpdf(sf, [[0.3]])[0] == pytest.approx(-0.7357, abs=1e-4)
+    assert_frozen(sf.q0)
+    with pytest.raises(ValueError, match="read-only"):
+        sf.q0.point[0] = 3.0
+    assert lab.mixture_logpdf(sf, [[0.3]])[0] == pytest.approx(-0.7357, abs=1e-4)
+    # a later edit of the caller's array leaves the system it built unchanged
+    caller = np.array([3.0])
+    moved = lab.MixtureSystem(sf.group, lab.SlicePoint(caller), sf.q1, 0.5)
+    caller[0] = 1.0
+    assert moved.q0.point.tolist() == [3.0]
+    assert lab.mixture_logpdf(moved, [[0.3]])[0] == pytest.approx(-3.7720, abs=1e-4)
+
+
 @pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
 def test_collision_bound_below_ambiguity(make):
     system = make()
@@ -300,6 +317,36 @@ def test_unbalanced_tree_ties_match_default_tree(k):
     assert np.array_equal(np.sort(dist, axis=1), _tree_distances(x, queries, k))
 
 
+@pytest.mark.parametrize("case", ["2d", "3d", "repeated-queries", "constant-axis",
+                                  "single-query"])
+def test_z_ordered_search_matches_plain_tree_query(case):
+    # the k-d queries run in Z-order and are written back: every index row is
+    # the one a plain query of the same tree in the caller's order returns
+    rng = np.random.default_rng(21)
+    d = 3 if case == "3d" else 2
+    x = rng.standard_normal((3000, d))
+    queries = 1.5 * rng.standard_normal((500, d))
+    if case == "repeated-queries":
+        queries = np.concatenate([queries[:50]] * 4)[rng.permutation(200)]
+    elif case == "constant-axis":
+        queries[:, 1] = 0.25
+    elif case == "single-query":
+        queries = queries[:1]
+    with np.errstate(all="raise"):              # a flat axis may not divide by zero
+        order = lab._z_order(queries)
+    assert np.array_equal(np.sort(order), np.arange(len(queries)))
+    if case == "constant-axis":
+        # the flat axis sits in cell 0, so the key orders by the other axis alone
+        span = np.ptp(queries[:, 0])
+        cell = np.minimum(((queries[:, 0] - queries[:, 0].min()) * (1024 / span)).astype(int),
+                          1023)
+        assert np.array_equal(order, np.argsort(cell, kind="stable"))
+    elif case != "single-query":
+        assert not np.array_equal(order, np.arange(len(queries)))
+    tree = cKDTree(x, balanced_tree=False, compact_nodes=False)
+    assert np.array_equal(lab._nearest(x, queries, 40), tree.query(queries, k=40)[1])
+
+
 def _numpy_mean_local_linear_variance(x, y, rng, n_query, k):
     """Reference: the batched fit with fancy-index gathers and numpy means."""
     q_idx = rng.choice(x.shape[0], size=n_query, replace=False)
@@ -355,43 +402,45 @@ def test_knn_sorted_windows_match_index_rows(case, p):
     assert np.array_equal(per_query, ref)
 
 
-def _numpy_moments_bayes_check(system, n, rng, break_coupling):
-    """Reference: bayes_equivariance_check with a fancy-index gather and
-    np.mean / np.var over the neighbours."""
+def _numpy_moments_bayes_check(system, n, rng):
+    """Reference: bayes_equivariance_check's coupled and broken results from
+    one simulate and one neighbour search, each target gathered by fancy
+    indexing and reduced with np.mean / np.var over the neighbours."""
     sim = lab.simulate(system, n, rng)
     x = sim["z"]
-    y = sim["u"] if break_coupling else sim["velocity"]
     k = int(np.ceil(np.sqrt(n)))
     n_query = min(200, n)
     zq = x[rng.choice(n, size=n_query, replace=False)]
     elements = system.group.elements
     queries = np.concatenate([zq, *(zq @ g for g in elements)])
-    vals = y[lab._nearest(x, queries, k)].reshape(len(elements) + 1, n_query, k, -1)
-    means, variances = np.mean(vals, axis=2), np.var(vals, axis=2, ddof=1) / k
-    ratios, gaps = [], []
-    for g, mean_g, var_g in zip(elements, means[1:], variances[1:]):
-        gap = np.linalg.norm(mean_g @ g.T - means[0], axis=1)
-        se = np.sqrt((variances[0] + var_g @ (g ** 2).T).sum(axis=1))
-        ratios.append(gap / np.maximum(se, 1e-12))
-        gaps.append(gap)
-    max_ratio = max(0.0, *(float(r.max()) for r in ratios))
-    return {
-        "max_ratio": max_ratio,
-        "mean_ratio": float(np.concatenate(ratios).mean()),
-        "max_violation": max(0.0, *(float(gp.max()) for gp in gaps)),
-        "ratio_bound": 5.0,
-        "equivariant": max_ratio < 5.0,
-        "k": k, "n_query": n_query, "n": n,
-        "break_coupling": break_coupling,
-    }
+    nbr = lab._nearest(x, queries, k)
+    results = []
+    for target in ("velocity", "u"):
+        vals = sim[target][nbr].reshape(len(elements) + 1, n_query, k, -1)
+        means, variances = np.mean(vals, axis=2), np.var(vals, axis=2, ddof=1) / k
+        ratios, gaps = [], []
+        for g, mean_g, var_g in zip(elements, means[1:], variances[1:]):
+            gap = np.linalg.norm(mean_g @ g.T - means[0], axis=1)
+            se = np.sqrt((variances[0] + var_g @ (g ** 2).T).sum(axis=1))
+            ratios.append(gap / np.maximum(se, 1e-12))
+            gaps.append(gap)
+        max_ratio = max(0.0, *(float(r.max()) for r in ratios))
+        results.append({
+            "max_ratio": max_ratio,
+            "mean_ratio": float(np.concatenate(ratios).mean()),
+            "max_violation": max(0.0, *(float(gp.max()) for gp in gaps)),
+            "ratio_bound": 5.0,
+            "equivariant": max_ratio < 5.0,
+            "k": k, "n_query": n_query, "n": n,
+            "break_coupling": target == "u",
+        })
+    return tuple(results)
 
 
-@pytest.mark.parametrize("break_coupling", [False, True])
 @pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
-def test_bayes_check_moments_round_as_numpy(make, break_coupling):
-    got = lab.bayes_equivariance_check(make(), 20_000, np.random.default_rng(32),
-                                       break_coupling=break_coupling)
-    want = _numpy_moments_bayes_check(make(), 20_000, np.random.default_rng(32), break_coupling)
+def test_bayes_check_moments_round_as_numpy(make):
+    got = lab.bayes_equivariance_check(make(), 20_000, np.random.default_rng(32))
+    want = _numpy_moments_bayes_check(make(), 20_000, np.random.default_rng(32))
     assert got == want
 
 
@@ -463,11 +512,9 @@ def test_lift_independence_isotropic_vs_anisotropic():
 
 def test_bayes_equivariance_and_broken_coupling():
     rng = np.random.default_rng(14)
-    ok = lab.bayes_equivariance_check(lab.c4_system(), 30_000, rng)
-    assert ok["equivariant"]
-    broken = lab.bayes_equivariance_check(lab.c4_system(), 30_000, rng,
-                                          break_coupling=True)
-    assert not broken["equivariant"]
+    ok, broken = lab.bayes_equivariance_check(lab.c4_system(), 30_000, rng)
+    assert ok["equivariant"] and not ok["break_coupling"]
+    assert not broken["equivariant"] and broken["break_coupling"]
     assert broken["max_ratio"] > ok["max_ratio"]
 
 

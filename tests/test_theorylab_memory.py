@@ -5,7 +5,8 @@ fits the k-NN neighbourhoods in query pieces and, in one dimension, reads them
 as windows of sorted copies of the fit's inputs; `simulate` applies its group
 elements through `FiniteGroupSpec.randomize`, which gathers them one row piece
 at a time. These tests bound the traced allocation peaks of both, pin the
-random stream `variance_decomposition` leaves behind and pin the stock
+random stream `variance_decomposition` (and the battery's inequality path,
+its pair fits without the ambiguity pass) leaves behind and pin the stock
 battery's check list.
 """
 
@@ -60,16 +61,28 @@ def test_simulate_peak_memory():
 
 
 # the next rng.integers(0, 2**62) after variance_decomposition(make(), 5000,
-# default_rng(23)), as the implementation that held every array drew it
-NEXT_DRAW = [(lab.signflip_system, 4599912920935323649),
-             (lab.c4_system, 1392267097552973666)]
+# default_rng(23)), as the implementation that held every array drew it; the
+# inequality cases also run the battery's inequality path, the pair fits on a
+# fresh simulation with no ambiguity pass, which must read the same fits and
+# leave the stream at the same place
+NEXT_DRAW = [(lab.signflip_system, False, 4599912920935323649),
+             (lab.c4_system, False, 1392267097552973666),
+             (lab.c4_system, True, 1392267097552973666),
+             (lab.s3_system, True, 1605819150021339240)]
 
 
-@pytest.mark.parametrize("make, next_draw", NEXT_DRAW, ids=["signflip", "c4"])
-def test_variance_decomposition_leaves_the_stream_where_it_was(make, next_draw):
+@pytest.mark.parametrize("make, inequality, next_draw", NEXT_DRAW,
+                         ids=["signflip", "c4", "c4-inequality", "s3-inequality"])
+def test_variance_decomposition_leaves_the_stream_where_it_was(make, inequality, next_draw):
     system = make()
     rng = np.random.default_rng(23)
-    lab.variance_decomposition(system, 5000, rng)
+    dec = lab.variance_decomposition(system, 5000, rng)
+    if inequality:
+        fits_rng = np.random.default_rng(23)
+        fits = lab._knn_pair_fits(lab.simulate(system, 5000, fits_rng), fits_rng)
+        assert fits == {key: dec[key] for key in ("lhs", "lhs_stderr",
+                                                  "within", "within_stderr")}
+        assert fits_rng.bit_generator.state == rng.bit_generator.state
     # the same draws, made directly: the simulation, then per k-NN fit the
     # query subsample and the bootstrap indices
     replay = np.random.default_rng(23)
