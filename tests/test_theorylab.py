@@ -437,11 +437,15 @@ def _numpy_moments_bayes_check(system, n, rng):
     return tuple(results)
 
 
+@pytest.mark.parametrize("break_coupling", [False, True])
 @pytest.mark.parametrize("make", [lab.signflip_system, lab.c4_system, lab.s3_system])
-def test_bayes_check_moments_round_as_numpy(make):
+def test_bayes_check_moments_round_as_numpy(make, break_coupling):
+    # one call returns (coupled, broken); each case checks its own half
     got = lab.bayes_equivariance_check(make(), 20_000, np.random.default_rng(32))
     want = _numpy_moments_bayes_check(make(), 20_000, np.random.default_rng(32))
-    assert got == want
+    assert len(got) == len(want) == 2
+    assert got[int(break_coupling)]["break_coupling"] is break_coupling
+    assert got[int(break_coupling)] == want[int(break_coupling)]
 
 
 def _lstsq_local_linear_variance(x, y, rng, n_query, k):
